@@ -1,15 +1,19 @@
-"""Hot numeric kernels with a numba fast path and a pure-Python fallback.
-
-Set CHIBOUND_DISABLE_NUMBA=1 to force the fallback path.  Both paths are
-differential-tested against each other; benchmarks/bench_kernels.py
-compares their throughput.
+"""Hot graph kernels: canonical form and clique number.
 
 Kernels:
-  canonical_code  -- lexicographically minimal adjacency bit-string over
-                     all vertex permutations (column-major upper triangle,
-                     the graph6 bit order), as an integer.
+  canonical_code  -- canonical adjacency code by individualization-refinement
+                     (McKay & Piperno, "Practical graph isomorphism, II",
+                     J. Symb. Comput. 60, 2014): the minimum, over the leaves
+                     of the search tree, of the column-major upper-triangle
+                     bit-string (the graph6 bit order) as an integer.  Pure
+                     Python.  Isomorphic graphs get equal codes, but the code
+                     is not the lexicographic minimum over all permutations;
+                     canon_code_py computes that one and serves as the test
+                     oracle.
   clique_number_sub -- clique number of the subgraph induced on a
-                     candidate bitmask, by branch and bound.
+                     candidate bitmask, by branch and bound, with a numba
+                     fast path and a pure-Python fallback.  Set
+                     CHIBOUND_DISABLE_NUMBA=1 to force the fallback.
 """
 
 from __future__ import annotations
@@ -30,10 +34,92 @@ if not DISABLE_NUMBA:
         NUMBA_OK = False
 
 
-# ---------------------------------------------------------------- pure path
+# ----------------------------------------------------------- canonical form
+
+def _refine(adj, cells):
+    """Coarsest equitable refinement of the ordered partition `cells`.
+
+    Each round splits every cell by the tuple of neighbour counts of its
+    vertices into each cell, placing the parts in increasing tuple order.
+    The result therefore depends on the graph and the order of the input
+    cells, never on vertex indices.
+    """
+    while True:
+        masks = [sum(1 << v for v in cell) for cell in cells]
+        out = []
+        for cell in cells:
+            if len(cell) == 1:
+                out.append(cell)
+                continue
+            parts = {}
+            for v in cell:
+                row = adj[v]
+                key = tuple((row & m).bit_count() for m in masks)
+                parts.setdefault(key, []).append(v)
+            if len(parts) == 1:
+                out.append(cell)
+            else:
+                out.extend(parts[key] for key in sorted(parts))
+        if len(out) == len(cells):
+            return out
+        cells = out
+
+
+def _code_of_order(adj, order) -> int:
+    """Adjacency code of the graph relabeled so that order[i] becomes i."""
+    code = 0
+    for j in range(1, len(order)):
+        row = adj[order[j]]
+        for i in range(j):
+            code = (code << 1) | (row >> order[i] & 1)
+    return code
+
+
+def canonical_code(adj, n: int) -> int:
+    """Canonical form of a graph as an adjacency code.
+
+    Refines the partition by degree to an equitable one, then
+    individualizes each vertex of the first non-singleton cell in turn,
+    refines and recurses; each discrete partition is a leaf, and the code
+    is the least leaf code.  A vertex that is a twin of one already tried
+    in the same cell is skipped: swapping the two is an automorphism fixing
+    the current path, so both branches reach the same codes.
+    """
+    if n <= 1:
+        return 0
+    by_degree = {}
+    for v in range(n):
+        by_degree.setdefault(adj[v].bit_count(), []).append(v)
+    best = -1
+
+    def search(cells):
+        nonlocal best
+        for t, target in enumerate(cells):
+            if len(target) > 1:
+                break
+        else:
+            code = _code_of_order(adj, [cell[0] for cell in cells])
+            if best < 0 or code < best:
+                best = code
+            return
+        tried = []
+        for v in target:
+            row = adj[v]
+            if any(adj[u] & ~(1 << v) == row & ~(1 << u) for u in tried):
+                continue
+            tried.append(v)
+            rest = [u for u in target if u != v]
+            search(_refine(adj, cells[:t] + [[v], rest] + cells[t + 1:]))
+
+    search(_refine(adj, [by_degree[d] for d in sorted(by_degree)]))
+    return best
+
 
 def canon_code_py(adj, n: int) -> int:
-    """Min adjacency code over all permutations, DFS with prefix pruning."""
+    """Lexicographically minimal adjacency code over all vertex permutations.
+
+    Exponential in n; kept as the test oracle for canonical_code.
+    """
     if n <= 1:
         return 0
     total = n * (n - 1) // 2
@@ -66,6 +152,8 @@ def canon_code_py(adj, n: int) -> int:
     return best
 
 
+# ------------------------------------------------------------ clique number
+
 def clique_number_sub_py(adj, cand: int) -> int:
     best = 0
 
@@ -97,53 +185,6 @@ if NUMBA_OK:
         return np.int64((x * np.uint64(0x0101010101010101)) >> np.uint64(56))
 
     @njit(cache=True)
-    def _canon_code_nb(adj, n):
-        total = n * (n - 1) // 2
-        best = np.int64(0)
-        for j in range(1, n):
-            for i in range(j):
-                best = (best << 1) | np.int64((adj[i] >> np.uint64(j)) & np.uint64(1))
-        perm = np.zeros(n, np.int64)
-        nextv = np.zeros(n + 1, np.int64)
-        curs = np.zeros(n + 1, np.int64)
-        bitsd = np.zeros(n + 1, np.int64)
-        used = np.int64(0)
-        pos = 0
-        while True:
-            if pos == n:
-                if curs[n] < best:
-                    best = curs[n]
-                pos -= 1
-                used &= ~(np.int64(1) << perm[pos])
-                continue
-            found = False
-            v = nextv[pos]
-            while v < n:
-                if not (used >> v) & 1:
-                    chunk = np.int64(0)
-                    for j in range(pos):
-                        chunk = (chunk << 1) | np.int64((adj[perm[j]] >> np.uint64(v)) & np.uint64(1))
-                    cur2 = (curs[pos] << pos) | chunk
-                    bits2 = bitsd[pos] + pos
-                    if cur2 <= best >> (total - bits2):
-                        perm[pos] = v
-                        used |= np.int64(1) << v
-                        nextv[pos] = v + 1
-                        pos += 1
-                        nextv[pos] = 0
-                        curs[pos] = cur2
-                        bitsd[pos] = bits2
-                        found = True
-                        break
-                v += 1
-            if not found:
-                if pos == 0:
-                    break
-                pos -= 1
-                used &= ~(np.int64(1) << perm[pos])
-        return best
-
-    @njit(cache=True)
     def _clique_number_sub_nb(adj, cand0):
         best = 0
         cands = np.zeros(66, np.uint64)
@@ -166,19 +207,6 @@ if NUMBA_OK:
 
 
 # ----------------------------------------------------------------- dispatch
-
-_CANON_NUMBA_MAX_N = 11  # keeps the code within a signed 64-bit integer
-
-
-def canonical_code(adj, n: int) -> int:
-    """Canonical form of a graph as the minimal adjacency code."""
-    if n <= 1:
-        return 0
-    if NUMBA_OK and n <= _CANON_NUMBA_MAX_N:
-        arr = np.array(adj, dtype=np.uint64)
-        return int(_canon_code_nb(arr, n))
-    return canon_code_py(adj, n)
-
 
 def clique_number_sub(adj, cand: int) -> int:
     """Clique number of the subgraph induced on the bitmask cand."""

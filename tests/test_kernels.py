@@ -4,7 +4,8 @@ from itertools import combinations, permutations
 import pytest
 
 from chibound import kernels
-from chibound.graph import Graph, is_clique, mask_of
+from chibound.graph import Graph, from_edges, is_clique, mask_of
+from chibound.smallgraphs import graph_from_code
 
 
 def _random_adj(rng, n, p):
@@ -29,6 +30,50 @@ def _canon_bruteforce(adj, n):
     return min(_code_of_perm(adj, n, p) for p in permutations(range(n)))
 
 
+def _relabel(adj, perm):
+    out = [0] * len(adj)
+    for i, row in enumerate(adj):
+        for j in range(len(adj)):
+            if row >> j & 1:
+                out[perm[i]] |= 1 << perm[j]
+    return out
+
+
+def _cycles(*lengths):
+    edges, start = [], 0
+    for k in lengths:
+        edges += [(start + i, start + (i + 1) % k) for i in range(k)]
+        start += k
+    return from_edges(start, edges).adj
+
+
+def _symmetric_graphs():
+    """Regular graphs, on which refinement alone splits nothing.
+
+    The vertex-transitive ones are the search's worst cases (many equal
+    branches); in C3+C4 and C3+C5 the first cell mixes inequivalent
+    vertices, so a search that skipped any non-twin branch would depend on
+    the labeling.
+    """
+    k44 = [(u, v) for u in range(4) for v in range(4, 8)]
+    k2222 = [(u, v) for u in range(8) for v in range(u + 1, 8) if u // 2 != v // 2]
+    q3 = [(u, u ^ b) for u in range(8) for b in (1, 2, 4) if u < u ^ b]
+    petersen = ([(i, (i + 1) % 5) for i in range(5)]
+                + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                + [(i, i + 5) for i in range(5)])
+    return {
+        "K8": from_edges(8, combinations(range(8), 2)).adj,
+        "empty8": [0] * 8,
+        "C8": _cycles(8),
+        "C3+C4": _cycles(3, 4),
+        "C3+C5": _cycles(3, 5),
+        "Q3": from_edges(8, q3).adj,
+        "K4,4": from_edges(8, k44).adj,
+        "K2,2,2,2": from_edges(8, k2222).adj,
+        "Petersen": from_edges(10, petersen).adj,
+    }
+
+
 def _clique_bruteforce(adj, cand):
     g = Graph(len(adj), adj)
     verts = [v for v in range(len(adj)) if cand >> v & 1]
@@ -47,12 +92,50 @@ def test_canon_pure_vs_bruteforce():
         assert kernels.canon_code_py(adj, n) == _canon_bruteforce(adj, n)
 
 
-def test_canon_dispatch_matches_pure():
+def test_canon_classes_match_lexmin_oracle():
+    # Half the pairs are relabelings (isomorphic), half share n and the
+    # edge count (often isomorphic at small n, often not).
     rng = random.Random(6)
-    for _ in range(120):
+    agree = differ = 0
+    for _ in range(300):
+        n = rng.randrange(1, 9)
+        a = _random_adj(rng, n, rng.random())
+        if rng.random() < 0.5:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            b = _relabel(a, perm)
+        else:
+            pairs = list(combinations(range(n), 2))
+            m = sum(row.bit_count() for row in a) // 2
+            b = from_edges(n, rng.sample(pairs, m)).adj
+        same = kernels.canon_code_py(a, n) == kernels.canon_code_py(b, n)
+        assert (kernels.canonical_code(a, n) == kernels.canonical_code(b, n)) == same
+        agree += same
+        differ += not same
+    assert agree > 100 and differ > 50
+
+
+@pytest.mark.parametrize("name", sorted(_symmetric_graphs()))
+def test_canon_invariant_on_symmetric_graphs(name):
+    adj = _symmetric_graphs()[name]
+    n = len(adj)
+    code = kernels.canonical_code(adj, n)
+    rng = random.Random(n)
+    for _ in range(5):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        assert kernels.canonical_code(_relabel(adj, perm), n) == code
+    decoded = graph_from_code(code, n)
+    assert kernels.canon_code_py(decoded.adj, n) == kernels.canon_code_py(adj, n)
+
+
+def test_canon_code_decodes_to_same_class():
+    rng = random.Random(7)
+    for _ in range(150):
         n = rng.randrange(1, 9)
         adj = _random_adj(rng, n, rng.random())
-        assert kernels.canonical_code(adj, n) == kernels.canon_code_py(adj, n)
+        decoded = graph_from_code(kernels.canonical_code(adj, n), n)
+        assert kernels.canon_code_py(decoded.adj, n) == kernels.canon_code_py(adj, n)
 
 
 def test_canon_invariant_under_relabeling():
@@ -62,13 +145,8 @@ def test_canon_invariant_under_relabeling():
         adj = _random_adj(rng, n, 0.5)
         perm = list(range(n))
         rng.shuffle(perm)
-        relabeled = [0] * n
-        for i in range(n):
-            for j in range(n):
-                if adj[i] >> j & 1:
-                    relabeled[perm[i]] |= 1 << perm[j]
         assert (kernels.canonical_code(adj, n)
-                == kernels.canonical_code(relabeled, n))
+                == kernels.canonical_code(_relabel(adj, perm), n))
 
 
 def test_clique_kernel_vs_bruteforce():

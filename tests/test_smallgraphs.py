@@ -4,14 +4,15 @@ import pytest
 
 from chibound.classes import get_class
 from chibound.detect import is_member, make_class
-from chibound.graph import Graph
+from chibound.graph import Graph, from_edges
+from chibound.kernels import canon_code_py
 from chibound.patterns import make_pattern
 from chibound.smallgraphs import (ENUM_CAP, EnumerationCapExceeded,
                                   RejectionBudgetExhausted, canonical_form,
                                   enumerate_codes, enumerate_small,
                                   graph_from_code, sample_in_class)
 
-KNOWN_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
+KNOWN_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}  # OEIS A000088
 
 
 @pytest.mark.parametrize("n,count", sorted(KNOWN_COUNTS.items()))
@@ -34,7 +35,27 @@ def test_enumeration_counts_bruteforce_crosscheck():
             best = c if best is None else min(best, c)
         classes.add(best)
     assert len(classes) == KNOWN_COUNTS[n]
-    assert classes == set(enumerate_codes(n))
+    assert classes == {canon_code_py(graph_from_code(code, n).adj, n)
+                       for code in enumerate_codes(n)}
+
+
+def test_enumeration_matches_networkx_atlas():
+    # The atlas lists every graph on at most 7 vertices once per class.
+    nx = pytest.importorskip("networkx")
+    codes = {}
+    for h in nx.graph_atlas_g():
+        n = h.number_of_nodes()
+        if n == 0:
+            continue
+        codes.setdefault(n, []).append(canonical_form(from_edges(n, h.edges)))
+    assert sum(len(level) for level in codes.values()) == 1252
+    for n in range(1, 8):
+        assert sorted(codes[n]) == list(enumerate_codes(n))
+
+
+def test_enumeration_is_deterministic():
+    # Recompute level 7 past the cache (lower levels come from the cache).
+    assert enumerate_codes.__wrapped__(7) == enumerate_codes(7)
 
 
 def test_enumerate_small_yields_valid_canonical_graphs():
