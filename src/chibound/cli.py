@@ -16,7 +16,8 @@ from .decompose import PROPERTY_IDS, check_property, decompose, decompose_auto
 from .detect import is_member
 from .graph import bits, mask_of, to_dot
 from .graph6 import read_graph6_file, write_graph6
-from .harness import (RunConfig, exit_code_for, verify_run, write_report)
+from .harness import (RunConfig, classify_exception, exit_code_for,
+                      verify_run, write_report)
 from .oracles import (OracleCapExceeded, chi_n, chromatic_number,
                       clique_number, ramsey_upper)
 from .patterns import PATTERNS, make_pattern
@@ -197,7 +198,7 @@ def _cmd_color(args):
                 worst = 2
         except Exception as exc:
             rec["error"] = f"{type(exc).__name__}: {exc}"
-            worst = max(worst, 2 if "Violation" in type(exc).__name__ else 1)
+            worst = max(worst, 2 if classify_exception(exc) == "violation" else 1)
         print(json.dumps(rec))
     return worst
 

@@ -15,8 +15,8 @@ from .detect import (diamond_free_fast, every_edge_two_triangles,
                      find_fan_triangles_diamond_free, find_induced)
 from .decompose import decompose, edge_clique_partition, fan_structure
 from .graph import Graph, bits, connected_components, induced_subgraph
-from .oracles import (chromatic_number, clique_number_in, is_proper,
-                      max_clique_in, ramsey_upper)
+from .oracles import (DEFAULT_CHI_CAP, chromatic_number, clique_number_in,
+                      is_proper, max_clique_in, ramsey_upper)
 from .patterns import (bowtie, diamond, dumbbell, f1, f2, fan_triangles,
                        hammer_plus, lollipop_star, path)
 
@@ -92,7 +92,7 @@ class OracleTracker:
     scale, making bound checks self-consistent.
     """
 
-    def __init__(self, fn=None, chi_cap: int = 16):
+    def __init__(self, fn=None, chi_cap: int = DEFAULT_CHI_CAP):
         self.fn = fn
         self.chi_cap = chi_cap
         self.max_used = 0
@@ -172,7 +172,7 @@ def _grouped_t(dec):
 # --------------------------------------------------------------------- THM1
 
 def color_thm1(g: Graph, t: int = 2, c_oracle=None,
-               chi_cap: int = 16) -> ColoringCertificate:
+               chi_cap: int = DEFAULT_CHI_CAP) -> ColoringCertificate:
     """{diamond, hammer(t)+}-free graphs: K + T + T' blocks, base case <= t."""
     if t < 2:
         raise ValueError("t must be >= 2")
@@ -244,7 +244,8 @@ def color_thm1(g: Graph, t: int = 2, c_oracle=None,
 
 # --------------------------------------------------------------------- THM4
 
-def color_thm4(g: Graph, c_oracle=None, chi_cap: int = 16) -> ColoringCertificate:
+def color_thm4(g: Graph, c_oracle=None,
+               chi_cap: int = DEFAULT_CHI_CAP) -> ColoringCertificate:
     """{(2,2)-bowtie, P5, (3,3)-dumbbell}-free graphs, the C-free t=2 case."""
     _require_free("THM4", g, bowtie(2, 2), "(2,2)-bowtie")
     _require_free("THM4", g, path(5), "P5")
@@ -313,7 +314,7 @@ def color_thm4(g: Graph, c_oracle=None, chi_cap: int = 16) -> ColoringCertificat
 # --------------------------------------------------------------------- THM3
 
 def color_thm3(g: Graph, s: int = 2, t: int = 2, c_oracle=None,
-               chi_cap: int = 16) -> ColoringCertificate:
+               chi_cap: int = DEFAULT_CHI_CAP) -> ColoringCertificate:
     """{(s,t)-bowtie, P5, (s+1,t+1)-dumbbell}-free graphs."""
     if s < 2 or t < 2:
         raise ValueError("s and t must be >= 2")
@@ -381,7 +382,7 @@ def color_thm3(g: Graph, s: int = 2, t: int = 2, c_oracle=None,
 # --------------------------------------------------------------------- THM2
 
 def color_thm2(g: Graph, s: int = 2, t: int = 2, k: int = 2, y: str = "f1",
-               c_oracle=None, chi_cap: int = 16) -> ColoringCertificate:
+               c_oracle=None, chi_cap: int = DEFAULT_CHI_CAP) -> ColoringCertificate:
     """{Y, (s,t)-bowtie, (k,t)-lollipop}-free graphs via alpha-block lifting."""
     if s < 2 or t < 2 or k < 2:
         raise ValueError("s, t, k must be >= 2")
@@ -471,7 +472,8 @@ def color_thm2(g: Graph, s: int = 2, t: int = 2, k: int = 2, y: str = "f1",
 
 # -------------------------------------------------------------------- THM5A
 
-def color_thm5a(g: Graph, k: int = 2, chi_cap: int = 16) -> ColoringCertificate:
+def color_thm5a(g: Graph, k: int = 2,
+                chi_cap: int = DEFAULT_CHI_CAP) -> ColoringCertificate:
     """Diamond-free, edges in two triangles, F(3,k)-free: lift over fans."""
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -542,7 +544,8 @@ def color_thm5a(g: Graph, k: int = 2, chi_cap: int = 16) -> ColoringCertificate:
 
 # -------------------------------------------------------------------- THM5B
 
-def verify_thm5b(g: Graph, chi_cap: int = 16) -> ColoringCertificate:
+def verify_thm5b(g: Graph,
+                 chi_cap: int = DEFAULT_CHI_CAP) -> ColoringCertificate:
     """Diamond-free, edges in two triangles, (4,4)-dumbbell-free: chi = omega."""
     ok, wit = diamond_free_fast(g)
     if not ok:

@@ -10,8 +10,8 @@ from math import comb
 from .detect import contains_induced, diamond_free_fast, every_edge_two_triangles
 from .graph import (Graph, GraphError, bits, connected_components,
                     induced_subgraph, is_clique, mask_of, neighborhood)
-from .oracles import (OracleCapExceeded, chi_n, chromatic_number,
-                      clique_number_in, ramsey_upper)
+from .oracles import (DEFAULT_CHI_CAP, OracleCapExceeded, chi_n,
+                      chromatic_number, clique_number_in, ramsey_upper)
 from .patterns import (bowtie, diamond, dumbbell, f1, f2, hammer_plus,
                        lollipop_star, path)
 
@@ -189,7 +189,7 @@ PROPERTY_IDS = ("P1", "P2", "P3", "P4", "P5", "P6", "P7", "P8", "D1", "P-propert
 
 def check_property(g: Graph, dec: CliqueDecomposition, which: str,
                    params: dict | None = None, c_value: int | None = None,
-                   chi_cap: int = 16) -> PropertyReport:
+                   chi_cap: int = DEFAULT_CHI_CAP) -> PropertyReport:
     """Evaluate one of the decomposition properties against this graph.
 
     The class hypothesis is verified and reported, never assumed, so the

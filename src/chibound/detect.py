@@ -44,45 +44,57 @@ def find_induced(host: Graph, pattern: Graph):
     Deterministic: pattern vertices are mapped in index order and host
     candidates tried ascending, so the returned embedding is the
     lexicographically first one.
+
+    Forward checking on candidate bitmasks (after VF2, Cordella et al.,
+    IEEE TPAMI 26(10), 2004): each pattern vertex starts with the host
+    vertices of at least its degree; mapping vertex i to h intersects every
+    later vertex's mask with N(h) or with its complement minus h, and a
+    branch ends as soon as some mask is empty.  Only branches without an
+    embedding are cut, so the search order and its first hit are those of
+    plain backtracking.
     """
     p, n = pattern.n, host.n
     if p == 0:
         raise ValueError("empty pattern")
     if p > n:
         return None
-    pdeg = [pattern.degree(v) for v in range(p)]
-    image = [-1] * p
-    used = 0
+    hadj = host.adj
+    full = (1 << n) - 1
+    hdeg = [row.bit_count() for row in hadj]
+    cands = []
+    for row in pattern.adj:
+        d = row.bit_count()
+        cands.append(sum(1 << h for h in range(n) if hdeg[h] >= d))
+    if not all(cands):
+        return None
+    # later[i]: (j, adjacent) for each pattern vertex j > i
+    later = [[(j, bool(pattern.adj[i] >> j & 1)) for j in range(i + 1, p)]
+             for i in range(p)]
+    image = [0] * p
 
-    def rec(i):
-        nonlocal used
-        if i == p:
+    def rec(i, cands):
+        m = cands[i]
+        if i == p - 1:
+            image[i] = (m & -m).bit_length() - 1
             return True
-        for h in range(n):
-            if used >> h & 1:
-                continue
-            if host.degree(h) < pdeg[i]:
-                continue
-            ok = True
-            prow = pattern.adj[i]
-            hrow = host.adj[h]
-            for j in range(i):
-                want = prow >> j & 1
-                have = hrow >> image[j] & 1
-                if want != have:
-                    ok = False
+        while m:
+            low = m & -m
+            m ^= low
+            row = hadj[low.bit_length() - 1]
+            non = full & ~row & ~low
+            nxt = cands[:]
+            for j, adjacent in later[i]:
+                c = nxt[j] & (row if adjacent else non)
+                if not c:
                     break
-            if not ok:
-                continue
-            image[i] = h
-            used |= 1 << h
-            if rec(i + 1):
-                return True
-            used &= ~(1 << h)
-            image[i] = -1
+                nxt[j] = c
+            else:
+                image[i] = low.bit_length() - 1
+                if rec(i + 1, nxt):
+                    return True
         return False
 
-    if rec(0):
+    if rec(0, cands):
         return tuple(image)
     return None
 

@@ -1,14 +1,13 @@
 """Batch verification runs: ingest graphs, filter by class, check properties,
 run colorers, cross-check against exact oracles, and emit a JSON report.
 
-Exit-code contract (see exit_code_for): 0 clean, 2 mathematical violation
-found, 1 operational error.
+Exit-code contract (see exit_code_for and classify_exception): 0 clean,
+2 mathematical violation found, 1 operational error.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -17,13 +16,11 @@ from .color import (LiftError, MembershipError, StructureViolation, THEOREMS)
 from .decompose import PROPERTY_IDS, check_property, decompose_auto
 from .detect import is_member
 from .graph6 import read_graph6_file, write_graph6
-from .oracles import (OracleCapExceeded, chromatic_number, clique_number)
+from .oracles import (DEFAULT_CHI_CAP, DEFAULT_CHIN_CAP, OracleCapExceeded,
+                      chromatic_number, clique_number)
 from .smallgraphs import enumerate_small, sample_in_class
 
 SCHEMA_VERSION = 1
-
-DEFAULT_CHI_CAP = int(os.environ.get("CHIBOUND_CHI_CAP", "16"))
-DEFAULT_CHIN_CAP = int(os.environ.get("CHIBOUND_CHIN_CAP", "12"))
 
 
 class ConfigError(ValueError):
@@ -120,18 +117,12 @@ def verify_graph(g, cfg: RunConfig, spec):
     errors = []
 
     record["omega"] = clique_number(g)
-    try:
-        chi, _ = chromatic_number(g, cap=cfg.chi_cap)
-        record["chi"] = chi
-    except OracleCapExceeded:
-        chi = None
-        record["chi"] = "capped"
-
     if spec is not None and not cfg.skip_membership:
         rep = is_member(g, spec)
         record["membership"] = {"member": rep.member, "violated": rep.violated,
                                 "witness": list(rep.witness) if rep.witness else None}
         if not rep.member:
+            # Filtered before the chi oracle: a skipped record has no "chi".
             record["skipped"] = "not a class member"
             return record, violations, errors
     else:
@@ -139,13 +130,20 @@ def verify_graph(g, cfg: RunConfig, spec):
                                 "witness": None,
                                 "note": "membership filter skipped"}
 
+    try:
+        chi, _ = chromatic_number(g, cap=cfg.chi_cap)
+        record["chi"] = chi
+    except OracleCapExceeded:
+        chi = None
+        record["chi"] = "capped"
+
     t = _default_t(cfg)
     if cfg.properties:
         try:
             dec = decompose_auto(g, t)
         except Exception as exc:
-            errors.append({"graph6": record["graph6"],
-                           "stage": "decompose", "error": str(exc)})
+            errors.append({"graph6": record["graph6"], "stage": "decompose",
+                           "type": type(exc).__name__, "error": str(exc)})
             record["decompose_error"] = str(exc)
             return record, violations, errors
         props = []
@@ -171,17 +169,17 @@ def verify_graph(g, cfg: RunConfig, spec):
         kwargs["chi_cap"] = cfg.chi_cap
         try:
             cert = case.colorer(g, **kwargs)
-        except (LiftError, StructureViolation) as exc:
-            violations.append({"graph6": record["graph6"],
-                               "kind": "structural", "theorem": cfg.theorem,
-                               "error": str(exc)})
-            record["certificate"] = {"error": str(exc)}
-            return record, violations, errors
-        except MembershipError as exc:
-            record["certificate"] = {"rejected": str(exc)}
-            return record, violations, errors
-        except OracleCapExceeded as exc:
-            record["certificate"] = {"undecided": str(exc)}
+        except Exception as exc:
+            outcome = classify_exception(exc)
+            if outcome == "error":
+                raise
+            if outcome == "violation":
+                violations.append({"graph6": record["graph6"],
+                                   "kind": "structural", "theorem": cfg.theorem,
+                                   "error": str(exc)})
+                record["certificate"] = {"error": str(exc)}
+            else:
+                record["certificate"] = {outcome: str(exc)}
             return record, violations, errors
         summary = {"palette_used": cert.palette_used,
                    "bound_value": cert.bound_value,
@@ -229,6 +227,7 @@ def verify_run(cfg: RunConfig) -> dict:
                 record, v, e = verify_graph(g, cfg, spec)
             except Exception as exc:   # defensive: never abort the sweep
                 errors.append({"graph6": write_graph6(g), "stage": "pipeline",
+                               "type": type(exc).__name__,
                                "error": f"{type(exc).__name__}: {exc}"})
                 continue
             if "skipped" not in record:
@@ -242,7 +241,8 @@ def verify_run(cfg: RunConfig) -> dict:
             violations.extend(v)
             errors.extend(e)
     except (OSError, ValueError, RuntimeError) as exc:
-        errors.append({"stage": "source", "error": f"{type(exc).__name__}: {exc}"})
+        errors.append({"stage": "source", "type": type(exc).__name__,
+                       "error": f"{type(exc).__name__}: {exc}"})
 
     return {
         "schema_version": SCHEMA_VERSION,
@@ -259,6 +259,23 @@ def verify_run(cfg: RunConfig) -> dict:
         },
         "wall_time_seconds": round(time.monotonic() - start, 6),
     }
+
+
+def classify_exception(exc: BaseException) -> str:
+    """What a colorer's exception means for the exit-code contract.
+
+    "violation": a structural claim of a proof failed (exit 2);
+    "rejected": the graph is outside the theorem's hypothesis class;
+    "undecided": an exact oracle hit its vertex cap;
+    "error": anything else, an operational error (exit 1).
+    """
+    if isinstance(exc, (LiftError, StructureViolation)):
+        return "violation"
+    if isinstance(exc, MembershipError):
+        return "rejected"
+    if isinstance(exc, OracleCapExceeded):
+        return "undecided"
+    return "error"
 
 
 def exit_code_for(report: dict) -> int:

@@ -7,14 +7,17 @@ all-assignments checker used only to validate it in tests.
 
 from __future__ import annotations
 
+import os
 from itertools import product
 from math import comb
 
 from . import kernels
 from .graph import Graph, bits
 
-DEFAULT_CHI_CAP = 16
-DEFAULT_CHIN_CAP = 12
+# Vertex caps of the exact oracles.  Every default in the package (CLI,
+# colorers, property checks, RunConfig) is one of these two values.
+DEFAULT_CHI_CAP = int(os.environ.get("CHIBOUND_CHI_CAP", "16"))
+DEFAULT_CHIN_CAP = int(os.environ.get("CHIBOUND_CHIN_CAP", "12"))
 
 
 class OracleCapExceeded(RuntimeError):

@@ -1,10 +1,17 @@
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import chibound
 from chibound.cli import main
+from chibound.color import THEOREMS, LiftError
 from chibound.graph6 import write_graph6
-from chibound.patterns import bowtie, diamond, gem, pineapple
+from chibound.patterns import bowtie, complete, diamond, gem, pineapple
 
 
 def run(capsys, *argv):
@@ -67,6 +74,36 @@ def test_color_subcommand(capsys, tmp_path):
     assert code == 0
     assert rec["within_bound"] is True
     assert len(rec["coloring"]) == 5
+
+
+def test_color_lift_error_is_a_violation(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "p.g6"
+    path.write_text(write_graph6(pineapple(4, 1)) + "\n")
+
+    def lift_fails(g, **params):
+        raise LiftError(0, 3, 2)
+
+    monkeypatch.setitem(THEOREMS, "THM1",
+                        dataclasses.replace(THEOREMS["THM1"], colorer=lift_fails))
+    code, out = run(capsys, "color", "--theorem", "THM1", "--in", str(path))
+    assert code == 2
+    assert json.loads(out)["error"].startswith("LiftError")
+
+
+def test_env_chi_cap_applies_to_chi_command(tmp_path):
+    path = tmp_path / "k6.g6"
+    path.write_text(write_graph6(complete(6)) + "\n")
+    src = str(Path(chibound.__file__).resolve().parent.parent)
+    env = dict(os.environ, CHIBOUND_CHI_CAP="3",
+               PYTHONPATH=os.pathsep.join(
+                   p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "chibound.cli", "chi", "--in", str(path)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    rec = json.loads(proc.stdout)
+    assert "chi" not in rec
+    assert "cap is 3" in rec["capped"]
 
 
 def test_verify_and_sweep(capsys, tmp_path):

@@ -1,7 +1,10 @@
 import random
 from itertools import permutations
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chibound.classes import get_class
 from chibound.detect import (Conditions, contains_induced, diamond_free_fast,
@@ -10,23 +13,50 @@ from chibound.detect import (Conditions, contains_induced, diamond_free_fast,
 from chibound.graph import Graph, from_edges
 from chibound.patterns import (bowtie, complete, diamond, make_pattern, path)
 
+# The forbidden patterns of the theorems and of the property hypotheses,
+# at the parameters a sweep uses and their neighbours.
+PAPER_PATTERNS = [make_pattern(name, **params) for name, params in (
+    ("diamond", {}), ("path", {"l": 5}),
+    ("hammer_plus", {"t": 1}), ("hammer_plus", {"t": 2}),
+    ("f1", {"t": 2}), ("f1", {"t": 3}), ("f2", {"t": 2}), ("f2", {"t": 3}),
+    ("bowtie", {"s": 1, "t": 2}), ("bowtie", {"s": 2, "t": 2}),
+    ("bowtie", {"s": 2, "t": 3}),
+    ("lollipop_star", {"k": 2, "t": 2}), ("lollipop_star", {"k": 3, "t": 2}),
+    ("lollipop_star", {"k": 2, "t": 3}),
+    ("dumbbell", {"s": 2, "t": 3}), ("dumbbell", {"s": 3, "t": 3}),
+    ("dumbbell", {"s": 4, "t": 4}),
+    ("fan_triangles", {"l": 1}), ("fan_triangles", {"l": 2}),
+)]
+SMALL_PATTERNS = [p for p in PAPER_PATTERNS if p.graph.n <= 6]
 
-def _naive_contains(host, pattern):
-    """Try every injection directly; independent oracle for find_induced."""
-    if pattern.n > host.n:
-        return False
+
+def _naive_first(host, pattern):
+    """First induced embedding by trying every injection; independent oracle.
+
+    permutations(range(n), p) yields the injections in lexicographic order,
+    so the first hit is the lexicographically first embedding.
+    """
+    pairs = [(i, j, pattern.has_edge(i, j))
+             for i in range(pattern.n) for j in range(i + 1, pattern.n)]
     for perm in permutations(range(host.n), pattern.n):
-        ok = True
-        for i in range(pattern.n):
-            for j in range(i + 1, pattern.n):
-                if pattern.has_edge(i, j) != host.has_edge(perm[i], perm[j]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return True
-    return False
+        if all(host.has_edge(perm[i], perm[j]) == e for i, j, e in pairs):
+            return perm
+    return None
+
+
+@st.composite
+def _graphs(draw, min_n, max_n):
+    n = draw(st.integers(min_n, max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edge_bits = draw(st.integers(0, (1 << len(pairs)) - 1))
+    return from_edges(n, [e for k, e in enumerate(pairs) if edge_bits >> k & 1])
+
+
+def _to_nx(g):
+    out = nx.Graph()
+    out.add_nodes_from(range(g.n))
+    out.add_edges_from(g.edges())
+    return out
 
 
 def _random_graph(rng, n, p):
@@ -45,13 +75,32 @@ def test_find_induced_against_naive_oracle():
     for _ in range(150):
         host = _random_graph(rng, rng.randrange(1, 8), rng.random())
         for pat in patterns:
-            got = find_induced(host, pat)
-            assert (got is not None) == _naive_contains(host, pat)
-            if got is not None:
-                # embedding really is induced
-                for i in range(pat.n):
-                    for j in range(i + 1, pat.n):
-                        assert pat.has_edge(i, j) == host.has_edge(got[i], got[j])
+            assert find_induced(host, pat) == _naive_first(host, pat)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_graphs(1, 8))
+def test_find_induced_is_lex_first_for_paper_patterns(host):
+    for pat in SMALL_PATTERNS:
+        assert find_induced(host, pat.graph) == _naive_first(host, pat.graph), \
+            pat.label()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(_graphs(9, 14))
+def test_find_induced_matches_networkx_on_larger_hosts(host):
+    nx_host = _to_nx(host)
+    for pat in PAPER_PATTERNS:
+        got = find_induced(host, pat.graph)
+        # GraphMatcher.subgraph_is_isomorphic tests for an induced subgraph.
+        want = nx.algorithms.isomorphism.GraphMatcher(
+            nx_host, _to_nx(pat.graph)).subgraph_is_isomorphic()
+        assert (got is not None) == want, pat.label()
+        if got is not None:
+            assert len(set(got)) == pat.graph.n
+            for i in range(pat.graph.n):
+                for j in range(i + 1, pat.graph.n):
+                    assert pat.graph.has_edge(i, j) == host.has_edge(got[i], got[j])
 
 
 def test_find_induced_is_deterministic_lex_first():

@@ -2,10 +2,11 @@ import json
 
 import pytest
 
+from chibound import harness
 from chibound.graph6 import parse_graph6, write_graph6
 from chibound.harness import (ConfigError, RunConfig, exit_code_for,
                               report_fingerprint, verify_run, write_report)
-from chibound.patterns import diamond, pineapple
+from chibound.patterns import diamond, path, pineapple
 
 
 def test_config_validation():
@@ -38,6 +39,33 @@ def test_missing_file_is_operational_error():
     cfg = RunConfig(source={"kind": "graph6", "path": "/nonexistent.g6"})
     report = verify_run(cfg)
     assert report["aggregates"]["errors"] == 1
+    assert report["errors"][0]["stage"] == "source"
+    assert report["errors"][0]["type"] == "FileNotFoundError"
+    assert exit_code_for(report) == 1
+
+
+def test_pipeline_errors_name_stage_and_type(tmp_path, monkeypatch):
+    path_ = tmp_path / "d.g6"
+    path_.write_text(write_graph6(diamond()) + "\n")
+    cfg = RunConfig(source={"kind": "graph6", "path": str(path_)},
+                    properties=("P1",))
+
+    def fail_decompose(g, t):
+        raise ValueError("no clique")
+
+    monkeypatch.setattr(harness, "decompose_auto", fail_decompose)
+    report = verify_run(cfg)
+    assert [(e["stage"], e["type"]) for e in report["errors"]] == [
+        ("decompose", "ValueError")]
+    assert report["records"][0]["decompose_error"] == "no clique"
+
+    def fail_omega(g):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(harness, "clique_number", fail_omega)
+    report = verify_run(cfg)
+    assert [(e["stage"], e["type"]) for e in report["errors"]] == [
+        ("pipeline", "KeyError")]
     assert exit_code_for(report) == 1
 
 
@@ -80,6 +108,43 @@ def test_out_of_class_graphs_are_skipped(tmp_path):
     skipped = [r for r in report["records"] if "skipped" in r]
     assert len(skipped) == 1
     assert skipped[0]["membership"]["violated"] == "diamond"
+    assert skipped[0]["membership"]["witness"] == [0, 1, 2, 3]
+    assert skipped[0]["omega"] == 3 and "chi" not in skipped[0]
+
+
+def test_membership_filter_runs_before_chi_oracle(tmp_path, monkeypatch):
+    """The exact chi oracle runs on class members only.
+
+    A non-member is skipped before chi is computed, so its record has no
+    "chi" and, when it has more vertices than chi_cap, it is no longer
+    counted as undecided (its chi used to be recorded as "capped").  With
+    skip_membership every graph still gets chi.
+    """
+    path_ = tmp_path / "mix.g6"
+    path_.write_text(write_graph6(diamond()) + "\n"
+                     + write_graph6(path(3)) + "\n")
+    seen = []
+    real = harness.chromatic_number
+
+    def counting(g, cap):
+        seen.append(write_graph6(g))
+        return real(g, cap=cap)
+
+    monkeypatch.setattr(harness, "chromatic_number", counting)
+    cfg = RunConfig(source={"kind": "graph6", "path": str(path_)},
+                    class_name="thm1", chi_cap=3)
+    report = verify_run(cfg)
+    assert seen == [write_graph6(path(3))]
+    assert report["aggregates"]["members_found"] == 1
+    assert report["aggregates"]["undecided"] == 0
+    assert [r.get("chi") for r in report["records"]] == [None, 2]
+
+    seen.clear()
+    cfg.skip_membership = True
+    report = verify_run(cfg)
+    assert seen == [write_graph6(diamond()), write_graph6(path(3))]
+    assert [r["chi"] for r in report["records"]] == ["capped", 2]
+    assert report["aggregates"]["undecided"] == 1
 
 
 def test_reproducibility_modulo_walltime():
