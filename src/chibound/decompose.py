@@ -10,8 +10,8 @@ from math import comb
 from .detect import contains_induced, diamond_free_fast, every_edge_two_triangles
 from .graph import (Graph, GraphError, bits, connected_components,
                     induced_subgraph, is_clique, mask_of, neighborhood)
-from .oracles import (DEFAULT_CHI_CAP, OracleCapExceeded, chi_n,
-                      chromatic_number, clique_number_in, ramsey_upper)
+from .oracles import (DEFAULT_CHI_CAP, DEFAULT_CHIN_CAP, OracleCapExceeded,
+                      chi_n, chromatic_number, clique_number_in, ramsey_upper)
 from .patterns import (bowtie, diamond, dumbbell, f1, f2, hammer_plus,
                        lollipop_star, path)
 
@@ -189,23 +189,25 @@ PROPERTY_IDS = ("P1", "P2", "P3", "P4", "P5", "P6", "P7", "P8", "D1", "P-propert
 
 def check_property(g: Graph, dec: CliqueDecomposition, which: str,
                    params: dict | None = None, c_value: int | None = None,
-                   chi_cap: int = DEFAULT_CHI_CAP) -> PropertyReport:
+                   chi_cap: int = DEFAULT_CHI_CAP,
+                   chin_cap: int = DEFAULT_CHIN_CAP) -> PropertyReport:
     """Evaluate one of the decomposition properties against this graph.
 
     The class hypothesis is verified and reported, never assumed, so the
     checker can serve as a negative control on out-of-class graphs.
     c_value=None realizes the P-property constant by the exact oracle
-    (chi^(t) of this graph).
+    (chi^(t) of this graph); chin_cap and chi_cap are that oracle's caps.
     """
     try:
-        return _check_property_impl(g, dec, which, params, c_value, chi_cap)
+        return _check_property_impl(g, dec, which, params, c_value, chi_cap,
+                                    chin_cap)
     except OracleCapExceeded as exc:
         return PropertyReport(which, None, True, dict(params or {}), {},
                               notes=f"undecided at desk scale: {exc}")
 
 
 def _check_property_impl(g: Graph, dec: CliqueDecomposition, which: str,
-                         params, c_value, chi_cap) -> PropertyReport:
+                         params, c_value, chi_cap, chin_cap) -> PropertyReport:
     params = dict(params or {})
     t = dec.t
     omega = dec.k.bit_count()
@@ -215,10 +217,11 @@ def _check_property_impl(g: Graph, dec: CliqueDecomposition, which: str,
     if which not in PROPERTY_IDS:
         raise ValueError(f"unknown property {which!r}")
 
+    def chi_up_to_t():
+        return chi_n(g, t, cap=chin_cap, chi_cap=chi_cap)
+
     def realized_c():
-        if c_value is not None:
-            return c_value
-        return chi_n(g, t, chi_cap=chi_cap)
+        return chi_up_to_t() if c_value is None else c_value
 
     if which == "P1":
         hyp = omega > t and not contains_induced(g, f1(t))
@@ -352,8 +355,8 @@ def _check_property_impl(g: Graph, dec: CliqueDecomposition, which: str,
                               {"chi_t": chi_t, "bound": bound})
 
     if which == "P-property":
-        cc = realized_c()
-        measured = chi_n(g, t, chi_cap=chi_cap)
+        measured = chi_up_to_t()
+        cc = measured if c_value is None else c_value
         return PropertyReport("P-property", measured <= cc, True, {"t": t},
                               {"chi_up_to_t": measured, "c": cc})
 

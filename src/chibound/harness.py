@@ -150,7 +150,8 @@ def verify_graph(g, cfg: RunConfig, spec):
         pparams = dict(cfg.class_params)
         pparams.update(cfg.theorem_params)
         for which in cfg.properties:
-            rep = check_property(g, dec, which, pparams, chi_cap=cfg.chi_cap)
+            rep = check_property(g, dec, which, pparams, chi_cap=cfg.chi_cap,
+                                 chin_cap=cfg.chin_cap)
             props.append(rep.to_dict())
             # holds=False on a graph outside the property's own hypothesis
             # class is a negative control, not a violation -- unless the

@@ -11,27 +11,13 @@ Kernels:
                      canon_code_py computes that one and serves as the test
                      oracle.
   clique_number_sub -- clique number of the subgraph induced on a
-                     candidate bitmask, by branch and bound, with a numba
-                     fast path and a pure-Python fallback.  Set
-                     CHIBOUND_DISABLE_NUMBA=1 to force the fallback.
+                     candidate bitmask, by branch and bound.  Pure Python.
 """
 
 from __future__ import annotations
 
-import os
-
-import numpy as np
-
-DISABLE_NUMBA = os.environ.get("CHIBOUND_DISABLE_NUMBA", "").strip() not in ("", "0")
-
+# There is no numba path; the flag stays for callers that report it.
 NUMBA_OK = False
-if not DISABLE_NUMBA:
-    try:
-        from numba import njit
-
-        NUMBA_OK = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        NUMBA_OK = False
 
 
 # ----------------------------------------------------------- canonical form
@@ -154,7 +140,8 @@ def canon_code_py(adj, n: int) -> int:
 
 # ------------------------------------------------------------ clique number
 
-def clique_number_sub_py(adj, cand: int) -> int:
+def clique_number_sub(adj, cand: int) -> int:
+    """Clique number of the subgraph induced on the bitmask cand."""
     best = 0
 
     def rec(size, cand):
@@ -171,46 +158,3 @@ def clique_number_sub_py(adj, cand: int) -> int:
 
     rec(0, cand)
     return best
-
-
-# --------------------------------------------------------------- numba path
-
-if NUMBA_OK:
-
-    @njit(cache=True)
-    def _popcount64(x):
-        x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
-        x = (x & np.uint64(0x3333333333333333)) + ((x >> np.uint64(2)) & np.uint64(0x3333333333333333))
-        x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-        return np.int64((x * np.uint64(0x0101010101010101)) >> np.uint64(56))
-
-    @njit(cache=True)
-    def _clique_number_sub_nb(adj, cand0):
-        best = 0
-        cands = np.zeros(66, np.uint64)
-        cands[0] = cand0
-        depth = 0
-        while depth >= 0:
-            cand = cands[depth]
-            if depth > best:
-                best = depth
-            if cand != np.uint64(0) and depth + _popcount64(cand) > best:
-                low = cand & (~cand + np.uint64(1))
-                v = _popcount64(low - np.uint64(1))
-                rest = cand ^ low
-                cands[depth] = rest
-                cands[depth + 1] = rest & adj[v]
-                depth += 1
-            else:
-                depth -= 1
-        return best
-
-
-# ----------------------------------------------------------------- dispatch
-
-def clique_number_sub(adj, cand: int) -> int:
-    """Clique number of the subgraph induced on the bitmask cand."""
-    if NUMBA_OK and len(adj) <= 64:
-        arr = np.array(adj, dtype=np.uint64)
-        return int(_clique_number_sub_nb(arr, np.uint64(cand)))
-    return clique_number_sub_py(adj, cand)

@@ -12,7 +12,7 @@ from itertools import product
 from math import comb
 
 from . import kernels
-from .graph import Graph, bits
+from .graph import Graph, bits, induced_subgraph
 
 # Vertex caps of the exact oracles.  Every default in the package (CLI,
 # colorers, property checks, RunConfig) is one of these two values.
@@ -127,12 +127,69 @@ def chromatic_number_bruteforce(g: Graph, cap: int = 7) -> int:
     return g.n  # pragma: no cover
 
 
+def maximal_low_omega_sets(g: Graph, t: int) -> list:
+    """The inclusion-maximal vertex sets S with omega(G[S]) <= t, as masks.
+
+    A depth-first search over (S, P, X) after Bron & Kerbosch (CACM 16(9),
+    1973), run over the hereditary property "omega <= t" instead of "is a
+    clique".  P holds the vertices that can still join S; X holds those
+    that could join S but whose branches were searched already.  When v
+    joins S, a vertex u leaves P and X exactly when u and v close a
+    (t+1)-clique with S: u is a neighbour of v and
+    omega(S & N(u) & N(v)) >= t - 1.  A node is cut when some x in X has no
+    neighbour in P, since x can then join every set below it; so a node
+    with P empty is reached only with X empty, and its S is maximal.  Each
+    maximal set is reported once, in the order of the search.  Needs t >= 1.
+    """
+    adj = g.adj
+    found = []
+
+    def closing(s, v, cand):
+        """The vertices of cand that close a (t+1)-clique with S + v."""
+        near = cand & adj[v]
+        if t == 1:
+            return near
+        common = s & adj[v]
+        if common.bit_count() < t - 1:
+            return 0
+        out = 0
+        for u in bits(near):
+            shared = common & adj[u]
+            # A single vertex is a 1-clique: the kernel is needed for t >= 3.
+            if shared.bit_count() >= t - 1 and (
+                    t == 2 or kernels.clique_number_sub(adj, shared) >= t - 1):
+                out |= 1 << u
+        return out
+
+    def search(s, p, x):
+        while True:
+            for u in bits(x):
+                if not adj[u] & p:
+                    return
+            if not p:
+                found.append(s)
+                return
+            low = p & -p
+            p ^= low
+            drop = closing(s, low.bit_length() - 1, p | x)
+            search(s | low, p & ~drop, x & ~drop)
+            x |= low
+
+    search(0, g.full_mask(), 0)
+    return found
+
+
 def chi_n(g: Graph, n: int, cap: int = DEFAULT_CHIN_CAP,
           chi_cap: int = DEFAULT_CHI_CAP) -> int:
     """chi^(n): max chromatic number over induced subgraphs with omega <= n.
 
-    Only inclusion-maximal qualifying subsets are colored, since chi is
-    monotone under taking induced subgraphs.
+    chi is monotone under taking induced subgraphs, so only the
+    inclusion-maximal qualifying sets (maximal_low_omega_sets) are colored,
+    largest first.  The scan stops at the first set no larger than the best
+    chi so far, and a set that is colorable with that many colors is skipped
+    without the exact oracle.  Raises OracleCapExceeded when g has more than
+    cap vertices, and, before any set is colored, when some maximal set has
+    more than chi_cap vertices (the exact chromatic oracle's cap).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -140,30 +197,18 @@ def chi_n(g: Graph, n: int, cap: int = DEFAULT_CHIN_CAP,
         raise OracleCapExceeded("chi_n", g.n, cap)
     if g.n == 0 or n == 0:
         return 0
-    from .graph import induced_subgraph
-
-    full = g.full_mask()
-    omega = [0] * (full + 1)
-    for mask in range(1, full + 1):
-        low = mask & -mask
-        v = low.bit_length() - 1
-        rest = mask ^ low
-        omega[mask] = max(omega[rest], 1 + omega[rest & g.adj[v]])
+    sets = maximal_low_omega_sets(g, n)
+    over = [mask for mask in sets if mask.bit_count() > chi_cap]
+    if over:
+        raise OracleCapExceeded("chromatic_number", min(over).bit_count(), chi_cap)
     best = 0
-    for mask in range(1, full + 1):
-        if omega[mask] > n:
-            continue
-        maximal = True
-        for u in bits(full & ~mask):
-            if omega[mask | (1 << u)] <= n:
-                maximal = False
-                break
-        if not maximal:
-            continue
+    for mask in sorted(sets, key=lambda m: (-m.bit_count(), m)):
+        if mask.bit_count() <= best:
+            break
         sub, _ = induced_subgraph(g, mask)
-        chi, _ = chromatic_number(sub, cap=chi_cap)
-        if chi > best:
-            best = chi
+        if best and _k_colorable(sub, best) is not None:
+            continue
+        best, _ = chromatic_number(sub, cap=chi_cap)
     return best
 
 

@@ -90,13 +90,17 @@ def test_color_lift_error_is_a_violation(capsys, tmp_path, monkeypatch):
     assert json.loads(out)["error"].startswith("LiftError")
 
 
+def _env_with_src(**extra):
+    """The environment of a child interpreter that imports this checkout."""
+    src = str(Path(chibound.__file__).resolve().parent.parent)
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def test_env_chi_cap_applies_to_chi_command(tmp_path):
     path = tmp_path / "k6.g6"
     path.write_text(write_graph6(complete(6)) + "\n")
-    src = str(Path(chibound.__file__).resolve().parent.parent)
-    env = dict(os.environ, CHIBOUND_CHI_CAP="3",
-               PYTHONPATH=os.pathsep.join(
-                   p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env = _env_with_src(CHIBOUND_CHI_CAP="3")
     proc = subprocess.run(
         [sys.executable, "-m", "chibound.cli", "chi", "--in", str(path)],
         env=env, capture_output=True, text=True, timeout=60)
@@ -104,6 +108,16 @@ def test_env_chi_cap_applies_to_chi_command(tmp_path):
     rec = json.loads(proc.stdout)
     assert "chi" not in rec
     assert "cap is 3" in rec["capped"]
+
+
+def test_import_leaves_numpy_unloaded():
+    # numpy was most of the cold import time and of the resident memory.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, chibound.cli; print('numpy' in sys.modules)"],
+        env=_env_with_src(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_verify_and_sweep(capsys, tmp_path):

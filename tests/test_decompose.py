@@ -1,11 +1,12 @@
 import pytest
 
+from chibound import decompose as decompose_module
 from chibound.decompose import (DecompositionError, check_property, decompose,
                                 decompose_auto, edge_clique_partition,
                                 fan_structure)
 from chibound.graph import (bits, from_edges, is_anticomplete_between,
                             is_complete_between, mask_of)
-from chibound.oracles import clique_number
+from chibound.oracles import DEFAULT_CHI_CAP, clique_number
 from chibound.patterns import complete, diamond, gem, pineapple
 from chibound.smallgraphs import enumerate_small
 
@@ -125,6 +126,29 @@ def test_property_reports_serialize():
         assert d["property"] == which
         assert set(d) == {"property", "holds", "hypothesis_ok", "params",
                           "measured", "witness", "notes"}
+
+
+def test_p_property_calls_chi_oracle_once(monkeypatch):
+    g = pineapple(4, 1)
+    dec = decompose_auto(g, 2)
+    calls = []
+    real = decompose_module.chi_n
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(decompose_module, "chi_n", counting)
+    rep = check_property(g, dec, "P-property", chin_cap=9)
+    assert calls == [{"cap": 9, "chi_cap": DEFAULT_CHI_CAP}]
+    assert rep.holds is True
+    assert rep.measured["c"] == rep.measured["chi_up_to_t"] == 2
+
+    calls.clear()
+    rep = check_property(g, dec, "P-property", c_value=1)
+    assert len(calls) == 1
+    assert rep.holds is False
+    assert rep.measured == {"chi_up_to_t": 2, "c": 1}
 
 
 def test_unknown_property_rejected():

@@ -6,7 +6,7 @@ from chibound import harness
 from chibound.graph6 import parse_graph6, write_graph6
 from chibound.harness import (ConfigError, RunConfig, exit_code_for,
                               report_fingerprint, verify_run, write_report)
-from chibound.patterns import diamond, path, pineapple
+from chibound.patterns import complete, diamond, path, pineapple
 
 
 def test_config_validation():
@@ -145,6 +145,24 @@ def test_membership_filter_runs_before_chi_oracle(tmp_path, monkeypatch):
     assert seen == [write_graph6(diamond()), write_graph6(path(3))]
     assert [r["chi"] for r in report["records"]] == ["capped", 2]
     assert report["aggregates"]["undecided"] == 1
+
+
+def test_chin_cap_reaches_property_checks(tmp_path):
+    path_ = tmp_path / "k7.g6"
+    path_.write_text(write_graph6(complete(7)) + "\n")
+    cfg = RunConfig(source={"kind": "graph6", "path": str(path_)},
+                    properties=("P-property",), chin_cap=5)
+    report = verify_run(cfg)
+    [prop] = report["records"][0]["properties"]
+    assert prop["holds"] is None
+    assert "chi_n: graph has 7 vertices, exact-oracle cap is 5" in prop["notes"]
+    assert report["aggregates"]["undecided"] == 1
+
+    cfg.chin_cap = 7
+    report = verify_run(cfg)
+    [prop] = report["records"][0]["properties"]
+    assert prop["holds"] is True and prop["measured"]["chi_up_to_t"] == 2
+    assert report["aggregates"]["undecided"] == 0
 
 
 def test_reproducibility_modulo_walltime():

@@ -1,11 +1,16 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chibound.graph import Graph, bits, from_edges, is_clique, mask_of
+from chibound import oracles
+from chibound.graph import (Graph, bits, from_edges, induced_subgraph,
+                            is_clique, mask_of)
 from chibound.oracles import (OracleCapExceeded, chi_n, chromatic_number,
                               chromatic_number_bruteforce, clique_number,
-                              clique_number_in, is_proper, max_clique,
+                              clique_number_in, is_proper,
+                              maximal_low_omega_sets, max_clique,
                               max_clique_in, ramsey_upper)
 from chibound.patterns import complete, cycle, path, pineapple
 from chibound.smallgraphs import enumerate_small
@@ -97,6 +102,75 @@ def test_chi_n_brute_reference():
                     sub, _ = induced_subgraph(g, mask)
                     best = max(best, chromatic_number(sub)[0])
             assert chi_n(g, n) == best
+
+
+@st.composite
+def _graphs(draw, max_n):
+    n = draw(st.integers(0, max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return from_edges(n, [e for e, k in zip(pairs, keep) if k])
+
+
+def _maximal_sets_by_table(g, t):
+    """The 2^n omega-table enumeration chi_n used before the search."""
+    full = g.full_mask()
+    omega = [0] * (full + 1)
+    for mask in range(1, full + 1):
+        low = mask & -mask
+        v = low.bit_length() - 1
+        rest = mask ^ low
+        omega[mask] = max(omega[rest], 1 + omega[rest & g.adj[v]])
+    return {mask for mask in range(full + 1) if omega[mask] <= t
+            and all(omega[mask | 1 << u] > t for u in bits(full & ~mask))}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_graphs(8))
+def test_maximal_low_omega_sets_match_table_enumeration(g):
+    for t in range(1, 5):
+        found = maximal_low_omega_sets(g, t)
+        assert len(found) == len(set(found)), t
+        assert set(found) == _maximal_sets_by_table(g, t), t
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_graphs(8))
+def test_chi_n_matches_reference_over_all_induced_subgraphs(g):
+    by_size = sorted(range(1 << g.n), key=lambda m: -m.bit_count())
+    for t in range(5):
+        # Largest sets first; a set no larger than the best chi cannot beat it.
+        best = 0
+        for mask in by_size:
+            if mask.bit_count() <= best:
+                break
+            if clique_number_in(g, mask) <= t:
+                sub, _ = induced_subgraph(g, mask)
+                best = max(best, chromatic_number_bruteforce(sub, cap=8))
+        assert chi_n(g, t) == best, t
+
+
+def test_chi_n_checks_chi_cap_on_maximal_sets_first():
+    # the only maximal independent set of the edgeless graph is all 10 vertices
+    with pytest.raises(OracleCapExceeded) as info:
+        chi_n(Graph(10, [0] * 10), 1, chi_cap=8)
+    assert (info.value.what, info.value.n, info.value.cap) == ("chromatic_number", 10, 8)
+    assert chi_n(Graph(10, [0] * 10), 1, chi_cap=10) == 1
+
+
+def test_chi_n_stops_at_sets_that_cannot_beat_best(monkeypatch):
+    # K5 at t = 1: five singletons; the first gives chi 1 and ends the scan.
+    calls = {"chromatic_number": 0, "_k_colorable": 0}
+    for name in calls:
+        real = getattr(oracles, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(oracles, name, counting)
+    assert chi_n(complete(5), 1) == 1
+    assert calls == {"chromatic_number": 1, "_k_colorable": 1}
 
 
 def test_ramsey_upper():
