@@ -4,12 +4,13 @@ partition for diamond-free graphs whose edges all lie in two triangles."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 from math import comb
 
 from .detect import contains_induced, diamond_free_fast, every_edge_two_triangles
-from .graph import (Graph, GraphError, bits, connected_components,
-                    induced_subgraph, is_clique, mask_of, neighborhood)
+from .graph import (Graph, GraphError, bits, connected_components, is_clique,
+                    mask_of, neighborhood)
 from .oracles import (DEFAULT_CHI_CAP, DEFAULT_CHIN_CAP, OracleCapExceeded,
                       chi_n, chromatic_number, clique_number_in, ramsey_upper)
 from .patterns import (bowtie, diamond, dumbbell, f1, f2, hammer_plus,
@@ -146,12 +147,10 @@ def _chi_of(g: Graph, mask: int, chi_cap: int):
     """Exact chi of an induced subgraph, or None when over the oracle cap."""
     if mask == 0:
         return 0
-    sub, _ = induced_subgraph(g, mask)
     try:
-        chi, _ = chromatic_number(sub, cap=chi_cap)
+        return chromatic_number(g, cap=chi_cap, within=mask)[0]
     except OracleCapExceeded:
         return None
-    return chi
 
 
 def _distance_claim_violations(g: Graph, sources: int, allowed: int,
@@ -187,27 +186,50 @@ def _distance_claim_violations(g: Graph, sources: int, allowed: int,
 PROPERTY_IDS = ("P1", "P2", "P3", "P4", "P5", "P6", "P7", "P8", "D1", "P-property")
 
 
+def _chi_up_to_t(g: Graph, t: int, chi_cap: int, chin_cap: int):
+    """A callable returning chi^(t) of g, computed on its first call only."""
+    return cache(lambda: chi_n(g, t, cap=chin_cap, chi_cap=chi_cap))
+
+
+def check_properties(g: Graph, dec: CliqueDecomposition, which_ids,
+                     params: dict | None = None, c_value: int | None = None,
+                     chi_cap: int = DEFAULT_CHI_CAP,
+                     chin_cap: int = DEFAULT_CHIN_CAP) -> list:
+    """check_property for each id in which_ids, in order.
+
+    chi^(t) is computed at most once for all of them, when first needed.
+    """
+    chi_up_to_t = _chi_up_to_t(g, dec.t, chi_cap, chin_cap)
+    return [check_property(g, dec, which, params, c_value, chi_cap, chin_cap,
+                           chi_up_to_t) for which in which_ids]
+
+
 def check_property(g: Graph, dec: CliqueDecomposition, which: str,
                    params: dict | None = None, c_value: int | None = None,
                    chi_cap: int = DEFAULT_CHI_CAP,
-                   chin_cap: int = DEFAULT_CHIN_CAP) -> PropertyReport:
+                   chin_cap: int = DEFAULT_CHIN_CAP,
+                   chi_up_to_t=None) -> PropertyReport:
     """Evaluate one of the decomposition properties against this graph.
 
     The class hypothesis is verified and reported, never assumed, so the
     checker can serve as a negative control on out-of-class graphs.
     c_value=None realizes the P-property constant by the exact oracle
     (chi^(t) of this graph); chin_cap and chi_cap are that oracle's caps.
+    chi_up_to_t, a callable returning that chi^(t), lets check_properties
+    share one value between the properties of a graph.
     """
+    if chi_up_to_t is None:
+        chi_up_to_t = _chi_up_to_t(g, dec.t, chi_cap, chin_cap)
     try:
         return _check_property_impl(g, dec, which, params, c_value, chi_cap,
-                                    chin_cap)
+                                    chi_up_to_t)
     except OracleCapExceeded as exc:
         return PropertyReport(which, None, True, dict(params or {}), {},
                               notes=f"undecided at desk scale: {exc}")
 
 
 def _check_property_impl(g: Graph, dec: CliqueDecomposition, which: str,
-                         params, c_value, chi_cap, chin_cap) -> PropertyReport:
+                         params, c_value, chi_cap, chi_up_to_t) -> PropertyReport:
     params = dict(params or {})
     t = dec.t
     omega = dec.k.bit_count()
@@ -216,9 +238,6 @@ def _check_property_impl(g: Graph, dec: CliqueDecomposition, which: str,
 
     if which not in PROPERTY_IDS:
         raise ValueError(f"unknown property {which!r}")
-
-    def chi_up_to_t():
-        return chi_n(g, t, cap=chin_cap, chi_cap=chi_cap)
 
     def realized_c():
         return chi_up_to_t() if c_value is None else c_value
@@ -235,15 +254,9 @@ def _check_property_impl(g: Graph, dec: CliqueDecomposition, which: str,
         witness = None
         for m_mask, a in dec.a_m.items():
             if not is_clique(g, a):
-                verts = list(bits(a))
-                for i, u in enumerate(verts):
-                    for w in verts[i + 1:]:
-                        if not g.has_edge(u, w):
-                            witness = (list(bits(m_mask)), u, w)
-                            break
-                    if witness:
-                        break
-            if witness:
+                u, w = next((u, w) for u, w in combinations(bits(a), 2)
+                            if not g.has_edge(u, w))
+                witness = (list(bits(m_mask)), u, w)
                 break
             if a.bit_count() > omega:
                 witness = (list(bits(m_mask)), "size", a.bit_count())
@@ -277,8 +290,8 @@ def _check_property_impl(g: Graph, dec: CliqueDecomposition, which: str,
                                   notes="undecided at desk scale: chi(T') over cap")
         dist_bad = _distance_claim_violations(g, dec.t_set, dec.k | dec.t_set,
                                               avoid=dec.k)
-        comp_bad = [c for c in connected_components(g, dec.t_prime)
-                    if c.bit_count() > omega]
+        comps = connected_components(g, dec.t_prime)
+        comp_bad = [c for c in comps if c.bit_count() > omega]
         # The distance claim is an intermediate step of the argument and
         # fails on small in-class graphs where the central clique is too
         # tight to complete the forbidden pattern; it is reported as a
@@ -293,9 +306,7 @@ def _check_property_impl(g: Graph, dec: CliqueDecomposition, which: str,
         return PropertyReport("P4", holds, hyp, {"t": t},
                               {"chi_t_prime": chi_tp, "omega": omega,
                                "max_component": max(
-                                   (c.bit_count() for c in
-                                    connected_components(g, dec.t_prime)),
-                                   default=0),
+                                   (c.bit_count() for c in comps), default=0),
                                "distance_violations": len(dist_bad)},
                               witness, notes)
 

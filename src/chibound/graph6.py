@@ -38,7 +38,11 @@ def _read_n(data: bytes):
 def parse_graph6(line: str) -> Graph:
     if line.startswith(">>graph6<<"):
         line = line[10:]
-    data = line.rstrip("\r\n").encode("ascii", errors="replace")
+    text = line.rstrip("\r\n")
+    if not text.isascii():
+        i = next(i for i, ch in enumerate(text) if not ch.isascii())
+        raise Graph6Error(f"non-ASCII character {text[i]!r}", i)
+    data = text.encode("ascii")
     for i, b in enumerate(data):
         if b < 63 or b > 126:
             raise Graph6Error(f"non-printable or out-of-range byte {b}", i)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .classes import THEOREM_CLASS, get_class
 from .color import (LiftError, MembershipError, StructureViolation, THEOREMS)
-from .decompose import PROPERTY_IDS, check_property, decompose_auto
+from .decompose import PROPERTY_IDS, check_properties, decompose_auto
 from .detect import is_member
 from .graph6 import read_graph6_file, write_graph6
 from .oracles import (DEFAULT_CHI_CAP, DEFAULT_CHIN_CAP, OracleCapExceeded,
@@ -149,9 +149,9 @@ def verify_graph(g, cfg: RunConfig, spec):
         props = []
         pparams = dict(cfg.class_params)
         pparams.update(cfg.theorem_params)
-        for which in cfg.properties:
-            rep = check_property(g, dec, which, pparams, chi_cap=cfg.chi_cap,
-                                 chin_cap=cfg.chin_cap)
+        reports = check_properties(g, dec, cfg.properties, pparams,
+                                   chi_cap=cfg.chi_cap, chin_cap=cfg.chin_cap)
+        for which, rep in zip(cfg.properties, reports):
             props.append(rep.to_dict())
             # holds=False on a graph outside the property's own hypothesis
             # class is a negative control, not a violation -- unless the

@@ -12,7 +12,7 @@ from itertools import product
 from math import comb
 
 from . import kernels
-from .graph import Graph, bits, induced_subgraph
+from .graph import Graph, bits
 
 # Vertex caps of the exact oracles.  Every default in the package (CLI,
 # colorers, property checks, RunConfig) is one of these two values.
@@ -27,9 +27,7 @@ class OracleCapExceeded(RuntimeError):
 
 
 def clique_number(g: Graph) -> int:
-    if g.n == 0:
-        return 0
-    return kernels.clique_number_sub(g.adj, g.full_mask())
+    return clique_number_in(g, g.full_mask())
 
 
 def clique_number_in(g: Graph, mask: int) -> int:
@@ -63,51 +61,66 @@ def max_clique_in(g: Graph, mask: int) -> int:
     return chosen
 
 
-def _k_colorable(g: Graph, k: int):
-    """DSATUR-ordered backtracking; returns a coloring list (1-based) or None."""
-    n = g.n
-    colors = [0] * n
-    degs = [g.degree(v) for v in range(n)]
+def _k_colorable(g: Graph, k: int, within: int | None = None):
+    """DSATUR backtracking (Brelaz, CACM 22(4), 1979) on G[within], default G.
 
-    def rec(count, max_used):
-        if count == n:
+    Returns a 1-based coloring indexed by g's vertices, 0 outside `within`,
+    or None.  Next is the vertex whose row meets the most color classes (one
+    mask each), then the highest degree in `within`, then the lowest index.
+    """
+    within = g.full_mask() if within is None else within
+    rows = [row & within for row in g.adj]
+    weight = within.bit_count()  # exceeds every degree: keys order (sat, deg)
+    classes = [0] * k
+    colors = [0] * g.n
+
+    def rec(free, used):
+        if not free:
             return True
-        best_v, best_key = -1, None
-        for v in range(n):
-            if colors[v]:
-                continue
+        live = classes[:used]
+        best_v, best_key = -1, -1
+        m = free
+        while m:
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
+            row = rows[v]
             sat = 0
-            for u in bits(g.adj[v]):
-                if colors[u]:
-                    sat |= 1 << colors[u]
-            key = (sat.bit_count(), degs[v], -v)
-            if best_key is None or key > best_key:
+            for members in live:
+                if row & members:
+                    sat += 1
+            key = sat * weight + row.bit_count()
+            if key > best_key:
                 best_v, best_key = v, key
-        v = best_v
-        neighbor_colors = 0
-        for u in bits(g.adj[v]):
-            neighbor_colors |= 1 << colors[u]
-        for c in range(1, min(k, max_used + 1) + 1):
-            if neighbor_colors >> c & 1:
+        row = rows[best_v]
+        low = 1 << best_v
+        for c in range(min(k, used + 1)):
+            members = classes[c]
+            if row & members:
                 continue
-            colors[v] = c
-            if rec(count + 1, max(max_used, c)):
+            classes[c] = members | low
+            if rec(free ^ low, used + (c == used)):
+                colors[best_v] = c + 1
                 return True
-            colors[v] = 0
+            classes[c] = members
         return False
 
-    return list(colors) if rec(0, 0) else None
+    return colors if rec(within, 0) else None
 
 
-def chromatic_number(g: Graph, cap: int = DEFAULT_CHI_CAP):
-    """Exact chromatic number with an optimal coloring, (chi, colors)."""
-    if g.n == 0:
-        return 0, []
-    if g.n > cap:
-        raise OracleCapExceeded("chromatic_number", g.n, cap)
-    k = max(clique_number(g), 1)
+def chromatic_number(g: Graph, cap: int = DEFAULT_CHI_CAP,
+                     within: int | None = None):
+    """Exact chromatic number with an optimal coloring, (chi, colors), of
+    G[within] (default G); colors is indexed by g's vertices, 0 outside."""
+    within = g.full_mask() if within is None else within
+    size = within.bit_count()
+    if size == 0:
+        return 0, [0] * g.n
+    if size > cap:
+        raise OracleCapExceeded("chromatic_number", size, cap)
+    k = max(clique_number_in(g, within), 1)
     while True:
-        coloring = _k_colorable(g, k)
+        coloring = _k_colorable(g, k, within)
         if coloring is not None:
             return k, coloring
         k += 1
@@ -153,18 +166,23 @@ def maximal_low_omega_sets(g: Graph, t: int) -> list:
         if common.bit_count() < t - 1:
             return 0
         out = 0
-        for u in bits(near):
-            shared = common & adj[u]
+        while near:
+            low = near & -near
+            near ^= low
+            shared = common & adj[low.bit_length() - 1]
             # A single vertex is a 1-clique: the kernel is needed for t >= 3.
             if shared.bit_count() >= t - 1 and (
                     t == 2 or kernels.clique_number_sub(adj, shared) >= t - 1):
-                out |= 1 << u
+                out |= low
         return out
 
     def search(s, p, x):
         while True:
-            for u in bits(x):
-                if not adj[u] & p:
+            rest = x
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if not adj[low.bit_length() - 1] & p:
                     return
             if not p:
                 found.append(s)
@@ -185,11 +203,12 @@ def chi_n(g: Graph, n: int, cap: int = DEFAULT_CHIN_CAP,
 
     chi is monotone under taking induced subgraphs, so only the
     inclusion-maximal qualifying sets (maximal_low_omega_sets) are colored,
-    largest first.  The scan stops at the first set no larger than the best
-    chi so far, and a set that is colorable with that many colors is skipped
-    without the exact oracle.  Raises OracleCapExceeded when g has more than
-    cap vertices, and, before any set is colored, when some maximal set has
-    more than chi_cap vertices (the exact chromatic oracle's cap).
+    in place as masks of g, largest first.  The scan stops at the first set
+    no larger than the best chi so far, and a set that is colorable with
+    that many colors is skipped without the exact oracle.  Raises
+    OracleCapExceeded when g has more than cap vertices, and, before any set
+    is colored, when some maximal set has more than chi_cap vertices (the
+    exact chromatic oracle's cap).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -205,10 +224,9 @@ def chi_n(g: Graph, n: int, cap: int = DEFAULT_CHIN_CAP,
     for mask in sorted(sets, key=lambda m: (-m.bit_count(), m)):
         if mask.bit_count() <= best:
             break
-        sub, _ = induced_subgraph(g, mask)
-        if best and _k_colorable(sub, best) is not None:
+        if best and _k_colorable(g, best, mask) is not None:
             continue
-        best, _ = chromatic_number(sub, cap=chi_cap)
+        best, _ = chromatic_number(g, cap=chi_cap, within=mask)
     return best
 
 

@@ -1,9 +1,9 @@
 import pytest
 
 from chibound import decompose as decompose_module
-from chibound.decompose import (DecompositionError, check_property, decompose,
-                                decompose_auto, edge_clique_partition,
-                                fan_structure)
+from chibound.decompose import (DecompositionError, check_properties,
+                                check_property, decompose, decompose_auto,
+                                edge_clique_partition, fan_structure)
 from chibound.graph import (bits, from_edges, is_anticomplete_between,
                             is_complete_between, mask_of)
 from chibound.oracles import DEFAULT_CHI_CAP, clique_number
@@ -149,6 +149,16 @@ def test_p_property_calls_chi_oracle_once(monkeypatch):
     assert len(calls) == 1
     assert rep.holds is False
     assert rep.measured == {"chi_up_to_t": 2, "c": 1}
+
+
+def test_check_properties_matches_one_check_per_property():
+    ids = ("P-property", "P5", "P6", "P7", "P8")
+    for g in enumerate_small(6):
+        for t in (2, 3):
+            dec = decompose_auto(g, t)
+            shared = check_properties(g, dec, ids, {"s": 3})
+            alone = [check_property(g, dec, which, {"s": 3}) for which in ids]
+            assert [r.to_dict() for r in shared] == [r.to_dict() for r in alone]
 
 
 def test_unknown_property_rejected():

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chibound.graph import Graph, from_edges
 from chibound.graph6 import (Graph6Error, parse_graph6, read_graph6_file,
@@ -68,6 +70,59 @@ def test_parse_errors_carry_offsets():
     # trailing padding bits must be zero: K2 is "A_"; "A~" sets padding
     with pytest.raises(Graph6Error):
         parse_graph6("A~")
+
+
+def test_non_ascii_character_is_rejected_at_its_offset():
+    # "?" is six zero bits: a replaced character used to parse as padding.
+    with pytest.raises(Graph6Error) as exc:
+        parse_graph6("A\u00e9")
+    assert exc.value.offset == 1
+    with pytest.raises(Graph6Error) as exc:
+        parse_graph6(">>graph6<<\u00e9")
+    assert exc.value.offset == 0
+
+
+@st.composite
+def _sparse_graphs(draw):
+    # Both header forms: n <= 62 is one byte, 63..512 is "~" plus three.
+    n = draw(st.one_of(st.integers(0, 62), st.integers(63, 512)))
+    if n < 2:
+        return Graph(n, [0] * n)
+    ends = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=3 * n))
+    return from_edges(n, [(u, v) for u, v in pairs if u != v])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_sparse_graphs())
+def test_roundtrip_up_to_512_vertices(g):
+    line = write_graph6(g)
+    assert line.startswith("~") == (g.n > 62)
+    assert parse_graph6(line) == g
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_sparse_graphs(), st.data())
+def test_malformed_lines_raise_at_their_offset(g, data):
+    line = write_graph6(g)
+    start = 4 if g.n > 62 else 1
+    cases = [(line[:start] + line[start:] + "?", start)]        # one byte long
+    if len(line) > start:
+        cases.append((line[:-1], start))                         # one byte short
+    if g.n > 62:
+        cut = data.draw(st.integers(1, 3))
+        cases.append((line[:cut], cut))                          # header cut
+    nbits = g.n * (g.n - 1) // 2
+    if nbits % 6:
+        last = len(line) - 1                                     # a padding bit
+        padded = chr((ord(line[last]) - 63 | 1) + 63)
+        cases.append((line[:last] + padded, last))
+    at = data.draw(st.integers(0, len(line)))
+    cases.append((line[:at] + "\u00e9" + line[at:], at))          # non-ASCII
+    for bad, offset in cases:
+        with pytest.raises(Graph6Error) as exc:
+            parse_graph6(bad)
+        assert exc.value.offset == offset, bad
 
 
 def test_read_graph6_file(tmp_path):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from chibound import decompose as decompose_module
 from chibound import harness
 from chibound.graph6 import parse_graph6, write_graph6
 from chibound.harness import (ConfigError, RunConfig, exit_code_for,
@@ -162,6 +163,25 @@ def test_chin_cap_reaches_property_checks(tmp_path):
     report = verify_run(cfg)
     [prop] = report["records"][0]["properties"]
     assert prop["holds"] is True and prop["measured"]["chi_up_to_t"] == 2
+    assert report["aggregates"]["undecided"] == 0
+
+
+def test_properties_of_one_graph_share_one_chi_up_to_t(monkeypatch):
+    # P5, P6 and P7 at t = 3 need chi^(t) as well as the P-property itself.
+    calls = []
+    real = decompose_module.chi_n
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(decompose_module, "chi_n", counting)
+    cfg = RunConfig(source={"kind": "enumerate", "n_max": 5},
+                    properties=("P-property", "P5", "P6", "P7"),
+                    theorem_params={"t": 3})
+    report = verify_run(cfg)
+    assert len(report["records"]) == 52
+    assert len(calls) == 52
     assert report["aggregates"]["undecided"] == 0
 
 

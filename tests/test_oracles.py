@@ -112,6 +112,90 @@ def _graphs(draw, max_n):
     return from_edges(n, [e for e, k in zip(pairs, keep) if k])
 
 
+def _k_colorable_reference(g, k):
+    """DSATUR over a relabelled graph, as the oracle was before the class-mask
+    core: a per-vertex color array and neighbour scans."""
+    n = g.n
+    colors = [0] * n
+    degs = [g.degree(v) for v in range(n)]
+
+    def rec(count, max_used):
+        if count == n:
+            return True
+        best_v, best_key = -1, None
+        for v in range(n):
+            if colors[v]:
+                continue
+            sat = 0
+            for u in bits(g.adj[v]):
+                if colors[u]:
+                    sat |= 1 << colors[u]
+            key = (sat.bit_count(), degs[v], -v)
+            if best_key is None or key > best_key:
+                best_v, best_key = v, key
+        v = best_v
+        neighbor_colors = 0
+        for u in bits(g.adj[v]):
+            neighbor_colors |= 1 << colors[u]
+        for c in range(1, min(k, max_used + 1) + 1):
+            if neighbor_colors >> c & 1:
+                continue
+            colors[v] = c
+            if rec(count + 1, max(max_used, c)):
+                return True
+            colors[v] = 0
+        return False
+
+    return list(colors) if rec(0, 0) else None
+
+
+def _chromatic_reference(g):
+    """(chi, coloring) by the reference DSATUR, counting up from omega."""
+    if g.n == 0:
+        return 0, []
+    k = max(clique_number(g), 1)
+    while _k_colorable_reference(g, k) is None:
+        k += 1
+    return k, _k_colorable_reference(g, k)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_graphs(9))
+def test_dsatur_core_matches_reference_colorings(g):
+    for k in range(g.n + 1):
+        assert oracles._k_colorable(g, k) == _k_colorable_reference(g, k), k
+    assert chromatic_number(g) == _chromatic_reference(g)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_graphs(9), st.integers(0, (1 << 9) - 1))
+def test_chromatic_number_within_mask_matches_relabelled_subgraph(g, mask):
+    mask &= g.full_mask()
+    sub, index_map = induced_subgraph(g, mask)
+    chi, sub_colors = _chromatic_reference(sub)
+    colors = [0] * g.n
+    for i, v in enumerate(index_map):
+        colors[v] = sub_colors[i]
+    assert chromatic_number(g, within=mask) == (chi, colors)
+    for k in range(1, mask.bit_count() + 1):
+        found = oracles._k_colorable(g, k, mask)
+        expected = _k_colorable_reference(sub, k)
+        assert (found is None) == (expected is None), k
+        if found is not None:
+            assert [found[v] for v in index_map] == expected, k
+            assert all(found[v] == 0 for v in bits(g.full_mask() & ~mask))
+
+
+def test_chromatic_number_cap_counts_the_mask():
+    big = Graph(20, [0] * 20)
+    with pytest.raises(OracleCapExceeded) as info:
+        chromatic_number(big, cap=16, within=(1 << 17) - 1)
+    assert (info.value.what, info.value.n, info.value.cap) == ("chromatic_number", 17, 16)
+    chi, colors = chromatic_number(big, cap=16, within=(1 << 16) - 1)
+    assert chi == 1 and colors == [1] * 16 + [0] * 4
+    assert chromatic_number(big, within=0) == (0, [0] * 20)
+
+
 def _maximal_sets_by_table(g, t):
     """The 2^n omega-table enumeration chi_n used before the search."""
     full = g.full_mask()
