@@ -1,74 +1,24 @@
-"""Named hereditary classes used by the theorem harness and the CLI."""
+"""Named hereditary classes used by the theorem harness and the CLI.
+
+Each theorem's hypothesis class comes from the THEOREMS registry, under the
+theorem id in lower case; only the plain diamond-free class is defined here.
+"""
 
 from __future__ import annotations
 
-from .detect import ClassSpec, Conditions, make_class
+from .color import THEOREMS
+from .detect import ClassSpec, make_class
 from .patterns import make_pattern
 
-# name -> (parameter names with defaults, builder)
-_CLASS_BUILDERS = {}
+# theorem id -> the name of its hypothesis class
+THEOREM_CLASS = {thm: thm.lower() for thm in THEOREMS}
 
-
-def _register(name, defaults):
-    def wrap(fn):
-        _CLASS_BUILDERS[name] = (defaults, fn)
-        return fn
-    return wrap
-
-
-@_register("thm1", {"t": 2})
-def _thm1(t):
-    return make_class(
-        [make_pattern("diamond"), make_pattern("hammer_plus", t=t)],
-        id=f"thm1(t={t})", params={"t": t})
-
-
-@_register("thm2", {"s": 2, "t": 2, "k": 2, "y": "f1"})
-def _thm2(s, t, k, y):
-    if y not in ("f1", "f2"):
-        raise ValueError("y must be 'f1' or 'f2'")
-    return make_class(
-        [make_pattern(y, t=t), make_pattern("bowtie", s=s, t=t),
-         make_pattern("lollipop_star", k=k, t=t)],
-        id=f"thm2(s={s},t={t},k={k},y={y})",
-        params={"s": s, "t": t, "k": k, "y": y})
-
-
-@_register("thm3", {"s": 2, "t": 2})
-def _thm3(s, t):
-    return make_class(
-        [make_pattern("bowtie", s=s, t=t), make_pattern("path", l=5),
-         make_pattern("dumbbell", s=s + 1, t=t + 1)],
-        id=f"thm3(s={s},t={t})", params={"s": s, "t": t})
-
-
-@_register("thm4", {})
-def _thm4():
-    return make_class(
-        [make_pattern("bowtie", s=2, t=2), make_pattern("path", l=5),
-         make_pattern("dumbbell", s=3, t=3)],
-        id="thm4", params={})
-
-
-@_register("thm5a", {"k": 2})
-def _thm5a(k):
-    return make_class(
-        [make_pattern("diamond"), make_pattern("fan_triangles", l=k)],
-        conditions=Conditions(every_edge_in_two_triangles=True),
-        id=f"thm5a(k={k})", params={"k": k})
-
-
-@_register("thm5b", {})
-def _thm5b():
-    return make_class(
-        [make_pattern("diamond"), make_pattern("dumbbell", s=4, t=4)],
-        conditions=Conditions(every_edge_in_two_triangles=True),
-        id="thm5b", params={})
-
-
-@_register("diamond-free", {})
-def _diamond_free():
-    return make_class([make_pattern("diamond")], id="diamond-free", params={})
+# name -> (parameter defaults, builder)
+_CLASS_BUILDERS = {name: (THEOREMS[thm].defaults, THEOREMS[thm].spec)
+                   for thm, name in THEOREM_CLASS.items()}
+_CLASS_BUILDERS["diamond-free"] = (
+    {}, lambda: make_class([make_pattern("diamond")], id="diamond-free",
+                           params={}))
 
 
 def class_names():
@@ -93,14 +43,3 @@ def get_class(name: str, **params) -> ClassSpec:
     merged = dict(defaults)
     merged.update(params)
     return fn(**merged)
-
-
-# theorem id -> (class name, colorer parameter names shared with the class)
-THEOREM_CLASS = {
-    "THM1": "thm1",
-    "THM2": "thm2",
-    "THM3": "thm3",
-    "THM4": "thm4",
-    "THM5A": "thm5a",
-    "THM5B": "thm5b",
-}

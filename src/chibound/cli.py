@@ -11,7 +11,7 @@ import json
 import sys
 
 from .classes import THEOREM_CLASS, class_defaults, class_names, get_class
-from .color import THEOREMS
+from .color import THEOREMS, color_checked
 from .decompose import PROPERTY_IDS, check_property, decompose, decompose_auto
 from .detect import is_member
 from .graph import bits, mask_of, to_dot
@@ -187,12 +187,12 @@ def _cmd_scalar(args):
 def _cmd_color(args):
     case = THEOREMS[args.theorem]
     params = {k: v for k, v in _collect_params(args).items()
-              if k in case.param_names}
+              if k in case.defaults}
     worst = 0
     for i, g in enumerate(_load_graphs(args.infile)):
         rec = {"graph": i, "graph6": write_graph6(g), "theorem": args.theorem}
         try:
-            cert = case.colorer(g, **params)
+            cert = color_checked(args.theorem, g, **params)
             rec.update(cert.to_dict())
             if not cert.within_bound:
                 worst = 2
@@ -218,7 +218,7 @@ def _cmd_verify(args):
 def _cmd_sweep(args):
     case = THEOREMS[args.theorem]
     params = {k: v for k, v in _collect_params(args).items()
-              if k in case.param_names}
+              if k in case.defaults}
     props = tuple(p for p in args.properties.split(",") if p)
     cfg = RunConfig(source={"kind": "enumerate", "n_max": args.nmax},
                     class_name=THEOREM_CLASS[args.theorem],

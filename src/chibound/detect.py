@@ -159,11 +159,22 @@ def every_edge_two_triangles(g: Graph, witness: bool = False):
 
 
 def is_member(host: Graph, spec: ClassSpec) -> MembershipReport:
-    """Check H-freeness for every forbidden pattern plus the conditions."""
+    """Check H-freeness for every forbidden pattern plus the conditions.
+
+    Once the diamond is ruled out, a triangle fan is first decided by
+    find_fan_triangles_diamond_free, which is exact on diamond-free hosts
+    and fast where the matcher's search is exponential; the matcher runs
+    only when there is a fan, to report its lex-first embedding.
+    """
+    diamond_free = False
     for pat in spec.forbidden:
+        if (diamond_free and pat.name == "fan_triangles"
+                and find_fan_triangles_diamond_free(host, pat.params["l"]) is None):
+            continue
         emb = find_induced(host, pat.graph)
         if emb is not None:
             return MembershipReport(False, pat.label(), emb)
+        diamond_free = diamond_free or pat.name == "diamond"
     cond = spec.conditions
     if cond.every_edge_in_two_triangles:
         ok, edge = every_edge_two_triangles(host, witness=True)

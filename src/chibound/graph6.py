@@ -58,6 +58,8 @@ def parse_graph6(line: str) -> Graph:
         )
     adj = [0] * n
     bit = 0
+    # Bits run column-wise over the upper triangle: (0,1),(0,2),(1,2),(0,3),...
+    i, j = 0, 1
     for k in range(start, len(data)):
         chunk = data[k] - 63
         for shift in range(5, -1, -1):
@@ -66,20 +68,13 @@ def parse_graph6(line: str) -> Graph:
                     raise Graph6Error("trailing padding bits set", k)
                 continue
             if (chunk >> shift) & 1:
-                i, j = _pair_of_bit(bit)
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
             bit += 1
+            i += 1
+            if i == j:
+                i, j = 0, j + 1
     return Graph(n, adj)
-
-
-def _pair_of_bit(bit: int):
-    # Bits run column-wise over the upper triangle: (0,1),(0,2),(1,2),(0,3),...
-    j = 1
-    while j * (j - 1) // 2 <= bit:
-        j += 1
-    j -= 1
-    return bit - j * (j - 1) // 2, j
 
 
 def write_graph6(g: Graph) -> str:

@@ -11,8 +11,9 @@ import json
 import time
 from dataclasses import dataclass, field
 
-from .classes import THEOREM_CLASS, get_class
-from .color import (LiftError, MembershipError, StructureViolation, THEOREMS)
+from .classes import get_class
+from .color import (LiftError, MembershipError, StructureViolation, THEOREMS,
+                    require_member)
 from .decompose import PROPERTY_IDS, check_properties, decompose_auto
 from .detect import is_member
 from .graph6 import read_graph6_file, write_graph6
@@ -41,14 +42,13 @@ class RunConfig:
     chi_cap: int = DEFAULT_CHI_CAP
     chin_cap: int = DEFAULT_CHIN_CAP
     seed: int = 0
-    jobs: int = 1
     skip_membership: bool = False      # negative-control mode
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         known = {"source", "class_name", "class_params", "theorem",
                  "theorem_params", "properties", "chi_cap", "chin_cap",
-                 "seed", "jobs", "skip_membership"}
+                 "seed", "skip_membership"}
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
@@ -66,8 +66,6 @@ class RunConfig:
             raise ConfigError(f"unknown source kind {self.source['kind']!r}")
         if self.chi_cap < 1 or self.chin_cap < 1:
             raise ConfigError("oracle caps must be positive")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be positive")
         if self.theorem is not None and self.theorem not in THEOREMS:
             raise ConfigError(f"unknown theorem {self.theorem!r}")
         for p in self.properties:
@@ -87,7 +85,6 @@ class RunConfig:
             "chi_cap": self.chi_cap,
             "chin_cap": self.chin_cap,
             "seed": self.seed,
-            "jobs": self.jobs,
             "skip_membership": self.skip_membership,
         }
 
@@ -110,8 +107,18 @@ def _default_t(cfg: RunConfig) -> int:
     return int(cfg.class_params.get("t", cfg.theorem_params.get("t", 2)))
 
 
-def verify_graph(g, cfg: RunConfig, spec):
-    """Run the full per-graph pipeline; returns (record, violations, errors)."""
+def _theorem_params(cfg: RunConfig) -> dict:
+    names = THEOREMS[cfg.theorem].defaults
+    return {k: v for k, v in cfg.theorem_params.items() if k in names}
+
+
+def verify_graph(g, cfg: RunConfig, spec, theorem_spec):
+    """Run the full per-graph pipeline; returns (record, violations, errors).
+
+    spec is the run's class and theorem_spec its theorem's class (None
+    without one).  The colorer runs only on members of theorem_spec; when
+    the two specs are equal, the class filter has already checked that.
+    """
     record = {"graph6": write_graph6(g), "n": g.n}
     violations = []
     errors = []
@@ -165,11 +172,10 @@ def verify_graph(g, cfg: RunConfig, spec):
 
     if cfg.theorem is not None:
         case = THEOREMS[cfg.theorem]
-        kwargs = {k: v for k, v in cfg.theorem_params.items()
-                  if k in case.param_names}
-        kwargs["chi_cap"] = cfg.chi_cap
         try:
-            cert = case.colorer(g, **kwargs)
+            if cfg.skip_membership or theorem_spec != spec:
+                require_member(cfg.theorem, g, theorem_spec)
+            cert = case.colorer(g, chi_cap=cfg.chi_cap, **_theorem_params(cfg))
         except Exception as exc:
             outcome = classify_exception(exc)
             if outcome == "error":
@@ -205,15 +211,16 @@ def verify_graph(g, cfg: RunConfig, spec):
 def verify_run(cfg: RunConfig) -> dict:
     """Execute the run and build the report dict (JSON-ready).
 
-    Per-graph failures are recorded, never abort the run.  The jobs field
-    is echoed but graphs are processed sequentially; each graph's pipeline
-    is independent so the order of records is the source order either way.
+    Per-graph failures are recorded, never abort the run.
     """
     cfg.validate()
     start = time.monotonic()
     spec = None
     if cfg.class_name is not None:
         spec = get_class(cfg.class_name, **cfg.class_params)
+    theorem_spec = None
+    if cfg.theorem is not None:
+        theorem_spec = THEOREMS[cfg.theorem].spec(**_theorem_params(cfg))
     records = []
     violations = []
     errors = []
@@ -225,7 +232,7 @@ def verify_run(cfg: RunConfig) -> dict:
         for g in graphs:
             scanned += 1
             try:
-                record, v, e = verify_graph(g, cfg, spec)
+                record, v, e = verify_graph(g, cfg, spec, theorem_spec)
             except Exception as exc:   # defensive: never abort the sweep
                 errors.append({"graph6": write_graph6(g), "stage": "pipeline",
                                "type": type(exc).__name__,

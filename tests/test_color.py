@@ -1,11 +1,13 @@
 import pytest
 
 from chibound.classes import THEOREM_CLASS, get_class
+from chibound.cli import main
 from chibound.color import (LiftError, MembershipError, StructureViolation,
-                            THEOREMS, color_thm1, color_thm2, color_thm3,
-                            color_thm4, color_thm5a, verify_thm5b)
+                            THEOREMS, color_checked, color_thm1, color_thm2,
+                            color_thm3, color_thm4, color_thm5a, verify_thm5b)
 from chibound.detect import is_member
 from chibound.graph import from_edges
+from chibound.graph6 import parse_graph6, write_graph6
 from chibound.oracles import chromatic_number, clique_number, is_proper
 from chibound.patterns import complete, diamond, gem, path, pineapple
 from chibound.smallgraphs import enumerate_small, sample_in_class
@@ -40,7 +42,7 @@ def test_thm1_pineapple():
 
 def test_thm1_rejects_diamond():
     with pytest.raises(MembershipError):
-        color_thm1(diamond(), t=2)
+        color_checked("THM1", diamond(), t=2)
 
 
 def test_thm4_gem_and_base_case():
@@ -54,7 +56,7 @@ def test_thm4_gem_and_base_case():
 
 def test_thm4_rejects_p5():
     with pytest.raises(MembershipError):
-        color_thm4(path(5))
+        color_checked("THM4", path(5))
 
 
 def test_thm3_gem():
@@ -88,7 +90,7 @@ def test_thm5b_rejects_forbidden_dumbbell():
     edges += [(0, 4)]
     g = from_edges(8, edges)
     with pytest.raises(MembershipError) as exc:
-        verify_thm5b(g)
+        color_checked("THM5B", g)
     assert "dumbbell" in str(exc.value)
 
 
@@ -131,18 +133,31 @@ def test_registry_bounds_monotone_in_omega(thm):
 
 @pytest.mark.parametrize("thm,params", [
     ("THM1", {"t": 2}), ("THM3", {"s": 2, "t": 2}), ("THM4", {}),
+    ("THM2", {}), ("THM5A", {}), ("THM5B", {}),
 ])
 def test_colorers_over_enumerated_members(thm, params):
     case = THEOREMS[thm]
     spec = get_class(THEOREM_CLASS[thm], **params)
     seen = 0
+    omegas = set()
     for g in enumerate_small(6):
         if not is_member(g, spec):
             continue
+        if thm == "THM5A" and clique_number(g) < 4:
+            # omega >= 4 is a hypothesis of the colorer, not of the class
+            with pytest.raises(MembershipError):
+                case.colorer(g, **params)
+            continue
         cert = case.colorer(g, **params)
         _assert_valid(g, cert)
+        assert cert.bound_value == case.bound(cert.omega, cert.c_value or 0,
+                                              **params)
+        omegas.add(cert.omega)
         seen += 1
-    assert seen > 50
+    assert seen > {"THM5A": 5, "THM5B": 10}.get(thm, 50)
+    if thm == "THM2":
+        # both bound branches: omega < 2t - 1 and omega >= 2t - 1
+        assert min(omegas) < 3 <= max(omegas)
 
 
 def test_thm2_over_sampled_members():
@@ -157,3 +172,32 @@ def test_thm5b_structural_violation_is_raised_not_swallowed():
     # bridge case is caught at membership, so exercise the error type exists
     assert issubclass(StructureViolation, RuntimeError)
     assert issubclass(LiftError, RuntimeError)
+
+
+def _rook(q):
+    """The rook's graph Kq x Kq: cells of a q x q board, adjacent when they
+    share a row or a column."""
+    cells = [(r, c) for r in range(q) for c in range(q)]
+    return from_edges(q * q, [(i, j) for i, a in enumerate(cells)
+                              for j, b in enumerate(cells[:i])
+                              if a[0] == b[0] or a[1] == b[1]])
+
+
+@pytest.mark.parametrize("q,chi", [(4, 4), (5, "capped")])
+def test_thm5b_carrier_claim_fails_on_rook_graphs(q, chi, tmp_path, capsys):
+    # Kq x Kq is in the THM5B class, and every vertex carries two maximal
+    # cliques, so the verifier's "one carrier per clique" claim fails while
+    # chi = omega = q holds; the witness carries the exact chi (K5 x K5 has
+    # more vertices than the oracle cap).
+    g = _rook(q)
+    if q == 4:
+        assert g == parse_graph6("O~`HW}GPHDaNaGPCcPWaN")
+    assert is_member(g, get_class("thm5b"))
+    with pytest.raises(StructureViolation) as exc:
+        verify_thm5b(g, chi_cap=16)
+    assert exc.value.witness["chi"] == chi
+    assert exc.value.witness["omega"] == q
+    path_ = tmp_path / "rook.g6"
+    path_.write_text(write_graph6(g) + "\n")
+    assert main(["color", "--theorem", "THM5B", "--in", str(path_)]) == 2
+    assert capsys.readouterr().out.count("StructureViolation") == 1

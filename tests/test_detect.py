@@ -147,6 +147,36 @@ def test_is_member_reports_violation():
     assert is_member(path(4), spec)
 
 
+def test_triangle_fan_shortcut_matches_the_matcher():
+    # After the diamond, is_member decides a triangle fan by the
+    # diamond-free detector; verdicts and witnesses stay the matcher's.
+    from chibound.smallgraphs import enumerate_small
+
+    rng = random.Random(11)
+    hosts = list(enumerate_small(7))
+    hosts += [_random_graph(rng, rng.randrange(8, 14), rng.random())
+              for _ in range(150)]
+    for c in (4, 5):            # f blades K_c at hub 0, vertices shuffled
+        for f in (1, 2, 3, 4):
+            blades = [[0] + list(range(1 + b * (c - 1), 1 + (b + 1) * (c - 1)))
+                      for b in range(f)]
+            order = list(range(1 + f * (c - 1)))
+            rng.shuffle(order)
+            hosts.append(from_edges(len(order), [
+                (order[a], order[b]) for blade in blades
+                for i, a in enumerate(blade) for b in blade[i + 1:]]))
+    for l in (1, 2, 3):
+        fan = make_pattern("fan_triangles", l=l)
+        for pats in ([make_pattern("diamond"), fan], [fan]):
+            spec = make_class(pats)
+            for g in hosts:
+                want = next(((p.label(), emb) for p in pats
+                             if (emb := find_induced(g, p.graph)) is not None),
+                            (None, None))
+                rep = is_member(g, spec)
+                assert (rep.violated, rep.witness) == want
+
+
 def test_conditions_in_membership():
     spec = make_class([make_pattern("diamond")],
                       conditions=Conditions(every_edge_in_two_triangles=True))

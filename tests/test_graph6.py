@@ -53,10 +53,10 @@ def test_roundtrip_random_graphs():
 
 def test_roundtrip_large_n_header():
     # 4-byte length form kicks in above n = 62
-    g = from_edges(70, [(0, 69), (1, 2)])
-    s = write_graph6(g)
-    assert s.startswith("~")
-    assert parse_graph6(s) == g
+    for g in (from_edges(70, [(0, 69), (1, 2)]), complete(200)):
+        s = write_graph6(g)
+        assert s.startswith("~")
+        assert parse_graph6(s) == g
 
 
 def test_parse_errors_carry_offsets():

@@ -1,7 +1,10 @@
+import dataclasses
 import json
+import sys
 
 import pytest
 
+from chibound import color, detect
 from chibound import decompose as decompose_module
 from chibound import harness
 from chibound.graph6 import parse_graph6, write_graph6
@@ -218,3 +221,47 @@ def test_certificate_summary_in_records():
     for c in certs:
         assert c["palette_used"] <= c["bound_value"]
         assert c["ok"] is True
+
+
+def test_membership_is_checked_once_outside_the_colorer(tmp_path, monkeypatch):
+    real = detect.find_induced
+    calls = {"inside": 0, "outside": 0}
+    depth = []
+
+    def counting(host, pattern):
+        calls["inside" if depth else "outside"] += 1
+        return real(host, pattern)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("chibound"):
+            for attr, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, attr, counting)
+    case = color.THEOREMS["THM4"]
+
+    def colorer(g, **params):
+        depth.append(g)
+        try:
+            return case.colorer(g, **params)
+        finally:
+            depth.pop()
+
+    monkeypatch.setitem(color.THEOREMS, "THM4",
+                        dataclasses.replace(case, colorer=colorer))
+    cfg = RunConfig(source={"kind": "enumerate", "n_max": 5},
+                    class_name="thm4", theorem="THM4")
+    report = verify_run(cfg)
+    certs = [r["certificate"] for r in report["records"] if "certificate" in r]
+    assert len(certs) == report["aggregates"]["members_found"] > 0
+    assert all(c["ok"] for c in certs)
+    assert calls["inside"] == 0 and calls["outside"] > 0
+
+    # Without the class filter, a non-member is still rejected, not colored.
+    path_ = tmp_path / "p5.g6"
+    path_.write_text(write_graph6(path(5)) + "\n")
+    cfg = RunConfig(source={"kind": "graph6", "path": str(path_)},
+                    class_name="thm4", theorem="THM4", skip_membership=True)
+    [record] = verify_run(cfg)["records"]
+    assert list(record["certificate"]) == ["rejected"]
+    assert "path(l=5)" in record["certificate"]["rejected"]
+    assert calls["inside"] == 0
