@@ -25,12 +25,6 @@ def class_names():
     return sorted(_CLASS_BUILDERS)
 
 
-def class_defaults(name: str) -> dict:
-    if name not in _CLASS_BUILDERS:
-        raise KeyError(f"unknown class {name!r}; known: {', '.join(class_names())}")
-    return dict(_CLASS_BUILDERS[name][0])
-
-
 def get_class(name: str, **params) -> ClassSpec:
     """Instantiate a named class, filling unspecified parameters from defaults."""
     if name not in _CLASS_BUILDERS:

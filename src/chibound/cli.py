@@ -10,9 +10,9 @@ import argparse
 import json
 import sys
 
-from .classes import THEOREM_CLASS, class_defaults, class_names, get_class
+from .classes import THEOREM_CLASS, class_names, get_class
 from .color import THEOREMS, color_checked
-from .decompose import PROPERTY_IDS, check_property, decompose, decompose_auto
+from .decompose import PROPERTY_IDS, decompose, decompose_auto
 from .detect import is_member
 from .graph import bits, mask_of, to_dot
 from .graph6 import read_graph6_file, write_graph6
@@ -132,10 +132,7 @@ def _cmd_detect(args):
 
 
 def _cmd_member(args):
-    params = _collect_params(args)
-    params = {k: v for k, v in params.items()
-              if k in class_defaults(args.class_name)}
-    spec = get_class(args.class_name, **params)
+    spec = get_class(args.class_name, **_collect_params(args))
     for i, g in enumerate(_load_graphs(args.infile)):
         rep = is_member(g, spec)
         print(json.dumps({"graph": i, "graph6": write_graph6(g),
@@ -185,9 +182,8 @@ def _cmd_scalar(args):
 
 
 def _cmd_color(args):
-    case = THEOREMS[args.theorem]
-    params = {k: v for k, v in _collect_params(args).items()
-              if k in case.defaults}
+    params = _collect_params(args)
+    THEOREMS[args.theorem].spec(**params)   # unknown ones fail before any read
     worst = 0
     for i, g in enumerate(_load_graphs(args.infile)):
         rec = {"graph": i, "graph6": write_graph6(g), "theorem": args.theorem}
@@ -203,34 +199,32 @@ def _cmd_color(args):
     return worst
 
 
-def _cmd_verify(args):
-    with open(args.config) as fh:
-        cfg = RunConfig.from_dict(json.load(fh))
+def _run_and_report(cfg, out):
+    """Run cfg; write the report to out and print its aggregates, or print
+    the whole report when out is None.  Returns the run's exit code."""
     report = verify_run(cfg)
-    if args.out:
-        write_report(report, args.out)
+    if out:
+        write_report(report, out)
         print(json.dumps(report["aggregates"]))
     else:
         print(json.dumps(report, indent=2, sort_keys=True))
     return exit_code_for(report)
 
 
+def _cmd_verify(args):
+    with open(args.config) as fh:
+        cfg = RunConfig.from_dict(json.load(fh))
+    return _run_and_report(cfg, args.out)
+
+
 def _cmd_sweep(args):
-    case = THEOREMS[args.theorem]
-    params = {k: v for k, v in _collect_params(args).items()
-              if k in case.defaults}
+    params = _collect_params(args)
     props = tuple(p for p in args.properties.split(",") if p)
     cfg = RunConfig(source={"kind": "enumerate", "n_max": args.nmax},
                     class_name=THEOREM_CLASS[args.theorem],
                     class_params=params, theorem=args.theorem,
                     theorem_params=params, properties=props)
-    report = verify_run(cfg)
-    if args.out:
-        write_report(report, args.out)
-        print(json.dumps(report["aggregates"]))
-    else:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    return exit_code_for(report)
+    return _run_and_report(cfg, args.out)
 
 
 def main(argv=None) -> int:

@@ -384,7 +384,13 @@ class TheoremCase:
     conditions: Conditions = Conditions()
 
     def spec(self, **params) -> ClassSpec:
-        """The hypothesis class, named by the lower-cased id and parameters."""
+        """The hypothesis class, named by the lower-cased id and parameters.
+
+        A parameter the theorem does not take raises ValueError."""
+        unknown = set(params) - set(self.defaults)
+        if unknown:
+            raise ValueError(f"theorem {self.id} takes {sorted(self.defaults)}, "
+                             f"not {sorted(unknown)}")
         merged = {**self.defaults, **params}
         inner = ",".join(f"{k}={v}" for k, v in merged.items())
         return make_class(self.forbidden(**merged), self.conditions, merged,
@@ -434,9 +440,12 @@ THEOREMS = {case.id: case for case in (
 )}
 
 
-def require_member(thm: str, g: Graph, spec: ClassSpec):
-    """Raise MembershipError unless g is in spec, the class of theorem thm."""
-    rep = is_member(g, spec)
+def require_member(thm: str, g: Graph, spec: ClassSpec,
+                   known: ClassSpec | None = None):
+    """Raise MembershipError unless g is in spec, the class of theorem thm.
+
+    known is a class g is known to belong to (detect.is_member)."""
+    rep = is_member(g, spec, known)
     if not rep.member:
         raise MembershipError(thm, rep.violated, rep.witness)
 

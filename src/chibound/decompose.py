@@ -7,14 +7,16 @@ from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
-from .detect import contains_induced, diamond_free_fast, every_edge_two_triangles
-from .graph import (Graph, GraphError, bits, connected_components, is_clique,
-                    mask_of, neighborhood)
+from .detect import (ClassSpec, diamond_free_fast, every_edge_two_triangles,
+                     is_free)
+from .graph import (Graph, GraphError, bits, connected_components,
+                    distance_layers, is_clique, mask_of, neighborhood)
 from .oracles import (DEFAULT_CHI_CAP, DEFAULT_CHIN_CAP, OracleCapExceeded,
-                      chi_n, chromatic_number, clique_number_in, ramsey_upper)
-from .patterns import (bowtie, diamond, dumbbell, f1, f2, hammer_plus,
-                       lollipop_star, path)
+                      chi_n, chromatic_number, clique_number_in, max_clique_in,
+                      ramsey_upper)
+from .patterns import make_pattern
 
 
 class DecompositionError(ValueError):
@@ -106,8 +108,6 @@ def decompose(g: Graph, k_clique: int, t: int,
 
 def decompose_auto(g: Graph, t: int, within: int | None = None) -> CliqueDecomposition:
     """Decompose around the lexicographically smallest maximum clique."""
-    from .oracles import max_clique_in
-
     if within is None:
         within = g.full_mask()
     return decompose(g, max_clique_in(g, within), t, within)
@@ -143,249 +143,212 @@ def _jsonable(obj):
     return obj
 
 
-def _chi_of(g: Graph, mask: int, chi_cap: int):
-    """Exact chi of an induced subgraph, or None when over the oracle cap."""
-    if mask == 0:
-        return 0
-    try:
-        return chromatic_number(g, cap=chi_cap, within=mask)[0]
-    except OracleCapExceeded:
-        return None
+class _ChiOverCap(Exception):
+    """chi of a decomposition block is over the chi cap: undecided."""
 
 
-def _distance_claim_violations(g: Graph, sources: int, allowed: int,
-                               avoid: int):
-    """Vertices at finite distance >= 2 from some source, outside `allowed`.
+class _Check:
+    """The inputs of one property check."""
 
-    Distances are measured in the subgraph avoiding `avoid` (the central
-    clique): a connection that tunnels through K yields no forbidden
-    pattern, so it does not count.
-    """
-    out = []
-    mask = g.full_mask() & ~avoid
-    for v0 in bits(sources & mask):
-        seen = 1 << v0
-        frontier = seen
-        dist = 0
-        far = 0
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= g.adj[v] & mask & ~seen
-            seen |= nxt
-            frontier = nxt
-            dist += 1
-            if dist >= 2:
-                far |= nxt
-        bad = far & ~allowed
-        if bad:
-            out.append((v0, (bad & -bad).bit_length() - 1))
-    return out
+    def __init__(self, g, dec, s, t, k, c_value, chi_cap, chi_up_to_t):
+        self.g, self.dec, self.s, self.t, self.k = g, dec, s, t, k
+        self.omega = dec.k.bit_count()
+        self.c_value, self.chi_cap = c_value, chi_cap
+        self.chi_up_to_t = chi_up_to_t
+
+    def c(self):
+        """The P-property constant: c_value, or else chi^(t) of g."""
+        return self.chi_up_to_t() if self.c_value is None else self.c_value
+
+    def chi(self, block):
+        """chi(G[block]) for block "T", "T'" or "S'"."""
+        mask = getattr(self.dec, {"T": "t_set", "T'": "t_prime",
+                                  "S'": "s_prime"}[block])
+        try:
+            return chromatic_number(self.g, cap=self.chi_cap,
+                                    within=mask)[0] if mask else 0
+        except OracleCapExceeded:
+            raise _ChiOverCap(f"chi({block}) over cap") from None
 
 
-PROPERTY_IDS = ("P1", "P2", "P3", "P4", "P5", "P6", "P7", "P8", "D1", "P-property")
+def _p1(x: _Check):
+    s_set = x.dec.s_set
+    return dict(holds=s_set == 0, measured={"s_size": s_set.bit_count()},
+                witness=(s_set & -s_set).bit_length() - 1 if s_set else None)
 
 
-def _chi_up_to_t(g: Graph, t: int, chi_cap: int, chin_cap: int):
-    """A callable returning chi^(t) of g, computed on its first call only."""
-    return cache(lambda: chi_n(g, t, cap=chin_cap, chi_cap=chi_cap))
+def _p2(x: _Check):
+    witness = None
+    for m_mask, a in x.dec.a_m.items():
+        if not is_clique(x.g, a):
+            witness = (list(bits(m_mask)), *next(
+                e for e in combinations(bits(a), 2) if not x.g.has_edge(*e)))
+            break
+        if a.bit_count() > x.omega:
+            witness = (list(bits(m_mask)), "size", a.bit_count())
+            break
+    max_am = max((a.bit_count() for a in x.dec.a_m.values()), default=0)
+    return dict(holds=witness is None, witness=witness,
+                measured={"max_a_m": max_am, "omega": x.omega})
+
+
+def _p3(x: _Check):
+    bound = ramsey_upper(max(x.omega - 1, 1), x.k)
+    worst, witness = 0, None
+    for v0 in bits(x.dec.t_set):
+        deg = (x.g.adj[v0] & x.dec.t_prime).bit_count()
+        worst = max(worst, deg)
+        if deg >= bound:
+            witness = (v0, deg)
+            break
+    return dict(holds=witness is None, witness=witness,
+                measured={"max_t_prime_degree": worst, "bound": bound})
+
+
+def _p4(x: _Check):
+    chi_tp = x.chi("T'")
+    comps = connected_components(x.g, x.dec.t_prime)
+    comp_bad = [c for c in comps if c.bit_count() > x.omega]
+    # The distance claim (no T vertex reaches a vertex outside K and T in
+    # >= 2 steps of G - K) is an intermediate step of the argument that fails
+    # on small in-class graphs, where K is too tight to complete the pattern;
+    # it is a diagnostic.  The property is the chi(T') inequality.
+    within = x.g.full_mask() & ~x.dec.k
+    dist_bad = sum(any(layer & ~x.dec.t_set for layer in
+                       distance_layers(x.g, 1 << v, within)[0][2:])
+                   for v in bits(x.dec.t_set))
+    return dict(
+        holds=chi_tp <= x.omega and not comp_bad,
+        measured={"chi_t_prime": chi_tp, "omega": x.omega,
+                  "max_component": max(map(int.bit_count, comps), default=0),
+                  "distance_violations": dist_bad},
+        witness=list(bits(comp_bad[0])) if comp_bad else None,
+        notes=f"distance-claim diagnostic: {dist_bad} source(s) reach a "
+              "vertex outside K and T in two or more steps" if dist_bad else "")
+
+
+def _chi_within(block, key, bound, small=None):
+    """P5-P8's check: chi(G[block]) <= bound(c, omega, t), reported under
+    key.  c, the P-property constant, is 1 and reported as None when
+    c_value is None and small(s, t); without small there is no c."""
+    def measure(x: _Check):
+        chi = x.chi(block)
+        if small is None:
+            b = bound(None, x.omega, x.t)
+            return dict(holds=chi <= b, measured={key: chi, "bound": b})
+        cc = None if small(x.s, x.t) and x.c_value is None else x.c()
+        b = bound(1 if cc is None else cc, x.omega, x.t)
+        return dict(holds=chi <= b, measured={key: chi, "bound": b, "c": cc})
+    return measure
+
+
+def _p_property(x: _Check):
+    measured, cc = x.chi_up_to_t(), x.c()
+    return dict(holds=measured <= cc, measured={"chi_up_to_t": measured, "c": cc})
+
+
+def _d1(x: _Check):
+    """Blade anticompleteness over the whole edge-clique partition."""
+    df, dwit = diamond_free_fast(x.g)
+    tt, ewit = every_edge_two_triangles(x.g, witness=True)
+    if not (df and tt):
+        return dict(holds=None, hypothesis_ok=False, measured={},
+                    witness=dwit or ewit,
+                    notes="edge-clique partition preconditions fail")
+    part = edge_clique_partition(x.g)
+    violation = next((fan[1] for v in range(x.g.n)
+                      if (fan := fan_structure(x.g, part, v))[1] is not None),
+                     None)
+    return dict(holds=violation is None, witness=violation,
+                measured={"cliques": len(part.cliques)})
+
+
+class Property(NamedTuple):
+    """One property.  patterns(s, t, k) lists its hypothesis patterns in
+    search order, tested behind omega > t (None: no pattern hypothesis);
+    measure(_Check) returns its PropertyReport fields as a dict; params
+    names the parameters the report carries."""
+
+    patterns: object
+    measure: object
+    params: tuple = ("t",)
+
+
+PROPERTIES = {
+    "P1": Property(lambda s, t, k: [make_pattern("f1", t=t)], _p1),
+    "P2": Property(lambda s, t, k: [make_pattern("f2", t=t)], _p2),
+    "P3": Property(lambda s, t, k: [make_pattern("lollipop_star", k=k, t=t)],
+                   _p3, ("t", "k")),
+    "P4": Property(lambda s, t, k: [make_pattern("diamond"),
+                                    make_pattern("hammer_plus", t=t)], _p4),
+    "P5": Property(lambda s, t, k: [make_pattern("bowtie", s=s, t=t)],
+                   _chi_within("T", "chi_t",
+                               lambda c, w, t: c * w * comb(max(w - 1, 0), t),
+                               lambda s, t: t == 2), ("s", "t")),
+    "P6": Property(lambda s, t, k: [make_pattern("path", l=5),
+                                    make_pattern("bowtie", s=s, t=t)],
+                   _chi_within("S'", "chi_s_prime", lambda c, w, t: c,
+                               lambda s, t: t == 2), ("s", "t")),
+    "P7": Property(lambda s, t, k: [make_pattern("path", l=5),
+                                    make_pattern("dumbbell", s=s + 1, t=t + 1)],
+                   _chi_within("T'", "chi_t_prime", lambda c, w, t: c,
+                               lambda s, t: t == 2 and s == 2), ("s", "t")),
+    "P8": Property(lambda s, t, k: [make_pattern("diamond")],
+                   _chi_within("T", "chi_t",
+                               lambda c, w, t: w * w * comb(max(w - 1, 0), t))),
+    "D1": Property(None, _d1, ()),
+    "P-property": Property(None, _p_property),
+}
+PROPERTY_IDS = tuple(PROPERTIES)
 
 
 def check_properties(g: Graph, dec: CliqueDecomposition, which_ids,
                      params: dict | None = None, c_value: int | None = None,
                      chi_cap: int = DEFAULT_CHI_CAP,
-                     chin_cap: int = DEFAULT_CHIN_CAP) -> list:
-    """check_property for each id in which_ids, in order.
-
-    chi^(t) is computed at most once for all of them, when first needed.
-    """
-    chi_up_to_t = _chi_up_to_t(g, dec.t, chi_cap, chin_cap)
+                     chin_cap: int = DEFAULT_CHIN_CAP,
+                     known: ClassSpec | None = None) -> list:
+    """check_property for each id in which_ids, in order; chi^(t) is
+    computed at most once for all of them, when first needed."""
+    chi_up_to_t = cache(lambda: chi_n(g, dec.t, cap=chin_cap, chi_cap=chi_cap))
     return [check_property(g, dec, which, params, c_value, chi_cap, chin_cap,
-                           chi_up_to_t) for which in which_ids]
+                           chi_up_to_t, known) for which in which_ids]
 
 
 def check_property(g: Graph, dec: CliqueDecomposition, which: str,
                    params: dict | None = None, c_value: int | None = None,
                    chi_cap: int = DEFAULT_CHI_CAP,
-                   chin_cap: int = DEFAULT_CHIN_CAP,
-                   chi_up_to_t=None) -> PropertyReport:
+                   chin_cap: int = DEFAULT_CHIN_CAP, chi_up_to_t=None,
+                   known: ClassSpec | None = None) -> PropertyReport:
     """Evaluate one of the decomposition properties against this graph.
 
-    The class hypothesis is verified and reported, never assumed, so the
-    checker can serve as a negative control on out-of-class graphs.
-    c_value=None realizes the P-property constant by the exact oracle
-    (chi^(t) of this graph); chin_cap and chi_cap are that oracle's caps.
-    chi_up_to_t, a callable returning that chi^(t), lets check_properties
-    share one value between the properties of a graph.
+    The hypothesis is verified and reported, never assumed, so the checker
+    serves as a negative control on out-of-class graphs; known, a class g
+    is known to belong to, spares the searches for what it forbids
+    (detect.known_to_forbid).
+    c_value=None realizes the P-property constant as chi^(t) of g, by the
+    exact oracle under chin_cap and chi_cap; check_properties shares it as
+    the callable chi_up_to_t, and runs the check when that is None.
     """
-    if chi_up_to_t is None:
-        chi_up_to_t = _chi_up_to_t(g, dec.t, chi_cap, chin_cap)
-    try:
-        return _check_property_impl(g, dec, which, params, c_value, chi_cap,
-                                    chi_up_to_t)
-    except OracleCapExceeded as exc:
-        return PropertyReport(which, None, True, dict(params or {}), {},
-                              notes=f"undecided at desk scale: {exc}")
-
-
-def _check_property_impl(g: Graph, dec: CliqueDecomposition, which: str,
-                         params, c_value, chi_cap, chi_up_to_t) -> PropertyReport:
-    params = dict(params or {})
-    t = dec.t
-    omega = dec.k.bit_count()
-    s = params.get("s", t)
-    k = params.get("k", 2)
-
-    if which not in PROPERTY_IDS:
+    if which not in PROPERTIES:
         raise ValueError(f"unknown property {which!r}")
-
-    def realized_c():
-        return chi_up_to_t() if c_value is None else c_value
-
-    if which == "P1":
-        hyp = omega > t and not contains_induced(g, f1(t))
-        holds = dec.s_set == 0
-        witness = None if holds else (dec.s_set & -dec.s_set).bit_length() - 1
-        return PropertyReport("P1", holds, hyp, {"t": t},
-                              {"s_size": dec.s_set.bit_count()}, witness)
-
-    if which == "P2":
-        hyp = omega > t and not contains_induced(g, f2(t))
-        witness = None
-        for m_mask, a in dec.a_m.items():
-            if not is_clique(g, a):
-                u, w = next((u, w) for u, w in combinations(bits(a), 2)
-                            if not g.has_edge(u, w))
-                witness = (list(bits(m_mask)), u, w)
-                break
-            if a.bit_count() > omega:
-                witness = (list(bits(m_mask)), "size", a.bit_count())
-                break
-        max_am = max((a.bit_count() for a in dec.a_m.values()), default=0)
-        return PropertyReport("P2", witness is None, hyp, {"t": t},
-                              {"max_a_m": max_am, "omega": omega}, witness)
-
-    if which == "P3":
-        hyp = omega > t and not contains_induced(g, lollipop_star(k, t))
-        bound = ramsey_upper(omega - 1, k) if omega >= 2 else ramsey_upper(1, k)
-        holds = True
-        witness = None
-        worst = 0
-        for v0 in bits(dec.t_set):
-            deg = (g.adj[v0] & dec.t_prime).bit_count()
-            worst = max(worst, deg)
-            if deg >= bound:
-                holds = False
-                witness = (v0, deg)
-                break
-        return PropertyReport("P3", holds, hyp, {"t": t, "k": k},
-                              {"max_t_prime_degree": worst, "bound": bound}, witness)
-
-    if which == "P4":
-        hyp = (omega > t and diamond_free_fast(g)[0]
-               and not contains_induced(g, hammer_plus(t)))
-        chi_tp = _chi_of(g, dec.t_prime, chi_cap)
-        if chi_tp is None:
-            return PropertyReport("P4", None, hyp, {"t": t}, {},
-                                  notes="undecided at desk scale: chi(T') over cap")
-        dist_bad = _distance_claim_violations(g, dec.t_set, dec.k | dec.t_set,
-                                              avoid=dec.k)
-        comps = connected_components(g, dec.t_prime)
-        comp_bad = [c for c in comps if c.bit_count() > omega]
-        # The distance claim is an intermediate step of the argument and
-        # fails on small in-class graphs where the central clique is too
-        # tight to complete the forbidden pattern; it is reported as a
-        # diagnostic but the property itself is the chi(T') inequality
-        # (realized via the bounded-component structure).
-        holds = chi_tp <= omega and not comp_bad
-        witness = list(bits(comp_bad[0])) if comp_bad else None
-        notes = ""
-        if dist_bad:
-            notes = (f"distance-claim diagnostic: {len(dist_bad)} source(s) "
-                     "reach a vertex outside K and T in two or more steps")
-        return PropertyReport("P4", holds, hyp, {"t": t},
-                              {"chi_t_prime": chi_tp, "omega": omega,
-                               "max_component": max(
-                                   (c.bit_count() for c in comps), default=0),
-                               "distance_violations": len(dist_bad)},
-                              witness, notes)
-
-    if which == "P5":
-        hyp = omega > t and not contains_induced(g, bowtie(s, t))
-        chi_t = _chi_of(g, dec.t_set, chi_cap)
-        if chi_t is None:
-            return PropertyReport("P5", None, hyp, {"s": s, "t": t}, {},
-                                  notes="undecided at desk scale: chi(T) over cap")
-        if t == 2 and c_value is None:
-            bound = omega * comb(max(omega - 1, 0), 2)
-            cc = None
-        else:
-            cc = realized_c()
-            bound = cc * omega * comb(max(omega - 1, 0), t)
-        return PropertyReport("P5", chi_t <= bound, hyp, {"s": s, "t": t},
-                              {"chi_t": chi_t, "bound": bound, "c": cc})
-
-    if which == "P6":
-        hyp = (omega > t and not contains_induced(g, path(5))
-               and not contains_induced(g, bowtie(s, t)))
-        chi_sp = _chi_of(g, dec.s_prime, chi_cap)
-        if chi_sp is None:
-            return PropertyReport("P6", None, hyp, {"s": s, "t": t}, {},
-                                  notes="undecided at desk scale: chi(S') over cap")
-        if t == 2 and c_value is None:
-            bound, cc = 1, None
-        else:
-            cc = realized_c()
-            bound = cc
-        return PropertyReport("P6", chi_sp <= bound, hyp, {"s": s, "t": t},
-                              {"chi_s_prime": chi_sp, "bound": bound, "c": cc})
-
-    if which == "P7":
-        hyp = (omega > t and not contains_induced(g, path(5))
-               and not contains_induced(g, dumbbell(s + 1, t + 1)))
-        chi_tp = _chi_of(g, dec.t_prime, chi_cap)
-        if chi_tp is None:
-            return PropertyReport("P7", None, hyp, {"s": s, "t": t}, {},
-                                  notes="undecided at desk scale: chi(T') over cap")
-        if t == 2 and s == 2 and c_value is None:
-            bound, cc = 1, None
-        else:
-            cc = realized_c()
-            bound = cc
-        return PropertyReport("P7", chi_tp <= bound, hyp, {"s": s, "t": t},
-                              {"chi_t_prime": chi_tp, "bound": bound, "c": cc})
-
-    if which == "P8":
-        hyp = omega > t and diamond_free_fast(g)[0]
-        chi_t = _chi_of(g, dec.t_set, chi_cap)
-        if chi_t is None:
-            return PropertyReport("P8", None, hyp, {"t": t}, {},
-                                  notes="undecided at desk scale: chi(T) over cap")
-        bound = omega * omega * comb(max(omega - 1, 0), t)
-        return PropertyReport("P8", chi_t <= bound, hyp, {"t": t},
-                              {"chi_t": chi_t, "bound": bound})
-
-    if which == "P-property":
-        measured = chi_up_to_t()
-        cc = measured if c_value is None else c_value
-        return PropertyReport("P-property", measured <= cc, True, {"t": t},
-                              {"chi_up_to_t": measured, "c": cc})
-
-    # D1: blade anticompleteness over the whole edge-clique partition
-    df, dwit = diamond_free_fast(g)
-    tt, ewit = every_edge_two_triangles(g, witness=True)
-    hyp = df and tt
-    if not hyp:
-        return PropertyReport("D1", None, False, {},
-                              {}, dwit or ewit,
-                              notes="edge-clique partition preconditions fail")
-    part = edge_clique_partition(g)
-    for v in range(g.n):
-        _, violation = fan_structure(g, part, v)
-        if violation is not None:
-            return PropertyReport("D1", False, True, {},
-                                  {"cliques": len(part.cliques)}, violation)
-    return PropertyReport("D1", True, True, {}, {"cliques": len(part.cliques)})
+    if chi_up_to_t is None:
+        return check_properties(g, dec, (which,), params, c_value, chi_cap,
+                                chin_cap, known)[0]
+    prop, params, t = PROPERTIES[which], params or {}, dec.t
+    x = _Check(g, dec, params.get("s", t), t, params.get("k", 2), c_value,
+               chi_cap, chi_up_to_t)
+    hyp = prop.patterns is None or (x.omega > t and all(
+        is_free(g, pat, known) for pat in prop.patterns(x.s, t, x.k)))
+    try:
+        fields = prop.measure(x)
+    except (_ChiOverCap, OracleCapExceeded) as exc:
+        fields = dict(holds=None, measured={},
+                      notes=f"undecided at desk scale: {exc}")
+        if isinstance(exc, OracleCapExceeded):   # chi^(t) over its cap
+            fields.update(hypothesis_ok=True, params=dict(params))
+    return PropertyReport(which, **{
+        "hypothesis_ok": hyp, "params": {p: getattr(x, p) for p in prop.params},
+        **fields})
 
 
 @dataclass(frozen=True)

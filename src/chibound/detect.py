@@ -158,9 +158,30 @@ def every_edge_two_triangles(g: Graph, witness: bool = False):
     return (True, None) if witness else True
 
 
-def is_member(host: Graph, spec: ClassSpec) -> MembershipReport:
+def known_to_forbid(known: ClassSpec | None, pat: PatternInstance) -> bool:
+    """The known-class rule: a host known to be in the class known has no
+    induced copy of any pattern known forbids, so that pattern needs no
+    search.  is_member applies it to conditions too."""
+    return known is not None and pat in known.forbidden
+
+
+def is_free(host: Graph, pat: PatternInstance,
+            known: ClassSpec | None = None) -> bool:
+    """True iff host has no induced pat; no search when known forbids pat
+    (known_to_forbid).  A diamond is decided by diamond_free_fast."""
+    if known_to_forbid(known, pat):
+        return True
+    if pat.name == "diamond":
+        return diamond_free_fast(host)[0]
+    return find_induced(host, pat.graph) is None
+
+
+def is_member(host: Graph, spec: ClassSpec,
+              known: ClassSpec | None = None) -> MembershipReport:
     """Check H-freeness for every forbidden pattern plus the conditions.
 
+    known, a class host is already known to belong to, passes the patterns
+    and conditions it shares with spec without a search (known_to_forbid).
     Once the diamond is ruled out, a triangle fan is first decided by
     find_fan_triangles_diamond_free, which is exact on diamond-free hosts
     and fast where the matcher's search is exponential; the matcher runs
@@ -168,19 +189,20 @@ def is_member(host: Graph, spec: ClassSpec) -> MembershipReport:
     """
     diamond_free = False
     for pat in spec.forbidden:
-        if (diamond_free and pat.name == "fan_triangles"
+        if not (known_to_forbid(known, pat)
+                or diamond_free and pat.name == "fan_triangles"
                 and find_fan_triangles_diamond_free(host, pat.params["l"]) is None):
-            continue
-        emb = find_induced(host, pat.graph)
-        if emb is not None:
-            return MembershipReport(False, pat.label(), emb)
+            emb = find_induced(host, pat.graph)
+            if emb is not None:
+                return MembershipReport(False, pat.label(), emb)
         diamond_free = diamond_free or pat.name == "diamond"
     cond = spec.conditions
-    if cond.every_edge_in_two_triangles:
+    have = known.conditions if known is not None else Conditions()
+    if cond.every_edge_in_two_triangles and not have.every_edge_in_two_triangles:
         ok, edge = every_edge_two_triangles(host, witness=True)
         if not ok:
             return MembershipReport(False, "every_edge_in_two_triangles", edge)
-    if cond.min_omega is not None:
+    if cond.min_omega is not None and (have.min_omega or 0) < cond.min_omega:
         from .oracles import clique_number
 
         if clique_number(host) < cond.min_omega:

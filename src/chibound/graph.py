@@ -115,16 +115,21 @@ def induced_subgraph(g: Graph, vs: int):
     return Graph(len(index_map), adj), index_map
 
 
-def distance_layers(g: Graph, x: int):
-    """BFS layers from the vertex set x.
+def distance_layers(g: Graph, x: int, within: int | None = None):
+    """BFS layers from the vertex set x in the subgraph induced on `within`
+    (default V).
 
     Returns (layers, unreachable): layers[0] = x, layers[i] = vertices at
-    distance exactly i; unreachable holds the rest.
+    distance exactly i; unreachable holds the rest of `within`.
     """
+    if within is None:
+        within = g.full_mask()
     if x == 0:
         raise GraphError("distance_layers requires a nonempty start set")
     if x & ~g.full_mask():
         raise GraphError("start set contains out-of-range index")
+    if x & ~within:
+        raise GraphError("start set is not inside the working vertex set")
     layers = [x]
     seen = x
     frontier = x
@@ -132,13 +137,13 @@ def distance_layers(g: Graph, x: int):
         nxt = 0
         for v in bits(frontier):
             nxt |= g.adj[v]
-        nxt &= ~seen
+        nxt &= within & ~seen
         if not nxt:
             break
         layers.append(nxt)
         seen |= nxt
         frontier = nxt
-    return layers, g.full_mask() & ~seen
+    return layers, within & ~seen
 
 
 def neighborhood(g: Graph, x: int) -> int:

@@ -116,12 +116,14 @@ def verify_graph(g, cfg: RunConfig, spec, theorem_spec):
     """Run the full per-graph pipeline; returns (record, violations, errors).
 
     spec is the run's class and theorem_spec its theorem's class (None
-    without one).  The colorer runs only on members of theorem_spec; when
-    the two specs are equal, the class filter has already checked that.
+    without one).  The colorer runs only on members of theorem_spec.  Once
+    g has passed spec, spec is the known class of the property hypotheses
+    and of that membership check: what spec forbids is not searched again.
     """
     record = {"graph6": write_graph6(g), "n": g.n}
     violations = []
     errors = []
+    known = None
 
     record["omega"] = clique_number(g)
     if spec is not None and not cfg.skip_membership:
@@ -132,6 +134,7 @@ def verify_graph(g, cfg: RunConfig, spec, theorem_spec):
             # Filtered before the chi oracle: a skipped record has no "chi".
             record["skipped"] = "not a class member"
             return record, violations, errors
+        known = spec
     else:
         record["membership"] = {"member": None, "violated": None,
                                 "witness": None,
@@ -157,7 +160,8 @@ def verify_graph(g, cfg: RunConfig, spec, theorem_spec):
         pparams = dict(cfg.class_params)
         pparams.update(cfg.theorem_params)
         reports = check_properties(g, dec, cfg.properties, pparams,
-                                   chi_cap=cfg.chi_cap, chin_cap=cfg.chin_cap)
+                                   chi_cap=cfg.chi_cap, chin_cap=cfg.chin_cap,
+                                   known=known)
         for which, rep in zip(cfg.properties, reports):
             props.append(rep.to_dict())
             # holds=False on a graph outside the property's own hypothesis
@@ -173,8 +177,7 @@ def verify_graph(g, cfg: RunConfig, spec, theorem_spec):
     if cfg.theorem is not None:
         case = THEOREMS[cfg.theorem]
         try:
-            if cfg.skip_membership or theorem_spec != spec:
-                require_member(cfg.theorem, g, theorem_spec)
+            require_member(cfg.theorem, g, theorem_spec, known)
             cert = case.colorer(g, chi_cap=cfg.chi_cap, **_theorem_params(cfg))
         except Exception as exc:
             outcome = classify_exception(exc)

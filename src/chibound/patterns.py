@@ -7,6 +7,7 @@ and embeddings are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb
 
 from .graph import Graph, GraphError, from_edges
@@ -179,12 +180,19 @@ PATTERNS = {
 }
 
 
+@lru_cache(maxsize=256)
 def make_pattern(name: str, **params) -> PatternInstance:
+    """The named pattern at params.  Instances are cached and shared: the
+    property checks ask for the same few patterns on every graph."""
     if name not in PATTERNS:
         raise GraphError(f"unknown pattern {name!r}; known: {', '.join(sorted(PATTERNS))}")
     ctor, param_names, _ = PATTERNS[name]
     missing = [p for p in param_names if p not in params]
     if missing:
         raise GraphError(f"pattern {name} needs parameters: {', '.join(missing)}")
+    unknown = set(params) - set(param_names)
+    if unknown:
+        raise GraphError(f"pattern {name} takes {list(param_names)}, "
+                         f"not {sorted(unknown)}")
     kwargs = {p: params[p] for p in param_names}
     return PatternInstance(name, kwargs, ctor(*(kwargs[p] for p in param_names)))

@@ -138,6 +138,27 @@ def test_verify_and_sweep(capsys, tmp_path):
     assert report["aggregates"]["violations"] == 0
 
 
+def test_unknown_parameter_flags_exit_one(capsys, tmp_path):
+    path = tmp_path / "p.g6"
+    path.write_text(write_graph6(pineapple(4, 1)) + "\n")
+    for command, rest in (("sweep", ["--nmax", "4"]),
+                          ("color", ["--in", str(path)]),
+                          ("member", ["--in", str(path)])):
+        select = "--class" if command == "member" else "--theorem"
+        for thm, t, code in (("THM4", "3", 1), ("THM1", "2", 0)):
+            name = thm.lower() if command == "member" else thm
+            assert main([command, select, name, *rest, "--t", t]) == code
+            err = capsys.readouterr().err
+            if code:
+                assert "not ['t']" in err, (command, err)
+    with pytest.raises(ValueError, match=r"THM4 takes \[\], not \['t'\]"):
+        THEOREMS["THM4"].spec(t=3)
+    assert main(["patterns", "emit", "diamond", "--t", "3"]) == 1
+    assert main(["detect", "diamond", "--in", str(path), "--t", "3"]) == 1
+    assert main(["detect", "bowtie", "--in", str(path), "--s", "2",
+                 "--t", "2"]) == 0
+
+
 def test_negative_fixture_exit_code(capsys, tmp_path):
     cfgfile = tmp_path / "bad.json"
     gfile = tmp_path / "d.g6"

@@ -1,13 +1,19 @@
 import pytest
 
 from chibound import decompose as decompose_module
-from chibound.decompose import (DecompositionError, check_properties,
-                                check_property, decompose, decompose_auto,
-                                edge_clique_partition, fan_structure)
+from chibound.color import THEOREMS
+from chibound.decompose import (PROPERTY_IDS, DecompositionError,
+                                check_properties, check_property, decompose,
+                                decompose_auto, edge_clique_partition,
+                                fan_structure)
+from chibound.detect import (contains_induced, diamond_free_fast,
+                             every_edge_two_triangles, is_member)
 from chibound.graph import (bits, from_edges, is_anticomplete_between,
                             is_complete_between, mask_of)
 from chibound.oracles import DEFAULT_CHI_CAP, clique_number
-from chibound.patterns import complete, diamond, gem, pineapple
+from chibound.patterns import (bowtie, complete, diamond, dumbbell, f1, f2,
+                               gem, hammer_plus, lollipop_star, path,
+                               pineapple)
 from chibound.smallgraphs import enumerate_small
 
 
@@ -159,6 +165,59 @@ def test_check_properties_matches_one_check_per_property():
             shared = check_properties(g, dec, ids, {"s": 3})
             alone = [check_property(g, dec, which, {"s": 3}) for which in ids]
             assert [r.to_dict() for r in shared] == [r.to_dict() for r in alone]
+
+
+def _hypothesis_by_hand(g, which, omega, s, t, k):
+    """The ten property hypotheses, each written out on its own."""
+    free = lambda pattern: not contains_induced(g, pattern)  # noqa: E731
+    return {
+        "P1": lambda: omega > t and free(f1(t)),
+        "P2": lambda: omega > t and free(f2(t)),
+        "P3": lambda: omega > t and free(lollipop_star(k, t)),
+        "P4": lambda: (omega > t and diamond_free_fast(g)[0]
+                       and free(hammer_plus(t))),
+        "P5": lambda: omega > t and free(bowtie(s, t)),
+        "P6": lambda: omega > t and free(path(5)) and free(bowtie(s, t)),
+        "P7": lambda: (omega > t and free(path(5))
+                       and free(dumbbell(s + 1, t + 1))),
+        "P8": lambda: omega > t and diamond_free_fast(g)[0],
+        "D1": lambda: (diamond_free_fast(g)[0]
+                       and every_edge_two_triangles(g)),
+        "P-property": lambda: True,
+    }[which]()
+
+
+@pytest.mark.parametrize("s,t,k", [(2, 2, 2), (3, 3, 3), (3, 2, 2)])
+def test_property_table_hypotheses_match_the_written_out_ones(s, t, k):
+    assert PROPERTY_IDS == ("P1", "P2", "P3", "P4", "P5", "P6", "P7", "P8",
+                            "D1", "P-property")
+    for g in enumerate_small(6):
+        dec = decompose_auto(g, t)
+        omega = clique_number(g)
+        reports = check_properties(g, dec, PROPERTY_IDS,
+                                   {"s": s, "t": t, "k": k})
+        for which, rep in zip(PROPERTY_IDS, reports):
+            assert rep.hypothesis_ok == _hypothesis_by_hand(
+                g, which, omega, s, t, k), (which, g.adj)
+
+
+@pytest.mark.parametrize("thm,params", [
+    ("THM1", {}), ("THM2", {}), ("THM3", {}), ("THM4", {}), ("THM5A", {}),
+    ("THM5B", {}), ("THM3", {"s": 3, "t": 3}), ("THM2", {"y": "f2"})])
+def test_known_class_changes_no_property_report(thm, params):
+    spec = THEOREMS[thm].spec(**params)
+    t = spec.params.get("t", 2)
+    members = 0
+    for g in enumerate_small(6):
+        if not is_member(g, spec):
+            continue
+        members += 1
+        dec = decompose_auto(g, t)
+        hinted = check_properties(g, dec, PROPERTY_IDS, spec.params,
+                                  known=spec)
+        plain = check_properties(g, dec, PROPERTY_IDS, spec.params)
+        assert [r.to_dict() for r in hinted] == [r.to_dict() for r in plain]
+    assert members > 0
 
 
 def test_unknown_property_rejected():

@@ -187,6 +187,32 @@ def test_conditions_in_membership():
     assert not is_member(path(4), spec2)
 
 
+def test_known_class_passes_what_it_forbids_without_a_search(monkeypatch):
+    from chibound import detect
+    from chibound.smallgraphs import enumerate_small
+
+    specs = [get_class(name, **params) for name, params in (
+        ("thm1", {}), ("thm1", {"t": 3}), ("thm2", {}), ("thm2", {"y": "f2"}),
+        ("thm3", {}), ("thm3", {"s": 3, "t": 3}), ("thm4", {}), ("thm5a", {}),
+        ("thm5b", {}), ("diamond-free", {}))]
+    specs.append(make_class([], conditions=Conditions(min_omega=3)))
+    graphs = list(enumerate_small(6))
+    for known in specs:
+        for g in graphs:
+            if is_member(g, known):
+                for spec in specs:
+                    assert is_member(g, spec, known) == is_member(g, spec)
+    calls = []
+    monkeypatch.setattr(detect, "find_induced",
+                        lambda *args: calls.append(args))
+    monkeypatch.setattr(detect, "every_edge_two_triangles",
+                        lambda *args, **kwargs: calls.append(args))
+    for spec in specs[:-1]:
+        assert is_member(complete(5), spec, known=spec)
+        assert detect.is_free(complete(5), spec.forbidden[-1], known=spec)
+    assert calls == []
+
+
 def test_make_class_rejects_empty():
     with pytest.raises(ValueError):
         make_class([])

@@ -72,6 +72,13 @@ def test_distance_layers_partition():
     assert unreachable == mask_of([4, 5])
     with pytest.raises(GraphError):
         distance_layers(g, 0)
+    # within the path minus vertex 2, vertex 3 is cut off from vertex 0
+    within = mask_of([0, 1, 3, 4])
+    layers, unreachable = distance_layers(g, 1 << 0, within)
+    assert layers == [1 << 0, 1 << 1]
+    assert unreachable == mask_of([3, 4])
+    with pytest.raises(GraphError):
+        distance_layers(g, 1 << 2, within)
 
 
 def test_neighborhood():

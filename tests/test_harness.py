@@ -10,7 +10,7 @@ from chibound import harness
 from chibound.graph6 import parse_graph6, write_graph6
 from chibound.harness import (ConfigError, RunConfig, exit_code_for,
                               report_fingerprint, verify_run, write_report)
-from chibound.patterns import complete, diamond, path, pineapple
+from chibound.patterns import complete, diamond, f2, path, pineapple
 
 
 def test_config_validation():
@@ -221,6 +221,59 @@ def test_certificate_summary_in_records():
     for c in certs:
         assert c["palette_used"] <= c["bound_value"]
         assert c["ok"] is True
+
+
+def _patterns_searched_in_property_checks(monkeypatch):
+    """Wrap find_induced and check_property; returns the list of patterns
+    find_induced is asked for inside a property check."""
+    real = detect.find_induced
+    inside, depth = [], []
+
+    def counting(host, pattern):
+        if depth:
+            inside.append(pattern)
+        return real(host, pattern)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("chibound"):
+            for attr, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, attr, counting)
+    real_check = decompose_module.check_property
+
+    def check(*args, **kwargs):
+        depth.append(True)
+        try:
+            return real_check(*args, **kwargs)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(decompose_module, "check_property", check)
+    return inside
+
+
+def test_patterns_the_run_class_forbids_are_not_searched_again(monkeypatch):
+    inside = _patterns_searched_in_property_checks(monkeypatch)
+    cfg = RunConfig(source={"kind": "enumerate", "n_max": 5},
+                    class_name="thm3", theorem="THM3",
+                    properties=("P5", "P6", "P7"))
+    report = verify_run(cfg)
+    props = [(r["omega"], p) for r in report["records"]
+             for p in r.get("properties", ())]
+    assert len(props) == 3 * report["aggregates"]["members_found"] > 0
+    assert all(p["hypothesis_ok"] == (omega > 2) for omega, p in props)
+    assert inside == []
+
+    # THM2's class forbids f1, not the f2 of P2's hypothesis.
+    cfg = RunConfig(source={"kind": "enumerate", "n_max": 5},
+                    class_name="thm2", theorem="THM2", properties=("P2",))
+    report = verify_run(cfg)
+    members = report["aggregates"]["members_found"]
+    assert members > 0
+    assert inside and all(p == f2(2) for p in inside)
+    # one search per member whose omega exceeds t
+    assert len(inside) == sum(1 for r in report["records"]
+                              if "skipped" not in r and r["omega"] > 2)
 
 
 def test_membership_is_checked_once_outside_the_colorer(tmp_path, monkeypatch):

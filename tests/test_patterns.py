@@ -37,6 +37,13 @@ def test_count_formulas(name):
         assert pat.graph.num_edges() == en, (name, combo)
 
 
+def test_unknown_parameter_rejected():
+    with pytest.raises(GraphError, match=r"takes \[\], not \['t'\]"):
+        make_pattern("diamond", t=3)
+    with pytest.raises(GraphError, match=r"not \['k'\]"):
+        make_pattern("bowtie", s=2, t=2, k=3)
+
+
 def test_f1_2_is_the_diamond():
     assert is_isomorphic(f1(2), diamond())
 
