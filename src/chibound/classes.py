@@ -1,6 +1,6 @@
 """Named hereditary classes used by the theorem harness and the CLI.
 
-Each theorem's hypothesis class comes from the THEOREMS registry, under the
+Each theorem's hypothesis class is its THEOREMS entry's spec, named by the
 theorem id in lower case; only the plain diamond-free class is defined here.
 """
 
@@ -13,27 +13,19 @@ from .patterns import make_pattern
 # theorem id -> the name of its hypothesis class
 THEOREM_CLASS = {thm: thm.lower() for thm in THEOREMS}
 
-# name -> (parameter defaults, builder)
-_CLASS_BUILDERS = {name: (THEOREMS[thm].defaults, THEOREMS[thm].spec)
-                   for thm, name in THEOREM_CLASS.items()}
-_CLASS_BUILDERS["diamond-free"] = (
-    {}, lambda: make_class([make_pattern("diamond")], id="diamond-free",
-                           params={}))
-
 
 def class_names():
-    return sorted(_CLASS_BUILDERS)
+    return sorted([*THEOREM_CLASS.values(), "diamond-free"])
 
 
 def get_class(name: str, **params) -> ClassSpec:
-    """Instantiate a named class, filling unspecified parameters from defaults."""
-    if name not in _CLASS_BUILDERS:
+    """Instantiate a named class, filling unspecified parameters from
+    defaults.  An unknown name raises KeyError, a parameter the class does
+    not take ValueError."""
+    if name not in class_names():
         raise KeyError(f"unknown class {name!r}; known: {', '.join(class_names())}")
-    defaults, fn = _CLASS_BUILDERS[name]
-    unknown = set(params) - set(defaults)
-    if unknown:
-        raise ValueError(f"class {name!r} takes {sorted(defaults)}, "
-                         f"not {sorted(unknown)}")
-    merged = dict(defaults)
-    merged.update(params)
-    return fn(**merged)
+    if name != "diamond-free":
+        return THEOREMS[name.upper()].spec(**params)
+    if params:
+        raise ValueError(f"class 'diamond-free' takes [], not {sorted(params)}")
+    return make_class([make_pattern("diamond")], id="diamond-free")

@@ -143,22 +143,13 @@ def _jsonable(obj):
     return obj
 
 
-class _ChiOverCap(Exception):
-    """chi of a decomposition block is over the chi cap: undecided."""
-
-
 class _Check:
     """The inputs of one property check."""
 
-    def __init__(self, g, dec, s, t, k, c_value, chi_cap, chi_up_to_t):
+    def __init__(self, g, dec, s, t, k, chi_cap, chi_up_to_t):
         self.g, self.dec, self.s, self.t, self.k = g, dec, s, t, k
         self.omega = dec.k.bit_count()
-        self.c_value, self.chi_cap = c_value, chi_cap
-        self.chi_up_to_t = chi_up_to_t
-
-    def c(self):
-        """The P-property constant: c_value, or else chi^(t) of g."""
-        return self.chi_up_to_t() if self.c_value is None else self.c_value
+        self.chi_cap, self.chi_up_to_t = chi_cap, chi_up_to_t
 
     def chi(self, block):
         """chi(G[block]) for block "T", "T'" or "S'"."""
@@ -167,8 +158,8 @@ class _Check:
         try:
             return chromatic_number(self.g, cap=self.chi_cap,
                                     within=mask)[0] if mask else 0
-        except OracleCapExceeded:
-            raise _ChiOverCap(f"chi({block}) over cap") from None
+        except OracleCapExceeded as exc:
+            raise OracleCapExceeded(f"chi({block})", exc.n, exc.cap) from None
 
 
 def _p1(x: _Check):
@@ -229,28 +220,30 @@ def _p4(x: _Check):
 
 def _chi_within(block, key, bound, small=None):
     """P5-P8's check: chi(G[block]) <= bound(c, omega, t), reported under
-    key.  c, the P-property constant, is 1 and reported as None when
-    c_value is None and small(s, t); without small there is no c."""
+    key.  c, the P-property constant, is chi^(t) of g, or 1 and reported
+    as None when small(s, t); without small there is no c."""
     def measure(x: _Check):
         chi = x.chi(block)
         if small is None:
             b = bound(None, x.omega, x.t)
             return dict(holds=chi <= b, measured={key: chi, "bound": b})
-        cc = None if small(x.s, x.t) and x.c_value is None else x.c()
+        cc = None if small(x.s, x.t) else x.chi_up_to_t()
         b = bound(1 if cc is None else cc, x.omega, x.t)
         return dict(holds=chi <= b, measured={key: chi, "bound": b, "c": cc})
     return measure
 
 
 def _p_property(x: _Check):
-    measured, cc = x.chi_up_to_t(), x.c()
-    return dict(holds=measured <= cc, measured={"chi_up_to_t": measured, "c": cc})
+    """The P-property constant is chi^(t) of g itself, so the property
+    holds by definition; the report records chi^(t)."""
+    c = x.chi_up_to_t()
+    return dict(holds=True, measured={"chi_up_to_t": c, "c": c})
 
 
 def _d1(x: _Check):
     """Blade anticompleteness over the whole edge-clique partition."""
     df, dwit = diamond_free_fast(x.g)
-    tt, ewit = every_edge_two_triangles(x.g, witness=True)
+    tt, ewit = every_edge_two_triangles(x.g)
     if not (df and tt):
         return dict(holds=None, hypothesis_ok=False, measured={},
                     witness=dwit or ewit,
@@ -302,20 +295,25 @@ PROPERTIES = {
 PROPERTY_IDS = tuple(PROPERTIES)
 
 
+def _chi_up_to_t(g: Graph, t: int, chi_cap: int, chin_cap: int):
+    """chi^(t) of g by the exact oracle, as a callable computing it once."""
+    return cache(lambda: chi_n(g, t, cap=chin_cap, chi_cap=chi_cap))
+
+
 def check_properties(g: Graph, dec: CliqueDecomposition, which_ids,
-                     params: dict | None = None, c_value: int | None = None,
+                     params: dict | None = None,
                      chi_cap: int = DEFAULT_CHI_CAP,
                      chin_cap: int = DEFAULT_CHIN_CAP,
                      known: ClassSpec | None = None) -> list:
     """check_property for each id in which_ids, in order; chi^(t) is
     computed at most once for all of them, when first needed."""
-    chi_up_to_t = cache(lambda: chi_n(g, dec.t, cap=chin_cap, chi_cap=chi_cap))
-    return [check_property(g, dec, which, params, c_value, chi_cap, chin_cap,
+    chi_up_to_t = _chi_up_to_t(g, dec.t, chi_cap, chin_cap)
+    return [check_property(g, dec, which, params, chi_cap, chin_cap,
                            chi_up_to_t, known) for which in which_ids]
 
 
 def check_property(g: Graph, dec: CliqueDecomposition, which: str,
-                   params: dict | None = None, c_value: int | None = None,
+                   params: dict | None = None,
                    chi_cap: int = DEFAULT_CHI_CAP,
                    chin_cap: int = DEFAULT_CHIN_CAP, chi_up_to_t=None,
                    known: ClassSpec | None = None) -> PropertyReport:
@@ -324,28 +322,25 @@ def check_property(g: Graph, dec: CliqueDecomposition, which: str,
     The hypothesis is verified and reported, never assumed, so the checker
     serves as a negative control on out-of-class graphs; known, a class g
     is known to belong to, spares the searches for what it forbids
-    (detect.known_to_forbid).
-    c_value=None realizes the P-property constant as chi^(t) of g, by the
-    exact oracle under chin_cap and chi_cap; check_properties shares it as
-    the callable chi_up_to_t, and runs the check when that is None.
+    (detect.known_to_forbid).  The P-property constant is chi^(t) of g, by
+    the exact oracle under chin_cap and chi_cap; check_properties shares it
+    as the callable chi_up_to_t.  An exact oracle over its cap leaves the
+    check undecided (holds None); hypothesis and params are still reported.
     """
     if which not in PROPERTIES:
         raise ValueError(f"unknown property {which!r}")
     if chi_up_to_t is None:
-        return check_properties(g, dec, (which,), params, c_value, chi_cap,
-                                chin_cap, known)[0]
+        chi_up_to_t = _chi_up_to_t(g, dec.t, chi_cap, chin_cap)
     prop, params, t = PROPERTIES[which], params or {}, dec.t
-    x = _Check(g, dec, params.get("s", t), t, params.get("k", 2), c_value,
-               chi_cap, chi_up_to_t)
+    x = _Check(g, dec, params.get("s", t), t, params.get("k", 2), chi_cap,
+               chi_up_to_t)
     hyp = prop.patterns is None or (x.omega > t and all(
         is_free(g, pat, known) for pat in prop.patterns(x.s, t, x.k)))
     try:
         fields = prop.measure(x)
-    except (_ChiOverCap, OracleCapExceeded) as exc:
+    except OracleCapExceeded as exc:
         fields = dict(holds=None, measured={},
                       notes=f"undecided at desk scale: {exc}")
-        if isinstance(exc, OracleCapExceeded):   # chi^(t) over its cap
-            fields.update(hypothesis_ok=True, params=dict(params))
     return PropertyReport(which, **{
         "hypothesis_ok": hyp, "params": {p: getattr(x, p) for p in prop.params},
         **fields})
@@ -358,43 +353,28 @@ class EdgeCliquePartition:
 
 
 def edge_clique_partition(g: Graph) -> EdgeCliquePartition:
-    """Partition E(G) into maximal cliques K(uv).
+    """Partition E(G) into the maximal cliques K(uv) = {u, v} + N(u) & N(v).
 
-    Requires g diamond-free with every edge in at least two triangles;
-    violations raise DecompositionError naming a witness.
+    Requires g diamond-free with every edge in at least two triangles, and
+    checks both edge by edge: K(uv) is a clique exactly when uv is the spine
+    of no diamond, and has four or more vertices exactly when uv lies in two
+    triangles.  A failure raises DecompositionError naming the edge.  Once
+    every K(uv) is a clique, it is the one maximal clique on uv, so the
+    cliques share no edge.
     """
-    df, wit = diamond_free_fast(g)
-    if not df:
-        raise DecompositionError(f"graph contains a diamond on vertices {wit}")
-    ok, edge = every_edge_two_triangles(g, witness=True)
-    if not ok:
-        raise DecompositionError(
-            f"edge {edge} lies in fewer than two triangles")
-
     cliques = []
     edge_to_clique = {}
     for u, v in g.edges():
-        if (u, v) in edge_to_clique:
-            continue
         kmask = (g.adj[u] & g.adj[v]) | (1 << u) | (1 << v)
-        if not is_clique(g, kmask):  # pragma: no cover - excluded by diamond check
-            raise DecompositionError(f"K({u},{v}) is not a clique")
-        idx = len(cliques)
-        cliques.append(kmask)
-        kv = list(bits(kmask))
-        for i, a in enumerate(kv):
-            for b in kv[i + 1:]:
-                if (a, b) in edge_to_clique:
-                    raise DecompositionError(
-                        f"edge ({a},{b}) claimed by two maximal cliques")
-                edge_to_clique[(a, b)] = idx
-    for i, a in enumerate(cliques):
-        if a.bit_count() < 4:
+        if not is_clique(g, kmask):
+            raise DecompositionError(f"edge ({u},{v}) is the spine of a diamond")
+        if kmask.bit_count() < 4:
             raise DecompositionError(
-                f"partition clique {list(bits(a))} has size < 4")
-        for b in cliques[i + 1:]:
-            if (a & b).bit_count() > 1:
-                raise DecompositionError("partition cliques share an edge")
+                f"edge ({u},{v}) lies in fewer than two triangles")
+        if (u, v) not in edge_to_clique:
+            edge_to_clique.update(dict.fromkeys(combinations(bits(kmask), 2),
+                                                len(cliques)))
+            cliques.append(kmask)
     return EdgeCliquePartition(tuple(cliques), edge_to_clique)
 
 

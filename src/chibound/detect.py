@@ -150,12 +150,13 @@ def find_fan_triangles_diamond_free(g: Graph, l: int):
     return None
 
 
-def every_edge_two_triangles(g: Graph, witness: bool = False):
-    """True iff every edge lies in at least two triangles."""
+def every_edge_two_triangles(g: Graph):
+    """(True, None) if every edge lies in at least two triangles, else
+    (False, (u, v)) for the first edge that does not."""
     for u, v in g.edges():
         if (g.adj[u] & g.adj[v]).bit_count() < 2:
-            return (False, (u, v)) if witness else False
-    return (True, None) if witness else True
+            return False, (u, v)
+    return True, None
 
 
 def known_to_forbid(known: ClassSpec | None, pat: PatternInstance) -> bool:
@@ -165,15 +166,19 @@ def known_to_forbid(known: ClassSpec | None, pat: PatternInstance) -> bool:
     return known is not None and pat in known.forbidden
 
 
+def _embedding(host: Graph, pat: PatternInstance):
+    """find_induced(host, pat.graph), the diamond's by the edge scan of
+    diamond_free_fast, whose witness is the same lex-first embedding."""
+    if pat.name == "diamond":
+        return diamond_free_fast(host)[1]
+    return find_induced(host, pat.graph)
+
+
 def is_free(host: Graph, pat: PatternInstance,
             known: ClassSpec | None = None) -> bool:
     """True iff host has no induced pat; no search when known forbids pat
-    (known_to_forbid).  A diamond is decided by diamond_free_fast."""
-    if known_to_forbid(known, pat):
-        return True
-    if pat.name == "diamond":
-        return diamond_free_fast(host)[0]
-    return find_induced(host, pat.graph) is None
+    (known_to_forbid)."""
+    return known_to_forbid(known, pat) or _embedding(host, pat) is None
 
 
 def is_member(host: Graph, spec: ClassSpec,
@@ -192,14 +197,14 @@ def is_member(host: Graph, spec: ClassSpec,
         if not (known_to_forbid(known, pat)
                 or diamond_free and pat.name == "fan_triangles"
                 and find_fan_triangles_diamond_free(host, pat.params["l"]) is None):
-            emb = find_induced(host, pat.graph)
+            emb = _embedding(host, pat)
             if emb is not None:
                 return MembershipReport(False, pat.label(), emb)
         diamond_free = diamond_free or pat.name == "diamond"
     cond = spec.conditions
     have = known.conditions if known is not None else Conditions()
     if cond.every_edge_in_two_triangles and not have.every_edge_in_two_triangles:
-        ok, edge = every_edge_two_triangles(host, witness=True)
+        ok, edge = every_edge_two_triangles(host)
         if not ok:
             return MembershipReport(False, "every_edge_in_two_triangles", edge)
     if cond.min_omega is not None and (have.min_omega or 0) < cond.min_omega:

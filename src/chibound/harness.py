@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .classes import get_class
 from .color import (LiftError, MembershipError, StructureViolation, THEOREMS,
@@ -46,20 +46,22 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        known = {"source", "class_name", "class_params", "theorem",
-                 "theorem_params", "properties", "chi_cap", "chin_cap",
-                 "seed", "skip_membership"}
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         if "source" not in data:
             raise ConfigError("config needs a 'source'")
-        cfg = cls(**{k: data[k] for k in data})
+        cfg = cls(**data)
         cfg.properties = tuple(cfg.properties)
         cfg.validate()
         return cfg
 
     def validate(self):
+        """Check the config and resolve it: returns (spec, theorem_spec,
+        params), the run's class and its theorem's (None without one) and
+        the parameters of the property checks.  A parameter the class or
+        theorem does not take, or one the two set differently, is an error.
+        """
         if not isinstance(self.source, dict) or "kind" not in self.source:
             raise ConfigError("source must be an object with a 'kind'")
         if self.source["kind"] not in ("enumerate", "graph6", "sample"):
@@ -73,20 +75,22 @@ class RunConfig:
                 raise ConfigError(f"unknown property {p!r}")
         if self.source["kind"] == "sample" and self.class_name is None:
             raise ConfigError("sampling needs a class_name to sample from")
+        clash = sorted(k for k in self.class_params.keys() & self.theorem_params
+                       if self.class_params[k] != self.theorem_params[k])
+        if clash:
+            raise ConfigError(f"class_params and theorem_params differ on {clash}")
+        spec = theorem_spec = None
+        try:
+            if self.class_name is not None:
+                spec = get_class(self.class_name, **self.class_params)
+            if self.theorem is not None:
+                theorem_spec = THEOREMS[self.theorem].spec(**self.theorem_params)
+        except (KeyError, ValueError) as exc:
+            raise ConfigError(exc.args[0]) from None
+        return spec, theorem_spec, {**self.class_params, **self.theorem_params}
 
     def to_dict(self):
-        return {
-            "source": dict(self.source),
-            "class_name": self.class_name,
-            "class_params": dict(self.class_params),
-            "theorem": self.theorem,
-            "theorem_params": dict(self.theorem_params),
-            "properties": list(self.properties),
-            "chi_cap": self.chi_cap,
-            "chin_cap": self.chin_cap,
-            "seed": self.seed,
-            "skip_membership": self.skip_membership,
-        }
+        return {**asdict(self), "properties": list(self.properties)}
 
 
 def _graphs_from_source(cfg: RunConfig, spec):
@@ -103,22 +107,13 @@ def _graphs_from_source(cfg: RunConfig, spec):
     return sample_in_class(spec, n, edge_prob, cfg.seed, count, budget)
 
 
-def _default_t(cfg: RunConfig) -> int:
-    return int(cfg.class_params.get("t", cfg.theorem_params.get("t", 2)))
-
-
-def _theorem_params(cfg: RunConfig) -> dict:
-    names = THEOREMS[cfg.theorem].defaults
-    return {k: v for k, v in cfg.theorem_params.items() if k in names}
-
-
-def verify_graph(g, cfg: RunConfig, spec, theorem_spec):
+def verify_graph(g, cfg: RunConfig, spec, theorem_spec, params):
     """Run the full per-graph pipeline; returns (record, violations, errors).
 
-    spec is the run's class and theorem_spec its theorem's class (None
-    without one).  The colorer runs only on members of theorem_spec.  Once
-    g has passed spec, spec is the known class of the property hypotheses
-    and of that membership check: what spec forbids is not searched again.
+    spec, theorem_spec and params are cfg resolved by cfg.validate().  The
+    colorer runs only on members of theorem_spec.  Once g has passed spec,
+    spec is the known class of the property hypotheses and of that
+    membership check: what spec forbids is not searched again.
     """
     record = {"graph6": write_graph6(g), "n": g.n}
     violations = []
@@ -147,19 +142,16 @@ def verify_graph(g, cfg: RunConfig, spec, theorem_spec):
         chi = None
         record["chi"] = "capped"
 
-    t = _default_t(cfg)
     if cfg.properties:
         try:
-            dec = decompose_auto(g, t)
+            dec = decompose_auto(g, params.get("t", 2))
         except Exception as exc:
             errors.append({"graph6": record["graph6"], "stage": "decompose",
                            "type": type(exc).__name__, "error": str(exc)})
             record["decompose_error"] = str(exc)
             return record, violations, errors
         props = []
-        pparams = dict(cfg.class_params)
-        pparams.update(cfg.theorem_params)
-        reports = check_properties(g, dec, cfg.properties, pparams,
+        reports = check_properties(g, dec, cfg.properties, params,
                                    chi_cap=cfg.chi_cap, chin_cap=cfg.chin_cap,
                                    known=known)
         for which, rep in zip(cfg.properties, reports):
@@ -178,7 +170,7 @@ def verify_graph(g, cfg: RunConfig, spec, theorem_spec):
         case = THEOREMS[cfg.theorem]
         try:
             require_member(cfg.theorem, g, theorem_spec, known)
-            cert = case.colorer(g, chi_cap=cfg.chi_cap, **_theorem_params(cfg))
+            cert = case.colorer(g, chi_cap=cfg.chi_cap, **cfg.theorem_params)
         except Exception as exc:
             outcome = classify_exception(exc)
             if outcome == "error":
@@ -216,14 +208,8 @@ def verify_run(cfg: RunConfig) -> dict:
 
     Per-graph failures are recorded, never abort the run.
     """
-    cfg.validate()
+    resolved = cfg.validate()
     start = time.monotonic()
-    spec = None
-    if cfg.class_name is not None:
-        spec = get_class(cfg.class_name, **cfg.class_params)
-    theorem_spec = None
-    if cfg.theorem is not None:
-        theorem_spec = THEOREMS[cfg.theorem].spec(**_theorem_params(cfg))
     records = []
     violations = []
     errors = []
@@ -231,11 +217,11 @@ def verify_run(cfg: RunConfig) -> dict:
     members = 0
     scanned = 0
     try:
-        graphs = _graphs_from_source(cfg, spec)
+        graphs = _graphs_from_source(cfg, resolved[0])
         for g in graphs:
             scanned += 1
             try:
-                record, v, e = verify_graph(g, cfg, spec, theorem_spec)
+                record, v, e = verify_graph(g, cfg, *resolved)
             except Exception as exc:   # defensive: never abort the sweep
                 errors.append({"graph6": write_graph6(g), "stage": "pipeline",
                                "type": type(exc).__name__,

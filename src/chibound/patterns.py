@@ -103,22 +103,19 @@ def dumbbell(s: int, t: int) -> Graph:
     return from_edges(s + t, edges)
 
 
-def lollipop_star(k: int, t: int, leaves_convention: bool = False) -> Graph:
+def lollipop_star(k: int, t: int) -> Graph:
     """The (k,t)-lollipop: a star on k vertices whose center is complete to K_t.
 
     The definition reads the star as having k vertices total (center plus
-    k-1 leaves).  With leaves_convention=True, k counts the leaves instead
-    (k+1 star vertices), matching the figure rather than the text.
+    k-1 leaves).  The figure counts k leaves instead (k+1 star vertices);
+    that graph is lollipop_star(k + 1, t).
     """
     _require(t >= 2, "lollipop_star: need t >= 2")
     _require(k >= 1, "lollipop_star: need k >= 1")
-    leaves = k if leaves_convention else k - 1
-    # vertices: 0..t-1 = K_t, t = star center, t+1.. = leaves
+    # vertices: 0..t-1 = K_t, t = star center, t+1..t+k-1 = leaves
     edges = [(i, j) for i in range(t) for j in range(i + 1, t)]
-    center = t
-    edges += [(center, v) for v in range(t)]
-    edges += [(center, t + 1 + i) for i in range(leaves)]
-    return from_edges(t + 1 + leaves, edges)
+    edges += [(t, v) for v in range(t + k) if v != t]
+    return from_edges(t + k, edges)
 
 
 def fan_triangles(l: int) -> Graph:

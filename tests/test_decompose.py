@@ -150,12 +150,6 @@ def test_p_property_calls_chi_oracle_once(monkeypatch):
     assert rep.holds is True
     assert rep.measured["c"] == rep.measured["chi_up_to_t"] == 2
 
-    calls.clear()
-    rep = check_property(g, dec, "P-property", c_value=1)
-    assert len(calls) == 1
-    assert rep.holds is False
-    assert rep.measured == {"chi_up_to_t": 2, "c": 1}
-
 
 def test_check_properties_matches_one_check_per_property():
     ids = ("P-property", "P5", "P6", "P7", "P8")
@@ -182,7 +176,7 @@ def _hypothesis_by_hand(g, which, omega, s, t, k):
                        and free(dumbbell(s + 1, t + 1))),
         "P8": lambda: omega > t and diamond_free_fast(g)[0],
         "D1": lambda: (diamond_free_fast(g)[0]
-                       and every_edge_two_triangles(g)),
+                       and every_edge_two_triangles(g)[0]),
         "P-property": lambda: True,
     }[which]()
 
@@ -255,6 +249,30 @@ def test_edge_clique_partition_preconditions():
     g = from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)])
     with pytest.raises(DecompositionError):
         edge_clique_partition(g)
+
+
+def test_edge_clique_partition_checks_its_preconditions_by_construction():
+    with pytest.raises(DecompositionError, match=r"edge \(0,1\) is the spine"):
+        edge_clique_partition(diamond())
+    pendant = from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+                             (3, 4)])
+    with pytest.raises(DecompositionError,
+                       match=r"edge \(3,4\) lies in fewer than two triangles"):
+        edge_clique_partition(pendant)
+    members = 0
+    for g in enumerate_small(7):
+        ok = diamond_free_fast(g)[0] and every_edge_two_triangles(g)[0]
+        try:
+            part = edge_clique_partition(g)
+        except DecompositionError:
+            assert not ok, g.adj
+            continue
+        assert ok, g.adj
+        members += 1
+        assert sorted(part.edge_to_clique) == sorted(g.edges())
+        for (a, b), i in part.edge_to_clique.items():
+            assert part.cliques[i] >> a & part.cliques[i] >> b & 1
+    assert members > 0
 
 
 def test_property_d1_on_fan():

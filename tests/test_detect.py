@@ -131,11 +131,29 @@ def test_diamond_free_fast_matches_induced_search():
             assert g.has_edge(u, b) and g.has_edge(v, b) and not g.has_edge(a, b)
 
 
+def test_diamond_free_fast_witness_is_the_lex_first_embedding():
+    # is_member and is_free take a diamond's embedding from the edge scan.
+    from chibound.smallgraphs import enumerate_small
+    hosts = list(enumerate_small(7))
+    assert len(hosts) == 1252
+    rng = random.Random(8)
+    hosts += [_random_graph(rng, rng.randrange(8, 15), rng.random())
+              for _ in range(3000)]
+    found = 0
+    for host in hosts:
+        witness = diamond_free_fast(host)[1]
+        assert witness == find_induced(host, diamond())
+        if host.n <= 7:
+            assert witness == _naive_first(host, diamond())
+        found += witness is not None
+    assert found > 2000
+
+
 def test_every_edge_two_triangles():
-    assert every_edge_two_triangles(complete(4))
-    ok, edge = every_edge_two_triangles(complete(3), witness=True)
+    assert every_edge_two_triangles(complete(4)) == (True, None)
+    ok, edge = every_edge_two_triangles(complete(3))
     assert not ok and edge == (0, 1)
-    assert every_edge_two_triangles(Graph(1, [0]))
+    assert every_edge_two_triangles(Graph(1, [0])) == (True, None)
 
 
 def test_is_member_reports_violation():

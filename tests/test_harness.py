@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import sys
 
 import pytest
@@ -7,10 +8,13 @@ import pytest
 from chibound import color, detect
 from chibound import decompose as decompose_module
 from chibound import harness
+from chibound.graph import from_edges
 from chibound.graph6 import parse_graph6, write_graph6
 from chibound.harness import (ConfigError, RunConfig, exit_code_for,
                               report_fingerprint, verify_run, write_report)
 from chibound.patterns import complete, diamond, f2, path, pineapple
+
+ROOK_K4 = "O~`HW}GPHDaNaGPCcPWaN"   # K4 x K4, a thm5b member with chi = omega
 
 
 def test_config_validation():
@@ -28,6 +32,41 @@ def test_config_validation():
     cfg = RunConfig.from_dict({"source": {"kind": "enumerate", "n_max": 4},
                                "properties": ["P1"]})
     assert cfg.chi_cap >= 1
+
+
+@pytest.mark.parametrize("fields,message", [
+    ({"class_name": "thm4", "theorem": "THM4", "theorem_params": {"t": 3},
+      "properties": ["P5"]}, "theorem THM4 takes [], not ['t']"),
+    ({"class_name": "thm9"}, "unknown class 'thm9'"),
+    ({"class_name": "thm4", "class_params": {"t": 3}},
+     "theorem THM4 takes [], not ['t']"),
+    ({"class_name": "diamond-free", "class_params": {"t": 2}},
+     "class 'diamond-free' takes [], not ['t']"),
+    ({"class_name": "thm3", "class_params": {"t": 3}, "theorem": "THM3",
+      "theorem_params": {"t": 2}},
+     "class_params and theorem_params differ on ['t']"),
+])
+def test_config_parameters_resolve_once(fields, message):
+    data = {"source": {"kind": "enumerate", "n_max": 4}, **fields}
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        RunConfig.from_dict(data)
+    with pytest.raises(ConfigError):
+        verify_run(RunConfig(**data))
+
+
+def test_config_params_merge_class_and_theorem():
+    cfg = RunConfig.from_dict({
+        "source": {"kind": "enumerate", "n_max": 4}, "class_name": "thm3",
+        "class_params": {"s": 3, "t": 3}, "theorem": "THM3",
+        "theorem_params": {"t": 3}})
+    spec, theorem_spec, params = cfg.validate()
+    assert params == spec.params == {"s": 3, "t": 3}
+    # the theorem runs at its own parameters, defaults for the rest
+    assert theorem_spec.params == {"s": 2, "t": 3}
+    # theorem_params without a theorem set the property parameters alone
+    cfg = RunConfig(source={"kind": "enumerate"}, theorem_params={"t": 3})
+    assert cfg.validate() == (None, None, {"t": 3})
+    assert RunConfig.from_dict(cfg.to_dict()) == cfg
 
 
 def test_empty_source_clean_exit(tmp_path):
@@ -169,6 +208,22 @@ def test_chin_cap_reaches_property_checks(tmp_path):
     assert report["aggregates"]["undecided"] == 0
 
 
+def test_undecided_property_reports_what_it_evaluated(tmp_path):
+    # P5 + K4 at t = 3: chi^(t) is over chin_cap, and the P6 hypothesis
+    # (P5-free, bowtie-free) fails on the path.
+    g = from_edges(9, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6), (5, 7),
+                       (5, 8), (6, 7), (6, 8), (7, 8)])
+    path_ = tmp_path / "p5k4.g6"
+    path_.write_text(write_graph6(g) + "\n")
+    cfg = RunConfig(source={"kind": "graph6", "path": str(path_)},
+                    theorem_params={"t": 3}, properties=("P6",), chin_cap=5)
+    [prop] = verify_run(cfg)["records"][0]["properties"]
+    assert prop["holds"] is None
+    assert prop["hypothesis_ok"] is False
+    assert prop["params"] == {"s": 3, "t": 3}
+    assert "chi_n: graph has 9 vertices, exact-oracle cap is 5" in prop["notes"]
+
+
 def test_properties_of_one_graph_share_one_chi_up_to_t(monkeypatch):
     # P5, P6 and P7 at t = 3 need chi^(t) as well as the P-property itself.
     calls = []
@@ -221,6 +276,18 @@ def test_certificate_summary_in_records():
     for c in certs:
         assert c["palette_used"] <= c["bound_value"]
         assert c["ok"] is True
+
+
+def test_colorer_runs_at_the_theorem_params():
+    cfg = RunConfig(source={"kind": "enumerate", "n_max": 5},
+                    class_name="thm1", class_params={"t": 3},
+                    theorem="THM1", theorem_params={"t": 3})
+    bound = color.THEOREMS["THM1"].bound
+    certs = [r["certificate"] for r in verify_run(cfg)["records"]
+             if "certificate" in r]
+    assert certs and all(c["bound_value"] == bound(c["omega"], c["c_value"], t=3)
+                         for c in certs)
+    assert any(c["bound_value"] != bound(c["omega"], c["c_value"]) for c in certs)
 
 
 def _patterns_searched_in_property_checks(monkeypatch):
@@ -318,3 +385,67 @@ def test_membership_is_checked_once_outside_the_colorer(tmp_path, monkeypatch):
     assert list(record["certificate"]) == ["rejected"]
     assert "path(l=5)" in record["certificate"]["rejected"]
     assert calls["inside"] == 0
+
+
+def _one_graph_run(tmp_path, g6, **fields):
+    path_ = tmp_path / "g.g6"
+    path_.write_text(g6 + "\n")
+    report = verify_run(RunConfig(source={"kind": "graph6",
+                                          "path": str(path_)}, **fields))
+    return report, report["records"][0]
+
+
+def test_structural_violation_is_recorded(tmp_path):
+    report, record = _one_graph_run(tmp_path, ROOK_K4, class_name="thm5b",
+                                    theorem="THM5B", properties=("D1",))
+    assert [(v["kind"], v["theorem"]) for v in report["violations"]] == [
+        ("structural", "THM5B")]
+    assert "carry outside blades" in report["violations"][0]["error"]
+    assert record["certificate"] == {"error": report["violations"][0]["error"]}
+    [d1] = record["properties"]
+    assert d1["holds"] is True and d1["hypothesis_ok"] is True
+    assert exit_code_for(report) == 2
+
+
+def test_bound_violations_are_recorded(tmp_path, monkeypatch):
+    case = color.THEOREMS["THM4"]
+    monkeypatch.setitem(color.THEOREMS, "THM4", dataclasses.replace(
+        case, bound=lambda omega, c: omega - 1))
+    report, record = _one_graph_run(tmp_path, write_graph6(complete(4)),
+                                    class_name="thm4", theorem="THM4")
+    assert record["certificate"]["ok"] is False
+    bound, chi_bound = report["violations"]
+    assert bound["kind"] == "bound" and bound["palette_used"] == 4
+    assert bound["bound_value"] == 3 and len(bound["coloring"]) == 4
+    assert chi_bound == {"graph6": write_graph6(complete(4)),
+                         "kind": "chi-bound", "theorem": "THM4", "chi": 4,
+                         "bound_value": 3}
+    assert exit_code_for(report) == 2
+
+
+def test_colorer_error_is_a_pipeline_error(tmp_path, monkeypatch):
+    def colorer(g, **params):
+        raise KeyError("boom")
+
+    monkeypatch.setitem(color.THEOREMS, "THM4", dataclasses.replace(
+        color.THEOREMS["THM4"], colorer=colorer))
+    path_ = tmp_path / "k4.g6"
+    path_.write_text(write_graph6(complete(4)) + "\n")
+    report = verify_run(RunConfig(source={"kind": "graph6", "path": str(path_)},
+                                  class_name="thm4", theorem="THM4"))
+    assert report["records"] == []
+    assert [(e["stage"], e["type"]) for e in report["errors"]] == [
+        ("pipeline", "KeyError")]
+    assert exit_code_for(report) == 1
+
+
+def test_capped_colorer_is_undecided(tmp_path):
+    report, record = _one_graph_run(tmp_path, write_graph6(path(3)),
+                                    class_name="thm4", theorem="THM4",
+                                    chi_cap=2)
+    assert record["chi"] == "capped"
+    assert record["certificate"] == {
+        "undecided": "chromatic_number: graph has 3 vertices, "
+                     "exact-oracle cap is 2"}
+    assert report["aggregates"]["undecided"] == 1
+    assert report["violations"] == [] and exit_code_for(report) == 0

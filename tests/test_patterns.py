@@ -76,11 +76,10 @@ def test_bowtie_center_dominates():
 
 def test_lollipop_star_conventions():
     text = lollipop_star(3, 4)
-    figure = lollipop_star(3, 4, leaves_convention=True)
     # text convention: star has k vertices total (center + k-1 leaves)
     assert text.n == 4 + 1 + 2
-    # figure convention: k leaves
-    assert figure.n == 4 + 1 + 3
+    # figure convention, k leaves: lollipop_star(k + 1, t)
+    assert lollipop_star(4, 4).n == 4 + 1 + 3
     with pytest.raises(GraphError):
         lollipop_star(1, 1)
 
