@@ -7,7 +7,7 @@ theorem id in lower case; only the plain diamond-free class is defined here.
 from __future__ import annotations
 
 from .color import THEOREMS
-from .detect import ClassSpec, make_class
+from .detect import ClassSpec, check_params, make_class
 from .patterns import make_pattern
 
 # theorem id -> the name of its hypothesis class
@@ -26,6 +26,5 @@ def get_class(name: str, **params) -> ClassSpec:
         raise KeyError(f"unknown class {name!r}; known: {', '.join(class_names())}")
     if name != "diamond-free":
         return THEOREMS[name.upper()].spec(**params)
-    if params:
-        raise ValueError(f"class 'diamond-free' takes [], not {sorted(params)}")
+    check_params("class 'diamond-free'", params, {})
     return make_class([make_pattern("diamond")], id="diamond-free")

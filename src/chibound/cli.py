@@ -134,11 +134,9 @@ def _cmd_detect(args):
 def _cmd_member(args):
     spec = get_class(args.class_name, **_collect_params(args))
     for i, g in enumerate(_load_graphs(args.infile)):
-        rep = is_member(g, spec)
         print(json.dumps({"graph": i, "graph6": write_graph6(g),
-                          "class": spec.label(), "member": rep.member,
-                          "violated": rep.violated,
-                          "witness": list(rep.witness) if rep.witness else None}))
+                          "class": spec.label(),
+                          **is_member(g, spec).to_dict()}))
     return 0
 
 
@@ -182,13 +180,13 @@ def _cmd_scalar(args):
 
 
 def _cmd_color(args):
-    params = _collect_params(args)
-    THEOREMS[args.theorem].spec(**params)   # unknown ones fail before any read
+    # bad parameters fail before any graph is read
+    spec = THEOREMS[args.theorem].spec(**_collect_params(args))
     worst = 0
     for i, g in enumerate(_load_graphs(args.infile)):
         rec = {"graph": i, "graph6": write_graph6(g), "theorem": args.theorem}
         try:
-            cert = color_checked(args.theorem, g, **params)
+            cert = color_checked(args.theorem, g, spec)
             rec.update(cert.to_dict())
             if not cert.within_bound:
                 worst = 2

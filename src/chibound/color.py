@@ -1,11 +1,11 @@
 """The theorem registry and its constructive colorers.
 
-THEOREMS holds each theorem once: parameter defaults, the forbidden patterns
-and conditions of its class, bound formula and colorer.  Colorers take class
-members only (color_checked, or the harness, checks membership first) and
-check just the hypotheses outside the class.  They color vertex masks of the
-input and emit a re-verified ColoringCertificate; bound violations and failed
-structural claims are findings, never silently patched.
+THEOREMS holds each theorem once: its parameters (defaults and domain), the
+forbidden patterns and conditions of its class, bound formula and colorer.
+Colorers take class members inside the domain (color_checked checks both
+first) and check only the hypotheses outside the class.  They color vertex
+masks of the input and emit a re-verified ColoringCertificate; bound
+violations and failed structural claims are findings, never silently patched.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from math import comb
 from .certificate import (ColoringCertificate, LiftError, MembershipError,
                           StructureViolation)
 from .decompose import decompose, edge_clique_partition, fan_structure
-from .detect import ClassSpec, Conditions, is_member, make_class
+from .detect import ClassSpec, Conditions, check_params, is_member, make_class
 from .graph import Graph, bits, connected_components
 from .oracles import (DEFAULT_CHI_CAP, chromatic_number, clique_number_in,
                       is_proper, max_clique_in, ramsey_upper)
@@ -185,11 +185,9 @@ def _lift_layers(g, chi_cap, base, layer, outside):
     return canvas
 
 
-def color_thm1(g: Graph, t: int = 2,
+def color_thm1(g: Graph, t: int,
                chi_cap: int = DEFAULT_CHI_CAP) -> ColoringCertificate:
     """{diamond, hammer(t)+}-free graphs: K + T + T' blocks, base case <= t."""
-    if t < 2:
-        raise ValueError("t must be >= 2")
     canvas, omega = _k_layers(
         g, chi_cap, base=t, t=t, s_empty=True, a_m=None, s_prime=None,
         t_group=("components", "components of A'(N,v) have at most omega vertices"),
@@ -197,11 +195,9 @@ def color_thm1(g: Graph, t: int = 2,
     return canvas.certificate("THM1", omega, canvas.max_used, {"t": t})
 
 
-def color_thm3(g: Graph, s: int = 2, t: int = 2,
+def color_thm3(g: Graph, s: int, t: int,
                chi_cap: int = DEFAULT_CHI_CAP) -> ColoringCertificate:
     """{(s,t)-bowtie, P5, (s+1,t+1)-dumbbell}-free graphs."""
-    if s < 2 or t < 2:
-        raise ValueError("s and t must be >= 2")
     canvas, omega = _k_layers(g, chi_cap, base=2 * t - 2, t=t, a_m=_ORACLE,
                               t_group=_ORACLE, s_prime=_ORACLE, t_prime=_ORACLE)
     return canvas.certificate("THM3", omega, canvas.max_used, {"s": s, "t": t})
@@ -221,31 +217,21 @@ def color_thm4(g: Graph, chi_cap: int = DEFAULT_CHI_CAP) -> ColoringCertificate:
     return canvas.certificate("THM4", omega, None, {})
 
 
-def _thm2_y(y):
-    if y not in ("f1", "f2"):
-        raise ValueError("y must be 'f1' or 'f2'")
-    return y
-
-
 def _thm2_alpha(omega, t, k):
     return ramsey_upper(omega - 1, k) + sum(omega * comb(omega, i)
                                             for i in range(1, t))
 
 
-def _thm2_bound(omega, c, s=2, t=2, k=2, y="f1"):
+def _thm2_bound(omega, c, s, t, k, y):
     """alpha(omega) * m(omega), m(omega) = omega + C omega C(omega-1, t)."""
     if omega < 2 * t - 1:
         return max(c, 1)
     return _thm2_alpha(omega, t, k) * (omega + c * omega * comb(omega - 1, t))
 
 
-def color_thm2(g: Graph, s: int = 2, t: int = 2, k: int = 2, y: str = "f1",
+def color_thm2(g: Graph, s: int, t: int, k: int, y: str,
                chi_cap: int = DEFAULT_CHI_CAP) -> ColoringCertificate:
     """{Y, (s,t)-bowtie, (k,t)-lollipop}-free graphs via alpha-block lifting."""
-    if s < 2 or t < 2 or k < 2:
-        raise ValueError("s, t, k must be >= 2")
-    _thm2_y(y)
-
     def layer(canvas, mask, w):
         dec = decompose(g, max_clique_in(g, mask), t, within=mask)
 
@@ -275,11 +261,9 @@ def color_thm2(g: Graph, s: int = 2, t: int = 2, k: int = 2, y: str = "f1",
     return cert
 
 
-def color_thm5a(g: Graph, k: int = 2,
+def color_thm5a(g: Graph, k: int,
                 chi_cap: int = DEFAULT_CHI_CAP) -> ColoringCertificate:
     """Diamond-free, edges in two triangles, F(3,k)-free: lift over fans."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     omega = clique_number_in(g, g.full_mask())
     if omega < 4:
         raise MembershipError("THM5A", f"omega >= 4 (found {omega})")
@@ -378,19 +362,17 @@ def verify_thm5b(g: Graph,
 class TheoremCase:
     id: str
     defaults: dict          # parameter name -> default value
+    domain: dict            # parameter name -> least int, or tuple of values
     forbidden: object       # fn(**params) -> [PatternInstance], search order
     bound: object           # fn(omega, c, **params) -> int
     colorer: object         # fn(g, chi_cap=..., **params) -> ColoringCertificate
     conditions: Conditions = Conditions()
 
     def spec(self, **params) -> ClassSpec:
-        """The hypothesis class, named by the lower-cased id and parameters.
-
-        A parameter the theorem does not take raises ValueError."""
-        unknown = set(params) - set(self.defaults)
-        if unknown:
-            raise ValueError(f"theorem {self.id} takes {sorted(self.defaults)}, "
-                             f"not {sorted(unknown)}")
+        """The hypothesis class at the defaults updated by params, named by
+        the lower-cased id and parameters; the colorer and the bound run at
+        its params.  A parameter outside the domain raises ValueError."""
+        check_params(f"theorem {self.id}", params, self.domain)
         merged = {**self.defaults, **params}
         inner = ",".join(f"{k}={v}" for k, v in merged.items())
         return make_class(self.forbidden(**merged), self.conditions, merged,
@@ -401,58 +383,55 @@ _TWO_TRIANGLES = Conditions(every_edge_in_two_triangles=True)
 
 THEOREMS = {case.id: case for case in (
     TheoremCase(
-        "THM1", {"t": 2},
+        "THM1", {"t": 2}, {"t": 2},
         lambda t: [make_pattern("diamond"), make_pattern("hammer_plus", t=t)],
-        lambda omega, c, t=2:
+        lambda omega, c, t:
             2 * omega + omega ** 2 * comb(max(omega - 1, 0), t) + c,
         color_thm1),
     TheoremCase(
         "THM2", {"s": 2, "t": 2, "k": 2, "y": "f1"},
-        lambda s, t, k, y: [make_pattern(_thm2_y(y), t=t),
+        {"s": 2, "t": 2, "k": 2, "y": ("f1", "f2")},
+        lambda s, t, k, y: [make_pattern(y, t=t),
                             make_pattern("bowtie", s=s, t=t),
                             make_pattern("lollipop_star", k=k, t=t)],
         _thm2_bound, color_thm2),
     TheoremCase(
-        "THM3", {"s": 2, "t": 2},
+        "THM3", {"s": 2, "t": 2}, {"s": 2, "t": 2},
         lambda s, t: [make_pattern("bowtie", s=s, t=t), make_pattern("path", l=5),
                       make_pattern("dumbbell", s=s + 1, t=t + 1)],
-        lambda omega, c, s=2, t=2:
+        lambda omega, c, s, t:
             c * (2 + sum(comb(omega, i) for i in range(1, t))
                  + omega * comb(max(omega - 1, 0), t)) + omega,
         color_thm3),
     TheoremCase(
-        "THM4", {},
+        "THM4", {}, {},
         lambda: [make_pattern("bowtie", s=2, t=2), make_pattern("path", l=5),
                  make_pattern("dumbbell", s=3, t=3)],
         lambda omega, c: 2 * omega + omega * comb(omega, 2) + 2,
         color_thm4),
     TheoremCase(
-        "THM5A", {"k": 2},
+        "THM5A", {"k": 2}, {"k": 1},
         lambda k: [make_pattern("diamond"), make_pattern("fan_triangles", l=k)],
-        lambda omega, c, k=2: max(((omega - 1) * (k - 1) + 1) * omega,
-                                  omega * (omega - 1) * (k - 1), c),
+        lambda omega, c, k: max(((omega - 1) * (k - 1) + 1) * omega,
+                                omega * (omega - 1) * (k - 1), c),
         color_thm5a, _TWO_TRIANGLES),
     TheoremCase(
-        "THM5B", {},
+        "THM5B", {}, {},
         lambda: [make_pattern("diamond"), make_pattern("dumbbell", s=4, t=4)],
         lambda omega, c: omega,
         verify_thm5b, _TWO_TRIANGLES),
 )}
 
 
-def require_member(thm: str, g: Graph, spec: ClassSpec,
-                   known: ClassSpec | None = None):
-    """Raise MembershipError unless g is in spec, the class of theorem thm.
-
-    known is a class g is known to belong to (detect.is_member)."""
+def color_checked(thm: str, g: Graph, spec: ClassSpec | None = None,
+                  chi_cap: int = DEFAULT_CHI_CAP,
+                  known: ClassSpec | None = None) -> ColoringCertificate:
+    """Check that g is in spec, the class of theorem thm (its defaults'
+    when None), then run the colorer at spec's parameters.  known is a
+    class g is known to belong to (detect.is_member)."""
+    if spec is None:
+        spec = THEOREMS[thm].spec()
     rep = is_member(g, spec, known)
     if not rep.member:
         raise MembershipError(thm, rep.violated, rep.witness)
-
-
-def color_checked(thm: str, g: Graph, chi_cap: int = DEFAULT_CHI_CAP,
-                  **params) -> ColoringCertificate:
-    """Check that g is in the class of theorem thm, then run its colorer."""
-    case = THEOREMS[thm]
-    require_member(thm, g, case.spec(**params))
-    return case.colorer(g, chi_cap=chi_cap, **params)
+    return THEOREMS[thm].colorer(g, chi_cap=chi_cap, **spec.params)

@@ -34,7 +34,6 @@ class CliqueDecomposition:
     overlap is broken toward T'.
     """
 
-    graph: Graph
     k: int
     t: int
     a_m: dict
@@ -102,7 +101,7 @@ def decompose(g: Graph, k_clique: int, t: int,
         else:
             residual |= 1 << v
 
-    return CliqueDecomposition(g, k_clique, t, a_m, a_nv, s_set, t_set,
+    return CliqueDecomposition(k_clique, t, a_m, a_nv, s_set, t_set,
                                s_prime, t_prime, residual, canonical_nv)
 
 
@@ -293,6 +292,8 @@ PROPERTIES = {
     "P-property": Property(None, _p_property),
 }
 PROPERTY_IDS = tuple(PROPERTIES)
+# least s, t, k that bowtie, decompose and lollipop_star/ramsey_upper accept
+PARAM_LEAST = {"s": 1, "t": 2, "k": 1}
 
 
 def _chi_up_to_t(g: Graph, t: int, chi_cap: int, chin_cap: int):

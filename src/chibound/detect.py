@@ -37,6 +37,10 @@ class MembershipReport:
     def __bool__(self):
         return self.member
 
+    def to_dict(self):
+        return {"member": self.member, "violated": self.violated,
+                "witness": list(self.witness) if self.witness else None}
+
 
 def find_induced(host: Graph, pattern: Graph):
     """First induced embedding of pattern in host, or None.
@@ -213,6 +217,22 @@ def is_member(host: Graph, spec: ClassSpec,
         if clique_number(host) < cond.min_omega:
             return MembershipReport(False, f"min_omega>={cond.min_omega}", None)
     return MembershipReport(True)
+
+
+def check_params(who: str, params: dict, domain: dict):
+    """Raise ValueError naming who unless each params[name] lies in
+    domain[name]: a tuple of values, or the least of the plain ints."""
+    unknown = sorted(params.keys() - domain.keys())
+    if unknown:
+        raise ValueError(f"{who} takes {sorted(domain)}, not {unknown}")
+    for name, value in params.items():
+        least = domain[name]
+        if isinstance(least, tuple):
+            ok, want = value in least, f"{name} in {least}"
+        else:
+            ok, want = type(value) is int and value >= least, f"an int {name} >= {least}"
+        if not ok:
+            raise ValueError(f"{who} takes {want}, not {name}={value!r}")
 
 
 def make_class(forbidden_patterns, conditions: Conditions | None = None,

@@ -13,9 +13,10 @@ from dataclasses import asdict, dataclass, field, fields
 
 from .classes import get_class
 from .color import (LiftError, MembershipError, StructureViolation, THEOREMS,
-                    require_member)
-from .decompose import PROPERTY_IDS, check_properties, decompose_auto
-from .detect import is_member
+                    color_checked)
+from .decompose import (PARAM_LEAST, PROPERTY_IDS, check_properties,
+                        decompose_auto)
+from .detect import check_params, is_member
 from .graph6 import read_graph6_file, write_graph6
 from .oracles import (DEFAULT_CHI_CAP, DEFAULT_CHIN_CAP, OracleCapExceeded,
                       chromatic_number, clique_number)
@@ -58,16 +59,17 @@ class RunConfig:
 
     def validate(self):
         """Check the config and resolve it: returns (spec, theorem_spec,
-        params), the run's class and its theorem's (None without one) and
-        the parameters of the property checks.  A parameter the class or
-        theorem does not take, or one the two set differently, is an error.
+        params), the run's class and its theorem's (None without one) at
+        params = {**class_params, **theorem_params}, the property checks'.
+        A name not taken, set twice differently or out of domain is an error.
         """
         if not isinstance(self.source, dict) or "kind" not in self.source:
             raise ConfigError("source must be an object with a 'kind'")
         if self.source["kind"] not in ("enumerate", "graph6", "sample"):
             raise ConfigError(f"unknown source kind {self.source['kind']!r}")
-        if self.chi_cap < 1 or self.chin_cap < 1:
-            raise ConfigError("oracle caps must be positive")
+        if not all(type(cap) is int and cap >= 1
+                   for cap in (self.chi_cap, self.chin_cap)):
+            raise ConfigError("oracle caps must be positive ints")
         if self.theorem is not None and self.theorem not in THEOREMS:
             raise ConfigError(f"unknown theorem {self.theorem!r}")
         for p in self.properties:
@@ -75,19 +77,27 @@ class RunConfig:
                 raise ConfigError(f"unknown property {p!r}")
         if self.source["kind"] == "sample" and self.class_name is None:
             raise ConfigError("sampling needs a class_name to sample from")
+        if self.class_params and self.class_name is None:
+            raise ConfigError("class_params need a class_name")
         clash = sorted(k for k in self.class_params.keys() & self.theorem_params
                        if self.class_params[k] != self.theorem_params[k])
         if clash:
             raise ConfigError(f"class_params and theorem_params differ on {clash}")
+        params = {**self.class_params, **self.theorem_params}
         spec = theorem_spec = None
         try:
             if self.class_name is not None:
                 spec = get_class(self.class_name, **self.class_params)
             if self.theorem is not None:
-                theorem_spec = THEOREMS[self.theorem].spec(**self.theorem_params)
+                case = THEOREMS[self.theorem]
+                takes = [*case.defaults, *self.theorem_params]
+                theorem_spec = case.spec(**{k: params[k] for k in takes if k in params})
+            else:  # class and theorem domains lie within PARAM_LEAST's
+                check_params("a run without a theorem",
+                             self.theorem_params, PARAM_LEAST)
         except (KeyError, ValueError) as exc:
             raise ConfigError(exc.args[0]) from None
-        return spec, theorem_spec, {**self.class_params, **self.theorem_params}
+        return spec, theorem_spec, params
 
     def to_dict(self):
         return {**asdict(self), "properties": list(self.properties)}
@@ -123,8 +133,7 @@ def verify_graph(g, cfg: RunConfig, spec, theorem_spec, params):
     record["omega"] = clique_number(g)
     if spec is not None and not cfg.skip_membership:
         rep = is_member(g, spec)
-        record["membership"] = {"member": rep.member, "violated": rep.violated,
-                                "witness": list(rep.witness) if rep.witness else None}
+        record["membership"] = rep.to_dict()
         if not rep.member:
             # Filtered before the chi oracle: a skipped record has no "chi".
             record["skipped"] = "not a class member"
@@ -167,10 +176,9 @@ def verify_graph(g, cfg: RunConfig, spec, theorem_spec, params):
         record["properties"] = props
 
     if cfg.theorem is not None:
-        case = THEOREMS[cfg.theorem]
         try:
-            require_member(cfg.theorem, g, theorem_spec, known)
-            cert = case.colorer(g, chi_cap=cfg.chi_cap, **cfg.theorem_params)
+            cert = color_checked(cfg.theorem, g, theorem_spec, cfg.chi_cap,
+                                 known)
         except Exception as exc:
             outcome = classify_exception(exc)
             if outcome == "error":

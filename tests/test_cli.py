@@ -90,6 +90,29 @@ def test_color_lift_error_is_a_violation(capsys, tmp_path, monkeypatch):
     assert json.loads(out)["error"].startswith("LiftError")
 
 
+def test_color_bound_miss_exits_two(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "p.g6"
+    path.write_text(write_graph6(pineapple(4, 1)) + "\n")
+    monkeypatch.setitem(THEOREMS, "THM1", dataclasses.replace(
+        THEOREMS["THM1"], bound=lambda omega, c, t: omega - 1))
+    code, out = run(capsys, "color", "--theorem", "THM1", "--in", str(path))
+    assert code == 2
+    rec = json.loads(out)
+    assert rec["within_bound"] is False and rec["bound_value"] == 3
+
+
+def test_parameter_outside_the_domain_exits_one(capsys, tmp_path):
+    path = tmp_path / "p.g6"
+    path.write_text(write_graph6(pineapple(4, 1)) + "\n")
+    for argv in (["color", "--theorem", "THM1", "--in", str(path)],
+                 ["sweep", "--theorem", "THM1", "--nmax", "4"],
+                 ["member", "--class", "thm1", "--in", str(path)]):
+        assert main([*argv, "--t", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: theorem THM1 takes an int t >= 2, not t=1\n"
+
+
 def _env_with_src(**extra):
     """The environment of a child interpreter that imports this checkout."""
     src = str(Path(chibound.__file__).resolve().parent.parent)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from chibound.classes import THEOREM_CLASS, get_class
@@ -42,7 +44,7 @@ def test_thm1_pineapple():
 
 def test_thm1_rejects_diamond():
     with pytest.raises(MembershipError):
-        color_checked("THM1", diamond(), t=2)
+        color_checked("THM1", diamond(), THEOREMS["THM1"].spec(t=2))
 
 
 def test_thm4_gem_and_base_case():
@@ -72,7 +74,24 @@ def test_thm2_complete_graph():
 
 def test_thm2_rejects_bad_y():
     with pytest.raises(ValueError):
-        color_thm2(complete(4), 2, 2, 2, "f3")
+        THEOREMS["THM2"].spec(y="f3")
+
+
+@pytest.mark.parametrize("thm,name,least", [
+    ("THM1", "t", 2), ("THM2", "s", 2), ("THM2", "t", 2), ("THM2", "k", 2),
+    ("THM3", "s", 2), ("THM3", "t", 2), ("THM5A", "k", 1),
+])
+def test_spec_checks_each_parameter_domain(thm, name, least):
+    case = THEOREMS[thm]
+    assert case.spec(**{name: least}).params[name] == least
+    for bad in (least - 1, str(least + 1), True, float(least + 1)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"theorem {thm} takes an int {name} >= {least}, "
+                f"not {name}={bad!r}")):
+            case.spec(**{name: bad})
+    with pytest.raises(ValueError, match=re.escape(
+            "theorem THM2 takes y in ('f1', 'f2'), not y='f3'")):
+        THEOREMS["THM2"].spec(y="f3")
 
 
 def test_thm5b_fans():
@@ -126,7 +145,7 @@ def test_registry_bounds_monotone_in_omega(thm):
     case = THEOREMS[thm]
     prev = 0
     for omega in range(1, 13):
-        val = case.bound(omega, 3)
+        val = case.bound(omega, 3, **case.defaults)
         assert val >= prev
         prev = val
 
@@ -146,12 +165,12 @@ def test_colorers_over_enumerated_members(thm, params):
         if thm == "THM5A" and clique_number(g) < 4:
             # omega >= 4 is a hypothesis of the colorer, not of the class
             with pytest.raises(MembershipError):
-                case.colorer(g, **params)
+                case.colorer(g, **spec.params)
             continue
-        cert = case.colorer(g, **params)
+        cert = case.colorer(g, **spec.params)
         _assert_valid(g, cert)
         assert cert.bound_value == case.bound(cert.omega, cert.c_value or 0,
-                                              **params)
+                                              **spec.params)
         omegas.add(cert.omega)
         seen += 1
     assert seen > {"THM5A": 5, "THM5B": 10}.get(thm, 50)

@@ -124,6 +124,16 @@ def test_property_p8_pineapple():
     assert rep.measured["bound"] == 16 * 3
 
 
+def test_property_block_over_the_cap_is_undecided():
+    g = pineapple(4, 6)
+    dec = decompose_auto(g, 2)
+    assert dec.t_set.bit_count() == 6
+    rep = check_property(g, dec, "P8", chi_cap=3)
+    assert rep.holds is None and rep.hypothesis_ok is True
+    assert rep.notes == ("undecided at desk scale: chi(T): graph has 6 "
+                         "vertices, exact-oracle cap is 3")
+
+
 def test_property_reports_serialize():
     g = pineapple(4, 1)
     dec = decompose_auto(g, 2)

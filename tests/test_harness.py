@@ -45,6 +45,32 @@ def test_config_validation():
     ({"class_name": "thm3", "class_params": {"t": 3}, "theorem": "THM3",
       "theorem_params": {"t": 2}},
      "class_params and theorem_params differ on ['t']"),
+    ({"theorem": "THM1", "theorem_params": {"t": "3"}},
+     "theorem THM1 takes an int t >= 2, not t='3'"),
+    ({"theorem": "THM1", "theorem_params": {"t": 1}},
+     "theorem THM1 takes an int t >= 2, not t=1"),
+    ({"theorem": "THM1", "theorem_params": {"t": True}},
+     "theorem THM1 takes an int t >= 2, not t=True"),
+    ({"theorem": "THM5A", "theorem_params": {"k": 0}},
+     "theorem THM5A takes an int k >= 1, not k=0"),
+    ({"theorem": "THM2", "theorem_params": {"y": "f3"}},
+     "theorem THM2 takes y in ('f1', 'f2'), not y='f3'"),
+    ({"class_params": {"zzz": 1}}, "class_params need a class_name"),
+    ({"theorem_params": {"zzz": 1}},
+     "a run without a theorem takes ['k', 's', 't'], not ['zzz']"),
+    ({"theorem_params": {"t": 1}, "properties": ["P5"]},
+     "a run without a theorem takes an int t >= 2, not t=1"),
+    ({"theorem_params": {"k": 0}, "properties": ["P3"]},
+     "a run without a theorem takes an int k >= 1, not k=0"),
+    ({"class_name": "thm1", "theorem_params": {"s": 2.0}},
+     "a run without a theorem takes an int s >= 1, not s=2.0"),
+    ({"class_name": "thm3", "class_params": {"s": 1}},
+     "theorem THM3 takes an int s >= 2, not s=1"),
+    ({"chi_cap": "5"}, "oracle caps must be positive ints"),
+    ({"chin_cap": 4.0}, "oracle caps must be positive ints"),
+    ({"chi_cap": 0}, "oracle caps must be positive ints"),
+    ({"source": {"n_max": 4}}, "source must be an object with a 'kind'"),
+    ({"properties": ["P9"]}, "unknown property 'P9'"),
 ])
 def test_config_parameters_resolve_once(fields, message):
     data = {"source": {"kind": "enumerate", "n_max": 4}, **fields}
@@ -54,6 +80,13 @@ def test_config_parameters_resolve_once(fields, message):
         verify_run(RunConfig(**data))
 
 
+def test_theorem_domains_lie_within_the_property_domain():
+    # validate leaves s, t and k to the class and theorem domains they hold
+    for case in color.THEOREMS.values():
+        for name, least in decompose_module.PARAM_LEAST.items():
+            assert case.domain.get(name, least) >= least, (case.id, name)
+
+
 def test_config_params_merge_class_and_theorem():
     cfg = RunConfig.from_dict({
         "source": {"kind": "enumerate", "n_max": 4}, "class_name": "thm3",
@@ -61,12 +94,33 @@ def test_config_params_merge_class_and_theorem():
         "theorem_params": {"t": 3}})
     spec, theorem_spec, params = cfg.validate()
     assert params == spec.params == {"s": 3, "t": 3}
-    # the theorem runs at its own parameters, defaults for the rest
-    assert theorem_spec.params == {"s": 2, "t": 3}
+    # the theorem runs at the run's values of the names it takes
+    assert theorem_spec.params == {"s": 3, "t": 3}
     # theorem_params without a theorem set the property parameters alone
     cfg = RunConfig(source={"kind": "enumerate"}, theorem_params={"t": 3})
     assert cfg.validate() == (None, None, {"t": 3})
     assert RunConfig.from_dict(cfg.to_dict()) == cfg
+
+
+def test_theorem_colors_at_the_run_params(monkeypatch):
+    # The class fixes s = 3 and the theorem takes s, so its colorer and its
+    # membership check run at s = 3 too, not at the theorem's default.
+    case = color.THEOREMS["THM3"]
+    details = []
+
+    def colorer(g, **params):
+        cert = case.colorer(g, **params)
+        details.append(cert.details)
+        return cert
+
+    monkeypatch.setitem(color.THEOREMS, "THM3",
+                        dataclasses.replace(case, colorer=colorer))
+    report = verify_run(RunConfig.from_dict({
+        "source": {"kind": "enumerate", "n_max": 5}, "class_name": "thm3",
+        "class_params": {"s": 3, "t": 3}, "theorem": "THM3",
+        "theorem_params": {"t": 3}}))
+    assert len(details) == report["aggregates"]["members_found"] > 0
+    assert all(d == {"s": 3, "t": 3} for d in details)
 
 
 def test_empty_source_clean_exit(tmp_path):
@@ -287,7 +341,8 @@ def test_colorer_runs_at_the_theorem_params():
              if "certificate" in r]
     assert certs and all(c["bound_value"] == bound(c["omega"], c["c_value"], t=3)
                          for c in certs)
-    assert any(c["bound_value"] != bound(c["omega"], c["c_value"]) for c in certs)
+    assert any(c["bound_value"] != bound(c["omega"], c["c_value"], t=2)
+               for c in certs)
 
 
 def _patterns_searched_in_property_checks(monkeypatch):
@@ -449,3 +504,16 @@ def test_capped_colorer_is_undecided(tmp_path):
                      "exact-oracle cap is 2"}
     assert report["aggregates"]["undecided"] == 1
     assert report["violations"] == [] and exit_code_for(report) == 0
+
+
+def test_block_over_the_oracle_cap_is_undecided(tmp_path):
+    # pineapple(4, 6): T is the six pendant vertices, over chi_cap = 3.
+    report, record = _one_graph_run(tmp_path, write_graph6(pineapple(4, 6)),
+                                    properties=("P8",), chi_cap=3)
+    [p8] = record["properties"]
+    assert p8["holds"] is None and p8["hypothesis_ok"] is True
+    assert p8["notes"] == ("undecided at desk scale: chi(T): graph has 6 "
+                           "vertices, exact-oracle cap is 3")
+    # one undecided for the graph's own chi, one for the P8 check
+    assert record["chi"] == "capped"
+    assert report["aggregates"]["undecided"] == 2
