@@ -20,9 +20,24 @@ from .detect import check_params, is_member
 from .graph6 import read_graph6_file, write_graph6
 from .oracles import (DEFAULT_CHI_CAP, DEFAULT_CHIN_CAP, OracleCapExceeded,
                       chromatic_number, clique_number)
-from .smallgraphs import enumerate_small, sample_in_class
+from .smallgraphs import ENUM_CAP, enumerate_small, sample_in_class
 
 SCHEMA_VERSION = 1
+
+# Each source kind's fields: name -> (default, None if required; the test a
+# value must pass; what the test asks for, with {} for the name).
+SOURCE_FIELDS = {
+    "enumerate": {"n_max": (6, lambda v: type(v) is int and 1 <= v <= ENUM_CAP,
+                            f"an int {{}} in 1..{ENUM_CAP}")},
+    "graph6": {"path": (None, lambda v: isinstance(v, str), "a string {}")},
+    "sample": {
+        "n": (8, lambda v: type(v) is int and v >= 0, "an int {} >= 0"),
+        "edge_prob": (0.3, lambda v: type(v) in (int, float) and 0 <= v <= 1,
+                      "a number {} in [0, 1]"),
+        "count": (10, lambda v: type(v) is int and v >= 1, "an int {} >= 1"),
+        "budget": (20000, lambda v: type(v) is int and v >= 1, "an int {} >= 1"),
+    },
+}
 
 
 class ConfigError(ValueError):
@@ -53,8 +68,8 @@ class RunConfig:
         if "source" not in data:
             raise ConfigError("config needs a 'source'")
         cfg = cls(**data)
-        cfg.properties = tuple(cfg.properties)
         cfg.validate()
+        cfg.properties = tuple(cfg.properties)
         return cfg
 
     def validate(self):
@@ -65,11 +80,22 @@ class RunConfig:
         """
         if not isinstance(self.source, dict) or "kind" not in self.source:
             raise ConfigError("source must be an object with a 'kind'")
-        if self.source["kind"] not in ("enumerate", "graph6", "sample"):
+        if self.source["kind"] not in SOURCE_FIELDS:
             raise ConfigError(f"unknown source kind {self.source['kind']!r}")
+        _source_fields(self.source)
+        for name in ("class_params", "theorem_params"):
+            if not isinstance(getattr(self, name), dict):
+                raise ConfigError(f"{name} must be an object")
+        if not (isinstance(self.properties, (list, tuple))
+                and all(isinstance(p, str) for p in self.properties)):
+            raise ConfigError("properties must be a list of property names")
         if not all(type(cap) is int and cap >= 1
                    for cap in (self.chi_cap, self.chin_cap)):
             raise ConfigError("oracle caps must be positive ints")
+        if type(self.seed) is not int:
+            raise ConfigError("seed must be an int")
+        if type(self.skip_membership) is not bool:
+            raise ConfigError("skip_membership must be true or false")
         if self.theorem is not None and self.theorem not in THEOREMS:
             raise ConfigError(f"unknown theorem {self.theorem!r}")
         for p in self.properties:
@@ -103,18 +129,33 @@ class RunConfig:
         return {**asdict(self), "properties": list(self.properties)}
 
 
+def _source_fields(source: dict) -> dict:
+    """The source's fields with their defaults; a ConfigError names the
+    first one that is missing or fails its SOURCE_FIELDS test."""
+    kind = source["kind"]
+    unknown = sorted(source.keys() - {"kind", *SOURCE_FIELDS[kind]})
+    if unknown:
+        raise ConfigError(f"source {kind!r} takes {sorted(SOURCE_FIELDS[kind])}, "
+                          f"not {unknown}")
+    fields = {}
+    for name, (default, ok, want) in SOURCE_FIELDS[kind].items():
+        value = source.get(name, default)
+        if value is None or not ok(value):
+            got = f"not {name}={value!r}" if name in source else f"no {name!r}"
+            raise ConfigError(f"source {kind!r} takes {want.format(name)}, {got}")
+        fields[name] = value
+    return fields
+
+
 def _graphs_from_source(cfg: RunConfig, spec):
     kind = cfg.source["kind"]
+    fields = _source_fields(cfg.source)
     if kind == "enumerate":
-        n_max = int(cfg.source.get("n_max", 6))
-        return enumerate_small(n_max)
+        return enumerate_small(fields["n_max"])
     if kind == "graph6":
-        return read_graph6_file(cfg.source["path"])
-    n = int(cfg.source.get("n", 8))
-    edge_prob = float(cfg.source.get("edge_prob", 0.3))
-    count = int(cfg.source.get("count", 10))
-    budget = int(cfg.source.get("budget", 20000))
-    return sample_in_class(spec, n, edge_prob, cfg.seed, count, budget)
+        return read_graph6_file(fields["path"])
+    return sample_in_class(spec, fields["n"], fields["edge_prob"], cfg.seed,
+                           fields["count"], fields["budget"])
 
 
 def verify_graph(g, cfg: RunConfig, spec, theorem_spec, params):

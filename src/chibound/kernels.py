@@ -1,4 +1,4 @@
-"""Hot graph kernels: canonical form and clique number.
+"""Hot graph kernels: canonical form, automorphisms and clique number.
 
 Kernels:
   canonical_code  -- canonical adjacency code by individualization-refinement
@@ -10,6 +10,10 @@ Kernels:
                      is not the lexicographic minimum over all permutations;
                      canon_code_py computes that one and serves as the test
                      oracle.
+  automorphism_generators -- generators of Aut(G) read off the same search:
+                     the maps between leaves with equal codes and the twin
+                     transpositions it prunes by.  smallgraphs uses them to
+                     canonicalize one extension per automorphism orbit.
   clique_number_sub -- clique number of the subgraph induced on a
                      candidate bitmask, by branch and bound.  Pure Python.
 """
@@ -61,44 +65,90 @@ def _code_of_order(adj, order) -> int:
     return code
 
 
-def canonical_code(adj, n: int) -> int:
-    """Canonical form of a graph as an adjacency code.
+def _ir_search(adj, n: int, autos=None) -> int:
+    """The individualization-refinement search; returns the least leaf code.
 
     Refines the partition by degree to an equitable one, then
     individualizes each vertex of the first non-singleton cell in turn,
-    refines and recurses; each discrete partition is a leaf, and the code
-    is the least leaf code.  A vertex that is a twin of one already tried
-    in the same cell is skipped: swapping the two is an automorphism fixing
-    the current path, so both branches reach the same codes.
+    refines and recurses; each discrete partition is a leaf.  A vertex that
+    is a twin of one already tried in the same cell is skipped: swapping
+    the two is an automorphism fixing the current path, so both branches
+    reach the same codes.
+
+    With a list `autos`, the search also appends automorphisms to it, as
+    image lists (v -> perm[v]): the map from the first leaf to each later
+    leaf with its code, and each twin transposition it prunes by.
     """
-    if n <= 1:
-        return 0
     by_degree = {}
     for v in range(n):
         by_degree.setdefault(adj[v].bit_count(), []).append(v)
     best = -1
+    first = None                      # (code, order) of the first leaf
 
     def search(cells):
-        nonlocal best
+        nonlocal best, first
         for t, target in enumerate(cells):
             if len(target) > 1:
                 break
         else:
-            code = _code_of_order(adj, [cell[0] for cell in cells])
+            order = [cell[0] for cell in cells]
+            code = _code_of_order(adj, order)
             if best < 0 or code < best:
                 best = code
+            if autos is not None:
+                if first is None:
+                    first = code, order
+                elif code == first[0]:
+                    perm = [0] * n
+                    for u, w in zip(first[1], order):
+                        perm[u] = w
+                    autos.append(perm)
             return
         tried = []
         for v in target:
             row = adj[v]
-            if any(adj[u] & ~(1 << v) == row & ~(1 << u) for u in tried):
-                continue
-            tried.append(v)
-            rest = [u for u in target if u != v]
-            search(_refine(adj, cells[:t] + [[v], rest] + cells[t + 1:]))
+            for u in tried:
+                if adj[u] & ~(1 << v) == row & ~(1 << u):
+                    if autos is not None:
+                        perm = list(range(n))
+                        perm[u], perm[v] = v, u
+                        autos.append(perm)
+                    break
+            else:
+                tried.append(v)
+                rest = [u for u in target if u != v]
+                search(_refine(adj, cells[:t] + [[v], rest] + cells[t + 1:]))
 
     search(_refine(adj, [by_degree[d] for d in sorted(by_degree)]))
     return best
+
+
+def canonical_code(adj, n: int) -> int:
+    """Canonical form of a graph as an adjacency code: the least leaf code
+    of the individualization-refinement search (_ir_search)."""
+    if n <= 1:
+        return 0
+    return _ir_search(adj, n)
+
+
+def automorphism_generators(adj, n: int) -> list:
+    """Generators of Aut(G), as image lists, read off the canonical search.
+
+    They are the map from the first leaf to every later leaf with the same
+    code, and every twin transposition the search prunes by.  They generate
+    the whole group: a pruned subtree is the image of a searched sibling
+    under its transposition, which fixes the path, so every leaf of the
+    unpruned tree is the image of a searched leaf under the generated
+    group H.  For an automorphism a, the image of the first leaf under a is
+    thus h(L) for a searched leaf L and h in H; L then has the first
+    leaf's code, so the map from the first leaf to L, which is a followed
+    by the inverse of h, is a generator, and a lies in H.  The identity
+    group gets no generators.
+    """
+    autos = []
+    if n > 1:
+        _ir_search(adj, n, autos)
+    return autos
 
 
 def canon_code_py(adj, n: int) -> int:

@@ -1,4 +1,12 @@
-"""Exhaustive enumeration of small graphs and class-constrained sampling."""
+"""Exhaustive enumeration of small graphs and class-constrained sampling.
+
+Enumeration grows each class by one vertex in every way and keeps the
+canonical codes.  It canonicalizes one neighbour set per orbit of the
+parent's automorphism group (kernels.automorphism_generators): extensions
+by two sets in one orbit are isomorphic, so the set of codes is the same
+as when every extension is canonicalized (5,758 canonical forms instead of
+11,290 for n <= 7).
+"""
 
 from __future__ import annotations
 
@@ -39,9 +47,27 @@ def canonical_form(g: Graph) -> int:
     return canonical_code(g.adj, g.n)
 
 
+def _image(mask: int, perm) -> int:
+    """Image of a vertex bitmask under the permutation v -> perm[v]."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << perm[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 @lru_cache(maxsize=None)
 def enumerate_codes(n: int):
-    """Sorted canonical codes of all isomorphism classes on exactly n vertices."""
+    """Sorted canonical codes of all isomorphism classes on exactly n vertices.
+
+    Each class on m vertices is a class P on m - 1 vertices with a new
+    vertex joined to a subset of P's vertices.  Two subsets in one orbit of
+    Aut(P) give isomorphic graphs (extend the automorphism by fixing the
+    new vertex), so only the first subset of each orbit is canonicalized;
+    the orbit is the closure of that subset under the generators that
+    kernels.automorphism_generators reads off P's canonical search.
+    """
     if n > ENUM_CAP:
         raise EnumerationCapExceeded(n)
     if n < 1:
@@ -56,14 +82,25 @@ def enumerate_codes(n: int):
         nxt = set()
         for code in level:
             base = graph_from_code(code, m - 1)
-            adj = list(base.adj) + [0]
+            gens = kernels.automorphism_generators(base.adj, m - 1)
+            seen = bytearray(1 << (m - 1))
             for nbrs in range(1 << (m - 1)):
-                rows = list(adj)
-                rows[m - 1] = nbrs
+                if seen[nbrs]:
+                    continue
+                rows = list(base.adj) + [nbrs]
                 for v in range(m - 1):
                     if nbrs >> v & 1:
                         rows[v] |= 1 << (m - 1)
                 nxt.add(kernels.canonical_code(rows, m))
+                seen[nbrs] = 1
+                todo = [nbrs]
+                while todo:
+                    mask = todo.pop()
+                    for perm in gens:
+                        image = _image(mask, perm)
+                        if not seen[image]:
+                            seen[image] = 1
+                            todo.append(image)
         level = nxt
     return tuple(sorted(level))
 

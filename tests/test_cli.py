@@ -113,6 +113,24 @@ def test_parameter_outside_the_domain_exits_one(capsys, tmp_path):
         assert err == "error: theorem THM1 takes an int t >= 2, not t=1\n"
 
 
+@pytest.mark.parametrize("config", [
+    {"source": {"kind": "enumerate", "n_max": 4}, "class_name": "thm4",
+     "class_params": [1]},
+    {"source": {"kind": "enumerate", "n_max": 4}, "properties": None},
+    {"source": {"kind": "graph6"}},
+    {"source": {"kind": "enumerate", "n_max": "x"}},
+    {"source": {"kind": "enumerate", "n_max": 9}},
+])
+def test_bad_config_fails_before_any_output(capsys, tmp_path, config):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(config))
+    out = tmp_path / "report.json"
+    assert main(["verify", "--config", str(cfgfile), "--out", str(out)]) == 1
+    stdout, err = capsys.readouterr()
+    assert not out.exists() and stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def _env_with_src(**extra):
     """The environment of a child interpreter that imports this checkout."""
     src = str(Path(chibound.__file__).resolve().parent.parent)

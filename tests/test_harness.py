@@ -71,6 +71,43 @@ def test_config_validation():
     ({"chi_cap": 0}, "oracle caps must be positive ints"),
     ({"source": {"n_max": 4}}, "source must be an object with a 'kind'"),
     ({"properties": ["P9"]}, "unknown property 'P9'"),
+    ({"class_name": "thm4", "class_params": [1]},
+     "class_params must be an object"),
+    ({"theorem": "THM1", "theorem_params": None},
+     "theorem_params must be an object"),
+    ({"properties": None}, "properties must be a list of property names"),
+    ({"properties": "P5"}, "properties must be a list of property names"),
+    ({"properties": [["P5"]]}, "properties must be a list of property names"),
+    ({"source": {"kind": "enumerate", "nmax": 7}},
+     "source 'enumerate' takes ['n_max'], not ['nmax']"),
+    ({"source": {"kind": "graph6", "path": "a.g6", "n_max": 4}},
+     "source 'graph6' takes ['path'], not ['n_max']"),
+    ({"seed": None}, "seed must be an int"),
+    ({"seed": "1"}, "seed must be an int"),
+    ({"skip_membership": "no"}, "skip_membership must be true or false"),
+    ({"source": {"kind": "graph6"}},
+     "source 'graph6' takes a string path, no 'path'"),
+    ({"source": {"kind": "graph6", "path": 3}},
+     "source 'graph6' takes a string path, not path=3"),
+    ({"source": {"kind": "enumerate", "n_max": "x"}},
+     "source 'enumerate' takes an int n_max in 1..8, not n_max='x'"),
+    ({"source": {"kind": "enumerate", "n_max": 9}},
+     "source 'enumerate' takes an int n_max in 1..8, not n_max=9"),
+    ({"source": {"kind": "enumerate", "n_max": 0}},
+     "source 'enumerate' takes an int n_max in 1..8, not n_max=0"),
+    ({"source": {"kind": "sample", "n": 6.0}, "class_name": "diamond-free"},
+     "source 'sample' takes an int n >= 0, not n=6.0"),
+    ({"source": {"kind": "sample", "count": 0}, "class_name": "diamond-free"},
+     "source 'sample' takes an int count >= 1, not count=0"),
+    ({"source": {"kind": "sample", "budget": True},
+      "class_name": "diamond-free"},
+     "source 'sample' takes an int budget >= 1, not budget=True"),
+    ({"source": {"kind": "sample", "edge_prob": 1.5},
+      "class_name": "diamond-free"},
+     "source 'sample' takes a number edge_prob in [0, 1], not edge_prob=1.5"),
+    ({"source": {"kind": "sample", "edge_prob": "0.3"},
+      "class_name": "diamond-free"},
+     "source 'sample' takes a number edge_prob in [0, 1], not edge_prob='0.3'"),
 ])
 def test_config_parameters_resolve_once(fields, message):
     data = {"source": {"kind": "enumerate", "n_max": 4}, **fields}

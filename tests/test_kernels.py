@@ -5,7 +5,7 @@ import pytest
 
 from chibound import kernels
 from chibound.graph import Graph, from_edges, is_clique, mask_of
-from chibound.smallgraphs import graph_from_code
+from chibound.smallgraphs import enumerate_codes, graph_from_code
 
 
 def _random_adj(rng, n, p):
@@ -177,3 +177,66 @@ def test_trivial_codes():
     # K3 has all bits set: code 0b111
     k3 = [0b110, 0b101, 0b011]
     assert kernels.canonical_code(k3, 3) == 0b111
+
+
+# ------------------------------------------------------- automorphism group
+
+def _is_automorphism(adj, perm):
+    n = len(adj)
+    return sorted(perm) == list(range(n)) and all(
+        (adj[u] >> v & 1) == (adj[perm[u]] >> perm[v] & 1)
+        for u in range(n) for v in range(n))
+
+
+def _group_order(gens, n):
+    """Order of the group the permutations generate, by listing it."""
+    identity = tuple(range(n))
+    group, frontier = {identity}, [identity]
+    while frontier:
+        elem = frontier.pop()
+        for g in gens:
+            prod = tuple(g[v] for v in elem)
+            if prod not in group:
+                group.add(prod)
+                frontier.append(prod)
+    return len(group)
+
+
+def _networkx_aut_order(adj):
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+    n = len(adj)
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from((u, v) for u in range(n) for v in range(u + 1, n)
+                     if adj[u] >> v & 1)
+    return sum(1 for _ in GraphMatcher(g, g).isomorphisms_iter())
+
+
+def _check_generators(adj):
+    n = len(adj)
+    gens = kernels.automorphism_generators(adj, n)
+    for perm in gens:
+        assert _is_automorphism(adj, perm), perm
+    assert _group_order(gens, n) == _networkx_aut_order(adj)
+
+
+def test_automorphism_generators_on_every_small_graph():
+    for n in range(1, 7):
+        for code in enumerate_codes(n):
+            _check_generators(graph_from_code(code, n).adj)
+
+
+def test_automorphism_generators_on_random_graphs():
+    # Edge densities away from 0 and 1 keep the groups small enough to list.
+    rng = random.Random(10)
+    for _ in range(200):
+        n = rng.randrange(1, 10)
+        _check_generators(_random_adj(rng, n, rng.uniform(0.2, 0.8)))
+
+
+@pytest.mark.parametrize("name", ["K8", "C8", "Q3", "K4,4", "Petersen",
+                                  "C3+C4", "C3+C5"])
+def test_automorphism_generators_on_symmetric_graphs(name):
+    _check_generators(_symmetric_graphs()[name])
+

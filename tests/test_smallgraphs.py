@@ -5,6 +5,7 @@ import pytest
 from chibound.classes import get_class
 from chibound.detect import is_member, make_class
 from chibound.graph import Graph, from_edges
+from chibound import kernels
 from chibound.kernels import canon_code_py
 from chibound.patterns import make_pattern
 from chibound.smallgraphs import (ENUM_CAP, EnumerationCapExceeded,
@@ -56,6 +57,48 @@ def test_enumeration_matches_networkx_atlas():
 def test_enumeration_is_deterministic():
     # Recompute level 7 past the cache (lower levels come from the cache).
     assert enumerate_codes.__wrapped__(7) == enumerate_codes(7)
+
+
+def _unpruned_codes(n_max):
+    """Every level up to n_max, each extension of every class canonicalized."""
+    levels, level = {1: (0,)}, {0}
+    for m in range(2, n_max + 1):
+        nxt = set()
+        for code in level:
+            adj = list(graph_from_code(code, m - 1).adj) + [0]
+            for nbrs in range(1 << (m - 1)):
+                rows = list(adj)
+                rows[m - 1] = nbrs
+                for v in range(m - 1):
+                    if nbrs >> v & 1:
+                        rows[v] |= 1 << (m - 1)
+                nxt.add(kernels.canonical_code(rows, m))
+        level = nxt
+        levels[m] = tuple(sorted(level))
+    return levels
+
+
+def test_orbit_pruned_enumeration_matches_unpruned():
+    expected = _unpruned_codes(7)
+    for n in range(1, 8):
+        assert enumerate_codes(n) == expected[n]
+
+
+def test_enumeration_canonicalizes_one_extension_per_orbit(monkeypatch):
+    # 5,758 (parent, Aut(parent)-orbit) pairs for n <= 7, by Burnside's
+    # count; the unpruned loop makes 11,290 calls.
+    calls = 0
+    canonical_code = kernels.canonical_code
+
+    def counting(adj, n):
+        nonlocal calls
+        calls += 1
+        return canonical_code(adj, n)
+
+    monkeypatch.setattr(kernels, "canonical_code", counting)
+    enumerate_codes.cache_clear()
+    assert len(enumerate_codes(7)) == KNOWN_COUNTS[7]
+    assert calls == 5758
 
 
 def test_enumerate_small_yields_valid_canonical_graphs():
