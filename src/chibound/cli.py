@@ -13,7 +13,7 @@ import sys
 from .classes import THEOREM_CLASS, class_names, get_class
 from .color import THEOREMS, color_checked
 from .decompose import PROPERTY_IDS, decompose, decompose_auto
-from .detect import is_member
+from .detect import find_induced, is_member
 from .graph import bits, mask_of, to_dot
 from .graph6 import read_graph6_file, write_graph6
 from .harness import (RunConfig, classify_exception, exit_code_for,
@@ -121,7 +121,6 @@ def _cmd_patterns(args):
 
 def _cmd_detect(args):
     pat = make_pattern(args.pattern, **_collect_params(args))
-    from .detect import find_induced
     for i, g in enumerate(_load_graphs(args.infile)):
         emb = find_induced(g, pat.graph)
         print(json.dumps({"graph": i, "graph6": write_graph6(g),

@@ -14,7 +14,7 @@ from .detect import (ClassSpec, diamond_free_fast, every_edge_two_triangles,
 from .graph import (Graph, GraphError, bits, connected_components,
                     distance_layers, is_clique, mask_of, neighborhood)
 from .oracles import (DEFAULT_CHI_CAP, DEFAULT_CHIN_CAP, OracleCapExceeded,
-                      chi_n, chromatic_number, clique_number_in, max_clique_in,
+                      chi_n, chromatic_number, clique_number, max_clique,
                       ramsey_upper)
 from .patterns import make_pattern
 
@@ -45,10 +45,6 @@ class CliqueDecomposition:
     residual: int
     canonical_nv: dict = field(default_factory=dict)
 
-    def parts(self):
-        return (self.k, self.s_set, self.t_set, self.s_prime, self.t_prime,
-                self.residual)
-
 
 def decompose(g: Graph, k_clique: int, t: int,
               within: int | None = None) -> CliqueDecomposition:
@@ -60,7 +56,7 @@ def decompose(g: Graph, k_clique: int, t: int,
         raise DecompositionError("clique not contained in the working vertex set")
     if not is_clique(g, k_clique):
         raise DecompositionError("supplied vertex set is not a clique")
-    omega = clique_number_in(g, within)
+    omega = clique_number(g, within)
     if k_clique.bit_count() != omega:
         raise DecompositionError(
             f"supplied clique has size {k_clique.bit_count()}, maximum is {omega}")
@@ -107,9 +103,7 @@ def decompose(g: Graph, k_clique: int, t: int,
 
 def decompose_auto(g: Graph, t: int, within: int | None = None) -> CliqueDecomposition:
     """Decompose around the lexicographically smallest maximum clique."""
-    if within is None:
-        within = g.full_mask()
-    return decompose(g, max_clique_in(g, within), t, within)
+    return decompose(g, max_clique(g, within), t, within)
 
 
 @dataclass

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import Graph, bits
+from .graph import Graph, bits, connected_components
+from .oracles import clique_number
 from .patterns import PatternInstance
 
 
@@ -103,18 +104,6 @@ def find_induced(host: Graph, pattern: Graph):
     return None
 
 
-def contains_induced(host: Graph, pattern: Graph) -> bool:
-    return find_induced(host, pattern) is not None
-
-
-def is_isomorphic(g: Graph, h: Graph) -> bool:
-    if g.n != h.n or g.num_edges() != h.num_edges():
-        return False
-    if g.n == 0:
-        return True
-    return find_induced(h, g) is not None
-
-
 def diamond_free_fast(g: Graph):
     """Fast diamond check: for every edge uv, N(u) ∩ N(v) must be a clique.
 
@@ -140,8 +129,6 @@ def find_fan_triangles_diamond_free(g: Graph, l: int):
     when some vertex has at least l neighborhood cliques of size >= 3.
     Much faster than the generic matcher for large l.
     """
-    from .graph import connected_components
-
     if l < 1:
         raise ValueError("need l >= 1")
     for hub in range(g.n):
@@ -212,8 +199,6 @@ def is_member(host: Graph, spec: ClassSpec,
         if not ok:
             return MembershipReport(False, "every_edge_in_two_triangles", edge)
     if cond.min_omega is not None and (have.min_omega or 0) < cond.min_omega:
-        from .oracles import clique_number
-
         if clique_number(host) < cond.min_omega:
             return MembershipReport(False, f"min_omega>={cond.min_omega}", None)
     return MembershipReport(True)

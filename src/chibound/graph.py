@@ -96,25 +96,6 @@ def from_edges(n: int, edges) -> Graph:
     return Graph(n, adj)
 
 
-def induced_subgraph(g: Graph, vs: int):
-    """Induced subgraph on the vertex mask vs.
-
-    Returns (subgraph, index_map) where index_map[i] is the original
-    vertex behind new index i.
-    """
-    if vs & ~g.full_mask():
-        raise GraphError("vertex set contains out-of-range index")
-    index_map = list(bits(vs))
-    pos = {v: i for i, v in enumerate(index_map)}
-    adj = []
-    for v in index_map:
-        row = 0
-        for u in bits(g.adj[v] & vs):
-            row |= 1 << pos[u]
-        adj.append(row)
-    return Graph(len(index_map), adj), index_map
-
-
 def distance_layers(g: Graph, x: int, within: int | None = None):
     """BFS layers from the vertex set x in the subgraph induced on `within`
     (default V).
@@ -152,18 +133,6 @@ def neighborhood(g: Graph, x: int) -> int:
     for v in bits(x):
         out |= g.adj[v]
     return out & ~x
-
-
-def is_complete_between(g: Graph, x: int, y: int) -> bool:
-    if x & y:
-        raise GraphError("sets overlap")
-    return all(g.adj[v] & y == y for v in bits(x))
-
-
-def is_anticomplete_between(g: Graph, x: int, y: int) -> bool:
-    if x & y:
-        raise GraphError("sets overlap")
-    return all(g.adj[v] & y == 0 for v in bits(x))
 
 
 def is_clique(g: Graph, x: int) -> bool:

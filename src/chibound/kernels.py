@@ -8,8 +8,8 @@ Kernels:
                      bit-string (the graph6 bit order) as an integer.  Pure
                      Python.  Isomorphic graphs get equal codes, but the code
                      is not the lexicographic minimum over all permutations;
-                     canon_code_py computes that one and serves as the test
-                     oracle.
+                     the tests compute that one (canon_code_py in
+                     tests/reference.py) as their oracle.
   automorphism_generators -- generators of Aut(G) read off the same search:
                      the maps between leaves with equal codes and the twin
                      transpositions it prunes by.  smallgraphs uses them to
@@ -149,43 +149,6 @@ def automorphism_generators(adj, n: int) -> list:
     if n > 1:
         _ir_search(adj, n, autos)
     return autos
-
-
-def canon_code_py(adj, n: int) -> int:
-    """Lexicographically minimal adjacency code over all vertex permutations.
-
-    Exponential in n; kept as the test oracle for canonical_code.
-    """
-    if n <= 1:
-        return 0
-    total = n * (n - 1) // 2
-    best = 0
-    for j in range(1, n):
-        for i in range(j):
-            best = (best << 1) | (adj[i] >> j & 1)
-    perm = [0] * n
-
-    def rec(pos, used, cur, bits_done):
-        nonlocal best
-        if pos == n:
-            if cur < best:
-                best = cur
-            return
-        for v in range(n):
-            if used >> v & 1:
-                continue
-            chunk = 0
-            for j in range(pos):
-                chunk = (chunk << 1) | (adj[perm[j]] >> v & 1)
-            cur2 = (cur << pos) | chunk
-            bits2 = bits_done + pos
-            if cur2 > best >> (total - bits2):
-                continue
-            perm[pos] = v
-            rec(pos + 1, used | (1 << v), cur2, bits2)
-
-    rec(0, 0, 0, 0)
-    return best
 
 
 # ------------------------------------------------------------ clique number

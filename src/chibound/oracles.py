@@ -1,14 +1,12 @@
 """Exact ground-truth oracles: clique number, chromatic number, chi^(n).
 
-Two independent exact chromatic implementations live here: the
-DSATUR-ordered backtracking solver (the production oracle) and a raw
-all-assignments checker used only to validate it in tests.
+The chromatic oracle is DSATUR-ordered backtracking; the tests check it
+against a raw all-assignments reference (tests/reference.py).
 """
 
 from __future__ import annotations
 
 import os
-from itertools import product
 from math import comb
 
 from . import kernels
@@ -26,29 +24,19 @@ class OracleCapExceeded(RuntimeError):
         self.what, self.n, self.cap = what, n, cap
 
 
-def clique_number(g: Graph) -> int:
-    return clique_number_in(g, g.full_mask())
+def clique_number(g: Graph, within: int | None = None) -> int:
+    """Clique number of G[within] (default G)."""
+    within = g.full_mask() if within is None else within
+    return kernels.clique_number_sub(g.adj, within)
 
 
-def clique_number_in(g: Graph, mask: int) -> int:
-    """Clique number of the subgraph induced on a vertex mask."""
-    if mask == 0:
-        return 0
-    return kernels.clique_number_sub(g.adj, mask)
-
-
-def max_clique(g: Graph) -> int:
-    """Lexicographically smallest maximum clique, as a bitmask."""
-    return max_clique_in(g, g.full_mask())
-
-
-def max_clique_in(g: Graph, mask: int) -> int:
-    """Lex-smallest maximum clique of the subgraph induced on mask."""
-    if mask == 0:
-        return 0
-    need = kernels.clique_number_sub(g.adj, mask)
+def max_clique(g: Graph, within: int | None = None) -> int:
+    """Lexicographically smallest maximum clique of G[within] (default G),
+    as a bitmask."""
+    within = g.full_mask() if within is None else within
+    need = kernels.clique_number_sub(g.adj, within)
     chosen = 0
-    cand = mask
+    cand = within
     while need:
         for v in bits(cand):
             if kernels.clique_number_sub(g.adj, cand & g.adj[v]) >= need - 1:
@@ -118,26 +106,12 @@ def chromatic_number(g: Graph, cap: int = DEFAULT_CHI_CAP,
         return 0, [0] * g.n
     if size > cap:
         raise OracleCapExceeded("chromatic_number", size, cap)
-    k = max(clique_number_in(g, within), 1)
+    k = max(clique_number(g, within), 1)
     while True:
         coloring = _k_colorable(g, k, within)
         if coloring is not None:
             return k, coloring
         k += 1
-
-
-def chromatic_number_bruteforce(g: Graph, cap: int = 7) -> int:
-    """Independent test oracle: try every assignment in k^n order."""
-    if g.n == 0:
-        return 0
-    if g.n > cap:
-        raise OracleCapExceeded("chromatic_number_bruteforce", g.n, cap)
-    edges = list(g.edges())
-    for k in range(1, g.n + 1):
-        for assignment in product(range(k), repeat=g.n):
-            if all(assignment[u] != assignment[v] for u, v in edges):
-                return k
-    return g.n  # pragma: no cover
 
 
 def maximal_low_omega_sets(g: Graph, t: int) -> list:

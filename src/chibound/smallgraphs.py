@@ -16,7 +16,6 @@ from functools import lru_cache
 from . import kernels
 from .detect import ClassSpec, is_member
 from .graph import Graph
-from .kernels import canonical_code
 
 ENUM_CAP = 8
 
@@ -41,10 +40,6 @@ def graph_from_code(code: int, n: int) -> Graph:
                 adj[j] |= 1 << i
             bit -= 1
     return Graph(n, adj)
-
-
-def canonical_form(g: Graph) -> int:
-    return canonical_code(g.adj, g.n)
 
 
 def _image(mask: int, perm) -> int:

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import os
@@ -159,6 +160,24 @@ def test_import_leaves_numpy_unloaded():
         env=_env_with_src(), capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_src_holds_no_test_only_code():
+    # Every top-level function and class of the package is used by the
+    # package itself; references that only the tests need live in tests/.
+    # report_fingerprint defines which report fields are timing.
+    trees = [ast.parse(path.read_text())
+             for path in Path(chibound.__file__).parent.glob("*.py")]
+    defined, used = set(), set()
+    for tree in trees:
+        defined.update(node.name for node in tree.body if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert sorted(defined - used - {"report_fingerprint"}) == []
 
 
 def test_verify_and_sweep(capsys, tmp_path):

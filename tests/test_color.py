@@ -1,7 +1,10 @@
 import re
+from itertools import product
 
+import networkx as nx
 import pytest
 
+from chibound import color
 from chibound.classes import THEOREM_CLASS, get_class
 from chibound.cli import main
 from chibound.color import (LiftError, MembershipError, StructureViolation,
@@ -13,6 +16,7 @@ from chibound.graph6 import parse_graph6, write_graph6
 from chibound.oracles import chromatic_number, clique_number, is_proper
 from chibound.patterns import complete, diamond, gem, path, pineapple
 from chibound.smallgraphs import enumerate_small, sample_in_class
+from reference import to_nx
 
 
 def _fan(blades, clique_size):
@@ -99,6 +103,20 @@ def test_thm5b_fans():
     cert = verify_thm5b(g)
     _assert_valid(g, cert)
     assert cert.palette_used == cert.omega == 4
+
+
+@pytest.mark.parametrize("g", [_fan(2, 4), complete(17)], ids=["fan", "K17"])
+def test_thm5b_proper_omega_coloring_needs_no_oracle(g, monkeypatch):
+    # A proper coloring with omega colors proves chi = omega, also above the
+    # oracle cap (K17 has 17 > 16 vertices).
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("verify_thm5b ran the exact oracle")
+
+    monkeypatch.setattr(color, "chromatic_number", no_oracle)
+    cert = verify_thm5b(g, chi_cap=16)
+    assert cert.palette_used == cert.omega
+    assert cert.notes == [f"proper coloring with omega = {cert.omega} "
+                          "colors: chi = omega"]
 
 
 def test_thm5b_rejects_forbidden_dumbbell():
@@ -220,3 +238,70 @@ def test_thm5b_carrier_claim_fails_on_rook_graphs(q, chi, tmp_path, capsys):
     path_.write_text(write_graph6(g) + "\n")
     assert main(["color", "--theorem", "THM5B", "--in", str(path_)]) == 2
     assert capsys.readouterr().out.count("StructureViolation") == 1
+
+
+def _projective_points(dim):
+    """The points of PG(dim - 1, 3): the vectors of GF(3)^dim whose first
+    nonzero coordinate is 1."""
+    return [p for p in product(range(3), repeat=dim)
+            if any(p) and next(x for x in p if x) == 1]
+
+
+def _orthogonality_graph(points, form):
+    """Points adjacent when the bilinear form vanishes on them mod 3."""
+    return from_edges(len(points), [(i, j) for i, a in enumerate(points)
+                                    for j, b in enumerate(points[:i])
+                                    if form(a, b) % 3 == 0])
+
+
+def _w3():
+    """W(3): the points of PG(3,3), adjacent when
+    x1y2 - x2y1 + x3y4 - x4y3 = 0."""
+    return _orthogonality_graph(
+        _projective_points(4),
+        lambda x, y: x[0] * y[1] - x[1] * y[0] + x[2] * y[3] - x[3] * y[2])
+
+
+def _q43():
+    """Q(4,3): the zeros of x0^2 + x1x2 + x3x4 in PG(4,3), adjacent when
+    orthogonal under the form's polarity."""
+    points = [p for p in _projective_points(5)
+              if (p[0] ** 2 + p[1] * p[2] + p[3] * p[4]) % 3 == 0]
+    return _orthogonality_graph(
+        points, lambda x, y: (2 * x[0] * y[0] + x[1] * y[2] + x[2] * y[1]
+                              + x[3] * y[4] + x[4] * y[3]))
+
+
+@pytest.mark.parametrize("build,chi,thm5a_palette",
+                         [(_w3, 6, 42), (_q43, 5, 41)], ids=["W(3)", "Q(4,3)"])
+def test_thm5b_bound_fails_on_generalized_quadrangles(build, chi,
+                                                      thm5a_palette):
+    # The point graphs of the generalized quadrangles W(3) and Q(4,3) lie in
+    # the THM5B class, yet chi > omega = 4: THM5B's chi = omega, as encoded,
+    # is refuted.  The verifier stops at its carrier claim first.
+    g = build()
+    if build is _w3:
+        assert write_graph6(g) == (
+            "g?}KYOgEAQBAIG{?OMK?^OcobD?dQAHIOTBAHEPF_??OM?N_BbbOchICWcX?dPOoPHC"
+            "eOTATGPGopPF_???A@oM?N_B_[[YCcchICWbCbGCiDPOoPHHGcqAgTATGPGpEEIG")
+    assert (g.n, g.num_edges()) == (40, 240)
+    assert is_member(g, get_class("thm5b"))
+    h = to_nx(g)
+    assert not nx.algorithms.isomorphism.GraphMatcher(
+        h, to_nx(diamond())).subgraph_is_isomorphic()
+    # every edge lies in exactly two triangles
+    assert all(len(list(nx.common_neighbors(h, u, v))) == 2
+               for u, v in h.edges())
+    assert clique_number(g) == 4
+    got, coloring = chromatic_number(g, cap=64)
+    assert got == chi and is_proper(g, coloring)
+    with pytest.raises(StructureViolation, match="carry outside blades") as exc:
+        verify_thm5b(g, chi_cap=64)
+    assert exc.value.witness["chi"] == chi and exc.value.witness["omega"] == 4
+    # THM5A is not refuted: a positive control at k = 5, out of class at 4.
+    cert = color_checked("THM5A", g, THEOREMS["THM5A"].spec(k=5), chi_cap=64)
+    assert (cert.palette_used, cert.bound_value) == (thm5a_palette, 52)
+    assert is_proper(g, [cert.coloring[v] for v in range(g.n)])
+    with pytest.raises(MembershipError) as exc:
+        color_checked("THM5A", g, THEOREMS["THM5A"].spec(k=4), chi_cap=64)
+    assert exc.value.violated == "fan_triangles(l=4)"

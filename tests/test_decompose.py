@@ -6,10 +6,9 @@ from chibound.decompose import (PROPERTY_IDS, DecompositionError,
                                 check_properties, check_property, decompose,
                                 decompose_auto, edge_clique_partition,
                                 fan_structure)
-from chibound.detect import (contains_induced, diamond_free_fast,
-                             every_edge_two_triangles, is_member)
-from chibound.graph import (bits, from_edges, is_anticomplete_between,
-                            is_complete_between, mask_of)
+from chibound.detect import (diamond_free_fast, every_edge_two_triangles,
+                             find_induced, is_member)
+from chibound.graph import bits, from_edges, mask_of
 from chibound.oracles import DEFAULT_CHI_CAP, clique_number
 from chibound.patterns import (bowtie, complete, diamond, dumbbell, f1, f2,
                                gem, hammer_plus, lollipop_star, path,
@@ -39,7 +38,9 @@ def test_gem_example():
 def test_k5_all_empty():
     g = complete(5)
     dec = decompose(g, g.full_mask(), 2)
-    assert dec.parts() == (g.full_mask(), 0, 0, 0, 0, 0)
+    assert dec.k == g.full_mask()
+    assert dec.s_set == dec.t_set == dec.s_prime == dec.t_prime == 0
+    assert dec.residual == 0
     assert dec.a_m == {} and dec.a_nv == {}
 
 
@@ -59,7 +60,8 @@ def test_partition_and_definition_fidelity():
             continue
         for t in (2, 3):
             dec = decompose_auto(g, t)
-            parts = dec.parts()
+            parts = (dec.k, dec.s_set, dec.t_set, dec.s_prime, dec.t_prime,
+                     dec.residual)
             assert sum(p.bit_count() for p in parts) == g.n
             union = 0
             for p in parts:
@@ -79,12 +81,11 @@ def test_partition_and_definition_fidelity():
             # family membership matches definitions
             for m, a in dec.a_m.items():
                 for u in bits(a):
-                    assert is_complete_between(g, 1 << u, dec.k & ~m)
-                    assert is_anticomplete_between(g, 1 << u, m)
+                    assert g.adj[u] & dec.k == dec.k & ~m
             for (nmask, v), a in dec.a_nv.items():
                 for u in bits(a):
                     assert g.has_edge(u, v)
-                    assert is_anticomplete_between(g, 1 << u, nmask)
+                    assert not g.adj[u] & nmask
             # union of families gives S and T back
             s_union = 0
             for a in dec.a_m.values():
@@ -173,7 +174,7 @@ def test_check_properties_matches_one_check_per_property():
 
 def _hypothesis_by_hand(g, which, omega, s, t, k):
     """The ten property hypotheses, each written out on its own."""
-    free = lambda pattern: not contains_induced(g, pattern)  # noqa: E731
+    free = lambda pattern: find_induced(g, pattern) is None  # noqa: E731
     return {
         "P1": lambda: omega > t and free(f1(t)),
         "P2": lambda: omega > t and free(f2(t)),

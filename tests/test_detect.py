@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chibound.classes import get_class
-from chibound.detect import (Conditions, contains_induced, diamond_free_fast,
+from chibound.detect import (Conditions, diamond_free_fast,
                              every_edge_two_triangles, find_induced,
-                             is_isomorphic, is_member, make_class)
+                             is_member, make_class)
 from chibound.graph import Graph, from_edges
 from chibound.patterns import (bowtie, complete, diamond, make_pattern, path)
+from reference import to_nx
 
 # The forbidden patterns of the theorems and of the property hypotheses,
 # at the parameters a sweep uses and their neighbours.
@@ -52,13 +53,6 @@ def _graphs(draw, min_n, max_n):
     return from_edges(n, [e for k, e in enumerate(pairs) if edge_bits >> k & 1])
 
 
-def _to_nx(g):
-    out = nx.Graph()
-    out.add_nodes_from(range(g.n))
-    out.add_edges_from(g.edges())
-    return out
-
-
 def _random_graph(rng, n, p):
     adj = [0] * n
     for i in range(n):
@@ -89,12 +83,12 @@ def test_find_induced_is_lex_first_for_paper_patterns(host):
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(_graphs(9, 14))
 def test_find_induced_matches_networkx_on_larger_hosts(host):
-    nx_host = _to_nx(host)
+    nx_host = to_nx(host)
     for pat in PAPER_PATTERNS:
         got = find_induced(host, pat.graph)
         # GraphMatcher.subgraph_is_isomorphic tests for an induced subgraph.
         want = nx.algorithms.isomorphism.GraphMatcher(
-            nx_host, _to_nx(pat.graph)).subgraph_is_isomorphic()
+            nx_host, to_nx(pat.graph)).subgraph_is_isomorphic()
         assert (got is not None) == want, pat.label()
         if got is not None:
             assert len(set(got)) == pat.graph.n
@@ -111,20 +105,12 @@ def test_find_induced_is_deterministic_lex_first():
     assert find_induced(complete(2), complete(3)) is None
 
 
-def test_is_isomorphic():
-    a = from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    b = from_edges(4, [(2, 0), (0, 3), (3, 1)])
-    assert is_isomorphic(a, b)
-    assert not is_isomorphic(a, from_edges(4, [(0, 1), (1, 2), (2, 0)]))
-    assert is_isomorphic(Graph(0, []), Graph(0, []))
-
-
 def test_diamond_free_fast_matches_induced_search():
     rng = random.Random(3)
     for _ in range(200):
         g = _random_graph(rng, rng.randrange(1, 8), rng.random())
         free, witness = diamond_free_fast(g)
-        assert free == (not contains_induced(g, diamond()))
+        assert free == (find_induced(g, diamond()) is None)
         if not free:
             u, v, a, b = witness
             assert g.has_edge(u, v) and g.has_edge(u, a) and g.has_edge(v, a)

@@ -1,9 +1,8 @@
 import pytest
 
 from chibound.graph import (Graph, GraphError, bits, connected_components,
-                            distance_layers, from_edges, induced_subgraph,
-                            is_anticomplete_between, is_clique,
-                            is_complete_between, mask_of, neighborhood)
+                            distance_layers, from_edges, is_clique, mask_of,
+                            neighborhood)
 
 
 def test_bits_and_mask_roundtrip():
@@ -49,22 +48,6 @@ def test_equality_and_hash():
     assert a != c
 
 
-def test_induced_subgraph_relabels():
-    g = from_edges(5, [(0, 2), (2, 4), (1, 3)])
-    sub, idx = induced_subgraph(g, mask_of([0, 2, 4]))
-    assert idx == [0, 2, 4]
-    assert sub.n == 3
-    assert sorted(sub.edges()) == [(0, 1), (1, 2)]
-
-
-def test_induced_subgraph_empty_and_full():
-    g = from_edges(3, [(0, 1), (1, 2)])
-    sub, idx = induced_subgraph(g, 0)
-    assert sub.n == 0 and idx == []
-    sub, idx = induced_subgraph(g, g.full_mask())
-    assert sub == g
-
-
 def test_distance_layers_partition():
     g = from_edges(6, [(0, 1), (1, 2), (2, 3), (4, 5)])
     layers, unreachable = distance_layers(g, 1 << 0)
@@ -85,14 +68,6 @@ def test_neighborhood():
     g = from_edges(5, [(0, 1), (0, 2), (3, 4)])
     assert neighborhood(g, 1 << 0) == mask_of([1, 2])
     assert neighborhood(g, mask_of([0, 1])) == mask_of([2])
-
-
-def test_complete_anticomplete():
-    g = from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
-    assert is_complete_between(g, mask_of([0, 1]), mask_of([2, 3]))
-    assert is_anticomplete_between(g, mask_of([0]), mask_of([1]))
-    with pytest.raises(GraphError):
-        is_complete_between(g, mask_of([0, 1]), mask_of([1, 2]))
 
 
 def test_is_clique():

@@ -1,19 +1,16 @@
-from itertools import combinations
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chibound import oracles
-from chibound.graph import (Graph, bits, from_edges, induced_subgraph,
-                            is_clique, mask_of)
+from chibound.graph import Graph, bits, from_edges, is_clique, mask_of
 from chibound.oracles import (OracleCapExceeded, chi_n, chromatic_number,
-                              chromatic_number_bruteforce, clique_number,
-                              clique_number_in, is_proper,
+                              clique_number, is_proper,
                               maximal_low_omega_sets, max_clique,
-                              max_clique_in, ramsey_upper)
+                              ramsey_upper)
 from chibound.patterns import complete, cycle, path, pineapple
 from chibound.smallgraphs import enumerate_small
+from reference import chromatic_number_bruteforce, induced_subgraph
 
 
 def test_clique_number_basics():
@@ -26,31 +23,30 @@ def test_clique_number_basics():
 
 def test_clique_number_in_mask():
     g = pineapple(4, 2)
-    assert clique_number_in(g, mask_of([0, 4, 5])) == 2
-    assert clique_number_in(g, 0) == 0
+    assert clique_number(g, mask_of([0, 4, 5])) == 2
+    assert clique_number(g, within=0) == 0
+    assert max_clique(g, within=0) == 0
 
 
 def test_max_clique_exhaustive_up_to_7():
+    # every vertex mask of every graph with n <= 6: the largest clique inside
+    # it, least by its ascending vertex list among those of that size
     for g in enumerate_small(6):
-        w = clique_number(g)
-        best = 0
-        for size in range(g.n, 0, -1):
-            for combo in combinations(range(g.n), size):
-                if is_clique(g, mask_of(combo)):
-                    best = size
-                    break
-            if best:
-                break
-        assert w == best
-        kmask = max_clique(g)
-        assert kmask.bit_count() == w and is_clique(g, kmask)
+        cliques = [m for m in range(1 << g.n) if is_clique(g, m)]
+        for within in range(1 << g.n):
+            best = min((m for m in cliques if not m & ~within),
+                       key=lambda m: (-m.bit_count(), list(bits(m))))
+            assert max_clique(g, within) == best, (g, within)
+            assert clique_number(g, within) == best.bit_count(), (g, within)
+        assert max_clique(g) == max_clique(g, g.full_mask())
+        assert clique_number(g) == clique_number(g, g.full_mask())
 
 
 def test_max_clique_is_lex_min():
     # two disjoint triangles: the clique on the smaller indices wins
     g = from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
     assert max_clique(g) == mask_of([0, 1, 2])
-    assert max_clique_in(g, mask_of([3, 4, 5])) == mask_of([3, 4, 5])
+    assert max_clique(g, mask_of([3, 4, 5])) == mask_of([3, 4, 5])
 
 
 def test_chromatic_number_known_values():
@@ -93,12 +89,11 @@ def test_chi_n_examples():
 
 def test_chi_n_brute_reference():
     # independent re-computation over all induced subgraphs, no maximality cut
-    from chibound.graph import induced_subgraph
     for g in enumerate_small(5):
         for n in (1, 2, 3):
             best = 0
             for mask in range(1, g.full_mask() + 1):
-                if clique_number_in(g, mask) <= n:
+                if clique_number(g, mask) <= n:
                     sub, _ = induced_subgraph(g, mask)
                     best = max(best, chromatic_number(sub)[0])
             assert chi_n(g, n) == best
@@ -228,7 +223,7 @@ def test_chi_n_matches_reference_over_all_induced_subgraphs(g):
         for mask in by_size:
             if mask.bit_count() <= best:
                 break
-            if clique_number_in(g, mask) <= t:
+            if clique_number(g, mask) <= t:
                 sub, _ = induced_subgraph(g, mask)
                 best = max(best, chromatic_number_bruteforce(sub, cap=8))
         assert chi_n(g, t) == best, t
