@@ -12,12 +12,12 @@ import sys
 
 from .classes import THEOREM_CLASS, class_names, get_class
 from .color import THEOREMS, color_checked
-from .decompose import PROPERTY_IDS, decompose, decompose_auto
+from .decompose import PROPERTY_IDS, decompose
 from .detect import find_induced, is_member
 from .graph import bits, mask_of, to_dot
 from .graph6 import read_graph6_file, write_graph6
 from .harness import (RunConfig, classify_exception, exit_code_for,
-                      verify_run, write_report)
+                      report_json, verify_run, write_report)
 from .oracles import (OracleCapExceeded, chi_n, chromatic_number,
                       clique_number, ramsey_upper)
 from .patterns import PATTERNS, make_pattern
@@ -141,11 +141,8 @@ def _cmd_member(args):
 
 def _cmd_decompose(args):
     for i, g in enumerate(_load_graphs(args.infile)):
-        if args.clique == "auto":
-            dec = decompose_auto(g, args.t)
-        else:
-            verts = [int(x) for x in args.clique.split(",")]
-            dec = decompose(g, mask_of(verts), args.t)
+        dec = decompose(g, args.t, clique=None if args.clique == "auto" else
+                        mask_of(int(x) for x in args.clique.split(",")))
         out = {"graph": i, "graph6": write_graph6(g), "t": args.t,
                "K": list(bits(dec.k)), "S": list(bits(dec.s_set)),
                "T": list(bits(dec.t_set)), "S_prime": list(bits(dec.s_prime)),
@@ -204,7 +201,7 @@ def _run_and_report(cfg, out):
         write_report(report, out)
         print(json.dumps(report["aggregates"]))
     else:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(report_json(report))
     return exit_code_for(report)
 
 

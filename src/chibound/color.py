@@ -15,7 +15,7 @@ from math import comb
 
 from .certificate import (ColoringCertificate, LiftError, MembershipError,
                           StructureViolation)
-from .decompose import decompose_auto, edge_clique_partition, fan_structure
+from .decompose import decompose, edge_clique_partition, fan_structure
 from .detect import ClassSpec, Conditions, check_params, is_member, make_class
 from .graph import Graph, bits, connected_components
 from .oracles import (DEFAULT_CHI_CAP, chromatic_number, clique_number,
@@ -49,29 +49,23 @@ class _Canvas:
         return chi, cols
 
     def block(self, rule, mask, base, label, depth, omega=0):
-        """Color mask with fresh colors above base by rule, a (kind, claim)
-        pair: "oracle", exact; "independent", one color; or "components",
-        one color per vertex of each component, of at most omega vertices.
-        Returns the number of colors used; a failed claim raises."""
-        kind, claim = rule
-        if kind == "oracle":
+        """Color mask with fresh colors above base by rule and return the
+        number of colors used.  rule is _ORACLE, exact, or (claim, most):
+        each component of mask has at most most vertices (0, 1 or _OMEGA,
+        omega) and takes one color per vertex.  A larger component raises
+        StructureViolation(claim) with its vertices."""
+        if rule is _ORACLE:
             if not mask:
                 return 0
             chi, cols = self.exact(mask)
             for v in bits(mask):
                 self.paint(v, base + cols[v], label, depth)
             return chi
-        if kind == "independent":
-            for v in bits(mask):
-                hit = self.g.adj[v] & mask
-                if hit:
-                    raise StructureViolation(claim, (v, (hit & -hit).bit_length() - 1))
-                self.paint(v, base + 1, label, depth)
-            return 1 if mask else 0
+        claim, most = rule
         used = 0
         for comp in connected_components(self.g, mask):
             size = comp.bit_count()
-            if size > omega:
+            if size > (omega if most is _OMEGA else most):
                 raise StructureViolation(claim, list(bits(comp)))
             for i, v in enumerate(bits(comp)):
                 self.paint(v, base + i + 1, label, depth)
@@ -94,53 +88,40 @@ class _Canvas:
             self.trace, self.notes, {**params, **details})
 
 
-def _grouped_t(dec):
-    """T vertices grouped by their canonical (N, v) pair, sorted."""
-    groups = {}
-    for u, key in dec.canonical_nv.items():
-        groups[key] = groups.get(key, 0) | 1 << u
-    return sorted(groups.items())
+_ORACLE = "exact"
+_OMEGA = "omega"
+_RESIDUAL = ("every vertex of a component lies in K, S, T, S' or T'", 0)
 
 
-_ORACLE = ("oracle", None)
-
-
-def _k_layers(g, chi_cap, base, t, a_m, t_group, s_prime, t_prime,
-              s_empty=False):
+def _k_layers(g, chi_cap, base, t, a_m, t_group, s_prime, t_prime):
     """The colorer of THM1, THM3 and THM4, run on the plan in its arguments.
 
     A component with omega <= base goes to the exact oracle.  Any other is
     decomposed at t around its lex-first maximum clique K, colored 1..omega;
     then each A_M, T group, S' and T' takes fresh colors by its rule (see
-    _Canvas.block), or is empty by the plan's claims if the rule is None.
-    With s_empty, S must be empty.  Returns (canvas, omega).
+    _Canvas.block), and the residual must be empty.  Returns (canvas, omega).
     """
     canvas = _Canvas(g, chi_cap)
+    omega = 0
     for comp in connected_components(g, g.full_mask()):
         w = clique_number(g, comp)
+        omega = max(omega, w)
         if w <= base:
             canvas.block(_ORACLE, comp, 0, "base", 0)
             continue
-        dec = decompose_auto(g, t, comp)
-        if s_empty and dec.s_set:
-            raise StructureViolation("S must be empty in diamond-free graphs",
-                                     list(bits(dec.s_set)))
+        dec = decompose(g, t, comp)
         for i, v in enumerate(bits(dec.k)):
             canvas.paint(v, i + 1, "K", 0)
         parts = [(a_m, dec.a_m[m], f"S[A_{list(bits(m))}]")
                  for m in sorted(dec.a_m)]
         parts += [(t_group, group, f"T[{list(bits(key[0]))},{key[1]}]")
-                  for key, group in _grouped_t(dec)]
-        parts += [(s_prime, dec.s_prime, "S'"), (t_prime, dec.t_prime, "T'")]
+                  for key, group in dec.t_groups.items()]
+        parts += [(s_prime, dec.s_prime, "S'"), (t_prime, dec.t_prime, "T'"),
+                  (_RESIDUAL, dec.residual, "residual")]
         offset = w
         for rule, mask, label in parts:
-            if rule is not None:
-                offset += canvas.block(rule, mask, offset, label, 0, w)
-        if dec.residual:
-            raise StructureViolation(
-                "every vertex of a component lies in K, S, T, S' or T'",
-                list(bits(dec.residual)))
-    return canvas, clique_number(g)
+            offset += canvas.block(rule, mask, offset, label, 0, w)
+    return canvas, omega
 
 
 def _lift_layers(g, chi_cap, base, layer, outside):
@@ -189,9 +170,11 @@ def color_thm1(g: Graph, t: int,
                chi_cap: int = DEFAULT_CHI_CAP) -> ColoringCertificate:
     """{diamond, hammer(t)+}-free graphs: K + T + T' blocks, base case <= t."""
     canvas, omega = _k_layers(
-        g, chi_cap, base=t, t=t, s_empty=True, a_m=None, s_prime=None,
-        t_group=("components", "components of A'(N,v) have at most omega vertices"),
-        t_prime=("components", "components of T' have at most omega vertices"))
+        g, chi_cap, base=t, t=t,
+        a_m=("S must be empty in diamond-free graphs", 0),
+        t_group=("components of A'(N,v) have at most omega vertices", _OMEGA),
+        s_prime=("S' is empty in diamond-free graphs", 0),
+        t_prime=("components of T' have at most omega vertices", _OMEGA))
     return canvas.certificate("THM1", omega, canvas.max_used, {"t": t})
 
 
@@ -207,10 +190,10 @@ def color_thm4(g: Graph, chi_cap: int = DEFAULT_CHI_CAP) -> ColoringCertificate:
     """{(2,2)-bowtie, P5, (3,3)-dumbbell}-free graphs, the C-free t=2 case."""
     canvas, omega = _k_layers(
         g, chi_cap, base=2, t=2,
-        a_m=("independent", "A_M is edgeless at t=2 by maximality of K"),
-        t_group=("independent", "A'(N,v) is edgeless for (2,2)-bowtie-free graphs"),
-        s_prime=("independent", "S' is edgeless for {P5, (2,2)-bowtie}-free graphs"),
-        t_prime=("independent", "T' is edgeless for {P5, (3,3)-dumbbell}-free graphs"))
+        a_m=("A_M is edgeless at t=2 by maximality of K", 1),
+        t_group=("A'(N,v) is edgeless for (2,2)-bowtie-free graphs", 1),
+        s_prime=("S' is edgeless for {P5, (2,2)-bowtie}-free graphs", 1),
+        t_prime=("T' is edgeless for {P5, (3,3)-dumbbell}-free graphs", 1))
     if omega < 3:
         canvas.notes.append(
             "hypothesis omega >= 3 not met; colored by the exact oracle")
@@ -233,13 +216,13 @@ def color_thm2(g: Graph, s: int, t: int, k: int, y: str,
                chi_cap: int = DEFAULT_CHI_CAP) -> ColoringCertificate:
     """{Y, (s,t)-bowtie, (k,t)-lollipop}-free graphs via alpha-block lifting."""
     def layer(canvas, mask, w):
-        dec = decompose_auto(g, t, mask)
+        dec = decompose(g, t, mask)
 
         def plan():
             # provisional coloring of K ∪ T; each color is a lift block
             blocks = {v: i + 1 for i, v in enumerate(bits(dec.k))}
             top = w
-            for _, group in _grouped_t(dec):
+            for group in dec.t_groups.values():
                 chi, cols = canvas.exact(group)
                 for v in bits(group):
                     blocks[v] = top + cols[v]
@@ -290,10 +273,9 @@ def verify_thm5b(g: Graph,
 
     Claim: in each maximal clique at most one vertex carries blades outside
     it.  The greedy fan coloring below relies on it, so a failure raises
-    StructureViolation with the exact chi, or "capped" above chi_cap, in its
-    witness: the claim can fail where chi = omega still holds.  A proper
-    coloring with omega colors proves chi = omega, so no oracle runs
-    otherwise.
+    StructureViolation; the claim can fail where chi = omega still holds.
+    A proper coloring with omega colors proves chi = omega, so no oracle
+    runs.
     """
     omega = clique_number(g)
     canvas = _Canvas(g, chi_cap)
@@ -311,9 +293,7 @@ def verify_thm5b(g: Graph,
         if len(carriers) > 1:
             raise StructureViolation(
                 "two vertices of one maximal clique carry outside blades",
-                {"clique": idx, "carriers": carriers, "omega": omega,
-                 "chi": chromatic_number(g, cap=chi_cap)[0]
-                 if g.n <= chi_cap else "capped"})
+                {"clique": idx, "carriers": carriers, "omega": omega})
 
     # Greedy clique-by-clique coloring along the fan forest, breadth first.
     cliques = part.cliques

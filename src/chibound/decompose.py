@@ -3,7 +3,7 @@ partition for diamond-free graphs whose edges all lie in two triangles."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 from math import comb
@@ -30,8 +30,10 @@ class CliqueDecomposition:
     a_m maps a non-neighbor mask M (subset of K, 1 <= |M| < t) to the
     vertices complete to K\\M and anticomplete to M.  a_nv maps (N, v)
     pairs (N subset of K with |N| = t, v in K\\N) to the vertices of N(v)\\K
-    anticomplete to N; a vertex can appear under several pairs.  S'/T'
-    overlap is broken toward T'.
+    anticomplete to N; a vertex can appear under several pairs.  t_groups
+    partitions T by each vertex's canonical pair, its first t non-neighbors
+    in K and its first neighbor in K, in key order.  S'/T' overlap is broken
+    toward T'.
     """
 
     k: int
@@ -43,33 +45,37 @@ class CliqueDecomposition:
     s_prime: int
     t_prime: int
     residual: int
-    canonical_nv: dict = field(default_factory=dict)
+    t_groups: dict
 
 
-def decompose(g: Graph, k_clique: int, t: int,
-              within: int | None = None) -> CliqueDecomposition:
+def decompose(g: Graph, t: int, within: int | None = None,
+              clique: int | None = None) -> CliqueDecomposition:
+    """Decompose G[within] (default G) at threshold t around clique, by
+    default its lexicographically smallest maximum clique.  A given clique
+    is checked: it must lie in within, be a clique and be maximum."""
     if t < 2:
         raise DecompositionError("threshold t must be >= 2")
     if within is None:
         within = g.full_mask()
-    if k_clique & ~within:
+    if clique is None:
+        clique = max_clique(g, within)
+    elif clique & ~within:
         raise DecompositionError("clique not contained in the working vertex set")
-    if not is_clique(g, k_clique):
+    elif not is_clique(g, clique):
         raise DecompositionError("supplied vertex set is not a clique")
-    omega = clique_number(g, within)
-    if k_clique.bit_count() != omega:
+    elif clique.bit_count() != (omega := clique_number(g, within)):
         raise DecompositionError(
-            f"supplied clique has size {k_clique.bit_count()}, maximum is {omega}")
+            f"supplied clique has size {clique.bit_count()}, maximum is {omega}")
 
-    k_verts = list(bits(k_clique))
-    nk = neighborhood(g, k_clique) & within
+    k_verts = list(bits(clique))
+    nk = neighborhood(g, clique) & within
     a_m: dict[int, int] = {}
     a_nv: dict[tuple[int, int], int] = {}
-    canonical_nv: dict[int, tuple[int, int]] = {}
+    t_groups: dict[tuple[int, int], int] = {}
     s_set = 0
     t_set = 0
     for u in bits(nk):
-        non = k_clique & ~g.adj[u]
+        non = clique & ~g.adj[u]
         cnt = non.bit_count()
         if cnt < t:
             s_set |= 1 << u
@@ -83,9 +89,10 @@ def decompose(g: Graph, k_clique: int, t: int,
                 for v in nbrs:
                     key = (n_mask, v)
                     a_nv[key] = a_nv.get(key, 0) | 1 << u
-            canonical_nv[u] = (mask_of(nons[:t]), nbrs[0])
+            key = (mask_of(nons[:t]), nbrs[0])
+            t_groups[key] = t_groups.get(key, 0) | 1 << u
 
-    outside = within & ~(k_clique | s_set | t_set)
+    outside = within & ~(clique | s_set | t_set)
     s_prime = 0
     t_prime = 0
     residual = 0
@@ -97,13 +104,9 @@ def decompose(g: Graph, k_clique: int, t: int,
         else:
             residual |= 1 << v
 
-    return CliqueDecomposition(k_clique, t, a_m, a_nv, s_set, t_set,
-                               s_prime, t_prime, residual, canonical_nv)
-
-
-def decompose_auto(g: Graph, t: int, within: int | None = None) -> CliqueDecomposition:
-    """Decompose around the lexicographically smallest maximum clique."""
-    return decompose(g, max_clique(g, within), t, within)
+    return CliqueDecomposition(clique, t, a_m, a_nv, s_set, t_set,
+                               s_prime, t_prime, residual,
+                               dict(sorted(t_groups.items())))
 
 
 @dataclass

@@ -14,8 +14,7 @@ from dataclasses import asdict, dataclass, field, fields
 from .classes import get_class
 from .color import (LiftError, MembershipError, StructureViolation, THEOREMS,
                     color_checked)
-from .decompose import (PARAM_LEAST, PROPERTY_IDS, check_properties,
-                        decompose_auto)
+from .decompose import PARAM_LEAST, PROPERTY_IDS, check_properties, decompose
 from .detect import check_params, is_member
 from .graph6 import read_graph6_file, write_graph6
 from .oracles import (DEFAULT_CHI_CAP, DEFAULT_CHIN_CAP, OracleCapExceeded,
@@ -162,9 +161,10 @@ def verify_graph(g, cfg: RunConfig, spec, theorem_spec, params):
     """Run the full per-graph pipeline; returns (record, violations, errors).
 
     spec, theorem_spec and params are cfg resolved by cfg.validate().  The
-    colorer runs only on members of theorem_spec.  Once g has passed spec,
-    spec is the known class of the property hypotheses and of that
-    membership check: what spec forbids is not searched again.
+    colorer runs only on members of theorem_spec, and a decided chi of a
+    member is checked against the bound whatever the colorer did.  Once g
+    has passed spec, spec is the known class of the property hypotheses
+    and of that membership check: what spec forbids is not searched again.
     """
     record = {"graph6": write_graph6(g), "n": g.n}
     violations = []
@@ -194,7 +194,7 @@ def verify_graph(g, cfg: RunConfig, spec, theorem_spec, params):
 
     if cfg.properties:
         try:
-            dec = decompose_auto(g, params.get("t", 2))
+            dec = decompose(g, params.get("t", 2))
         except Exception as exc:
             errors.append({"graph6": record["graph6"], "stage": "decompose",
                            "type": type(exc).__name__, "error": str(exc)})
@@ -216,39 +216,43 @@ def verify_graph(g, cfg: RunConfig, spec, theorem_spec, params):
                                    "measured": rep.to_dict()["measured"]})
         record["properties"] = props
 
-    if cfg.theorem is not None:
-        try:
-            cert = color_checked(cfg.theorem, g, theorem_spec, cfg.chi_cap,
-                                 known)
-        except Exception as exc:
-            outcome = classify_exception(exc)
-            if outcome == "error":
-                raise
-            if outcome == "violation":
-                violations.append({"graph6": record["graph6"],
-                                   "kind": "structural", "theorem": cfg.theorem,
-                                   "error": str(exc)})
-                record["certificate"] = {"error": str(exc)}
-            else:
-                record["certificate"] = {outcome: str(exc)}
+    if cfg.theorem is None:
+        return record, violations, errors
+    try:
+        cert = color_checked(cfg.theorem, g, theorem_spec, cfg.chi_cap, known)
+    except Exception as exc:
+        outcome = classify_exception(exc)
+        if outcome == "error":
+            raise
+        record["certificate"] = {
+            "error" if outcome == "violation" else outcome: str(exc)}
+        if outcome == "rejected":
             return record, violations, errors
-        summary = {"palette_used": cert.palette_used,
-                   "bound_value": cert.bound_value,
-                   "omega": cert.omega,
-                   "c_value": cert.c_value,
-                   "ok": cert.within_bound,
-                   "notes": list(cert.notes)}
-        record["certificate"] = summary
+        if outcome == "violation":
+            violations.append({"graph6": record["graph6"], "kind": "structural",
+                               "theorem": cfg.theorem, "error": str(exc)})
+        # Each block the exact oracle colors is an induced subgraph, so the
+        # class constant is at most chi: the largest value the bound takes.
+        bound = None if chi is None else THEOREMS[cfg.theorem].bound(
+            record["omega"], chi, **theorem_spec.params)
+    else:
+        record["certificate"] = {"palette_used": cert.palette_used,
+                                 "bound_value": cert.bound_value,
+                                 "omega": cert.omega,
+                                 "c_value": cert.c_value,
+                                 "ok": cert.within_bound,
+                                 "notes": list(cert.notes)}
         if not cert.within_bound:
             violations.append({"graph6": record["graph6"], "kind": "bound",
                                "theorem": cfg.theorem,
                                "palette_used": cert.palette_used,
                                "bound_value": cert.bound_value,
                                "coloring": cert.to_dict()["coloring"]})
-        if chi is not None and chi > cert.bound_value:
-            violations.append({"graph6": record["graph6"], "kind": "chi-bound",
-                               "theorem": cfg.theorem, "chi": chi,
-                               "bound_value": cert.bound_value})
+        bound = cert.bound_value
+    if chi is not None and chi > bound:
+        violations.append({"graph6": record["graph6"], "kind": "chi-bound",
+                           "theorem": cfg.theorem, "chi": chi,
+                           "bound_value": bound})
     return record, violations, errors
 
 
@@ -333,13 +337,17 @@ def exit_code_for(report: dict) -> int:
     return 0
 
 
+def report_json(report: dict) -> str:
+    """The report's one serialization: compact, keys sorted."""
+    return json.dumps(report, sort_keys=True)
+
+
 def report_fingerprint(report: dict) -> str:
-    """Canonical serialization with the timing field removed."""
-    trimmed = {k: v for k, v in report.items() if k != "wall_time_seconds"}
-    return json.dumps(trimmed, sort_keys=True)
+    """report_json with the timing field removed."""
+    return report_json({k: v for k, v in report.items()
+                        if k != "wall_time_seconds"})
 
 
 def write_report(report: dict, path: str):
     with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(report_json(report) + "\n")

@@ -180,8 +180,8 @@ def chi_n(g: Graph, n: int, cap: int = DEFAULT_CHIN_CAP,
     in place as masks of g, largest first.  The scan stops at the first set
     no larger than the best chi so far, and a set that is colorable with
     that many colors is skipped without the exact oracle.  Raises
-    OracleCapExceeded when g has more than cap vertices, and, before any set
-    is colored, when some maximal set has more than chi_cap vertices (the
+    OracleCapExceeded when g has more than cap vertices, or when the largest
+    maximal set, the first one colored, has more than chi_cap vertices (the
     exact chromatic oracle's cap).
     """
     if n < 0:
@@ -190,12 +190,8 @@ def chi_n(g: Graph, n: int, cap: int = DEFAULT_CHIN_CAP,
         raise OracleCapExceeded("chi_n", g.n, cap)
     if g.n == 0 or n == 0:
         return 0
-    sets = maximal_low_omega_sets(g, n)
-    over = [mask for mask in sets if mask.bit_count() > chi_cap]
-    if over:
-        raise OracleCapExceeded("chromatic_number", min(over).bit_count(), chi_cap)
     best = 0
-    for mask in sorted(sets, key=lambda m: (-m.bit_count(), m)):
+    for mask in sorted(maximal_low_omega_sets(g, n), key=lambda m: (-m.bit_count(), m)):
         if mask.bit_count() <= best:
             break
         if best and _k_colorable(g, best, mask) is not None:

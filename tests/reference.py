@@ -1,10 +1,11 @@
-"""Slow, independent references the tests compare the package against."""
+"""Slow, independent references the tests compare the package against, and
+explicit constructions of the graphs that test THM5B."""
 
 from itertools import product
 
 import networkx as nx
 
-from chibound.graph import Graph, GraphError, bits
+from chibound.graph import Graph, GraphError, bits, from_edges
 from chibound.oracles import OracleCapExceeded
 
 
@@ -84,3 +85,44 @@ def to_nx(g: Graph):
     out.add_nodes_from(range(g.n))
     out.add_edges_from(g.edges())
     return out
+
+
+def rook(q):
+    """The rook's graph Kq x Kq: cells of a q x q board, adjacent when they
+    share a row or a column."""
+    cells = [(r, c) for r in range(q) for c in range(q)]
+    return from_edges(q * q, [(i, j) for i, a in enumerate(cells)
+                              for j, b in enumerate(cells[:i])
+                              if a[0] == b[0] or a[1] == b[1]])
+
+
+def _projective_points(dim):
+    """The points of PG(dim - 1, 3): the vectors of GF(3)^dim whose first
+    nonzero coordinate is 1."""
+    return [p for p in product(range(3), repeat=dim)
+            if any(p) and next(x for x in p if x) == 1]
+
+
+def _orthogonality_graph(points, form):
+    """Points adjacent when the bilinear form vanishes on them mod 3."""
+    return from_edges(len(points), [(i, j) for i, a in enumerate(points)
+                                    for j, b in enumerate(points[:i])
+                                    if form(a, b) % 3 == 0])
+
+
+def w3():
+    """W(3): the points of PG(3,3), adjacent when
+    x1y2 - x2y1 + x3y4 - x4y3 = 0."""
+    return _orthogonality_graph(
+        _projective_points(4),
+        lambda x, y: x[0] * y[1] - x[1] * y[0] + x[2] * y[3] - x[3] * y[2])
+
+
+def q43():
+    """Q(4,3): the zeros of x0^2 + x1x2 + x3x4 in PG(4,3), adjacent when
+    orthogonal under the form's polarity."""
+    points = [p for p in _projective_points(5)
+              if (p[0] ** 2 + p[1] * p[2] + p[3] * p[4]) % 3 == 0]
+    return _orthogonality_graph(
+        points, lambda x, y: (2 * x[0] * y[0] + x[1] * y[2] + x[2] * y[1]
+                              + x[3] * y[4] + x[4] * y[3]))

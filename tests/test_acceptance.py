@@ -12,7 +12,7 @@ import pytest
 
 from chibound.classes import get_class
 from chibound.color import THEOREMS, color_thm1, color_thm2, color_thm4, color_thm5a, verify_thm5b
-from chibound.decompose import (check_property, decompose_auto,
+from chibound.decompose import (check_property, decompose,
                                 edge_clique_partition, fan_structure)
 from chibound.detect import (diamond_free_fast, find_induced, is_member)
 from chibound.graph import bits, from_edges, is_clique, mask_of
@@ -46,7 +46,7 @@ def test_ac1_property1_diamond_free(all_small_8):
         if clique_number(g) < 3 or not diamond_free_fast(g)[0]:
             continue
         checked += 1
-        dec = decompose_auto(g, 2)
+        dec = decompose(g, 2)
         if dec.s_set:
             violations += 1
     _report("AC-1", checked > 0 and violations == 0,
@@ -84,7 +84,7 @@ def test_ac2_properties_over_hypothesis_classes(all_small_8):
             wanted.append("P8")
         if not wanted:
             continue
-        dec = decompose_auto(g, 2)
+        dec = decompose(g, 2)
         for which in wanted:
             rep = check_property(g, dec, which, {"s": 2, "t": 2, "k": 2})
             counts[which] += 1

@@ -1,10 +1,9 @@
 import re
-from itertools import product
 
 import networkx as nx
 import pytest
 
-from chibound import color
+from chibound import color, harness
 from chibound.classes import THEOREM_CLASS, get_class
 from chibound.cli import main
 from chibound.color import (LiftError, MembershipError, StructureViolation,
@@ -13,10 +12,11 @@ from chibound.color import (LiftError, MembershipError, StructureViolation,
 from chibound.detect import is_member
 from chibound.graph import from_edges
 from chibound.graph6 import parse_graph6, write_graph6
+from chibound.harness import RunConfig, verify_run
 from chibound.oracles import chromatic_number, clique_number, is_proper
 from chibound.patterns import complete, diamond, gem, path, pineapple
 from chibound.smallgraphs import enumerate_small, sample_in_class
-from reference import to_nx
+from reference import q43, rook, to_nx, w3
 
 
 def _fan(blades, clique_size):
@@ -204,83 +204,94 @@ def test_thm2_over_sampled_members():
         _assert_valid(g, cert)
 
 
-def test_thm5b_structural_violation_is_raised_not_swallowed():
-    # verify_thm5b must never silently pass a wrong coloring; the two-K4
-    # bridge case is caught at membership, so exercise the error type exists
-    assert issubclass(StructureViolation, RuntimeError)
-    assert issubclass(LiftError, RuntimeError)
+def test_thm5b_structural_violation_is_raised_not_swallowed(monkeypatch):
+    # K4 x K4 fails the carrier claim, which raises.  Without the claim the
+    # greedy fan coloring is improper, and the certificate refuses it.
+    g = rook(4)
+    with pytest.raises(StructureViolation, match="carry outside blades"):
+        verify_thm5b(g)
+    monkeypatch.setattr(color, "fan_structure", lambda g, part, v: ([0], None))
+    with pytest.raises(RuntimeError, match="certificate coloring is not proper"):
+        verify_thm5b(g)
+    # A lift with no free color raises too: THM5A at k = 1 off its class.
+    with pytest.raises(LiftError, match="lift failed at vertex 2"):
+        color_thm5a(parse_graph6("EJ]w"), k=1)
 
 
-def _rook(q):
-    """The rook's graph Kq x Kq: cells of a q x q board, adjacent when they
-    share a row or a column."""
-    cells = [(r, c) for r in range(q) for c in range(q)]
-    return from_edges(q * q, [(i, j) for i, a in enumerate(cells)
-                              for j, b in enumerate(cells[:i])
-                              if a[0] == b[0] or a[1] == b[1]])
+_PENDANT_PATH = from_edges(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5)])
+
+
+@pytest.mark.parametrize("colorer,g,claim,witness", [
+    (lambda g: color_thm1(g, 2), diamond(),
+     "S must be empty in diamond-free graphs", [3]),
+    (lambda g: color_thm1(g, 2),
+     from_edges(7, [(0, 1), (0, 6), (1, 6), (2, 4), (2, 5), (2, 6), (3, 4),
+                    (3, 5), (3, 6), (4, 6), (5, 6)]),
+     "components of A'(N,v) have at most omega vertices", [2, 3, 4, 5]),
+    (lambda g: color_thm1(g, 2),
+     from_edges(8, [(0, 1), (0, 6), (1, 6), (2, 4), (2, 5), (2, 7), (3, 4),
+                    (3, 5), (3, 7), (4, 7), (5, 7), (6, 7)]),
+     "components of T' have at most omega vertices", [2, 3, 4, 5]),
+    (lambda g: color_thm1(g, 2), _PENDANT_PATH,
+     "every vertex of a component lies in K, S, T, S' or T'", [5]),
+    (lambda g: color_thm3(g, 2, 2), _PENDANT_PATH,
+     "every vertex of a component lies in K, S, T, S' or T'", [5]),
+    (color_thm4, from_edges(5, [(0, 3), (0, 4), (1, 2), (1, 4), (2, 4), (3, 4)]),
+     "A'(N,v) is edgeless for (2,2)-bowtie-free graphs", [1, 2]),
+    (color_thm4, from_edges(6, [(0, 3), (0, 4), (1, 2), (1, 5), (2, 5), (3, 4),
+                                (3, 5), (4, 5)]),
+     "S' is edgeless for {P5, (2,2)-bowtie}-free graphs", [1, 2]),
+    (color_thm4, from_edges(6, [(0, 3), (0, 5), (1, 2), (1, 4), (2, 4), (3, 5),
+                                (4, 5)]),
+     "T' is edgeless for {P5, (3,3)-dumbbell}-free graphs", [1, 2]),
+    (color_thm4, _PENDANT_PATH,
+     "every vertex of a component lies in K, S, T, S' or T'", [5]),
+], ids=["THM1-S", "THM1-A'", "THM1-T'", "THM1-residual", "THM3-residual",
+        "THM4-A'", "THM4-S'", "THM4-T'", "THM4-residual"])
+def test_colorer_claims_fail_on_non_members(colorer, g, claim, witness):
+    # Each claim of the K-layer colorers raises on a graph outside its class
+    # (found by search over all graphs on at most 8 vertices), with the
+    # failing component as the witness.
+    with pytest.raises(StructureViolation) as exc:
+        colorer(g)
+    assert (exc.value.claim, exc.value.witness) == (claim, witness)
 
 
 @pytest.mark.parametrize("q,chi", [(4, 4), (5, "capped")])
 def test_thm5b_carrier_claim_fails_on_rook_graphs(q, chi, tmp_path, capsys):
     # Kq x Kq is in the THM5B class, and every vertex carries two maximal
     # cliques, so the verifier's "one carrier per clique" claim fails while
-    # chi = omega = q holds; the witness carries the exact chi (K5 x K5 has
-    # more vertices than the oracle cap).
-    g = _rook(q)
+    # chi = omega = q holds (K5 x K5 has more vertices than the oracle cap):
+    # the report has the structural violation and no chi-bound one.
+    g = rook(q)
     if q == 4:
         assert g == parse_graph6("O~`HW}GPHDaNaGPCcPWaN")
     assert is_member(g, get_class("thm5b"))
     with pytest.raises(StructureViolation) as exc:
         verify_thm5b(g, chi_cap=16)
-    assert exc.value.witness["chi"] == chi
     assert exc.value.witness["omega"] == q
     path_ = tmp_path / "rook.g6"
     path_.write_text(write_graph6(g) + "\n")
+    report = verify_run(RunConfig(source={"kind": "graph6", "path": str(path_)},
+                                  class_name="thm5b", theorem="THM5B",
+                                  chi_cap=16))
+    assert report["records"][0]["chi"] == chi
+    assert [v["kind"] for v in report["violations"]] == ["structural"]
     assert main(["color", "--theorem", "THM5B", "--in", str(path_)]) == 2
     assert capsys.readouterr().out.count("StructureViolation") == 1
 
 
-def _projective_points(dim):
-    """The points of PG(dim - 1, 3): the vectors of GF(3)^dim whose first
-    nonzero coordinate is 1."""
-    return [p for p in product(range(3), repeat=dim)
-            if any(p) and next(x for x in p if x) == 1]
-
-
-def _orthogonality_graph(points, form):
-    """Points adjacent when the bilinear form vanishes on them mod 3."""
-    return from_edges(len(points), [(i, j) for i, a in enumerate(points)
-                                    for j, b in enumerate(points[:i])
-                                    if form(a, b) % 3 == 0])
-
-
-def _w3():
-    """W(3): the points of PG(3,3), adjacent when
-    x1y2 - x2y1 + x3y4 - x4y3 = 0."""
-    return _orthogonality_graph(
-        _projective_points(4),
-        lambda x, y: x[0] * y[1] - x[1] * y[0] + x[2] * y[3] - x[3] * y[2])
-
-
-def _q43():
-    """Q(4,3): the zeros of x0^2 + x1x2 + x3x4 in PG(4,3), adjacent when
-    orthogonal under the form's polarity."""
-    points = [p for p in _projective_points(5)
-              if (p[0] ** 2 + p[1] * p[2] + p[3] * p[4]) % 3 == 0]
-    return _orthogonality_graph(
-        points, lambda x, y: (2 * x[0] * y[0] + x[1] * y[2] + x[2] * y[1]
-                              + x[3] * y[4] + x[4] * y[3]))
-
-
 @pytest.mark.parametrize("build,chi,thm5a_palette",
-                         [(_w3, 6, 42), (_q43, 5, 41)], ids=["W(3)", "Q(4,3)"])
+                         [(w3, 6, 42), (q43, 5, 41)], ids=["W(3)", "Q(4,3)"])
 def test_thm5b_bound_fails_on_generalized_quadrangles(build, chi,
-                                                      thm5a_palette):
+                                                      thm5a_palette, tmp_path,
+                                                      monkeypatch):
     # The point graphs of the generalized quadrangles W(3) and Q(4,3) lie in
     # the THM5B class, yet chi > omega = 4: THM5B's chi = omega, as encoded,
-    # is refuted.  The verifier stops at its carrier claim first.
+    # is refuted.  The verifier stops at its carrier claim first, and the
+    # report checks the exact chi against the bound all the same.
     g = build()
-    if build is _w3:
+    if build is w3:
         assert write_graph6(g) == (
             "g?}KYOgEAQBAIG{?OMK?^OcobD?dQAHIOTBAHEPF_??OM?N_BbbOchICWcX?dPOoPHC"
             "eOTATGPGopPF_???A@oM?N_B_[[YCcchICWbCbGCiDPOoPHHGcqAgTATGPGpEEIG")
@@ -297,7 +308,26 @@ def test_thm5b_bound_fails_on_generalized_quadrangles(build, chi,
     assert got == chi and is_proper(g, coloring)
     with pytest.raises(StructureViolation, match="carry outside blades") as exc:
         verify_thm5b(g, chi_cap=64)
-    assert exc.value.witness["chi"] == chi and exc.value.witness["omega"] == 4
+    assert exc.value.witness["omega"] == 4
+    calls = []
+
+    def counted(h, cap, within=None):
+        calls.append(within)
+        return chromatic_number(h, cap, within)
+
+    monkeypatch.setattr(harness, "chromatic_number", counted)
+    monkeypatch.setattr(color, "chromatic_number", counted)
+    path_ = tmp_path / "gq.g6"
+    path_.write_text(write_graph6(g) + "\n")
+    report = verify_run(RunConfig(source={"kind": "graph6", "path": str(path_)},
+                                  class_name="thm5b", theorem="THM5B",
+                                  chi_cap=64))
+    assert calls == [None]    # the record's chi(G) is the one oracle call
+    structural, chi_bound = report["violations"]
+    assert structural["kind"] == "structural"
+    assert (chi_bound["kind"], chi_bound["chi"], chi_bound["bound_value"]) == (
+        "chi-bound", chi, 4)
+    monkeypatch.undo()
     # THM5A is not refuted: a positive control at k = 5, out of class at 4.
     cert = color_checked("THM5A", g, THEOREMS["THM5A"].spec(k=5), chi_cap=64)
     assert (cert.palette_used, cert.bound_value) == (thm5a_palette, 52)

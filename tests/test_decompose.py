@@ -4,8 +4,7 @@ from chibound import decompose as decompose_module
 from chibound.color import THEOREMS
 from chibound.decompose import (PROPERTY_IDS, DecompositionError,
                                 check_properties, check_property, decompose,
-                                decompose_auto, edge_clique_partition,
-                                fan_structure)
+                                edge_clique_partition, fan_structure)
 from chibound.detect import (diamond_free_fast, every_edge_two_triangles,
                              find_induced, is_member)
 from chibound.graph import bits, from_edges, mask_of
@@ -18,7 +17,7 @@ from chibound.smallgraphs import enumerate_small
 
 def test_pineapple_example():
     g = pineapple(4, 1)
-    dec = decompose(g, mask_of([0, 1, 2, 3]), 2)
+    dec = decompose(g, 2, clique=mask_of([0, 1, 2, 3]))
     assert dec.k == mask_of([0, 1, 2, 3])
     assert dec.t_set == 1 << 4          # pendant has 3 >= 2 non-neighbors
     assert dec.s_set == dec.s_prime == dec.t_prime == dec.residual == 0
@@ -27,17 +26,17 @@ def test_pineapple_example():
 def test_gem_example():
     g = gem()
     # K = {apex=4, path vertices 0 and 1}
-    dec = decompose(g, mask_of([0, 1, 4]), 2)
+    dec = decompose(g, 2, clique=mask_of([0, 1, 4]))
     assert dec.s_set == 1 << 2          # vertex 2: one non-neighbor (0)
     assert dec.t_set == 1 << 3          # vertex 3: two non-neighbors (0, 1)
     assert dec.a_m == {1 << 0: 1 << 2}
     assert (mask_of([0, 1]), 4) in dec.a_nv
-    assert dec.canonical_nv[3] == (mask_of([0, 1]), 4)
+    assert dec.t_groups == {(mask_of([0, 1]), 4): 1 << 3}
 
 
 def test_k5_all_empty():
     g = complete(5)
-    dec = decompose(g, g.full_mask(), 2)
+    dec = decompose(g, 2, clique=g.full_mask())
     assert dec.k == g.full_mask()
     assert dec.s_set == dec.t_set == dec.s_prime == dec.t_prime == 0
     assert dec.residual == 0
@@ -47,11 +46,11 @@ def test_k5_all_empty():
 def test_decompose_rejects_bad_clique():
     g = pineapple(4, 1)
     with pytest.raises(DecompositionError):
-        decompose(g, mask_of([0, 4]), 2)      # not a clique
+        decompose(g, 2, clique=mask_of([0, 4]))      # not a clique
     with pytest.raises(DecompositionError):
-        decompose(g, mask_of([0, 1, 2]), 2)   # not maximum
+        decompose(g, 2, clique=mask_of([0, 1, 2]))   # not maximum
     with pytest.raises(DecompositionError):
-        decompose(g, mask_of([0, 1, 2, 3]), 1)  # t < 2
+        decompose(g, 1, clique=mask_of([0, 1, 2, 3]))  # t < 2
 
 
 def test_partition_and_definition_fidelity():
@@ -59,7 +58,7 @@ def test_partition_and_definition_fidelity():
         if clique_number(g) < 3:
             continue
         for t in (2, 3):
-            dec = decompose_auto(g, t)
+            dec = decompose(g, t)
             parts = (dec.k, dec.s_set, dec.t_set, dec.s_prime, dec.t_prime,
                      dec.residual)
             assert sum(p.bit_count() for p in parts) == g.n
@@ -100,7 +99,7 @@ def test_partition_and_definition_fidelity():
 def test_within_mask_restriction():
     # two far-apart triangles; decomposing within one ignores the other
     g = from_edges(7, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (5, 6)])
-    dec = decompose_auto(g, 2, within=mask_of([3, 4, 5, 6]))
+    dec = decompose(g, 2, within=mask_of([3, 4, 5, 6]))
     assert dec.k == mask_of([3, 4, 5])
     assert dec.t_set == 1 << 6
     assert dec.residual == 0
@@ -109,7 +108,7 @@ def test_within_mask_restriction():
 def test_property_p1_negative_control():
     # diamond contains F^1_2 = diamond, so the hypothesis fails and S != {}
     g = diamond()
-    dec = decompose_auto(g, 2)
+    dec = decompose(g, 2)
     rep = check_property(g, dec, "P1")
     assert rep.holds is False
     assert rep.hypothesis_ok is False
@@ -118,7 +117,7 @@ def test_property_p1_negative_control():
 
 def test_property_p8_pineapple():
     g = pineapple(4, 1)
-    dec = decompose_auto(g, 2)
+    dec = decompose(g, 2)
     rep = check_property(g, dec, "P8")
     assert rep.holds is True
     assert rep.measured["chi_t"] == 1
@@ -127,7 +126,7 @@ def test_property_p8_pineapple():
 
 def test_property_block_over_the_cap_is_undecided():
     g = pineapple(4, 6)
-    dec = decompose_auto(g, 2)
+    dec = decompose(g, 2)
     assert dec.t_set.bit_count() == 6
     rep = check_property(g, dec, "P8", chi_cap=3)
     assert rep.holds is None and rep.hypothesis_ok is True
@@ -137,7 +136,7 @@ def test_property_block_over_the_cap_is_undecided():
 
 def test_property_reports_serialize():
     g = pineapple(4, 1)
-    dec = decompose_auto(g, 2)
+    dec = decompose(g, 2)
     for which in ("P1", "P2", "P3", "P4", "P5", "P6", "P7", "P8", "P-property"):
         d = check_property(g, dec, which).to_dict()
         assert d["property"] == which
@@ -147,7 +146,7 @@ def test_property_reports_serialize():
 
 def test_p_property_calls_chi_oracle_once(monkeypatch):
     g = pineapple(4, 1)
-    dec = decompose_auto(g, 2)
+    dec = decompose(g, 2)
     calls = []
     real = decompose_module.chi_n
 
@@ -166,7 +165,7 @@ def test_check_properties_matches_one_check_per_property():
     ids = ("P-property", "P5", "P6", "P7", "P8")
     for g in enumerate_small(6):
         for t in (2, 3):
-            dec = decompose_auto(g, t)
+            dec = decompose(g, t)
             shared = check_properties(g, dec, ids, {"s": 3})
             alone = [check_property(g, dec, which, {"s": 3}) for which in ids]
             assert [r.to_dict() for r in shared] == [r.to_dict() for r in alone]
@@ -197,7 +196,7 @@ def test_property_table_hypotheses_match_the_written_out_ones(s, t, k):
     assert PROPERTY_IDS == ("P1", "P2", "P3", "P4", "P5", "P6", "P7", "P8",
                             "D1", "P-property")
     for g in enumerate_small(6):
-        dec = decompose_auto(g, t)
+        dec = decompose(g, t)
         omega = clique_number(g)
         reports = check_properties(g, dec, PROPERTY_IDS,
                                    {"s": s, "t": t, "k": k})
@@ -217,7 +216,7 @@ def test_known_class_changes_no_property_report(thm, params):
         if not is_member(g, spec):
             continue
         members += 1
-        dec = decompose_auto(g, t)
+        dec = decompose(g, t)
         hinted = check_properties(g, dec, PROPERTY_IDS, spec.params,
                                   known=spec)
         plain = check_properties(g, dec, PROPERTY_IDS, spec.params)
@@ -227,7 +226,7 @@ def test_known_class_changes_no_property_report(thm, params):
 
 def test_unknown_property_rejected():
     g = pineapple(4, 1)
-    dec = decompose_auto(g, 2)
+    dec = decompose(g, 2)
     with pytest.raises(ValueError):
         check_property(g, dec, "P99")
 
@@ -290,7 +289,7 @@ def test_property_d1_on_fan():
     edges = [(a, b) for a in range(4) for b in range(a + 1, 4)]
     edges += [(0, 4), (0, 5), (0, 6), (4, 5), (4, 6), (5, 6)]
     g = from_edges(7, edges)
-    dec = decompose_auto(g, 2)
+    dec = decompose(g, 2)
     rep = check_property(g, dec, "D1")
     assert rep.holds is True
     assert rep.measured["cliques"] == 2

@@ -13,6 +13,7 @@ from chibound.graph6 import parse_graph6, write_graph6
 from chibound.harness import (ConfigError, RunConfig, exit_code_for,
                               report_fingerprint, verify_run, write_report)
 from chibound.patterns import complete, diamond, f2, path, pineapple
+from reference import q43, rook, w3
 
 ROOK_K4 = "O~`HW}GPHDaNaGPCcPWaN"   # K4 x K4, a thm5b member with chi = omega
 
@@ -187,7 +188,7 @@ def test_pipeline_errors_name_stage_and_type(tmp_path, monkeypatch):
     def fail_decompose(g, t):
         raise ValueError("no clique")
 
-    monkeypatch.setattr(harness, "decompose_auto", fail_decompose)
+    monkeypatch.setattr(harness, "decompose", fail_decompose)
     report = verify_run(cfg)
     assert [(e["stage"], e["type"]) for e in report["errors"]] == [
         ("decompose", "ValueError")]
@@ -224,8 +225,8 @@ def test_negative_fixture_exit_two(tmp_path):
     # the witness re-verifies: it names a vertex of S on the same graph
     violation = report["violations"][0]
     g = parse_graph6(violation["graph6"])
-    from chibound.decompose import decompose_auto
-    dec = decompose_auto(g, 2)
+    from chibound.decompose import decompose
+    dec = decompose(g, 2)
     assert dec.s_set >> violation["witness"] & 1
 
 
@@ -496,6 +497,25 @@ def test_structural_violation_is_recorded(tmp_path):
     assert record["certificate"] == {"error": report["violations"][0]["error"]}
     [d1] = record["properties"]
     assert d1["holds"] is True and d1["hypothesis_ok"] is True
+    assert exit_code_for(report) == 2
+
+
+@pytest.mark.parametrize("build,kinds,chi", [
+    (w3, ["structural", "chi-bound"], 6), (q43, ["structural", "chi-bound"], 5),
+    (lambda: rook(4), ["structural"], 4)], ids=["W(3)", "Q(4,3)", "K4xK4"])
+def test_chi_bound_is_checked_when_the_colorer_raises(tmp_path, build, kinds,
+                                                      chi):
+    # THM5B's colorer raises on all three; chi is still checked against the
+    # bound omega = 4, and only the generalized quadrangles break it.
+    report, record = _one_graph_run(tmp_path, write_graph6(build()),
+                                    class_name="thm5b", theorem="THM5B",
+                                    chi_cap=64)
+    assert [v["kind"] for v in report["violations"]] == kinds
+    assert record["chi"] == chi
+    if "chi-bound" in kinds:
+        assert {k: report["violations"][1][k] for k in (
+            "theorem", "chi", "bound_value")} == {
+                "theorem": "THM5B", "chi": chi, "bound_value": 4}
     assert exit_code_for(report) == 2
 
 
