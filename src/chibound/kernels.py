@@ -10,10 +10,11 @@ Kernels:
                      is not the lexicographic minimum over all permutations;
                      the tests compute that one (canon_code_py in
                      tests/reference.py) as their oracle.
-  automorphism_generators -- generators of Aut(G) read off the same search:
-                     the maps between leaves with equal codes and the twin
-                     transpositions it prunes by.  smallgraphs uses them to
-                     canonicalize one extension per automorphism orbit.
+                     On request the same search also gives the vertex
+                     order of a least leaf and generators of Aut(G) (the
+                     maps between leaves with equal codes and the twin
+                     transpositions it prunes by); smallgraphs needs both
+                     for canonical augmentation.
   clique_number_sub -- clique number of the subgraph induced on a
                      candidate bitmask, by branch and bound.  Pure Python.
 """
@@ -26,17 +27,24 @@ NUMBA_OK = False
 
 # ----------------------------------------------------------- canonical form
 
-def _refine(adj, cells):
+def _refine(adj, cells, splitters):
     """Coarsest equitable refinement of the ordered partition `cells`.
 
     Each round splits every cell by the tuple of neighbour counts of its
-    vertices into each cell, placing the parts in increasing tuple order.
-    The result therefore depends on the graph and the order of the input
-    cells, never on vertex indices.
+    vertices into the splitter masks, placing the parts in increasing
+    tuple order; the next round's splitters are the parts split off, all
+    but the last of each split.  The caller passes splitters that decide
+    every cell's counts into every cell: all cells, or the vertex just
+    individualized in an equitable partition.  Counts into the other cells
+    are then constant on each cell or follow from the splitters' counts,
+    and a differing one comes after a differing splitter, so keying on
+    every cell would give the same parts in the same order.  The result
+    depends on the graph and the order of the input cells, never on
+    vertex indices.
     """
     while True:
-        masks = [sum(1 << v for v in cell) for cell in cells]
         out = []
+        new = []
         for cell in cells:
             if len(cell) == 1:
                 out.append(cell)
@@ -44,15 +52,17 @@ def _refine(adj, cells):
             parts = {}
             for v in cell:
                 row = adj[v]
-                key = tuple((row & m).bit_count() for m in masks)
+                key = tuple((row & m).bit_count() for m in splitters)
                 parts.setdefault(key, []).append(v)
             if len(parts) == 1:
                 out.append(cell)
             else:
-                out.extend(parts[key] for key in sorted(parts))
-        if len(out) == len(cells):
+                split = [parts[key] for key in sorted(parts)]
+                out.extend(split)
+                new.extend(sum(1 << v for v in part) for part in split[:-1])
+        if not new:
             return out
-        cells = out
+        cells, splitters = out, new
 
 
 def _code_of_order(adj, order) -> int:
@@ -65,42 +75,57 @@ def _code_of_order(adj, order) -> int:
     return code
 
 
-def _ir_search(adj, n: int, autos=None) -> int:
-    """The individualization-refinement search; returns the least leaf code.
+def canonical_code(adj, n: int, autos=None, order=None) -> int:
+    """Canonical form of a graph as an adjacency code: the least leaf code
+    of an individualization-refinement search.
 
-    Refines the partition by degree to an equitable one, then
+    The search refines the partition by degree to an equitable one, then
     individualizes each vertex of the first non-singleton cell in turn,
     refines and recurses; each discrete partition is a leaf.  A vertex that
     is a twin of one already tried in the same cell is skipped: swapping
     the two is an automorphism fixing the current path, so both branches
     reach the same codes.
 
-    With a list `autos`, the search also appends automorphisms to it, as
-    image lists (v -> perm[v]): the map from the first leaf to each later
-    leaf with its code, and each twin transposition it prunes by.
+    With a list `order`, the same search sets order[:] to the vertex order
+    of a least leaf: order[i] becomes vertex i of graph_from_code(code).
+    Two least leaves differ by an automorphism.
+
+    With a list `autos`, the same search appends generators of Aut(G) to
+    it, as image lists (v -> perm[v]); the identity group gets none.  They
+    are the map from the first leaf to every later leaf with the same
+    code, and every twin transposition the search prunes by.  They
+    generate the whole group: a pruned subtree is the image of a searched
+    sibling under its transposition, which fixes the path, so every leaf
+    of the unpruned tree is the image of a searched leaf under the
+    generated group H.  For an automorphism a, the image of the first leaf
+    under a is thus h(L) for a searched leaf L and h in H; L then has the
+    first leaf's code, so the map from the first leaf to L, which is a
+    followed by the inverse of h, is a generator, and a lies in H.
     """
     by_degree = {}
     for v in range(n):
         by_degree.setdefault(adj[v].bit_count(), []).append(v)
     best = -1
+    best_order = None
     first = None                      # (code, order) of the first leaf
 
     def search(cells):
-        nonlocal best, first
+        nonlocal best, best_order, first
         for t, target in enumerate(cells):
             if len(target) > 1:
                 break
         else:
-            order = [cell[0] for cell in cells]
-            code = _code_of_order(adj, order)
+            leaf = [cell[0] for cell in cells]
+            code = _code_of_order(adj, leaf)
             if best < 0 or code < best:
                 best = code
+                best_order = leaf
             if autos is not None:
                 if first is None:
-                    first = code, order
+                    first = code, leaf
                 elif code == first[0]:
                     perm = [0] * n
-                    for u, w in zip(first[1], order):
+                    for u, w in zip(first[1], leaf):
                         perm[u] = w
                     autos.append(perm)
             return
@@ -117,38 +142,14 @@ def _ir_search(adj, n: int, autos=None) -> int:
             else:
                 tried.append(v)
                 rest = [u for u in target if u != v]
-                search(_refine(adj, cells[:t] + [[v], rest] + cells[t + 1:]))
+                search(_refine(adj, cells[:t] + [[v], rest] + cells[t + 1:],
+                               [1 << v]))
 
-    search(_refine(adj, [by_degree[d] for d in sorted(by_degree)]))
+    cells = [by_degree[d] for d in sorted(by_degree)]
+    search(_refine(adj, cells, [sum(1 << v for v in cell) for cell in cells]))
+    if order is not None:
+        order[:] = best_order
     return best
-
-
-def canonical_code(adj, n: int) -> int:
-    """Canonical form of a graph as an adjacency code: the least leaf code
-    of the individualization-refinement search (_ir_search)."""
-    if n <= 1:
-        return 0
-    return _ir_search(adj, n)
-
-
-def automorphism_generators(adj, n: int) -> list:
-    """Generators of Aut(G), as image lists, read off the canonical search.
-
-    They are the map from the first leaf to every later leaf with the same
-    code, and every twin transposition the search prunes by.  They generate
-    the whole group: a pruned subtree is the image of a searched sibling
-    under its transposition, which fixes the path, so every leaf of the
-    unpruned tree is the image of a searched leaf under the generated
-    group H.  For an automorphism a, the image of the first leaf under a is
-    thus h(L) for a searched leaf L and h in H; L then has the first
-    leaf's code, so the map from the first leaf to L, which is a followed
-    by the inverse of h, is a generator, and a lies in H.  The identity
-    group gets no generators.
-    """
-    autos = []
-    if n > 1:
-        _ir_search(adj, n, autos)
-    return autos
 
 
 # ------------------------------------------------------------ clique number

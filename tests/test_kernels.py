@@ -180,6 +180,50 @@ def test_trivial_codes():
     assert kernels.canonical_code(k3, 3) == 0b111
 
 
+def _refine_every_cell(adj, cells):
+    """Equitable refinement keying every round on every cell's counts."""
+    while True:
+        masks = [mask_of(cell) for cell in cells]
+        out = []
+        for cell in cells:
+            parts = {}
+            for v in cell:
+                key = tuple((adj[v] & m).bit_count() for m in masks)
+                parts.setdefault(key, []).append(v)
+            out.extend(parts[key] for key in sorted(parts))
+        if len(out) == len(cells):
+            return out
+        cells = out
+
+
+def test_refine_with_splitters_matches_every_cell_keys():
+    # The search refines the degree partition with every cell as a
+    # splitter, and an individualized vertex v with [v] alone; both must
+    # give the same ordered cells as keying on every cell each round.
+    rng = random.Random(21)
+    graphs = [graph_from_code(code, n).adj
+              for n in range(1, 7) for code in enumerate_codes(n)]
+    graphs += [_random_adj(rng, n, rng.random()) for n in range(2, 17)
+               for _ in range(20)]
+    graphs += list(_symmetric_graphs().values())
+    for adj in graphs:
+        n = len(adj)
+        by_degree = {}
+        for v in range(n):
+            by_degree.setdefault(adj[v].bit_count(), []).append(v)
+        start = [by_degree[d] for d in sorted(by_degree)]
+        cells = kernels._refine(adj, start, [mask_of(c) for c in start])
+        assert cells == _refine_every_cell(adj, start)
+        for t, target in enumerate(cells):
+            if len(target) > 1:
+                for v in target:
+                    rest = [u for u in target if u != v]
+                    split = cells[:t] + [[v], rest] + cells[t + 1:]
+                    assert (kernels._refine(adj, split, [1 << v])
+                            == _refine_every_cell(adj, split))
+                break
+
+
 # ------------------------------------------------------- automorphism group
 
 def _is_automorphism(adj, perm):
@@ -216,7 +260,8 @@ def _networkx_aut_order(adj):
 
 def _check_generators(adj):
     n = len(adj)
-    gens = kernels.automorphism_generators(adj, n)
+    gens = []
+    kernels.canonical_code(adj, n, gens)
     for perm in gens:
         assert _is_automorphism(adj, perm), perm
     assert _group_order(gens, n) == _networkx_aut_order(adj)

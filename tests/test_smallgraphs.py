@@ -1,17 +1,21 @@
+import random
+from collections import Counter
+from hashlib import sha256
 from itertools import permutations
 
 import pytest
 
 from chibound.classes import get_class
 from chibound.detect import is_member, make_class
-from chibound.graph import Graph, from_edges
+from chibound.graph import Graph, from_edges, mask_of
 from chibound import kernels
 from chibound.patterns import make_pattern
 from chibound.smallgraphs import (ENUM_CAP, EnumerationCapExceeded,
-                                  RejectionBudgetExhausted, enumerate_codes,
-                                  enumerate_small, graph_from_code,
-                                  sample_in_class)
-from reference import canon_code_py
+                                  RejectionBudgetExhausted, _canonical_orbit,
+                                  _image, enumerate_codes, enumerate_small,
+                                  graph_from_code, sample_in_class)
+from networkx.algorithms.isomorphism import GraphMatcher
+from reference import canon_code_py, to_nx
 
 KNOWN_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}  # OEIS A000088
 
@@ -86,20 +90,72 @@ def test_orbit_pruned_enumeration_matches_unpruned():
 
 
 def test_enumeration_canonicalizes_one_extension_per_orbit(monkeypatch):
-    # 5,758 (parent, Aut(parent)-orbit) pairs for n <= 7, by Burnside's
-    # count; the unpruned loop makes 11,290 calls.
-    calls = 0
+    # For n <= 7: 208 parent searches for Aut(P)'s generators, 603 children
+    # whose new vertex alone has maximum degree, and 1,036 ties searched
+    # for the canonical orbit; every other orbit of extensions is rejected
+    # by degree with no search.  Keeping all codes of the 5,758 orbits in
+    # a set took 5,758 calls, and the unpruned loop 11,290.
+    calls = Counter()
     canonical_code = kernels.canonical_code
 
-    def counting(adj, n):
-        nonlocal calls
-        calls += 1
-        return canonical_code(adj, n)
+    def counting(adj, n, *out):
+        calls[len(out)] += 1
+        return canonical_code(adj, n, *out)
 
     monkeypatch.setattr(kernels, "canonical_code", counting)
     enumerate_codes.cache_clear()
     assert len(enumerate_codes(7)) == KNOWN_COUNTS[7]
-    assert calls == 5758
+    assert calls == {0: 603, 1: 208, 2: 1036}
+
+
+def _networkx_orbits(g):
+    """Bitmask of each vertex's Aut(g)-orbit, from networkx's matcher."""
+    h = to_nx(g)
+    orbits = [0] * g.n
+    for iso in GraphMatcher(h, h).isomorphisms_iter():
+        for u, w in iso.items():
+            orbits[u] |= 1 << w
+    return orbits
+
+
+def _accepted(adj, n):
+    """(code, vertices v such that enumerate_codes keeps G as (G - v) + v).
+
+    v must have maximum degree, and be either the only such vertex or in
+    the canonical orbit.
+    """
+    top = max(row.bit_count() for row in adj)
+    tops = mask_of(v for v in range(n) if adj[v].bit_count() == top)
+    code, orbit = _canonical_orbit(adj, n)
+    return code, tops if tops.bit_count() == 1 else tops & orbit
+
+
+def test_acceptance_rule_accepts_one_automorphism_orbit():
+    # On every class the accepted vertices form one whole Aut(G)-orbit,
+    # and a relabeling carries them onto the relabeled graph's.
+    rng = random.Random(13)
+    for n in range(1, 8):
+        for code in enumerate_codes(n):
+            g = graph_from_code(code, n)
+            got, mask = _accepted(g.adj, n)
+            assert got == code
+            assert mask and mask == _networkx_orbits(g)[mask.bit_length() - 1]
+            for _ in range(3):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                h = from_edges(n, [(perm[u], perm[v]) for u, v in g.edges()])
+                assert _accepted(h.adj, n) == (code, _image(mask, perm))
+
+
+def test_enumeration_at_n8_is_canonical_and_matches_golden():
+    codes = enumerate_codes(8)
+    assert len(set(codes)) == KNOWN_COUNTS[8]
+    for code in codes:
+        assert kernels.canonical_code(graph_from_code(code, 8).adj, 8) == code
+    # sha256 of every level up to n = 8, as the global-set enumeration
+    # produced them
+    levels = repr([enumerate_codes(n) for n in range(1, 9)]).encode()
+    assert sha256(levels).hexdigest()[:16] == "a5a9635c40ba05c9"
 
 
 def test_enumerate_small_yields_valid_canonical_graphs():
