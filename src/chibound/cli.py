@@ -18,7 +18,7 @@ from .graph import bits, mask_of, to_dot
 from .graph6 import read_graph6_file, write_graph6
 from .harness import (RunConfig, classify_exception, exit_code_for,
                       report_json, verify_run, write_report)
-from .oracles import (OracleCapExceeded, chi_n, chromatic_number,
+from .oracles import (CAP_ERROR, OracleCapExceeded, chi_n, chromatic_number,
                       clique_number, ramsey_upper)
 from .patterns import PATTERNS, make_pattern
 
@@ -227,6 +227,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code else 0
+    if CAP_ERROR:
+        print(f"error: {CAP_ERROR}", file=sys.stderr)
+        return 1
     handlers = {
         "patterns": _cmd_patterns,
         "detect": _cmd_detect,

@@ -133,16 +133,17 @@ def _lift_layers(g, chi_cap, base, layer, outside):
     alpha, size) and each peeled v takes the first color of its block
     blocks[v] >= 1 of `size` colors that no neighbour in rest uses.  A
     degree |N(v) & rest| >= alpha, against the proof's claim, is noted.
+    Returns (canvas, omega), omega the clique number of g.
     """
     canvas = _Canvas(g, chi_cap)
 
     def rec(mask, depth):
         if not mask:
-            return
+            return 0
         w = clique_number(g, mask)
         if w <= base:
             canvas.block(_ORACLE, mask, 0, "base", depth)
-            return
+            return w
         k_mask, rest, plan = layer(canvas, mask, w)
         rec(rest, depth + 1)
         blocks, alpha, size = plan()
@@ -161,9 +162,9 @@ def _lift_layers(g, chi_cap, base, layer, outside):
                     break
             else:
                 raise LiftError(v, deg, size)
+        return w
 
-    rec(g.full_mask(), 0)
-    return canvas
+    return canvas, rec(g.full_mask(), 0)
 
 
 def color_thm1(g: Graph, t: int,
@@ -231,8 +232,7 @@ def color_thm2(g: Graph, s: int, t: int, k: int, y: str,
             return blocks, alpha, alpha
         return dec.k, mask & ~(dec.k | dec.t_set), plan
 
-    canvas = _lift_layers(g, chi_cap, 2 * t - 2, layer, "(K∪T)")
-    omega = clique_number(g)
+    canvas, omega = _lift_layers(g, chi_cap, 2 * t - 2, layer, "(K∪T)")
     cert = canvas.certificate(
         "THM2", omega, canvas.max_used, {"s": s, "t": t, "k": k, "y": y},
         alpha=None, m_omega=None, g_omega=None,
@@ -257,7 +257,7 @@ def color_thm5a(g: Graph, k: int,
         blocks = {v: i + 1 for i, v in enumerate(bits(k_mask))}
         return k_mask, mask & ~k_mask, lambda: (blocks, alpha, alpha + 1)
 
-    canvas = _lift_layers(g, chi_cap, 3, layer, "K")
+    canvas, _ = _lift_layers(g, chi_cap, 3, layer, "K")
     nominal = omega * (omega - 1) * (k - 1)
     cert = canvas.certificate("THM5A", omega, canvas.max_used, {"k": k},
                               alpha=(omega - 1) * (k - 1), nominal_bound=nominal)

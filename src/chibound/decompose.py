@@ -11,8 +11,8 @@ from typing import NamedTuple
 
 from .detect import (ClassSpec, diamond_free_fast, every_edge_two_triangles,
                      is_free)
-from .graph import (Graph, GraphError, bits, connected_components,
-                    distance_layers, is_clique, mask_of, neighborhood)
+from .graph import (Graph, GraphError, bits, connected_components, is_clique,
+                    mask_of, neighborhood)
 from .oracles import (DEFAULT_CHI_CAP, DEFAULT_CHIN_CAP, OracleCapExceeded,
                       chi_n, chromatic_number, clique_number, max_clique,
                       ramsey_upper)
@@ -199,11 +199,11 @@ def _p4(x: _Check):
     # The distance claim (no T vertex reaches a vertex outside K and T in
     # >= 2 steps of G - K) is an intermediate step of the argument that fails
     # on small in-class graphs, where K is too tight to complete the pattern;
-    # it is a diagnostic.  The property is the chi(T') inequality.
-    within = x.g.full_mask() & ~x.dec.k
-    dist_bad = sum(any(layer & ~x.dec.t_set for layer in
-                       distance_layers(x.g, 1 << v, within)[0][2:])
-                   for v in bits(x.dec.t_set))
+    # it is a diagnostic.  The property is the chi(T') inequality.  v in T
+    # reaches u in >= 2 steps of G - K iff u is in v's component, not N[v].
+    rest = connected_components(x.g, x.g.full_mask() & ~x.dec.k)
+    dist_bad = sum(bool(c & ~x.dec.t_set & ~x.g.adj[v])
+                   for c in rest for v in bits(c & x.dec.t_set))
     return dict(
         holds=chi_tp <= x.omega and not comp_bad,
         measured={"chi_t_prime": chi_tp, "omega": x.omega,

@@ -96,37 +96,6 @@ def from_edges(n: int, edges) -> Graph:
     return Graph(n, adj)
 
 
-def distance_layers(g: Graph, x: int, within: int | None = None):
-    """BFS layers from the vertex set x in the subgraph induced on `within`
-    (default V).
-
-    Returns (layers, unreachable): layers[0] = x, layers[i] = vertices at
-    distance exactly i; unreachable holds the rest of `within`.
-    """
-    if within is None:
-        within = g.full_mask()
-    if x == 0:
-        raise GraphError("distance_layers requires a nonempty start set")
-    if x & ~g.full_mask():
-        raise GraphError("start set contains out-of-range index")
-    if x & ~within:
-        raise GraphError("start set is not inside the working vertex set")
-    layers = [x]
-    seen = x
-    frontier = x
-    while True:
-        nxt = 0
-        for v in bits(frontier):
-            nxt |= g.adj[v]
-        nxt &= within & ~seen
-        if not nxt:
-            break
-        layers.append(nxt)
-        seen |= nxt
-        frontier = nxt
-    return layers, within & ~seen
-
-
 def neighborhood(g: Graph, x: int) -> int:
     """N(x): vertices outside x with a neighbor in x."""
     out = 0

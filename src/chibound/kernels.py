@@ -17,9 +17,13 @@ Kernels:
                      for canonical augmentation.
   clique_number_sub -- clique number of the subgraph induced on a
                      candidate bitmask, by branch and bound.  Pure Python.
+                     On request the same search also gives the
+                     lexicographically first maximum clique.
 """
 
 from __future__ import annotations
+
+from .graph import bits
 
 # There is no numba path; the flag stays for callers that report it.
 NUMBA_OK = False
@@ -154,21 +158,32 @@ def canonical_code(adj, n: int, autos=None, order=None) -> int:
 
 # ------------------------------------------------------------ clique number
 
-def clique_number_sub(adj, cand: int) -> int:
-    """Clique number of the subgraph induced on the bitmask cand."""
-    best = 0
+def clique_number_sub(adj, cand: int, clique=None) -> int:
+    """Clique number of the subgraph induced on the bitmask cand.
 
-    def rec(size, cand):
-        nonlocal best
+    With a list `clique`, the same search sets clique[:] to the ascending
+    vertices of the lexicographically first maximum clique: adding vertices
+    in ascending order, it reaches cliques in the order of their sorted
+    vertex tuples, keeps one only when it beats the best so far and cuts
+    only branches that cannot, so it keeps the first maximum one it reaches.
+    """
+    best = 0
+    best_set = 0
+
+    def rec(size, cand, cur):
+        nonlocal best, best_set
         if size > best:
             best = size
+            best_set = cur
         while cand:
             if size + cand.bit_count() <= best:
                 return
             low = cand & -cand
             v = low.bit_length() - 1
             cand ^= low
-            rec(size + 1, cand & adj[v])
+            rec(size + 1, cand & adj[v], cur | low)
 
-    rec(0, cand)
+    rec(0, cand, 0)
+    if clique is not None:
+        clique[:] = bits(best_set)
     return best

@@ -10,12 +10,30 @@ import os
 from math import comb
 
 from . import kernels
-from .graph import Graph, bits
+from .graph import Graph, mask_of
+
+
+def _env_caps(env) -> tuple:
+    """(chi cap, chi^(n) cap, error): the exact oracles' default vertex
+    caps from CHIBOUND_CHI_CAP and CHIBOUND_CHIN_CAP, else 16 and 12.
+    Never raises: a value that is not a positive int gives a cap of 0 and
+    an error naming it, which the CLI reports before any command runs."""
+    caps, errors = [], []
+    for name, default in (("CHIBOUND_CHI_CAP", "16"),
+                          ("CHIBOUND_CHIN_CAP", "12")):
+        raw = env.get(name, default)
+        try:
+            caps.append(max(int(raw), 0))
+        except ValueError:
+            caps.append(0)
+        if not caps[-1]:
+            errors.append(f"{name} must be a positive int, not {raw!r}")
+    return caps[0], caps[1], "; ".join(errors)
+
 
 # Vertex caps of the exact oracles.  Every default in the package (CLI,
 # colorers, property checks, RunConfig) is one of these two values.
-DEFAULT_CHI_CAP = int(os.environ.get("CHIBOUND_CHI_CAP", "16"))
-DEFAULT_CHIN_CAP = int(os.environ.get("CHIBOUND_CHIN_CAP", "12"))
+DEFAULT_CHI_CAP, DEFAULT_CHIN_CAP, CAP_ERROR = _env_caps(os.environ)
 
 
 class OracleCapExceeded(RuntimeError):
@@ -34,19 +52,9 @@ def max_clique(g: Graph, within: int | None = None) -> int:
     """Lexicographically smallest maximum clique of G[within] (default G),
     as a bitmask."""
     within = g.full_mask() if within is None else within
-    need = kernels.clique_number_sub(g.adj, within)
-    chosen = 0
-    cand = within
-    while need:
-        for v in bits(cand):
-            if kernels.clique_number_sub(g.adj, cand & g.adj[v]) >= need - 1:
-                chosen |= 1 << v
-                cand &= g.adj[v]
-                need -= 1
-                break
-        else:  # pragma: no cover - cannot happen if clique_number is correct
-            raise RuntimeError("clique reconstruction failed")
-    return chosen
+    clique = []
+    kernels.clique_number_sub(g.adj, within, clique)
+    return mask_of(clique)
 
 
 def _k_colorable(g: Graph, k: int, within: int | None = None):
@@ -207,12 +215,9 @@ def ramsey_upper(s: int, t: int) -> int:
     return comb(s + t - 2, t - 1)
 
 
-def is_proper(g: Graph, coloring) -> bool:
-    """True iff the (total) coloring has no monochromatic edge."""
-    if isinstance(coloring, dict):
-        colors = [coloring.get(v) for v in range(g.n)]
-    else:
-        colors = list(coloring)
-    if len(colors) != g.n or any(c is None for c in colors):
+def is_proper(g: Graph, coloring: list) -> bool:
+    """True iff the total coloring, a list indexed by vertex, has no
+    monochromatic edge."""
+    if len(coloring) != g.n or None in coloring:
         raise ValueError("coloring must assign a color to every vertex")
-    return all(colors[u] != colors[v] for u, v in g.edges())
+    return all(coloring[u] != coloring[v] for u, v in g.edges())

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import chibound
+from chibound import oracles
 from chibound.cli import main
 from chibound.color import THEOREMS, LiftError
 from chibound.graph6 import write_graph6
@@ -150,6 +151,36 @@ def test_env_chi_cap_applies_to_chi_command(tmp_path):
     rec = json.loads(proc.stdout)
     assert "chi" not in rec
     assert "cap is 3" in rec["capped"]
+
+
+@pytest.mark.parametrize("var", ["CHIBOUND_CHI_CAP", "CHIBOUND_CHIN_CAP"])
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_invalid_env_cap_fails_every_command_before_input(tmp_path, var,
+                                                         value):
+    # the input file does not exist: a command that read it would fail on it
+    missing = str(tmp_path / "missing.g6")
+    env = _env_with_src(**{var: value})
+    for argv in (["chi", "--in", missing],
+                 ["chin", "--n", "2", "--in", missing],
+                 ["color", "--theorem", "THM4", "--in", missing],
+                 ["sweep", "--theorem", "THM4", "--nmax", "3"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "chibound.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1, (argv, proc.stderr)
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            f"error: {var} must be a positive int, not {value!r}\n"), argv
+
+
+def test_env_caps_read_both_variables_without_raising():
+    assert oracles._env_caps({}) == (16, 12, "")
+    assert oracles._env_caps({"CHIBOUND_CHI_CAP": "9",
+                              "CHIBOUND_CHIN_CAP": "7"}) == (9, 7, "")
+    assert oracles._env_caps({"CHIBOUND_CHI_CAP": "-2",
+                              "CHIBOUND_CHIN_CAP": "x"}) == (
+        0, 0, "CHIBOUND_CHI_CAP must be a positive int, not '-2'; "
+              "CHIBOUND_CHIN_CAP must be a positive int, not 'x'")
 
 
 def test_import_leaves_numpy_unloaded():

@@ -187,6 +187,7 @@ def test_colorers_over_enumerated_members(thm, params):
             continue
         cert = case.colorer(g, **spec.params)
         _assert_valid(g, cert)
+        assert cert.omega == clique_number(g)
         assert cert.bound_value == case.bound(cert.omega, cert.c_value or 0,
                                               **spec.params)
         omegas.add(cert.omega)

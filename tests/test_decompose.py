@@ -1,6 +1,8 @@
+import networkx as nx
 import pytest
 
 from chibound import decompose as decompose_module
+from chibound import kernels
 from chibound.color import THEOREMS
 from chibound.decompose import (PROPERTY_IDS, DecompositionError,
                                 check_properties, check_property, decompose,
@@ -13,6 +15,7 @@ from chibound.patterns import (bowtie, complete, diamond, dumbbell, f1, f2,
                                gem, hammer_plus, lollipop_star, path,
                                pineapple)
 from chibound.smallgraphs import enumerate_small
+from reference import rook, to_nx
 
 
 def test_pineapple_example():
@@ -103,6 +106,41 @@ def test_within_mask_restriction():
     assert dec.k == mask_of([3, 4, 5])
     assert dec.t_set == 1 << 6
     assert dec.residual == 0
+
+
+def test_default_decompose_is_one_clique_search(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return search(*args)
+
+    search = kernels.clique_number_sub
+    monkeypatch.setattr(kernels, "clique_number_sub", counting)
+    for g in (rook(4), pineapple(4, 2), gem()):
+        calls.clear()
+        decompose(g, 2)
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("t", [2, 3])
+def test_p4_distance_violations_match_networkx(t):
+    # a vertex of T counts when some vertex outside T lies at distance >= 2
+    # from it in G - K
+    seen = 0
+    for g in enumerate_small(7):
+        if g.n == 0:
+            continue
+        dec = decompose(g, t)
+        rest = to_nx(g)
+        rest.remove_nodes_from(bits(dec.k))
+        want = sum(any(d >= 2 and not dec.t_set >> u & 1 for u, d in
+                       nx.single_source_shortest_path_length(rest, v).items())
+                   for v in bits(dec.t_set))
+        rep = check_property(g, dec, "P4")
+        assert rep.measured["distance_violations"] == want, g
+        seen += want > 0
+    assert seen > 0
 
 
 def test_property_p1_negative_control():

@@ -1,8 +1,7 @@
 import pytest
 
 from chibound.graph import (Graph, GraphError, bits, connected_components,
-                            distance_layers, from_edges, is_clique, mask_of,
-                            neighborhood)
+                            from_edges, is_clique, mask_of, neighborhood)
 
 
 def test_bits_and_mask_roundtrip():
@@ -46,22 +45,6 @@ def test_equality_and_hash():
     c = from_edges(3, [(1, 2)])
     assert a == b and hash(a) == hash(b)
     assert a != c
-
-
-def test_distance_layers_partition():
-    g = from_edges(6, [(0, 1), (1, 2), (2, 3), (4, 5)])
-    layers, unreachable = distance_layers(g, 1 << 0)
-    assert layers == [1 << 0, 1 << 1, 1 << 2, 1 << 3]
-    assert unreachable == mask_of([4, 5])
-    with pytest.raises(GraphError):
-        distance_layers(g, 0)
-    # within the path minus vertex 2, vertex 3 is cut off from vertex 0
-    within = mask_of([0, 1, 3, 4])
-    layers, unreachable = distance_layers(g, 1 << 0, within)
-    assert layers == [1 << 0, 1 << 1]
-    assert unreachable == mask_of([3, 4])
-    with pytest.raises(GraphError):
-        distance_layers(g, 1 << 2, within)
 
 
 def test_neighborhood():

@@ -1,8 +1,11 @@
+import random
+
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chibound import oracles
+from chibound import kernels, oracles
 from chibound.graph import Graph, bits, from_edges, is_clique, mask_of
 from chibound.oracles import (OracleCapExceeded, chi_n, chromatic_number,
                               clique_number, is_proper,
@@ -10,7 +13,8 @@ from chibound.oracles import (OracleCapExceeded, chi_n, chromatic_number,
                               ramsey_upper)
 from chibound.patterns import complete, cycle, path, pineapple
 from chibound.smallgraphs import enumerate_small
-from reference import chromatic_number_bruteforce, induced_subgraph
+from reference import (chromatic_number_bruteforce, induced_subgraph, q43,
+                       rook, to_nx, w3)
 
 
 def test_clique_number_basics():
@@ -47,6 +51,39 @@ def test_max_clique_is_lex_min():
     g = from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
     assert max_clique(g) == mask_of([0, 1, 2])
     assert max_clique(g, mask_of([3, 4, 5])) == mask_of([3, 4, 5])
+
+
+def test_max_clique_is_the_least_maximum_clique_of_networkx():
+    # the least sorted vertex tuple among the maximum cliques that
+    # networkx.find_cliques lists, on seeded G(n, p) and on three
+    # vertex-transitive graphs with many maximum cliques
+    rng = random.Random(14)
+    graphs = [w3(), q43(), rook(4)]
+    for _ in range(60):
+        n, p = rng.randint(8, 40), rng.choice((0.25, 0.5, 0.7))
+        graphs.append(from_edges(n, [(u, v) for v in range(n)
+                                     for u in range(v) if rng.random() < p]))
+    for g in graphs:
+        cliques = [tuple(sorted(c)) for c in nx.find_cliques(to_nx(g))]
+        omega = max(map(len, cliques))
+        got = max_clique(g)
+        assert is_clique(g, got) and got.bit_count() == omega
+        assert tuple(bits(got)) == min(c for c in cliques if len(c) == omega)
+
+
+def test_max_clique_is_one_kernel_search(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return search(*args)
+
+    search = kernels.clique_number_sub
+    monkeypatch.setattr(kernels, "clique_number_sub", counting)
+    for g in (w3(), rook(4), pineapple(4, 2), Graph(0, [])):
+        calls.clear()
+        max_clique(g)
+        assert len(calls) == 1
 
 
 def test_chromatic_number_known_values():
@@ -265,8 +302,7 @@ def test_is_proper():
     g = path(3)
     assert is_proper(g, [1, 2, 1])
     assert not is_proper(g, [1, 1, 2])
-    assert is_proper(g, {0: 1, 1: 2, 2: 1})
     with pytest.raises(ValueError):
         is_proper(g, [1, 2])
     with pytest.raises(ValueError):
-        is_proper(g, {0: 1, 1: 2})
+        is_proper(g, [1, None, 2])
