@@ -131,10 +131,19 @@ def maximal_low_omega_sets(g: Graph, t: int) -> list:
     that could join S but whose branches were searched already.  When v
     joins S, a vertex u leaves P and X exactly when u and v close a
     (t+1)-clique with S: u is a neighbour of v and
-    omega(S & N(u) & N(v)) >= t - 1.  A node is cut when some x in X has no
-    neighbour in P, since x can then join every set below it; so a node
-    with P empty is reached only with X empty, and its S is maximal.  Each
-    maximal set is reported once, in the order of the search.  Needs t >= 1.
+    omega(S & N(u) & N(v)) >= t - 1.
+
+    Each node branches only on the vertices of ({u} & P) | (N(u) & P) for a
+    pivot u, the vertex of P | X with the fewest neighbours in P (ties to
+    the lowest index), after Tomita, Tanaka & Takahashi (Theor. Comput.
+    Sci. 363, 2006).  This is exact for every t >= 1: a maximal set below
+    the node that misses u cannot take u, so S + u holds a (t+1)-clique
+    through u; u is compatible with the node's S, so that clique uses a
+    vertex added from P, which is a neighbour of u.  A pivot in X with no
+    neighbour in P gives no branch, which cuts the node: it could join
+    every set below.  A node with P empty reports S only when X is empty,
+    and then S is maximal.  Each maximal set is reported once.  Needs
+    t >= 1.
     """
     adj = g.adj
     found = []
@@ -145,6 +154,14 @@ def maximal_low_omega_sets(g: Graph, t: int) -> list:
         if t == 1:
             return near
         common = s & adj[v]
+        if t == 2:
+            # u closes a triangle with S + v iff it meets S & N(v).
+            reach = 0
+            while common:
+                low = common & -common
+                common ^= low
+                reach |= adj[low.bit_length() - 1]
+            return near & reach
         if common.bit_count() < t - 1:
             return 0
         out = 0
@@ -152,24 +169,29 @@ def maximal_low_omega_sets(g: Graph, t: int) -> list:
             low = near & -near
             near ^= low
             shared = common & adj[low.bit_length() - 1]
-            # A single vertex is a 1-clique: the kernel is needed for t >= 3.
-            if shared.bit_count() >= t - 1 and (
-                    t == 2 or kernels.clique_number_sub(adj, shared) >= t - 1):
+            if (shared.bit_count() >= t - 1
+                    and kernels.clique_number_sub(adj, shared) >= t - 1):
                 out |= low
         return out
 
     def search(s, p, x):
-        while True:
-            rest = x
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                if not adj[low.bit_length() - 1] & p:
-                    return
-            if not p:
+        if not p:
+            if not x:
                 found.append(s)
-                return
-            low = p & -p
+            return
+        pivot, fewest = -1, p.bit_count() + 1
+        m = p | x
+        while m:
+            low = m & -m
+            m ^= low
+            u = low.bit_length() - 1
+            deg = (adj[u] & p).bit_count()
+            if deg < fewest:
+                pivot, fewest = u, deg
+        branch = (adj[pivot] | 1 << pivot) & p
+        while branch:
+            low = branch & -branch
+            branch ^= low
             p ^= low
             drop = closing(s, low.bit_length() - 1, p | x)
             search(s | low, p & ~drop, x & ~drop)
@@ -177,6 +199,26 @@ def maximal_low_omega_sets(g: Graph, t: int) -> list:
 
     search(0, g.full_mask(), 0)
     return found
+
+
+def _first_fit_within(g: Graph, k: int, within: int) -> bool:
+    """True when the first-fit coloring of G[within] in ascending vertex
+    order, one mask per color class, uses at most k colors."""
+    classes = []
+    m = within
+    while m:
+        low = m & -m
+        m ^= low
+        row = g.adj[low.bit_length() - 1]
+        for i, members in enumerate(classes):
+            if not row & members:
+                classes[i] = members | low
+                break
+        else:
+            if len(classes) == k:
+                return False
+            classes.append(low)
+    return True
 
 
 def chi_n(g: Graph, n: int, cap: int = DEFAULT_CHIN_CAP,
@@ -187,7 +229,11 @@ def chi_n(g: Graph, n: int, cap: int = DEFAULT_CHIN_CAP,
     inclusion-maximal qualifying sets (maximal_low_omega_sets) are colored,
     in place as masks of g, largest first.  The scan stops at the first set
     no larger than the best chi so far, and a set that is colorable with
-    that many colors is skipped without the exact oracle.  Raises
+    that many colors is skipped without the exact oracle.  Most such sets
+    are caught by a first-fit coloring in ascending vertex order before
+    DSATUR is asked: its classes are independent, so a first fit with at
+    most best colors is a proper coloring and proves the set cannot beat
+    best.  Raises
     OracleCapExceeded when g has more than cap vertices, or when the largest
     maximal set, the first one colored, has more than chi_cap vertices (the
     exact chromatic oracle's cap).
@@ -202,7 +248,8 @@ def chi_n(g: Graph, n: int, cap: int = DEFAULT_CHIN_CAP,
     for mask in sorted(maximal_low_omega_sets(g, n), key=lambda m: (-m.bit_count(), m)):
         if mask.bit_count() <= best:
             break
-        if best and _k_colorable(g, best, mask) is not None:
+        if best and (_first_fit_within(g, best, mask)
+                     or _k_colorable(g, best, mask) is not None):
             continue
         best, _ = chromatic_number(g, cap=chi_cap, within=mask)
     return best

@@ -5,6 +5,7 @@ from itertools import product
 
 import networkx as nx
 
+from chibound import kernels
 from chibound.graph import Graph, GraphError, bits, from_edges
 from chibound.oracles import OracleCapExceeded
 
@@ -58,6 +59,48 @@ def chromatic_number_bruteforce(g: Graph, cap: int = 7) -> int:
             if all(assignment[u] != assignment[v] for u, v in edges):
                 return k
     return g.n  # pragma: no cover
+
+
+def maximal_low_omega_sets_unpivoted(g: Graph, t: int) -> list:
+    """The inclusion-maximal vertex sets with omega <= t, as masks: the slow
+    path for oracles.maximal_low_omega_sets, its search without the pivot.
+
+    Bron & Kerbosch over (S, P, X) for the hereditary property "omega <= t":
+    every vertex of P is branched on in ascending order, and a node is cut
+    when some x in X has no neighbour in P, since x can then join every set
+    below it.  The closing test is the per-vertex one for every t.
+    """
+    adj = g.adj
+    found = []
+
+    def closing(s, v, cand):
+        near = cand & adj[v]
+        if t == 1:
+            return near
+        common = s & adj[v]
+        out = 0
+        for u in bits(near):
+            shared = common & adj[u]
+            if (shared.bit_count() >= t - 1
+                    and kernels.clique_number_sub(adj, shared) >= t - 1):
+                out |= 1 << u
+        return out
+
+    def search(s, p, x):
+        while True:
+            if any(not adj[u] & p for u in bits(x)):
+                return
+            if not p:
+                found.append(s)
+                return
+            low = p & -p
+            p ^= low
+            drop = closing(s, low.bit_length() - 1, p | x)
+            search(s | low, p & ~drop, x & ~drop)
+            x |= low
+
+    search(0, g.full_mask(), 0)
+    return found
 
 
 def induced_subgraph(g: Graph, vs: int):

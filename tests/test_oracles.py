@@ -13,8 +13,9 @@ from chibound.oracles import (OracleCapExceeded, chi_n, chromatic_number,
                               ramsey_upper)
 from chibound.patterns import complete, cycle, path, pineapple
 from chibound.smallgraphs import enumerate_small
-from reference import (chromatic_number_bruteforce, induced_subgraph, q43,
-                       rook, to_nx, w3)
+from reference import (chromatic_number_bruteforce, induced_subgraph,
+                       maximal_low_omega_sets_unpivoted, q43, rook, to_nx,
+                       w3)
 
 
 def test_clique_number_basics():
@@ -250,6 +251,62 @@ def test_maximal_low_omega_sets_match_table_enumeration(g):
         assert set(found) == _maximal_sets_by_table(g, t), t
 
 
+def _gnp(rng, n, p):
+    return from_edges(n, [(u, v) for v in range(n) for u in range(v)
+                          if rng.random() < p])
+
+
+def _half_batch():
+    """60 seeded G(n, 1/2), 20 each at n = 10, 11 and 12."""
+    rng = random.Random(15)
+    return [_gnp(rng, n, 0.5) for n in (10, 11, 12) for _ in range(20)]
+
+
+def test_maximal_low_omega_sets_match_unpivoted_search_and_table():
+    rng = random.Random(21)
+    for n in range(9, 13):
+        for p in (0.2, 0.5, 0.8):
+            for _ in range(2):
+                g = _gnp(rng, n, p)
+                for t in range(1, 5):
+                    found = maximal_low_omega_sets(g, t)
+                    assert len(found) == len(set(found)), (n, p, t)
+                    want = set(maximal_low_omega_sets_unpivoted(g, t))
+                    assert set(found) == want, (n, p, t)
+                    assert want == _maximal_sets_by_table(g, t), (n, p, t)
+
+
+def test_maximal_low_omega_sets_at_t1_are_networkx_maximal_independent_sets():
+    rng = random.Random(22)
+    graphs = [rook(4)] + [_gnp(rng, rng.randint(5, 16), p)
+                          for p in (0.2, 0.5, 0.8) for _ in range(15)]
+    for g in graphs:
+        found = maximal_low_omega_sets(g, 1)
+        assert len(found) == len(set(found))
+        complement = nx.complement(to_nx(g))
+        assert set(found) == {mask_of(c) for c in nx.find_cliques(complement)}
+
+
+def test_pivot_spares_closing_tests(monkeypatch):
+    # Kernel calls made by the closing test at t = 3 over the batch: the
+    # pivot branches on fewer vertices than the unpivoted search.
+    calls = []
+    search = kernels.clique_number_sub
+
+    def counting(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(kernels, "clique_number_sub", counting)
+    for g in _half_batch():
+        maximal_low_omega_sets(g, 3)
+    pivoted = len(calls)
+    calls.clear()
+    for g in _half_batch():
+        maximal_low_omega_sets_unpivoted(g, 3)
+    assert (pivoted, len(calls)) == (6183, 23983)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(_graphs(8))
 def test_chi_n_matches_reference_over_all_induced_subgraphs(g):
@@ -287,6 +344,44 @@ def test_chi_n_stops_at_sets_that_cannot_beat_best(monkeypatch):
         monkeypatch.setattr(oracles, name, counting)
     assert chi_n(complete(5), 1) == 1
     assert calls == {"chromatic_number": 1, "_k_colorable": 1}
+
+
+def test_chi_n_values_do_not_depend_on_the_first_fit_check(monkeypatch):
+    graphs = _half_batch()
+    with_check = [[chi_n(g, t) for t in (2, 3)] for g in graphs]
+    monkeypatch.setattr(oracles, "_first_fit_within", lambda g, k, within: False)
+    assert [[chi_n(g, t) for t in (2, 3)] for g in graphs] == with_check
+
+
+@pytest.mark.parametrize("h, chi2", [
+    (nx.cycle_graph(5), 3),
+    (nx.petersen_graph(), 3),
+    (nx.mycielski_graph(4), 4),
+    (nx.chvatal_graph(), 4),
+], ids=["C5", "Petersen", "Groetzsch", "Chvatal"])
+def test_chi_n_of_triangle_free_named_graphs(h, chi2):
+    h = nx.convert_node_labels_to_integers(h)
+    assert chi_n(from_edges(len(h), list(h.edges())), 2) == chi2
+
+
+def test_first_fit_check_spares_dsatur_calls(monkeypatch):
+    calls = []
+    real = oracles._k_colorable
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    def dsatur_calls():
+        calls.clear()
+        for g in _half_batch():
+            chi_n(g, 2)
+        return len(calls)
+
+    monkeypatch.setattr(oracles, "_k_colorable", counting)
+    with_check = dsatur_calls()
+    monkeypatch.setattr(oracles, "_first_fit_within", lambda g, k, within: False)
+    assert (with_check, dsatur_calls()) == (225, 1427)
 
 
 def test_ramsey_upper():
