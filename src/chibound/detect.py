@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .graph import Graph, bits, connected_components
 from .oracles import clique_number
@@ -43,6 +44,18 @@ class MembershipReport:
                 "witness": list(self.witness) if self.witness else None}
 
 
+@lru_cache(maxsize=256)
+def _plan(pattern: Graph):
+    """find_induced's pattern-side data, computed once per pattern: the
+    degree of each vertex, and later[i], the pairs (j, adjacent) for each
+    pattern vertex j > i."""
+    adj, p = pattern.adj, pattern.n
+    degrees = tuple(row.bit_count() for row in adj)
+    later = tuple(tuple((j, bool(adj[i] >> j & 1)) for j in range(i + 1, p))
+                  for i in range(p))
+    return degrees, later
+
+
 def find_induced(host: Graph, pattern: Graph):
     """First induced embedding of pattern in host, or None.
 
@@ -51,44 +64,51 @@ def find_induced(host: Graph, pattern: Graph):
     lexicographically first one.
 
     Forward checking on candidate bitmasks (after VF2, Cordella et al.,
-    IEEE TPAMI 26(10), 2004): each pattern vertex starts with the host
-    vertices of at least its degree; mapping vertex i to h intersects every
-    later vertex's mask with N(h) or with its complement minus h, and a
-    branch ends as soon as some mask is empty.  Only branches without an
-    embedding are cut, so the search order and its first hit are those of
-    plain backtracking.
+    IEEE TPAMI 26(10), 2004).  A pattern vertex of degree d starts with the
+    host vertices h of d <= deg(h) <= n - p + d: its d neighbours map into
+    N(h), and its p - 1 - d non-neighbours to the n - 1 - deg(h) other
+    vertices outside N(h).  Mapping vertex i to h intersects every later
+    vertex's mask with N(h) or with its complement minus h, and a branch
+    ends as soon as some mask is empty.  The window and the cuts only
+    remove candidates that no embedding can use, so the search order and
+    its first hit are those of plain backtracking.
     """
     p, n = pattern.n, host.n
     if p == 0:
         raise ValueError("empty pattern")
     if p > n:
         return None
+    degrees, later = _plan(pattern)
     hadj = host.adj
     full = (1 << n) - 1
-    hdeg = [row.bit_count() for row in hadj]
+    # at_least[d]: the host vertices of degree >= d, for d = 0..n
+    at_least = [0] * (n + 1)
+    for h, row in enumerate(hadj):
+        at_least[row.bit_count()] |= 1 << h
+    for d in range(n - 1, -1, -1):
+        at_least[d] |= at_least[d + 1]
     cands = []
-    for row in pattern.adj:
-        d = row.bit_count()
-        cands.append(sum(1 << h for h in range(n) if hdeg[h] >= d))
-    if not all(cands):
-        return None
-    # later[i]: (j, adjacent) for each pattern vertex j > i
-    later = [[(j, bool(pattern.adj[i] >> j & 1)) for j in range(i + 1, p)]
-             for i in range(p)]
+    for d in degrees:
+        c = at_least[d] & ~at_least[n - p + d + 1]
+        if not c:
+            return None
+        cands.append(c)
     image = [0] * p
+    last = p - 1
 
     def rec(i, cands):
         m = cands[i]
-        if i == p - 1:
+        if i == last:
             image[i] = (m & -m).bit_length() - 1
             return True
+        pairs = later[i]
         while m:
             low = m & -m
             m ^= low
             row = hadj[low.bit_length() - 1]
             non = full & ~row & ~low
             nxt = cands[:]
-            for j, adjacent in later[i]:
+            for j, adjacent in pairs:
                 c = nxt[j] & (row if adjacent else non)
                 if not c:
                     break
@@ -107,15 +127,31 @@ def find_induced(host: Graph, pattern: Graph):
 def diamond_free_fast(g: Graph):
     """Fast diamond check: for every edge uv, N(u) ∩ N(v) must be a clique.
 
-    Returns (True, None) or (False, (u, v, a, b)) with a diamond witness.
+    Returns (True, None) or (False, (u, v, a, b)) with a diamond witness:
+    the first edge uv with u < v in edges() order, the least a in the
+    common neighbourhood with a non-neighbour there, and the least such b.
+    An edge with at most one common neighbour holds no diamond and is
+    skipped.
     """
-    for u, v in g.edges():
-        common = g.adj[u] & g.adj[v]
-        for a in bits(common):
-            missing = common & ~g.adj[a] & ~(1 << a)
-            if missing:
-                b = (missing & -missing).bit_length() - 1
-                return False, (u, v, a, b)
+    adj = g.adj
+    for u in range(g.n):
+        row = adj[u]
+        m = row >> u + 1 << u + 1
+        while m:
+            low = m & -m
+            m ^= low
+            common = row & adj[low.bit_length() - 1]
+            if not common & (common - 1):
+                continue
+            c = common
+            while c:
+                low_a = c & -c
+                c ^= low_a
+                missing = common & ~adj[low_a.bit_length() - 1] & ~low_a
+                if missing:
+                    return False, (u, low.bit_length() - 1,
+                                   low_a.bit_length() - 1,
+                                   (missing & -missing).bit_length() - 1)
     return True, None
 
 

@@ -61,6 +61,87 @@ def chromatic_number_bruteforce(g: Graph, cap: int = 7) -> int:
     return g.n  # pragma: no cover
 
 
+def chromatic_number_inclusion_exclusion(g: Graph) -> int:
+    """Chromatic number by inclusion-exclusion (Bjorklund, Husfeldt &
+    Koivisto, SIAM J. Comput. 39(2), 2009); shares nothing with DSATUR.
+
+    i(X), the number of independent subsets of X (the empty set included),
+    follows from i(X) = i(X - v) + i(X - N[v]) for the least v in X.  G is
+    k-colorable iff sum over X of (-1)^(n - |X|) i(X)^k > 0, which counts
+    the k-tuples of independent sets covering V.  The sum is taken over the
+    distinct values of i(X), each with its net sign.
+    """
+    n = g.n
+    if n == 0:
+        return 0
+    closed = [row | 1 << v for v, row in enumerate(g.adj)]
+    count = [1] * (1 << n)
+    for x in range(1, 1 << n):
+        low = x & -x
+        count[x] = count[x ^ low] + count[x & ~closed[low.bit_length() - 1]]
+    net = {}
+    for x, c in enumerate(count):
+        net[c] = net.get(c, 0) + (-1) ** (n - x.bit_count())
+    terms = [(c, sign) for c, sign in net.items() if sign]
+    powers = [sign for _, sign in terms]
+    for k in range(1, n + 1):
+        powers = [p * c for p, (c, _) in zip(powers, terms)]
+        if sum(powers) > 0:
+            return k
+    raise AssertionError("n colors always suffice")  # pragma: no cover
+
+
+def find_induced_plain(host: Graph, pattern: Graph):
+    """First induced embedding of pattern in host, or None: the slow path
+    for detect.find_induced, its forward-checking search with each pattern
+    vertex starting at every host vertex of at least its degree and the
+    pattern-side lists rebuilt on each call."""
+    p, n = pattern.n, host.n
+    if p == 0:
+        raise ValueError("empty pattern")
+    if p > n:
+        return None
+    hadj = host.adj
+    full = (1 << n) - 1
+    hdeg = [row.bit_count() for row in hadj]
+    cands = []
+    for row in pattern.adj:
+        d = row.bit_count()
+        cands.append(sum(1 << h for h in range(n) if hdeg[h] >= d))
+    if not all(cands):
+        return None
+    # later[i]: (j, adjacent) for each pattern vertex j > i
+    later = [[(j, bool(pattern.adj[i] >> j & 1)) for j in range(i + 1, p)]
+             for i in range(p)]
+    image = [0] * p
+
+    def rec(i, cands):
+        m = cands[i]
+        if i == p - 1:
+            image[i] = (m & -m).bit_length() - 1
+            return True
+        while m:
+            low = m & -m
+            m ^= low
+            row = hadj[low.bit_length() - 1]
+            non = full & ~row & ~low
+            nxt = cands[:]
+            for j, adjacent in later[i]:
+                c = nxt[j] & (row if adjacent else non)
+                if not c:
+                    break
+                nxt[j] = c
+            else:
+                image[i] = low.bit_length() - 1
+                if rec(i + 1, nxt):
+                    return True
+        return False
+
+    if rec(0, cands):
+        return tuple(image)
+    return None
+
+
 def maximal_low_omega_sets_unpivoted(g: Graph, t: int) -> list:
     """The inclusion-maximal vertex sets with omega <= t, as masks: the slow
     path for oracles.maximal_low_omega_sets, its search without the pivot.

@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import permutations
 
 import networkx as nx
@@ -6,13 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chibound import detect
 from chibound.classes import get_class
 from chibound.detect import (Conditions, diamond_free_fast,
                              every_edge_two_triangles, find_induced,
                              is_member, make_class)
 from chibound.graph import Graph, from_edges
 from chibound.patterns import (bowtie, complete, diamond, make_pattern, path)
-from reference import to_nx
+from chibound.smallgraphs import enumerate_small
+import reference
+from reference import find_induced_plain, to_nx
 
 # The forbidden patterns of the theorems and of the property hypotheses,
 # at the parameters a sweep uses and their neighbours.
@@ -97,6 +101,57 @@ def test_find_induced_matches_networkx_on_larger_hosts(host):
                     assert pat.graph.has_edge(i, j) == host.has_edge(got[i], got[j])
 
 
+def test_find_induced_equals_the_plain_search_on_every_small_class():
+    hosts = list(enumerate_small(7))
+    assert len(hosts) == 1252
+    for host in hosts:
+        for pat in PAPER_PATTERNS:
+            assert find_induced(host, pat.graph) == \
+                find_induced_plain(host, pat.graph), pat.label()
+
+
+def test_find_induced_equals_the_plain_search_on_seeded_hosts():
+    rng = random.Random(5)
+    found = 0
+    for _ in range(60):
+        host = _random_graph(rng, rng.randrange(8, 41), rng.random())
+        for pat in PAPER_PATTERNS:
+            got = find_induced(host, pat.graph)
+            assert got == find_induced_plain(host, pat.graph), pat.label()
+            found += got is not None
+    assert 300 < found < 60 * len(PAPER_PATTERNS)
+
+
+def _search_nodes(fn, module, hosts):
+    """Calls of the matcher's recursion (the nested rec of module) while fn
+    runs on every host and paper pattern, counted by a profile hook."""
+    nodes = 0
+
+    def hook(frame, event, arg):
+        nonlocal nodes
+        code = frame.f_code
+        if (event == "call" and code.co_name == "rec"
+                and code.co_filename == module.__file__):
+            nodes += 1
+
+    sys.setprofile(hook)
+    try:
+        for host in hosts:
+            for pat in PAPER_PATTERNS:
+                fn(host, pat.graph)
+    finally:
+        sys.setprofile(None)
+    return nodes
+
+
+def test_degree_window_spares_search_nodes():
+    # The window's whole effect is fewer nodes, so a window that is dropped
+    # or widened shows here and nowhere else.
+    hosts = list(enumerate_small(6))
+    assert _search_nodes(find_induced, detect, hosts) == 8475
+    assert _search_nodes(find_induced_plain, reference, hosts) == 15053
+
+
 def test_find_induced_is_deterministic_lex_first():
     host = complete(5)
     assert find_induced(host, complete(3)) == (0, 1, 2)
@@ -119,12 +174,13 @@ def test_diamond_free_fast_matches_induced_search():
 
 def test_diamond_free_fast_witness_is_the_lex_first_embedding():
     # is_member and is_free take a diamond's embedding from the edge scan.
-    from chibound.smallgraphs import enumerate_small
     hosts = list(enumerate_small(7))
     assert len(hosts) == 1252
     rng = random.Random(8)
     hosts += [_random_graph(rng, rng.randrange(8, 15), rng.random())
               for _ in range(3000)]
+    hosts += [_random_graph(rng, rng.randrange(15, 41), rng.random() ** 3)
+              for _ in range(300)]
     found = 0
     for host in hosts:
         witness = diamond_free_fast(host)[1]
@@ -154,8 +210,6 @@ def test_is_member_reports_violation():
 def test_triangle_fan_shortcut_matches_the_matcher():
     # After the diamond, is_member decides a triangle fan by the
     # diamond-free detector; verdicts and witnesses stay the matcher's.
-    from chibound.smallgraphs import enumerate_small
-
     rng = random.Random(11)
     hosts = list(enumerate_small(7))
     hosts += [_random_graph(rng, rng.randrange(8, 14), rng.random())
@@ -192,9 +246,6 @@ def test_conditions_in_membership():
 
 
 def test_known_class_passes_what_it_forbids_without_a_search(monkeypatch):
-    from chibound import detect
-    from chibound.smallgraphs import enumerate_small
-
     specs = [get_class(name, **params) for name, params in (
         ("thm1", {}), ("thm1", {"t": 3}), ("thm2", {}), ("thm2", {"y": "f2"}),
         ("thm3", {}), ("thm3", {"s": 3, "t": 3}), ("thm4", {}), ("thm5a", {}),

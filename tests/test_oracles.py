@@ -13,7 +13,8 @@ from chibound.oracles import (OracleCapExceeded, chi_n, chromatic_number,
                               ramsey_upper)
 from chibound.patterns import complete, cycle, path, pineapple
 from chibound.smallgraphs import enumerate_small
-from reference import (chromatic_number_bruteforce, induced_subgraph,
+from reference import (chromatic_number_bruteforce,
+                       chromatic_number_inclusion_exclusion, induced_subgraph,
                        maximal_low_omega_sets_unpivoted, q43, rook, to_nx,
                        w3)
 
@@ -381,7 +382,83 @@ def test_first_fit_check_spares_dsatur_calls(monkeypatch):
     monkeypatch.setattr(oracles, "_k_colorable", counting)
     with_check = dsatur_calls()
     monkeypatch.setattr(oracles, "_first_fit_within", lambda g, k, within: False)
-    assert (with_check, dsatur_calls()) == (225, 1427)
+    assert (with_check, dsatur_calls()) == (198, 1400)
+
+
+def test_inclusion_exclusion_reference_matches_bruteforce():
+    for g in enumerate_small(6):
+        assert chromatic_number_inclusion_exclusion(g) == \
+            chromatic_number_bruteforce(g, cap=6)
+
+
+def test_chromatic_number_matches_inclusion_exclusion_on_every_class_to_8():
+    graphs = list(enumerate_small(8))
+    assert len(graphs) == 13598
+    for g in graphs:
+        assert chromatic_number(g)[0] == chromatic_number_inclusion_exclusion(g)
+
+
+def test_chromatic_number_matches_inclusion_exclusion_on_seeded_gnp():
+    rng = random.Random(16)
+    for n in range(10, 19):
+        for p in (0.2, 0.5, 0.8):
+            g = _gnp(rng, n, p)
+            assert chromatic_number(g, cap=18)[0] == \
+                chromatic_number_inclusion_exclusion(g), (n, p)
+
+
+def test_chi_n_matches_inclusion_exclusion_over_unpivoted_sets():
+    rng = random.Random(17)
+    for n in (9, 10, 11, 12):
+        for p in (0.3, 0.5, 0.7):
+            g = _gnp(rng, n, p)
+            for t in (2, 3):
+                want = max(chromatic_number_inclusion_exclusion(
+                    induced_subgraph(g, mask)[0])
+                    for mask in maximal_low_omega_sets_unpivoted(g, t))
+                assert chi_n(g, t) == want, (n, p, t)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_graphs(9), st.integers(0, (1 << 9) - 1))
+def test_chromatic_number_from_a_proved_lower_bound(g, mask):
+    # Any start between omega and chi skips only counts that fail: same
+    # chi, same coloring.
+    mask &= g.full_mask()
+    want = chromatic_number(g, within=mask)
+    for lower in range(want[0] + 1):
+        assert chromatic_number(g, within=mask, lower=lower) == want
+
+
+def test_chi_n_asks_dsatur_only_above_best(monkeypatch):
+    # A set that beats best is colored from best + 1 up: no DSATUR call
+    # inside chromatic_number repeats a count chi_n has shown too small.
+    events = []
+    real_k, real_chi = oracles._k_colorable, oracles.chromatic_number
+
+    def k_colorable(g, k, within=None):
+        events.append(("k", k))
+        return real_k(g, k, within)
+
+    def chromatic(*args, **kwargs):
+        events.append(("start", None))
+        chi, colors = real_chi(*args, **kwargs)
+        events.append(("chi", chi))
+        return chi, colors
+
+    monkeypatch.setattr(oracles, "_k_colorable", k_colorable)
+    monkeypatch.setattr(oracles, "chromatic_number", chromatic)
+    for g in _half_batch():
+        events.clear()
+        chi_n(g, 2)
+        best, inside = 0, False
+        for what, value in events:
+            if what == "start":
+                inside = True
+            elif what == "chi":
+                inside, best = False, value
+            elif inside:
+                assert value > best
 
 
 def test_ramsey_upper():
