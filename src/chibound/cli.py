@@ -14,7 +14,7 @@ from .classes import THEOREM_CLASS, class_names, get_class
 from .color import THEOREMS, color_checked
 from .decompose import PROPERTY_IDS, decompose
 from .detect import find_induced, is_member
-from .graph import bits, mask_of, to_dot
+from .graph import bits, is_clique, mask_of, to_dot
 from .graph6 import read_graph6_file, write_graph6
 from .harness import (RunConfig, classify_exception, exit_code_for,
                       report_json, verify_run, write_report)
@@ -141,8 +141,13 @@ def _cmd_member(args):
 
 def _cmd_decompose(args):
     for i, g in enumerate(_load_graphs(args.infile)):
-        dec = decompose(g, args.t, clique=None if args.clique == "auto" else
-                        mask_of(int(x) for x in args.clique.split(",")))
+        clique = None
+        if args.clique != "auto":  # decompose trusts its clique: check it
+            clique = mask_of(int(x) for x in args.clique.split(","))
+            if (clique & ~g.full_mask() or not is_clique(g, clique)
+                    or clique.bit_count() != clique_number(g)):
+                raise ValueError(f"--clique is not a maximum clique of graph {i}")
+        dec = decompose(g, args.t, clique=clique)
         out = {"graph": i, "graph6": write_graph6(g), "t": args.t,
                "K": list(bits(dec.k)), "S": list(bits(dec.s_set)),
                "T": list(bits(dec.t_set)), "S_prime": list(bits(dec.s_prime)),

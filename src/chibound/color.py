@@ -18,19 +18,22 @@ from .certificate import (ColoringCertificate, LiftError, MembershipError,
 from .decompose import decompose, edge_clique_partition, fan_structure
 from .detect import ClassSpec, Conditions, check_params, is_member, make_class
 from .graph import Graph, bits, connected_components
-from .oracles import (DEFAULT_CHI_CAP, chromatic_number, clique_number,
-                      is_proper, max_clique, ramsey_upper)
+from .oracles import (DEFAULT_CHI_CAP, chromatic_number, is_proper,
+                      max_clique, ramsey_upper)
 from .patterns import make_pattern
 
 
 class _Canvas:
-    """A coloring of g under construction, painted block by block.  max_used,
-    the largest palette the exact oracle used on a block, realizes the class
-    constant C at desk scale, which keeps the bound checks self-consistent."""
+    """A coloring of g under construction, painted block by block around
+    clique, a maximum clique of g (None: max_clique(g)) of size omega.
+    max_used, the largest palette the exact oracle used on a block, realizes
+    the class constant C at desk scale: the bound checks stay consistent."""
 
-    def __init__(self, g: Graph, chi_cap: int):
+    def __init__(self, g: Graph, chi_cap: int, clique: int | None):
         self.g = g
         self.chi_cap = chi_cap
+        self.clique = max_clique(g) if clique is None else clique
+        self.omega = self.clique.bit_count()
         self.coloring: dict[int, int] = {}
         self.trace: list = []
         self.notes: list = []
@@ -42,22 +45,22 @@ class _Canvas:
         self.coloring[v] = color
         self.trace.append((v, label, depth))
 
-    def exact(self, mask):
-        """(chi, colors) of G[mask], colors indexed by g's vertices."""
-        chi, cols = chromatic_number(self.g, cap=self.chi_cap, within=mask)
+    def exact(self, mask, lower=None):
+        """chromatic_number(g, chi_cap, mask, lower): (chi, colors)."""
+        chi, cols = chromatic_number(self.g, self.chi_cap, mask, lower)
         self.max_used = max(self.max_used, chi)
         return chi, cols
 
-    def block(self, rule, mask, base, label, depth, omega=0):
+    def block(self, rule, mask, base, label, depth, omega=0, lower=None):
         """Color mask with fresh colors above base by rule and return the
-        number of colors used.  rule is _ORACLE, exact, or (claim, most):
-        each component of mask has at most most vertices (0, 1 or _OMEGA,
-        omega) and takes one color per vertex.  A larger component raises
-        StructureViolation(claim) with its vertices."""
+        number of colors used.  rule is _ORACLE, exact (from lower), or
+        (claim, most): each component of mask has at most most vertices (0,
+        1 or _OMEGA, omega) and takes one color per vertex.  A larger
+        component raises StructureViolation(claim) with its vertices."""
         if rule is _ORACLE:
             if not mask:
                 return 0
-            chi, cols = self.exact(mask)
+            chi, cols = self.exact(mask, lower)
             for v in bits(mask):
                 self.paint(v, base + cols[v], label, depth)
             return chi
@@ -72,7 +75,7 @@ class _Canvas:
             used = max(used, size)
         return used
 
-    def certificate(self, thm, omega, c, params, **details):
+    def certificate(self, thm, c, params, **details):
         """Verify the finished coloring and certify it against the bound."""
         g = self.g
         colors = [self.coloring.get(v) for v in range(g.n)]
@@ -84,7 +87,7 @@ class _Canvas:
             raise RuntimeError("trace does not cover every vertex exactly once")
         return ColoringCertificate(
             thm, self.coloring, max(colors, default=0),
-            THEOREMS[thm].bound(omega, c or 0, **params), omega, c,
+            THEOREMS[thm].bound(self.omega, c or 0, **params), self.omega, c,
             self.trace, self.notes, {**params, **details})
 
 
@@ -93,23 +96,23 @@ _OMEGA = "omega"
 _RESIDUAL = ("every vertex of a component lies in K, S, T, S' or T'", 0)
 
 
-def _k_layers(g, chi_cap, base, t, a_m, t_group, s_prime, t_prime):
+def _k_layers(g, chi_cap, clique, base, t, a_m, t_group, s_prime, t_prime):
     """The colorer of THM1, THM3 and THM4, run on the plan in its arguments.
 
-    A component with omega <= base goes to the exact oracle.  Any other is
-    decomposed at t around its lex-first maximum clique K, colored 1..omega;
-    then each A_M, T group, S' and T' takes fresh colors by its rule (see
-    _Canvas.block), and the residual must be empty.  Returns (canvas, omega).
+    A component's K is the canvas clique if it holds it, else max_clique.
+    With |K| <= base it goes to the exact oracle from |K| colors up; else it
+    is decomposed at t around K, colored 1..|K|, then each A_M, T group, S'
+    and T' takes fresh colors by its rule (see _Canvas.block), and the
+    residual must be empty.  Returns the canvas.
     """
-    canvas = _Canvas(g, chi_cap)
-    omega = 0
+    canvas = _Canvas(g, chi_cap, clique)
     for comp in connected_components(g, g.full_mask()):
-        w = clique_number(g, comp)
-        omega = max(omega, w)
+        k = canvas.clique if canvas.clique & comp else max_clique(g, comp)
+        w = k.bit_count()
         if w <= base:
-            canvas.block(_ORACLE, comp, 0, "base", 0)
+            canvas.block(_ORACLE, comp, 0, "base", 0, lower=w)
             continue
-        dec = decompose(g, t, comp)
+        dec = decompose(g, t, comp, k)
         for i, v in enumerate(bits(dec.k)):
             canvas.paint(v, i + 1, "K", 0)
         parts = [(a_m, dec.a_m[m], f"S[A_{list(bits(m))}]")
@@ -121,31 +124,30 @@ def _k_layers(g, chi_cap, base, t, a_m, t_group, s_prime, t_prime):
         offset = w
         for rule, mask, label in parts:
             offset += canvas.block(rule, mask, offset, label, 0, w)
-    return canvas, omega
+    return canvas
 
 
-def _lift_layers(g, chi_cap, base, layer, outside):
-    """The colorer of THM2 and THM5A: alpha-block lifting.
+def _lift_layers(canvas, base, layer, outside):
+    """The colorer of THM2 and THM5A: alpha-block lifting, on the canvas.
 
-    A mask with omega <= base goes to the exact oracle.  Otherwise
-    layer(canvas, mask, omega) peels a maximum clique K and returns
-    (K, rest, plan); rest is colored first, then plan() gives (blocks,
-    alpha, size) and each peeled v takes the first color of its block
-    blocks[v] >= 1 of `size` colors that no neighbour in rest uses.  A
-    degree |N(v) & rest| >= alpha, against the proof's claim, is noted.
-    Returns (canvas, omega), omega the clique number of g.
+    A mask's K is its max_clique, the canvas clique for g itself.  With |K|
+    <= base it goes to the exact oracle from |K| colors up.  Otherwise
+    layer(canvas, mask, K) peels K and returns (rest, plan); rest is colored
+    first, then plan() gives (blocks, alpha, size) and each peeled v takes
+    the first color of its block blocks[v] >= 1 of `size` colors that no
+    neighbour in rest uses.  A degree |N(v) & rest| >= alpha, against the
+    proof's claim, is noted.
     """
-    canvas = _Canvas(g, chi_cap)
+    g = canvas.g
 
-    def rec(mask, depth):
-        if not mask:
-            return 0
-        w = clique_number(g, mask)
+    def rec(mask, k_mask, depth):
+        w = k_mask.bit_count()
         if w <= base:
-            canvas.block(_ORACLE, mask, 0, "base", depth)
-            return w
-        k_mask, rest, plan = layer(canvas, mask, w)
-        rec(rest, depth + 1)
+            canvas.block(_ORACLE, mask, 0, "base", depth, lower=w)
+            return
+        rest, plan = layer(canvas, mask, k_mask)
+        if rest:
+            rec(rest, max_clique(g, rest), depth + 1)
         blocks, alpha, size = plan()
         for v in sorted(blocks):
             near = g.adj[v] & rest
@@ -162,43 +164,43 @@ def _lift_layers(g, chi_cap, base, layer, outside):
                     break
             else:
                 raise LiftError(v, deg, size)
-        return w
 
-    return canvas, rec(g.full_mask(), 0)
+    rec(g.full_mask(), canvas.clique, 0)
 
 
-def color_thm1(g: Graph, t: int,
-               chi_cap: int = DEFAULT_CHI_CAP) -> ColoringCertificate:
+def color_thm1(g: Graph, t: int, chi_cap: int = DEFAULT_CHI_CAP,
+               clique: int | None = None) -> ColoringCertificate:
     """{diamond, hammer(t)+}-free graphs: K + T + T' blocks, base case <= t."""
-    canvas, omega = _k_layers(
-        g, chi_cap, base=t, t=t,
+    canvas = _k_layers(
+        g, chi_cap, clique, base=t, t=t,
         a_m=("S must be empty in diamond-free graphs", 0),
         t_group=("components of A'(N,v) have at most omega vertices", _OMEGA),
         s_prime=("S' is empty in diamond-free graphs", 0),
         t_prime=("components of T' have at most omega vertices", _OMEGA))
-    return canvas.certificate("THM1", omega, canvas.max_used, {"t": t})
+    return canvas.certificate("THM1", canvas.max_used, {"t": t})
 
 
-def color_thm3(g: Graph, s: int, t: int,
-               chi_cap: int = DEFAULT_CHI_CAP) -> ColoringCertificate:
+def color_thm3(g: Graph, s: int, t: int, chi_cap: int = DEFAULT_CHI_CAP,
+               clique: int | None = None) -> ColoringCertificate:
     """{(s,t)-bowtie, P5, (s+1,t+1)-dumbbell}-free graphs."""
-    canvas, omega = _k_layers(g, chi_cap, base=2 * t - 2, t=t, a_m=_ORACLE,
-                              t_group=_ORACLE, s_prime=_ORACLE, t_prime=_ORACLE)
-    return canvas.certificate("THM3", omega, canvas.max_used, {"s": s, "t": t})
+    canvas = _k_layers(g, chi_cap, clique, base=2 * t - 2, t=t, a_m=_ORACLE,
+                       t_group=_ORACLE, s_prime=_ORACLE, t_prime=_ORACLE)
+    return canvas.certificate("THM3", canvas.max_used, {"s": s, "t": t})
 
 
-def color_thm4(g: Graph, chi_cap: int = DEFAULT_CHI_CAP) -> ColoringCertificate:
+def color_thm4(g: Graph, chi_cap: int = DEFAULT_CHI_CAP,
+               clique: int | None = None) -> ColoringCertificate:
     """{(2,2)-bowtie, P5, (3,3)-dumbbell}-free graphs, the C-free t=2 case."""
-    canvas, omega = _k_layers(
-        g, chi_cap, base=2, t=2,
+    canvas = _k_layers(
+        g, chi_cap, clique, base=2, t=2,
         a_m=("A_M is edgeless at t=2 by maximality of K", 1),
         t_group=("A'(N,v) is edgeless for (2,2)-bowtie-free graphs", 1),
         s_prime=("S' is edgeless for {P5, (2,2)-bowtie}-free graphs", 1),
         t_prime=("T' is edgeless for {P5, (3,3)-dumbbell}-free graphs", 1))
-    if omega < 3:
+    if canvas.omega < 3:
         canvas.notes.append(
             "hypothesis omega >= 3 not met; colored by the exact oracle")
-    return canvas.certificate("THM4", omega, None, {})
+    return canvas.certificate("THM4", None, {})
 
 
 def _thm2_alpha(omega, t, k):
@@ -214,52 +216,53 @@ def _thm2_bound(omega, c, s, t, k, y):
 
 
 def color_thm2(g: Graph, s: int, t: int, k: int, y: str,
-               chi_cap: int = DEFAULT_CHI_CAP) -> ColoringCertificate:
+               chi_cap: int = DEFAULT_CHI_CAP,
+               clique: int | None = None) -> ColoringCertificate:
     """{Y, (s,t)-bowtie, (k,t)-lollipop}-free graphs via alpha-block lifting."""
-    def layer(canvas, mask, w):
-        dec = decompose(g, t, mask)
+    def layer(canvas, mask, k_mask):
+        dec = decompose(g, t, mask, k_mask)
 
         def plan():
             # provisional coloring of K ∪ T; each color is a lift block
             blocks = {v: i + 1 for i, v in enumerate(bits(dec.k))}
-            top = w
+            top = len(blocks)
             for group in dec.t_groups.values():
                 chi, cols = canvas.exact(group)
                 for v in bits(group):
                     blocks[v] = top + cols[v]
                 top += chi
-            alpha = _thm2_alpha(w, t, k)
+            alpha = _thm2_alpha(dec.k.bit_count(), t, k)
             return blocks, alpha, alpha
-        return dec.k, mask & ~(dec.k | dec.t_set), plan
+        return mask & ~(dec.k | dec.t_set), plan
 
-    canvas, omega = _lift_layers(g, chi_cap, 2 * t - 2, layer, "(K∪T)")
+    canvas = _Canvas(g, chi_cap, clique)
+    _lift_layers(canvas, 2 * t - 2, layer, "(K∪T)")
     cert = canvas.certificate(
-        "THM2", omega, canvas.max_used, {"s": s, "t": t, "k": k, "y": y},
+        "THM2", canvas.max_used, {"s": s, "t": t, "k": k, "y": y},
         alpha=None, m_omega=None, g_omega=None,
         lift_checks=sum(lbl.endswith("-lift") for _, lbl, _ in canvas.trace))
-    if omega >= 2 * t - 1:
-        alpha = _thm2_alpha(omega, t, k)
+    if canvas.omega >= 2 * t - 1:
+        alpha = _thm2_alpha(canvas.omega, t, k)
         cert.details.update(alpha=alpha, m_omega=cert.bound_value // alpha,
                             g_omega=cert.bound_value)
     return cert
 
 
-def color_thm5a(g: Graph, k: int,
-                chi_cap: int = DEFAULT_CHI_CAP) -> ColoringCertificate:
+def color_thm5a(g: Graph, k: int, chi_cap: int = DEFAULT_CHI_CAP,
+                clique: int | None = None) -> ColoringCertificate:
     """Diamond-free, edges in two triangles, F(3,k)-free: lift over fans."""
-    omega = clique_number(g)
-    if omega < 4:
+    canvas = _Canvas(g, chi_cap, clique)
+    if (omega := canvas.omega) < 4:
         raise MembershipError("THM5A", f"omega >= 4 (found {omega})")
 
-    def layer(canvas, mask, w):
-        k_mask = max_clique(g, mask)
-        alpha = (w - 1) * (k - 1)
+    def layer(canvas, mask, k_mask):
+        alpha = (k_mask.bit_count() - 1) * (k - 1)
         blocks = {v: i + 1 for i, v in enumerate(bits(k_mask))}
-        return k_mask, mask & ~k_mask, lambda: (blocks, alpha, alpha + 1)
+        return mask & ~k_mask, lambda: (blocks, alpha, alpha + 1)
 
-    canvas, _ = _lift_layers(g, chi_cap, 3, layer, "K")
+    _lift_layers(canvas, 3, layer, "K")
     nominal = omega * (omega - 1) * (k - 1)
-    cert = canvas.certificate("THM5A", omega, canvas.max_used, {"k": k},
+    cert = canvas.certificate("THM5A", canvas.max_used, {"k": k},
                               alpha=(omega - 1) * (k - 1), nominal_bound=nominal)
     cert.notes.append("budget achieved: "
                       + ("nominal g(omega)" if cert.palette_used <= nominal
@@ -267,8 +270,8 @@ def color_thm5a(g: Graph, k: int,
     return cert
 
 
-def verify_thm5b(g: Graph,
-                 chi_cap: int = DEFAULT_CHI_CAP) -> ColoringCertificate:
+def verify_thm5b(g: Graph, chi_cap: int = DEFAULT_CHI_CAP,
+                 clique: int | None = None) -> ColoringCertificate:
     """Diamond-free, edges in two triangles, (4,4)-dumbbell-free: chi = omega.
 
     Claim: in each maximal clique at most one vertex carries blades outside
@@ -277,8 +280,8 @@ def verify_thm5b(g: Graph,
     A proper coloring with omega colors proves chi = omega, so no oracle
     runs.
     """
-    omega = clique_number(g)
-    canvas = _Canvas(g, chi_cap)
+    canvas = _Canvas(g, chi_cap, clique)
+    omega = canvas.omega
     part = edge_clique_partition(g)
     for idx, clique in enumerate(part.cliques):
         carriers = []
@@ -326,8 +329,7 @@ def verify_thm5b(g: Graph,
             f"greedy fan coloring used {palette} colors but omega is {omega}")
     canvas.notes.append(
         f"proper coloring with omega = {omega} colors: chi = omega")
-    return canvas.certificate("THM5B", omega, None, {},
-                              cliques=len(part.cliques))
+    return canvas.certificate("THM5B", None, {}, cliques=len(part.cliques))
 
 
 # ------------------------------------------------------------------ registry
@@ -339,7 +341,7 @@ class TheoremCase:
     domain: dict            # parameter name -> least int, or tuple of values
     forbidden: object       # fn(**params) -> [PatternInstance], search order
     bound: object           # fn(omega, c, **params) -> int
-    colorer: object         # fn(g, chi_cap=..., **params) -> ColoringCertificate
+    colorer: object         # fn(g, chi_cap=, clique=, **params) -> certificate
     conditions: Conditions = Conditions()
 
     def spec(self, **params) -> ClassSpec:
@@ -398,14 +400,14 @@ THEOREMS = {case.id: case for case in (
 
 
 def color_checked(thm: str, g: Graph, spec: ClassSpec | None = None,
-                  chi_cap: int = DEFAULT_CHI_CAP,
-                  known: ClassSpec | None = None) -> ColoringCertificate:
+                  chi_cap: int = DEFAULT_CHI_CAP, known: ClassSpec | None = None,
+                  clique: int | None = None) -> ColoringCertificate:
     """Check that g is in spec, the class of theorem thm (its defaults'
-    when None), then run the colorer at spec's parameters.  known is a
-    class g is known to belong to (detect.is_member)."""
+    when None), then run the colorer at spec's parameters and clique (see
+    _Canvas).  known is a class g is known to belong to (detect.is_member)."""
     if spec is None:
         spec = THEOREMS[thm].spec()
     rep = is_member(g, spec, known)
     if not rep.member:
         raise MembershipError(thm, rep.violated, rep.witness)
-    return THEOREMS[thm].colorer(g, chi_cap=chi_cap, **spec.params)
+    return THEOREMS[thm].colorer(g, chi_cap=chi_cap, clique=clique, **spec.params)

@@ -14,8 +14,7 @@ from .detect import (ClassSpec, diamond_free_fast, every_edge_two_triangles,
 from .graph import (Graph, GraphError, bits, connected_components, is_clique,
                     mask_of, neighborhood)
 from .oracles import (DEFAULT_CHI_CAP, DEFAULT_CHIN_CAP, OracleCapExceeded,
-                      chi_n, chromatic_number, clique_number, max_clique,
-                      ramsey_upper)
+                      chi_n, chromatic_number, max_clique, ramsey_upper)
 from .patterns import make_pattern
 
 
@@ -52,20 +51,13 @@ def decompose(g: Graph, t: int, within: int | None = None,
               clique: int | None = None) -> CliqueDecomposition:
     """Decompose G[within] (default G) at threshold t around clique, by
     default its lexicographically smallest maximum clique.  A given clique
-    is checked: it must lie in within, be a clique and be maximum."""
+    must be a maximum clique of G[within]; it is not checked."""
     if t < 2:
         raise DecompositionError("threshold t must be >= 2")
     if within is None:
         within = g.full_mask()
     if clique is None:
         clique = max_clique(g, within)
-    elif clique & ~within:
-        raise DecompositionError("clique not contained in the working vertex set")
-    elif not is_clique(g, clique):
-        raise DecompositionError("supplied vertex set is not a clique")
-    elif clique.bit_count() != (omega := clique_number(g, within)):
-        raise DecompositionError(
-            f"supplied clique has size {clique.bit_count()}, maximum is {omega}")
 
     k_verts = list(bits(clique))
     nk = neighborhood(g, clique) & within

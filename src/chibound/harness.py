@@ -18,7 +18,7 @@ from .decompose import PARAM_LEAST, PROPERTY_IDS, check_properties, decompose
 from .detect import check_params, is_member
 from .graph6 import read_graph6_file, write_graph6
 from .oracles import (DEFAULT_CHI_CAP, DEFAULT_CHIN_CAP, OracleCapExceeded,
-                      chromatic_number, clique_number)
+                      chromatic_number, max_clique)
 from .smallgraphs import ENUM_CAP, enumerate_small, sample_in_class
 
 SCHEMA_VERSION = 1
@@ -171,7 +171,8 @@ def verify_graph(g, cfg: RunConfig, spec, theorem_spec, params):
     errors = []
     known = None
 
-    record["omega"] = clique_number(g)
+    clique = max_clique(g)
+    record["omega"] = omega = clique.bit_count()
     if spec is not None and not cfg.skip_membership:
         rep = is_member(g, spec)
         record["membership"] = rep.to_dict()
@@ -186,7 +187,7 @@ def verify_graph(g, cfg: RunConfig, spec, theorem_spec, params):
                                 "note": "membership filter skipped"}
 
     try:
-        chi, _ = chromatic_number(g, cap=cfg.chi_cap)
+        chi, _ = chromatic_number(g, cap=cfg.chi_cap, lower=omega)
         record["chi"] = chi
     except OracleCapExceeded:
         chi = None
@@ -194,7 +195,7 @@ def verify_graph(g, cfg: RunConfig, spec, theorem_spec, params):
 
     if cfg.properties:
         try:
-            dec = decompose(g, params.get("t", 2))
+            dec = decompose(g, params.get("t", 2), clique=clique)
         except Exception as exc:
             errors.append({"graph6": record["graph6"], "stage": "decompose",
                            "type": type(exc).__name__, "error": str(exc)})
@@ -219,7 +220,7 @@ def verify_graph(g, cfg: RunConfig, spec, theorem_spec, params):
     if cfg.theorem is None:
         return record, violations, errors
     try:
-        cert = color_checked(cfg.theorem, g, theorem_spec, cfg.chi_cap, known)
+        cert = color_checked(cfg.theorem, g, theorem_spec, cfg.chi_cap, known, clique)
     except Exception as exc:
         outcome = classify_exception(exc)
         if outcome == "error":
@@ -234,7 +235,7 @@ def verify_graph(g, cfg: RunConfig, spec, theorem_spec, params):
         # Each block the exact oracle colors is an induced subgraph, so the
         # class constant is at most chi: the largest value the bound takes.
         bound = None if chi is None else THEOREMS[cfg.theorem].bound(
-            record["omega"], chi, **theorem_spec.params)
+            omega, chi, **theorem_spec.params)
     else:
         record["certificate"] = {"palette_used": cert.palette_used,
                                  "bound_value": cert.bound_value,

@@ -105,21 +105,21 @@ def _k_colorable(g: Graph, k: int, within: int | None = None):
 
 
 def chromatic_number(g: Graph, cap: int = DEFAULT_CHI_CAP,
-                     within: int | None = None, lower: int = 1):
+                     within: int | None = None, lower: int | None = None):
     """Exact chromatic number with an optimal coloring, (chi, colors), of
     G[within] (default G); colors is indexed by g's vertices, 0 outside.
 
-    DSATUR is asked for k = max(omega(G[within]), lower) colors first, then
-    one more each time.  lower must be a lower bound on chi that the caller
-    has proved, such as one more than a color count shown too small; the
-    answer and the coloring are then those of a start at omega."""
+    DSATUR is asked for k = lower colors first, then one more each time;
+    None starts at omega(G[within]), one clique search.  lower must be a
+    lower bound on chi that the caller has proved, such as a clique's size;
+    every k below chi fails, so the answer and coloring do not depend on it."""
     within = g.full_mask() if within is None else within
     size = within.bit_count()
     if size == 0:
         return 0, [0] * g.n
     if size > cap:
         raise OracleCapExceeded("chromatic_number", size, cap)
-    k = max(clique_number(g, within), lower)
+    k = clique_number(g, within) if lower is None else lower
     while True:
         coloring = _k_colorable(g, k, within)
         if coloring is not None:
@@ -238,8 +238,8 @@ def chi_n(g: Graph, n: int, cap: int = DEFAULT_CHIN_CAP,
     are caught by a first-fit coloring in ascending vertex order before
     DSATUR is asked: its classes are independent, so a first fit with at
     most best colors is a proper coloring and proves the set cannot beat
-    best.  A set that beats best is colored by chromatic_number from
-    best + 1 colors up, as every smaller count has just failed.  Raises
+    best.  A set that beats best is colored from best + 1 colors up, as
+    every smaller count has just failed; the first from its omega.  Raises
     OracleCapExceeded when g has more than cap vertices, or when the largest
     maximal set, the first one colored, has more than chi_cap vertices (the
     exact chromatic oracle's cap).
@@ -257,7 +257,7 @@ def chi_n(g: Graph, n: int, cap: int = DEFAULT_CHIN_CAP,
         if best and (_first_fit_within(g, best, mask)
                      or _k_colorable(g, best, mask) is not None):
             continue
-        best, _ = chromatic_number(g, cap=chi_cap, within=mask, lower=best + 1)
+        best, _ = chromatic_number(g, chi_cap, mask, best + 1 if best else None)
     return best
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import chibound
-from chibound import oracles
+from chibound import cli, oracles
 from chibound.cli import main
 from chibound.color import THEOREMS, LiftError
 from chibound.graph6 import write_graph6
@@ -65,6 +65,28 @@ def test_decompose_chi_omega_chin(capsys, tmp_path):
     assert json.loads(out)["omega"] == 4
     code, out = run(capsys, "chin", "--n", "2", "--in", str(path))
     assert json.loads(out)["chin"] == 2
+
+
+@pytest.mark.parametrize("clique", ["1,4", "0,4", "0,1,2", "0,9"])
+def test_decompose_cli_rejects_bad_clique(tmp_path, monkeypatch, capsys,
+                                          clique):
+    # decompose takes its clique on trust: the CLI checks a user's clique
+    # before decompose is called, and fails with one error line.  1,4 is no
+    # clique, 0,4 and 0,1,2 are not maximum, 9 is no vertex.
+    path = tmp_path / "p.g6"
+    path.write_text(write_graph6(pineapple(4, 1)) + "\n")
+    argv = ["decompose", "--t", "2", "--in", str(path), "--clique", clique]
+    proc = subprocess.run([sys.executable, "-m", "chibound.cli", *argv],
+                          env=_env_with_src(), capture_output=True, text=True,
+                          timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: --clique is not a maximum clique of graph 0\n"
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("decompose called on an unchecked clique")
+
+    monkeypatch.setattr(cli, "decompose", unreachable)
+    assert run(capsys, *argv) == (1, "")
 
 
 def test_color_subcommand(capsys, tmp_path):

@@ -13,7 +13,8 @@ from chibound.detect import is_member
 from chibound.graph import from_edges
 from chibound.graph6 import parse_graph6, write_graph6
 from chibound.harness import RunConfig, verify_run
-from chibound.oracles import chromatic_number, clique_number, is_proper
+from chibound.oracles import (chromatic_number, clique_number, is_proper,
+                              max_clique)
 from chibound.patterns import complete, diamond, gem, path, pineapple
 from chibound.smallgraphs import enumerate_small, sample_in_class
 from reference import q43, rook, to_nx, w3
@@ -198,6 +199,35 @@ def test_colorers_over_enumerated_members(thm, params):
         assert min(omegas) < 3 <= max(omegas)
 
 
+@pytest.fixture(scope="module")
+def small_7():
+    return list(enumerate_small(7))
+
+
+@pytest.mark.parametrize("thm,members,certified", [
+    ("THM1", 396, 396), ("THM2", 203, 203), ("THM3", 737, 737),
+    ("THM4", 737, 737), ("THM5A", 17, 10), ("THM5B", 18, 18)])
+def test_given_clique_changes_no_certificate(thm, members, certified, small_7):
+    # verify_graph hands g's maximum clique to color_checked; a colorer run
+    # on its own finds that clique itself.  Both give the same certificate
+    # (coloring, trace, notes, details) on every member with n <= 7.
+    def outcome(**clique):
+        try:
+            return color_checked(thm, g, **clique)
+        except MembershipError as exc:   # THM5A's omega >= 4
+            return str(exc)
+
+    spec = THEOREMS[thm].spec()
+    seen = certs = 0
+    for g in small_7:
+        if is_member(g, spec):
+            seen += 1
+            cert = outcome()
+            assert cert == outcome(clique=max_clique(g)), write_graph6(g)
+            certs += not isinstance(cert, str)
+    assert (seen, certs) == (members, certified)
+
+
 def test_thm2_over_sampled_members():
     spec = get_class("thm2", s=2, t=2, k=2, y="f2")
     for g in sample_in_class(spec, 8, 0.35, seed=5, count=25):
@@ -312,9 +342,9 @@ def test_thm5b_bound_fails_on_generalized_quadrangles(build, chi,
     assert exc.value.witness["omega"] == 4
     calls = []
 
-    def counted(h, cap, within=None):
+    def counted(h, cap, within=None, lower=None):
         calls.append(within)
-        return chromatic_number(h, cap, within)
+        return chromatic_number(h, cap, within, lower)
 
     monkeypatch.setattr(harness, "chromatic_number", counted)
     monkeypatch.setattr(color, "chromatic_number", counted)

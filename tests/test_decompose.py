@@ -47,11 +47,9 @@ def test_k5_all_empty():
 
 
 def test_decompose_rejects_bad_clique():
+    # decompose takes its clique on trust; the CLI checks a user's clique
+    # (tests/test_cli.py::test_decompose_cli_rejects_bad_clique).
     g = pineapple(4, 1)
-    with pytest.raises(DecompositionError):
-        decompose(g, 2, clique=mask_of([0, 4]))      # not a clique
-    with pytest.raises(DecompositionError):
-        decompose(g, 2, clique=mask_of([0, 1, 2]))   # not maximum
     with pytest.raises(DecompositionError):
         decompose(g, 1, clique=mask_of([0, 1, 2, 3]))  # t < 2
 

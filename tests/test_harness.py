@@ -1,13 +1,16 @@
 import dataclasses
+import hashlib
 import json
 import re
 import sys
 
 import pytest
 
-from chibound import color, detect
+from chibound import color, detect, kernels
 from chibound import decompose as decompose_module
 from chibound import harness
+from chibound.classes import THEOREM_CLASS
+from chibound.decompose import PROPERTY_IDS
 from chibound.graph import from_edges
 from chibound.graph6 import parse_graph6, write_graph6
 from chibound.harness import (ConfigError, RunConfig, exit_code_for,
@@ -185,7 +188,7 @@ def test_pipeline_errors_name_stage_and_type(tmp_path, monkeypatch):
     cfg = RunConfig(source={"kind": "graph6", "path": str(path_)},
                     properties=("P1",))
 
-    def fail_decompose(g, t):
+    def fail_decompose(g, t, clique):
         raise ValueError("no clique")
 
     monkeypatch.setattr(harness, "decompose", fail_decompose)
@@ -197,7 +200,7 @@ def test_pipeline_errors_name_stage_and_type(tmp_path, monkeypatch):
     def fail_omega(g):
         raise KeyError("boom")
 
-    monkeypatch.setattr(harness, "clique_number", fail_omega)
+    monkeypatch.setattr(harness, "max_clique", fail_omega)
     report = verify_run(cfg)
     assert [(e["stage"], e["type"]) for e in report["errors"]] == [
         ("pipeline", "KeyError")]
@@ -261,9 +264,9 @@ def test_membership_filter_runs_before_chi_oracle(tmp_path, monkeypatch):
     seen = []
     real = harness.chromatic_number
 
-    def counting(g, cap):
+    def counting(g, cap, lower):
         seen.append(write_graph6(g))
-        return real(g, cap=cap)
+        return real(g, cap=cap, lower=lower)
 
     monkeypatch.setattr(harness, "chromatic_number", counting)
     cfg = RunConfig(source={"kind": "graph6", "path": str(path_)},
@@ -574,3 +577,79 @@ def test_block_over_the_oracle_cap_is_undecided(tmp_path):
     # one undecided for the graph's own chi, one for the P8 check
     assert record["chi"] == "capped"
     assert report["aggregates"]["undecided"] == 2
+
+
+# Each theorem's property list in the n <= 7 sweeps, as in the benchmark
+# (perfbench/workloads.py).
+SWEEP_PROPERTIES = {"THM1": ("P4", "P8"), "THM2": ("P1", "P2", "P3"),
+                    "THM3": ("P5", "P6", "P7"), "THM4": ("P4", "P5"),
+                    "THM5A": ("D1",), "THM5B": ("D1",)}
+
+
+def _sweep(thm, n_max):
+    return RunConfig(source={"kind": "enumerate", "n_max": n_max},
+                     class_name=THEOREM_CLASS[thm], theorem=thm,
+                     properties=SWEEP_PROPERTIES[thm], chi_cap=16, chin_cap=12)
+
+
+def _no_class(s, t, k, properties=PROPERTY_IDS):
+    return RunConfig(source={"kind": "enumerate", "n_max": 6},
+                     theorem_params={"s": s, "t": t, "k": k},
+                     properties=properties, chi_cap=16, chin_cap=12)
+
+
+def test_report_fingerprints_are_pinned():
+    # Nine reports that a change to how the pipeline computes must leave
+    # byte-identical: the six theorem sweeps at n <= 7 and three runs of
+    # all ten properties with no class at n <= 6.
+    runs = {thm: _sweep(thm, 7) for thm in SWEEP_PROPERTIES}
+    runs.update({stk: _no_class(*stk)
+                 for stk in ((2, 2, 2), (3, 3, 3), (3, 2, 2))})
+    got = {name: hashlib.sha256(report_fingerprint(verify_run(cfg)).encode())
+           .hexdigest()[:16] for name, cfg in runs.items()}
+    assert got == {
+        "THM1": "b59dd52a19ec2f58", "THM2": "03f8b780a6438065",
+        "THM3": "5cc91c537f0a6cb9", "THM4": "5b3e36999986d2c7",
+        "THM5A": "007522844568b688", "THM5B": "6578521a4c7e7bbd",
+        (2, 2, 2): "bcd8e2e84c2ed8e0", (3, 3, 3): "1ece5ef4448cfdae",
+        (3, 2, 2): "5d65000ce932f590"}
+
+
+def test_verify_graph_asks_the_clique_kernel_nothing_twice(monkeypatch):
+    # One verify_graph call finds K once and hands it down: no (adj,
+    # within) pair reaches the clique kernel twice.  Left out: THM3, whose
+    # colorer colors S' and T' by the exact oracle after P6 and P7 have,
+    # each with its own omega search; P7 and P8, which color the T' and T
+    # of P4 and P5 again; and the P-property, whose chi^(t) colors g
+    # itself when omega <= t.  Sharing those needs a per-mask cache.
+    real_kernel, real_verify = kernels.clique_number_sub, harness.verify_graph
+    asked = set()
+    calls, repeats = [], []
+
+    def kernel(adj, cand, clique=None):
+        key = tuple(adj), cand
+        calls.append(key)
+        if key in asked:
+            repeats.append(key)
+        asked.add(key)
+        return real_kernel(adj, cand, clique)
+
+    def verify_graph(*args):
+        asked.clear()
+        return real_verify(*args)
+
+    monkeypatch.setattr(kernels, "clique_number_sub", kernel)
+    monkeypatch.setattr(harness, "verify_graph", verify_graph)
+    runs = {thm: _sweep(thm, 6) for thm in ("THM1", "THM2", "THM4", "THM5A",
+                                            "THM5B")}
+    runs["no class"] = _no_class(2, 2, 2, ("P1", "P2", "P3", "P4", "P5", "P6",
+                                           "D1"))
+    counts = {}
+    for name, cfg in runs.items():
+        calls.clear()
+        verify_run(cfg)
+        counts[name] = len(calls)
+        assert repeats == [], name
+    # Before K was handed down: 918, 550, 1,195, 262, 244 and 786 calls.
+    assert counts == {"THM1": 347, "THM2": 219, "THM4": 398, "THM5A": 211,
+                      "THM5B": 208, "no class": 370}

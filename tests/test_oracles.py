@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chibound import kernels, oracles
-from chibound.graph import Graph, bits, from_edges, is_clique, mask_of
+from chibound.graph import (Graph, bits, connected_components, from_edges,
+                            is_clique, mask_of)
+from chibound.graph6 import write_graph6
 from chibound.oracles import (OracleCapExceeded, chi_n, chromatic_number,
                               clique_number, is_proper,
                               maximal_low_omega_sets, max_clique,
@@ -263,6 +265,19 @@ def _half_batch():
     return [_gnp(rng, n, 0.5) for n in (10, 11, 12) for _ in range(20)]
 
 
+def test_max_clique_is_the_max_clique_of_its_component():
+    # The colorers take g's maximum clique as that of the component that
+    # holds it, and search every other component for its own.
+    rng = random.Random(30)
+    graphs = list(enumerate_small(7)) + [
+        _gnp(rng, n, p) for n in range(8, 31) for p in (0.1, 0.3, 0.6)]
+    assert len(graphs) == 1252 + 23 * 3
+    for g in graphs:
+        k = max_clique(g)
+        [comp] = [c for c in connected_components(g, g.full_mask()) if c & k]
+        assert max_clique(g, comp) == k, write_graph6(g)
+
+
 def test_maximal_low_omega_sets_match_unpivoted_search_and_table():
     rng = random.Random(21)
     for n in range(9, 13):
@@ -422,8 +437,8 @@ def test_chi_n_matches_inclusion_exclusion_over_unpivoted_sets():
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(_graphs(9), st.integers(0, (1 << 9) - 1))
 def test_chromatic_number_from_a_proved_lower_bound(g, mask):
-    # Any start between omega and chi skips only counts that fail: same
-    # chi, same coloring.
+    # Any start up to chi, below omega too, differs only in counts that
+    # fail: same chi, same coloring.
     mask &= g.full_mask()
     want = chromatic_number(g, within=mask)
     for lower in range(want[0] + 1):
