@@ -18,8 +18,8 @@ from .graph import bits, is_clique, mask_of, to_dot
 from .graph6 import read_graph6_file, write_graph6
 from .harness import (RunConfig, classify_exception, exit_code_for,
                       report_json, verify_run, write_report)
-from .oracles import (CAP_ERROR, OracleCapExceeded, chi_n, chromatic_number,
-                      clique_number, ramsey_upper)
+from .oracles import (CAP_ERROR, GraphOracles, OracleCapExceeded, chi_n,
+                      chromatic_number, clique_number, ramsey_upper)
 from .patterns import PATTERNS, make_pattern
 
 
@@ -187,7 +187,7 @@ def _cmd_color(args):
     for i, g in enumerate(_load_graphs(args.infile)):
         rec = {"graph": i, "graph6": write_graph6(g), "theorem": args.theorem}
         try:
-            cert = color_checked(args.theorem, g, spec)
+            cert = color_checked(args.theorem, GraphOracles(g), spec)
             rec.update(cert.to_dict())
             if not cert.within_bound:
                 worst = 2

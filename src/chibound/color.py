@@ -17,23 +17,20 @@ from .certificate import (ColoringCertificate, LiftError, MembershipError,
                           StructureViolation)
 from .decompose import decompose, edge_clique_partition, fan_structure
 from .detect import ClassSpec, Conditions, check_params, is_member, make_class
-from .graph import Graph, bits, connected_components
-from .oracles import (DEFAULT_CHI_CAP, chromatic_number, is_proper,
-                      max_clique, ramsey_upper)
+from .graph import bits, connected_components
+from .oracles import GraphOracles, is_proper, max_clique, ramsey_upper
 from .patterns import make_pattern
 
 
 class _Canvas:
-    """A coloring of g under construction, painted block by block around
-    clique, a maximum clique of g (None: max_clique(g)) of size omega.
-    max_used, the largest palette the exact oracle used on a block, realizes
-    the class constant C at desk scale: the bound checks stay consistent."""
+    """A coloring of oracles.g under construction, painted block by block
+    around oracles.clique, of size omega.  max_used, the largest palette the
+    exact oracle used on a block, realizes the class constant C at desk
+    scale: the bound checks stay consistent."""
 
-    def __init__(self, g: Graph, chi_cap: int, clique: int | None):
-        self.g = g
-        self.chi_cap = chi_cap
-        self.clique = max_clique(g) if clique is None else clique
-        self.omega = self.clique.bit_count()
+    def __init__(self, oracles: GraphOracles):
+        self.oracles, self.g = oracles, oracles.g
+        self.omega = oracles.clique.bit_count()
         self.coloring: dict[int, int] = {}
         self.trace: list = []
         self.notes: list = []
@@ -46,8 +43,8 @@ class _Canvas:
         self.trace.append((v, label, depth))
 
     def exact(self, mask, lower=None):
-        """chromatic_number(g, chi_cap, mask, lower): (chi, colors)."""
-        chi, cols = chromatic_number(self.g, self.chi_cap, mask, lower)
+        """oracles.chi(mask, lower): (chi, colors)."""
+        chi, cols = self.oracles.chi(mask, lower)
         self.max_used = max(self.max_used, chi)
         return chi, cols
 
@@ -96,18 +93,19 @@ _OMEGA = "omega"
 _RESIDUAL = ("every vertex of a component lies in K, S, T, S' or T'", 0)
 
 
-def _k_layers(g, chi_cap, clique, base, t, a_m, t_group, s_prime, t_prime):
+def _k_layers(oracles, base, t, a_m, t_group, s_prime, t_prime):
     """The colorer of THM1, THM3 and THM4, run on the plan in its arguments.
 
-    A component's K is the canvas clique if it holds it, else max_clique.
+    A component's K is oracles.clique if it holds it, else max_clique.
     With |K| <= base it goes to the exact oracle from |K| colors up; else it
     is decomposed at t around K, colored 1..|K|, then each A_M, T group, S'
     and T' takes fresh colors by its rule (see _Canvas.block), and the
     residual must be empty.  Returns the canvas.
     """
-    canvas = _Canvas(g, chi_cap, clique)
+    canvas = _Canvas(oracles)
+    g = canvas.g
     for comp in connected_components(g, g.full_mask()):
-        k = canvas.clique if canvas.clique & comp else max_clique(g, comp)
+        k = oracles.clique if oracles.clique & comp else max_clique(g, comp)
         w = k.bit_count()
         if w <= base:
             canvas.block(_ORACLE, comp, 0, "base", 0, lower=w)
@@ -130,7 +128,7 @@ def _k_layers(g, chi_cap, clique, base, t, a_m, t_group, s_prime, t_prime):
 def _lift_layers(canvas, base, layer, outside):
     """The colorer of THM2 and THM5A: alpha-block lifting, on the canvas.
 
-    A mask's K is its max_clique, the canvas clique for g itself.  With |K|
+    A mask's K is its max_clique, oracles.clique for g itself.  With |K|
     <= base it goes to the exact oracle from |K| colors up.  Otherwise
     layer(canvas, mask, K) peels K and returns (rest, plan); rest is colored
     first, then plan() gives (blocks, alpha, size) and each peeled v takes
@@ -165,14 +163,13 @@ def _lift_layers(canvas, base, layer, outside):
             else:
                 raise LiftError(v, deg, size)
 
-    rec(g.full_mask(), canvas.clique, 0)
+    rec(g.full_mask(), canvas.oracles.clique, 0)
 
 
-def color_thm1(g: Graph, t: int, chi_cap: int = DEFAULT_CHI_CAP,
-               clique: int | None = None) -> ColoringCertificate:
+def color_thm1(oracles: GraphOracles, t: int) -> ColoringCertificate:
     """{diamond, hammer(t)+}-free graphs: K + T + T' blocks, base case <= t."""
     canvas = _k_layers(
-        g, chi_cap, clique, base=t, t=t,
+        oracles, base=t, t=t,
         a_m=("S must be empty in diamond-free graphs", 0),
         t_group=("components of A'(N,v) have at most omega vertices", _OMEGA),
         s_prime=("S' is empty in diamond-free graphs", 0),
@@ -180,19 +177,17 @@ def color_thm1(g: Graph, t: int, chi_cap: int = DEFAULT_CHI_CAP,
     return canvas.certificate("THM1", canvas.max_used, {"t": t})
 
 
-def color_thm3(g: Graph, s: int, t: int, chi_cap: int = DEFAULT_CHI_CAP,
-               clique: int | None = None) -> ColoringCertificate:
+def color_thm3(oracles: GraphOracles, s: int, t: int) -> ColoringCertificate:
     """{(s,t)-bowtie, P5, (s+1,t+1)-dumbbell}-free graphs."""
-    canvas = _k_layers(g, chi_cap, clique, base=2 * t - 2, t=t, a_m=_ORACLE,
+    canvas = _k_layers(oracles, base=2 * t - 2, t=t, a_m=_ORACLE,
                        t_group=_ORACLE, s_prime=_ORACLE, t_prime=_ORACLE)
     return canvas.certificate("THM3", canvas.max_used, {"s": s, "t": t})
 
 
-def color_thm4(g: Graph, chi_cap: int = DEFAULT_CHI_CAP,
-               clique: int | None = None) -> ColoringCertificate:
+def color_thm4(oracles: GraphOracles) -> ColoringCertificate:
     """{(2,2)-bowtie, P5, (3,3)-dumbbell}-free graphs, the C-free t=2 case."""
     canvas = _k_layers(
-        g, chi_cap, clique, base=2, t=2,
+        oracles, base=2, t=2,
         a_m=("A_M is edgeless at t=2 by maximality of K", 1),
         t_group=("A'(N,v) is edgeless for (2,2)-bowtie-free graphs", 1),
         s_prime=("S' is edgeless for {P5, (2,2)-bowtie}-free graphs", 1),
@@ -215,12 +210,11 @@ def _thm2_bound(omega, c, s, t, k, y):
     return _thm2_alpha(omega, t, k) * (omega + c * omega * comb(omega - 1, t))
 
 
-def color_thm2(g: Graph, s: int, t: int, k: int, y: str,
-               chi_cap: int = DEFAULT_CHI_CAP,
-               clique: int | None = None) -> ColoringCertificate:
+def color_thm2(oracles: GraphOracles, s: int, t: int, k: int,
+               y: str) -> ColoringCertificate:
     """{Y, (s,t)-bowtie, (k,t)-lollipop}-free graphs via alpha-block lifting."""
     def layer(canvas, mask, k_mask):
-        dec = decompose(g, t, mask, k_mask)
+        dec = decompose(canvas.g, t, mask, k_mask)
 
         def plan():
             # provisional coloring of K ∪ T; each color is a lift block
@@ -235,7 +229,7 @@ def color_thm2(g: Graph, s: int, t: int, k: int, y: str,
             return blocks, alpha, alpha
         return mask & ~(dec.k | dec.t_set), plan
 
-    canvas = _Canvas(g, chi_cap, clique)
+    canvas = _Canvas(oracles)
     _lift_layers(canvas, 2 * t - 2, layer, "(K∪T)")
     cert = canvas.certificate(
         "THM2", canvas.max_used, {"s": s, "t": t, "k": k, "y": y},
@@ -248,10 +242,9 @@ def color_thm2(g: Graph, s: int, t: int, k: int, y: str,
     return cert
 
 
-def color_thm5a(g: Graph, k: int, chi_cap: int = DEFAULT_CHI_CAP,
-                clique: int | None = None) -> ColoringCertificate:
+def color_thm5a(oracles: GraphOracles, k: int) -> ColoringCertificate:
     """Diamond-free, edges in two triangles, F(3,k)-free: lift over fans."""
-    canvas = _Canvas(g, chi_cap, clique)
+    canvas = _Canvas(oracles)
     if (omega := canvas.omega) < 4:
         raise MembershipError("THM5A", f"omega >= 4 (found {omega})")
 
@@ -270,8 +263,7 @@ def color_thm5a(g: Graph, k: int, chi_cap: int = DEFAULT_CHI_CAP,
     return cert
 
 
-def verify_thm5b(g: Graph, chi_cap: int = DEFAULT_CHI_CAP,
-                 clique: int | None = None) -> ColoringCertificate:
+def verify_thm5b(oracles: GraphOracles) -> ColoringCertificate:
     """Diamond-free, edges in two triangles, (4,4)-dumbbell-free: chi = omega.
 
     Claim: in each maximal clique at most one vertex carries blades outside
@@ -280,8 +272,8 @@ def verify_thm5b(g: Graph, chi_cap: int = DEFAULT_CHI_CAP,
     A proper coloring with omega colors proves chi = omega, so no oracle
     runs.
     """
-    canvas = _Canvas(g, chi_cap, clique)
-    omega = canvas.omega
+    canvas = _Canvas(oracles)
+    g, omega = canvas.g, canvas.omega
     part = edge_clique_partition(g)
     for idx, clique in enumerate(part.cliques):
         carriers = []
@@ -341,7 +333,7 @@ class TheoremCase:
     domain: dict            # parameter name -> least int, or tuple of values
     forbidden: object       # fn(**params) -> [PatternInstance], search order
     bound: object           # fn(omega, c, **params) -> int
-    colorer: object         # fn(g, chi_cap=, clique=, **params) -> certificate
+    colorer: object         # fn(GraphOracles, **params) -> certificate
     conditions: Conditions = Conditions()
 
     def spec(self, **params) -> ClassSpec:
@@ -399,15 +391,15 @@ THEOREMS = {case.id: case for case in (
 )}
 
 
-def color_checked(thm: str, g: Graph, spec: ClassSpec | None = None,
-                  chi_cap: int = DEFAULT_CHI_CAP, known: ClassSpec | None = None,
-                  clique: int | None = None) -> ColoringCertificate:
-    """Check that g is in spec, the class of theorem thm (its defaults'
-    when None), then run the colorer at spec's parameters and clique (see
-    _Canvas).  known is a class g is known to belong to (detect.is_member)."""
+def color_checked(thm: str, oracles: GraphOracles,
+                  spec: ClassSpec | None = None,
+                  known: ClassSpec | None = None) -> ColoringCertificate:
+    """Check that oracles.g is in spec, the class of theorem thm (its
+    defaults' when None), then run the colorer on oracles at spec's
+    parameters; known is a class g is known to be in (detect.is_member)."""
     if spec is None:
         spec = THEOREMS[thm].spec()
-    rep = is_member(g, spec, known)
+    rep = is_member(oracles.g, spec, known)
     if not rep.member:
         raise MembershipError(thm, rep.violated, rep.witness)
-    return THEOREMS[thm].colorer(g, chi_cap=chi_cap, clique=clique, **spec.params)
+    return THEOREMS[thm].colorer(oracles, **spec.params)

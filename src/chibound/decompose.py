@@ -4,7 +4,6 @@ partition for diamond-free graphs whose edges all lie in two triangles."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import combinations
 from math import comb
 from typing import NamedTuple
@@ -13,8 +12,8 @@ from .detect import (ClassSpec, diamond_free_fast, every_edge_two_triangles,
                      is_free)
 from .graph import (Graph, GraphError, bits, connected_components, is_clique,
                     mask_of, neighborhood)
-from .oracles import (DEFAULT_CHI_CAP, DEFAULT_CHIN_CAP, OracleCapExceeded,
-                      chi_n, chromatic_number, max_clique, ramsey_upper)
+from .oracles import (GraphOracles, OracleCapExceeded, max_clique,
+                      ramsey_upper)
 from .patterns import make_pattern
 
 
@@ -134,18 +133,17 @@ def _jsonable(obj):
 class _Check:
     """The inputs of one property check."""
 
-    def __init__(self, g, dec, s, t, k, chi_cap, chi_up_to_t):
-        self.g, self.dec, self.s, self.t, self.k = g, dec, s, t, k
+    def __init__(self, oracles, dec, s, t, k):
+        self.oracles, self.g = oracles, oracles.g
+        self.dec, self.s, self.t, self.k = dec, s, t, k
         self.omega = dec.k.bit_count()
-        self.chi_cap, self.chi_up_to_t = chi_cap, chi_up_to_t
 
     def chi(self, block):
         """chi(G[block]) for block "T", "T'" or "S'"."""
         mask = getattr(self.dec, {"T": "t_set", "T'": "t_prime",
                                   "S'": "s_prime"}[block])
         try:
-            return chromatic_number(self.g, cap=self.chi_cap,
-                                    within=mask)[0] if mask else 0
+            return self.oracles.chi(mask)[0] if mask else 0
         except OracleCapExceeded as exc:
             raise OracleCapExceeded(f"chi({block})", exc.n, exc.cap) from None
 
@@ -215,7 +213,7 @@ def _chi_within(block, key, bound, small=None):
         if small is None:
             b = bound(None, x.omega, x.t)
             return dict(holds=chi <= b, measured={key: chi, "bound": b})
-        cc = None if small(x.s, x.t) else x.chi_up_to_t()
+        cc = None if small(x.s, x.t) else x.oracles.chi_n(x.t)
         b = bound(1 if cc is None else cc, x.omega, x.t)
         return dict(holds=chi <= b, measured={key: chi, "bound": b, "c": cc})
     return measure
@@ -224,7 +222,7 @@ def _chi_within(block, key, bound, small=None):
 def _p_property(x: _Check):
     """The P-property constant is chi^(t) of g itself, so the property
     holds by definition; the report records chi^(t)."""
-    c = x.chi_up_to_t()
+    c = x.oracles.chi_n(x.t)
     return dict(holds=True, measured={"chi_up_to_t": c, "c": c})
 
 
@@ -285,47 +283,33 @@ PROPERTY_IDS = tuple(PROPERTIES)
 PARAM_LEAST = {"s": 1, "t": 2, "k": 1}
 
 
-def _chi_up_to_t(g: Graph, t: int, chi_cap: int, chin_cap: int):
-    """chi^(t) of g by the exact oracle, as a callable computing it once."""
-    return cache(lambda: chi_n(g, t, cap=chin_cap, chi_cap=chi_cap))
-
-
-def check_properties(g: Graph, dec: CliqueDecomposition, which_ids,
-                     params: dict | None = None,
-                     chi_cap: int = DEFAULT_CHI_CAP,
-                     chin_cap: int = DEFAULT_CHIN_CAP,
+def check_properties(oracles: GraphOracles, dec: CliqueDecomposition,
+                     which_ids, params: dict | None = None,
                      known: ClassSpec | None = None) -> list:
-    """check_property for each id in which_ids, in order; chi^(t) is
-    computed at most once for all of them, when first needed."""
-    chi_up_to_t = _chi_up_to_t(g, dec.t, chi_cap, chin_cap)
-    return [check_property(g, dec, which, params, chi_cap, chin_cap,
-                           chi_up_to_t, known) for which in which_ids]
+    """check_property for each id in which_ids, in order."""
+    return [check_property(oracles, dec, which, params, known)
+            for which in which_ids]
 
 
-def check_property(g: Graph, dec: CliqueDecomposition, which: str,
-                   params: dict | None = None,
-                   chi_cap: int = DEFAULT_CHI_CAP,
-                   chin_cap: int = DEFAULT_CHIN_CAP, chi_up_to_t=None,
+def check_property(oracles: GraphOracles, dec: CliqueDecomposition,
+                   which: str, params: dict | None = None,
                    known: ClassSpec | None = None) -> PropertyReport:
-    """Evaluate one of the decomposition properties against this graph.
+    """Evaluate one of the decomposition properties against oracles.g.
 
     The hypothesis is verified and reported, never assumed, so the checker
     serves as a negative control on out-of-class graphs; known, a class g
     is known to belong to, spares the searches for what it forbids
-    (detect.known_to_forbid).  The P-property constant is chi^(t) of g, by
-    the exact oracle under chin_cap and chi_cap; check_properties shares it
-    as the callable chi_up_to_t.  An exact oracle over its cap leaves the
-    check undecided (holds None); hypothesis and params are still reported.
+    (detect.known_to_forbid).  Each chi of a block and the P-property
+    constant chi^(t) of g come from oracles, so the checks of one graph
+    share them.  An exact oracle over its cap leaves the check undecided
+    (holds None); hypothesis and params are still reported.
     """
     if which not in PROPERTIES:
         raise ValueError(f"unknown property {which!r}")
-    if chi_up_to_t is None:
-        chi_up_to_t = _chi_up_to_t(g, dec.t, chi_cap, chin_cap)
     prop, params, t = PROPERTIES[which], params or {}, dec.t
-    x = _Check(g, dec, params.get("s", t), t, params.get("k", 2), chi_cap,
-               chi_up_to_t)
+    x = _Check(oracles, dec, params.get("s", t), t, params.get("k", 2))
     hyp = prop.patterns is None or (x.omega > t and all(
-        is_free(g, pat, known) for pat in prop.patterns(x.s, t, x.k)))
+        is_free(x.g, pat, known) for pat in prop.patterns(x.s, t, x.k)))
     try:
         fields = prop.measure(x)
     except OracleCapExceeded as exc:

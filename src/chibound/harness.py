@@ -17,8 +17,8 @@ from .color import (LiftError, MembershipError, StructureViolation, THEOREMS,
 from .decompose import PARAM_LEAST, PROPERTY_IDS, check_properties, decompose
 from .detect import check_params, is_member
 from .graph6 import read_graph6_file, write_graph6
-from .oracles import (DEFAULT_CHI_CAP, DEFAULT_CHIN_CAP, OracleCapExceeded,
-                      chromatic_number, max_clique)
+from .oracles import (DEFAULT_CHI_CAP, DEFAULT_CHIN_CAP, GraphOracles,
+                      OracleCapExceeded)
 from .smallgraphs import ENUM_CAP, enumerate_small, sample_in_class
 
 SCHEMA_VERSION = 1
@@ -61,6 +61,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
+        if not isinstance(data, dict):
+            raise ConfigError("config must be an object")
         unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
@@ -165,14 +167,15 @@ def verify_graph(g, cfg: RunConfig, spec, theorem_spec, params):
     member is checked against the bound whatever the colorer did.  Once g
     has passed spec, spec is the known class of the property hypotheses
     and of that membership check: what spec forbids is not searched again.
+    The stages share one GraphOracles: each oracle question is asked once.
     """
     record = {"graph6": write_graph6(g), "n": g.n}
     violations = []
     errors = []
     known = None
 
-    clique = max_clique(g)
-    record["omega"] = omega = clique.bit_count()
+    oracles = GraphOracles(g, cfg.chi_cap, cfg.chin_cap)
+    record["omega"] = omega = oracles.clique.bit_count()
     if spec is not None and not cfg.skip_membership:
         rep = is_member(g, spec)
         record["membership"] = rep.to_dict()
@@ -187,7 +190,7 @@ def verify_graph(g, cfg: RunConfig, spec, theorem_spec, params):
                                 "note": "membership filter skipped"}
 
     try:
-        chi, _ = chromatic_number(g, cap=cfg.chi_cap, lower=omega)
+        chi, _ = oracles.chi(lower=omega)
         record["chi"] = chi
     except OracleCapExceeded:
         chi = None
@@ -195,16 +198,14 @@ def verify_graph(g, cfg: RunConfig, spec, theorem_spec, params):
 
     if cfg.properties:
         try:
-            dec = decompose(g, params.get("t", 2), clique=clique)
+            dec = decompose(g, params.get("t", 2), clique=oracles.clique)
         except Exception as exc:
             errors.append({"graph6": record["graph6"], "stage": "decompose",
                            "type": type(exc).__name__, "error": str(exc)})
             record["decompose_error"] = str(exc)
             return record, violations, errors
         props = []
-        reports = check_properties(g, dec, cfg.properties, params,
-                                   chi_cap=cfg.chi_cap, chin_cap=cfg.chin_cap,
-                                   known=known)
+        reports = check_properties(oracles, dec, cfg.properties, params, known)
         for which, rep in zip(cfg.properties, reports):
             props.append(rep.to_dict())
             # holds=False on a graph outside the property's own hypothesis
@@ -220,7 +221,7 @@ def verify_graph(g, cfg: RunConfig, spec, theorem_spec, params):
     if cfg.theorem is None:
         return record, violations, errors
     try:
-        cert = color_checked(cfg.theorem, g, theorem_spec, cfg.chi_cap, known, clique)
+        cert = color_checked(cfg.theorem, oracles, theorem_spec, known)
     except Exception as exc:
         outcome = classify_exception(exc)
         if outcome == "error":

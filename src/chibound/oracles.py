@@ -7,6 +7,7 @@ against a raw all-assignments reference (tests/reference.py).
 from __future__ import annotations
 
 import os
+from functools import cache, cached_property
 from math import comb
 
 from . import kernels
@@ -239,7 +240,9 @@ def chi_n(g: Graph, n: int, cap: int = DEFAULT_CHIN_CAP,
     DSATUR is asked: its classes are independent, so a first fit with at
     most best colors is a proper coloring and proves the set cannot beat
     best.  A set that beats best is colored from best + 1 colors up, as
-    every smaller count has just failed; the first from its omega.  Raises
+    every smaller count has just failed.  The first set is colored from n
+    up when it is not V(g): a vertex it cannot take closes an (n+1)-clique
+    with it.  V(g), the one set when omega(g) <= n, starts at omega.  Raises
     OracleCapExceeded when g has more than cap vertices, or when the largest
     maximal set, the first one colored, has more than chi_cap vertices (the
     exact chromatic oracle's cap).
@@ -257,8 +260,32 @@ def chi_n(g: Graph, n: int, cap: int = DEFAULT_CHIN_CAP,
         if best and (_first_fit_within(g, best, mask)
                      or _k_colorable(g, best, mask) is not None):
             continue
-        best, _ = chromatic_number(g, chi_cap, mask, best + 1 if best else None)
+        first = None if mask == g.full_mask() else n
+        best, _ = chromatic_number(g, chi_cap, mask, best + 1 if best else first)
     return best
+
+
+class GraphOracles:
+    """One graph g's exact oracles, each question asked once: clique, g's
+    max_clique; chi(within, lower), chromatic_number under chi_cap once per
+    vertex set (lower does not change it; callers share its coloring);
+    chi_n(t) under chin_cap and chi_cap once per t.  A cap hit is not kept."""
+
+    def __init__(self, g: Graph, chi_cap: int = DEFAULT_CHI_CAP,
+                 chin_cap: int = DEFAULT_CHIN_CAP):
+        self.g, self.chi_cap, self._chi = g, chi_cap, {}
+        self.chi_n = cache(lambda t: chi_n(g, t, chin_cap, chi_cap))
+
+    @cached_property
+    def clique(self) -> int:
+        return max_clique(self.g)
+
+    def chi(self, within: int | None = None, lower: int | None = None):
+        within = self.g.full_mask() if within is None else within
+        if within not in self._chi:
+            self._chi[within] = chromatic_number(self.g, self.chi_cap,
+                                                 within, lower)
+        return self._chi[within]
 
 
 def ramsey_upper(s: int, t: int) -> int:

@@ -19,8 +19,8 @@ from chibound.graph import bits, from_edges, is_clique, mask_of
 from chibound.graph6 import parse_graph6, write_graph6
 from chibound.harness import (RunConfig, exit_code_for, report_fingerprint,
                               verify_run)
-from chibound.oracles import (chromatic_number, clique_number, is_proper,
-                              max_clique, ramsey_upper)
+from chibound.oracles import (GraphOracles, chromatic_number, clique_number,
+                              is_proper, max_clique, ramsey_upper)
 from chibound.patterns import (PATTERNS, bowtie, diamond, dumbbell, f1,
                                hammer_plus, make_pattern, path)
 from chibound.smallgraphs import enumerate_small, sample_in_class
@@ -86,7 +86,8 @@ def test_ac2_properties_over_hypothesis_classes(all_small_8):
             continue
         dec = decompose(g, 2)
         for which in wanted:
-            rep = check_property(g, dec, which, {"s": 2, "t": 2, "k": 2})
+            rep = check_property(GraphOracles(g), dec, which,
+                                 {"s": 2, "t": 2, "k": 2})
             counts[which] += 1
             if rep.holds is None:
                 undecided += 1
@@ -106,7 +107,7 @@ def test_ac3_thm4_bound(all_small_8):
         if w < 3 or not is_member(g, spec):
             continue
         members += 1
-        cert = color_thm4(g)
+        cert = color_thm4(GraphOracles(g))
         bound = 2 * w + w * comb(w, 2) + 2
         chi, _ = chromatic_number(g)
         colors = [cert.coloring[v] for v in range(g.n)]
@@ -126,7 +127,7 @@ def test_ac4_thm1_bound(all_small_8):
         if not is_member(g, spec):
             continue
         members += 1
-        cert = color_thm1(g, t=2)
+        cert = color_thm1(GraphOracles(g), t=2)
         colors = [cert.coloring[v] for v in range(g.n)]
         w, c = cert.omega, cert.c_value
         bound = 2 * w + w * w * comb(max(w - 1, 0), 2) + c
@@ -145,7 +146,7 @@ def test_ac5_thm2_lift_sampled():
         for g in sample_in_class(spec, n, 0.25, seed=1234 + n, count=170):
             total += 1
             try:
-                cert = color_thm2(g, 2, 2, 2, "f1")
+                cert = color_thm2(GraphOracles(g), 2, 2, 2, "f1")
             except Exception:
                 lift_failures += 1
                 continue
@@ -188,11 +189,11 @@ def test_ac6_fan_family():
                     break
             # fans exceed the default oracle cap at c=6, f=4 (21 vertices)
             # but are easy instances; raise the cap explicitly
-            cert_b = verify_thm5b(g, chi_cap=g.n)
+            cert_b = verify_thm5b(GraphOracles(g, chi_cap=g.n))
             chi, _ = chromatic_number(g, cap=g.n)
             if not (cert_b.palette_used == chi == c):
                 problems.append((c, f, "chi != omega"))
-            cert_a = color_thm5a(g, k=f + 1)
+            cert_a = color_thm5a(GraphOracles(g), k=f + 1)
             colors = [cert_a.coloring[v] for v in range(g.n)]
             if not (is_proper(g, colors)
                     and cert_a.palette_used <= cert_a.bound_value):

@@ -144,6 +144,8 @@ def test_parameter_outside_the_domain_exits_one(capsys, tmp_path):
     {"source": {"kind": "graph6"}},
     {"source": {"kind": "enumerate", "n_max": "x"}},
     {"source": {"kind": "enumerate", "n_max": 9}},
+    None,
+    5,
 ])
 def test_bad_config_fails_before_any_output(capsys, tmp_path, config):
     cfgfile = tmp_path / "cfg.json"

@@ -3,7 +3,7 @@ import re
 import networkx as nx
 import pytest
 
-from chibound import color, harness
+from chibound import color, oracles
 from chibound.classes import THEOREM_CLASS, get_class
 from chibound.cli import main
 from chibound.color import (LiftError, MembershipError, StructureViolation,
@@ -13,8 +13,9 @@ from chibound.detect import is_member
 from chibound.graph import from_edges
 from chibound.graph6 import parse_graph6, write_graph6
 from chibound.harness import RunConfig, verify_run
-from chibound.oracles import (chromatic_number, clique_number, is_proper,
-                              max_clique)
+from chibound.decompose import check_properties, decompose
+from chibound.oracles import (GraphOracles, chromatic_number, clique_number,
+                              is_proper)
 from chibound.patterns import complete, diamond, gem, path, pineapple
 from chibound.smallgraphs import enumerate_small, sample_in_class
 from reference import q43, rook, to_nx, w3
@@ -42,37 +43,38 @@ def _assert_valid(g, cert):
 
 def test_thm1_pineapple():
     g = pineapple(4, 1)
-    cert = color_thm1(g, t=2)
+    cert = color_thm1(GraphOracles(g), t=2)
     _assert_valid(g, cert)
     assert cert.omega == 4
 
 
 def test_thm1_rejects_diamond():
     with pytest.raises(MembershipError):
-        color_checked("THM1", diamond(), THEOREMS["THM1"].spec(t=2))
+        color_checked("THM1", GraphOracles(diamond()),
+                      THEOREMS["THM1"].spec(t=2))
 
 
 def test_thm4_gem_and_base_case():
-    cert = color_thm4(gem())
+    cert = color_thm4(GraphOracles(gem()))
     _assert_valid(gem(), cert)
     # omega < 3 members go straight to the oracle with a note
-    cert2 = color_thm4(path(4))
+    cert2 = color_thm4(GraphOracles(path(4)))
     _assert_valid(path(4), cert2)
     assert any("omega >= 3" in n for n in cert2.notes)
 
 
 def test_thm4_rejects_p5():
     with pytest.raises(MembershipError):
-        color_checked("THM4", path(5))
+        color_checked("THM4", GraphOracles(path(5)))
 
 
 def test_thm3_gem():
-    cert = color_thm3(gem(), 2, 2)
+    cert = color_thm3(GraphOracles(gem()), 2, 2)
     _assert_valid(gem(), cert)
 
 
 def test_thm2_complete_graph():
-    cert = color_thm2(complete(5), 2, 2, 2, "f1")
+    cert = color_thm2(GraphOracles(complete(5)), 2, 2, 2, "f1")
     _assert_valid(complete(5), cert)
     assert cert.details["lift_checks"] >= 5
 
@@ -101,7 +103,7 @@ def test_spec_checks_each_parameter_domain(thm, name, least):
 
 def test_thm5b_fans():
     g = _fan(2, 4)
-    cert = verify_thm5b(g)
+    cert = verify_thm5b(GraphOracles(g))
     _assert_valid(g, cert)
     assert cert.palette_used == cert.omega == 4
 
@@ -113,8 +115,8 @@ def test_thm5b_proper_omega_coloring_needs_no_oracle(g, monkeypatch):
     def no_oracle(*args, **kwargs):
         raise AssertionError("verify_thm5b ran the exact oracle")
 
-    monkeypatch.setattr(color, "chromatic_number", no_oracle)
-    cert = verify_thm5b(g, chi_cap=16)
+    monkeypatch.setattr(oracles, "chromatic_number", no_oracle)
+    cert = verify_thm5b(GraphOracles(g, chi_cap=16))
     assert cert.palette_used == cert.omega
     assert cert.notes == [f"proper coloring with omega = {cert.omega} "
                           "colors: chi = omega"]
@@ -128,31 +130,31 @@ def test_thm5b_rejects_forbidden_dumbbell():
     edges += [(0, 4)]
     g = from_edges(8, edges)
     with pytest.raises(MembershipError) as exc:
-        color_checked("THM5B", g)
+        color_checked("THM5B", GraphOracles(g))
     assert "dumbbell" in str(exc.value)
 
 
 def test_thm5a_fan():
     g = _fan(2, 5)
-    cert = color_thm5a(g, k=3)
+    cert = color_thm5a(GraphOracles(g), k=3)
     _assert_valid(g, cert)
     assert cert.omega == 5
 
 
 def test_thm5a_rejects_small_omega():
     with pytest.raises(MembershipError):
-        color_thm5a(complete(3), k=2)
+        color_thm5a(GraphOracles(complete(3)), k=2)
 
 
 def test_certificates_are_deterministic():
     g = pineapple(4, 1)
-    a = color_thm1(g, t=2)
-    b = color_thm1(g, t=2)
+    a = color_thm1(GraphOracles(g), t=2)
+    b = color_thm1(GraphOracles(g), t=2)
     assert a.coloring == b.coloring and a.trace == b.trace
 
 
 def test_certificate_to_dict():
-    cert = color_thm4(gem())
+    cert = color_thm4(GraphOracles(gem()))
     d = cert.to_dict()
     assert d["theorem"] == "THM4"
     assert d["within_bound"] is True
@@ -184,9 +186,9 @@ def test_colorers_over_enumerated_members(thm, params):
         if thm == "THM5A" and clique_number(g) < 4:
             # omega >= 4 is a hypothesis of the colorer, not of the class
             with pytest.raises(MembershipError):
-                case.colorer(g, **spec.params)
+                case.colorer(GraphOracles(g), **spec.params)
             continue
-        cert = case.colorer(g, **spec.params)
+        cert = case.colorer(GraphOracles(g), **spec.params)
         _assert_valid(g, cert)
         assert cert.omega == clique_number(g)
         assert cert.bound_value == case.bound(cert.omega, cert.c_value or 0,
@@ -208,12 +210,14 @@ def small_7():
     ("THM1", 396, 396), ("THM2", 203, 203), ("THM3", 737, 737),
     ("THM4", 737, 737), ("THM5A", 17, 10), ("THM5B", 18, 18)])
 def test_given_clique_changes_no_certificate(thm, members, certified, small_7):
-    # verify_graph hands g's maximum clique to color_checked; a colorer run
-    # on its own finds that clique itself.  Both give the same certificate
-    # (coloring, trace, notes, details) on every member with n <= 7.
-    def outcome(**clique):
+    # verify_graph hands the colorer a GraphOracles whose clique, chi(G)
+    # from omega up and block colorings from the property checks are found
+    # already; a colorer run on a fresh one finds them itself.  Both give
+    # the same certificate (coloring, trace, notes, details) on every
+    # member with n <= 7, and a third run on the used object too.
+    def outcome(oracles):
         try:
-            return color_checked(thm, g, **clique)
+            return color_checked(thm, oracles, spec)
         except MembershipError as exc:   # THM5A's omega >= 4
             return str(exc)
 
@@ -222,8 +226,12 @@ def test_given_clique_changes_no_certificate(thm, members, certified, small_7):
     for g in small_7:
         if is_member(g, spec):
             seen += 1
-            cert = outcome()
-            assert cert == outcome(clique=max_clique(g)), write_graph6(g)
+            cert = outcome(GraphOracles(g))
+            given = GraphOracles(g)
+            given.chi(lower=given.clique.bit_count())
+            check_properties(given, decompose(g, 2, clique=given.clique),
+                             ("P4", "P5", "P6", "P7", "P8"))
+            assert cert == outcome(given) == outcome(given), write_graph6(g)
             certs += not isinstance(cert, str)
     assert (seen, certs) == (members, certified)
 
@@ -231,7 +239,7 @@ def test_given_clique_changes_no_certificate(thm, members, certified, small_7):
 def test_thm2_over_sampled_members():
     spec = get_class("thm2", s=2, t=2, k=2, y="f2")
     for g in sample_in_class(spec, 8, 0.35, seed=5, count=25):
-        cert = color_thm2(g, 2, 2, 2, "f2")
+        cert = color_thm2(GraphOracles(g), 2, 2, 2, "f2")
         _assert_valid(g, cert)
 
 
@@ -240,32 +248,32 @@ def test_thm5b_structural_violation_is_raised_not_swallowed(monkeypatch):
     # greedy fan coloring is improper, and the certificate refuses it.
     g = rook(4)
     with pytest.raises(StructureViolation, match="carry outside blades"):
-        verify_thm5b(g)
+        verify_thm5b(GraphOracles(g))
     monkeypatch.setattr(color, "fan_structure", lambda g, part, v: ([0], None))
     with pytest.raises(RuntimeError, match="certificate coloring is not proper"):
-        verify_thm5b(g)
+        verify_thm5b(GraphOracles(g))
     # A lift with no free color raises too: THM5A at k = 1 off its class.
     with pytest.raises(LiftError, match="lift failed at vertex 2"):
-        color_thm5a(parse_graph6("EJ]w"), k=1)
+        color_thm5a(GraphOracles(parse_graph6("EJ]w")), k=1)
 
 
 _PENDANT_PATH = from_edges(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5)])
 
 
 @pytest.mark.parametrize("colorer,g,claim,witness", [
-    (lambda g: color_thm1(g, 2), diamond(),
+    (lambda o: color_thm1(o, 2), diamond(),
      "S must be empty in diamond-free graphs", [3]),
-    (lambda g: color_thm1(g, 2),
+    (lambda o: color_thm1(o, 2),
      from_edges(7, [(0, 1), (0, 6), (1, 6), (2, 4), (2, 5), (2, 6), (3, 4),
                     (3, 5), (3, 6), (4, 6), (5, 6)]),
      "components of A'(N,v) have at most omega vertices", [2, 3, 4, 5]),
-    (lambda g: color_thm1(g, 2),
+    (lambda o: color_thm1(o, 2),
      from_edges(8, [(0, 1), (0, 6), (1, 6), (2, 4), (2, 5), (2, 7), (3, 4),
                     (3, 5), (3, 7), (4, 7), (5, 7), (6, 7)]),
      "components of T' have at most omega vertices", [2, 3, 4, 5]),
-    (lambda g: color_thm1(g, 2), _PENDANT_PATH,
+    (lambda o: color_thm1(o, 2), _PENDANT_PATH,
      "every vertex of a component lies in K, S, T, S' or T'", [5]),
-    (lambda g: color_thm3(g, 2, 2), _PENDANT_PATH,
+    (lambda o: color_thm3(o, 2, 2), _PENDANT_PATH,
      "every vertex of a component lies in K, S, T, S' or T'", [5]),
     (color_thm4, from_edges(5, [(0, 3), (0, 4), (1, 2), (1, 4), (2, 4), (3, 4)]),
      "A'(N,v) is edgeless for (2,2)-bowtie-free graphs", [1, 2]),
@@ -284,7 +292,7 @@ def test_colorer_claims_fail_on_non_members(colorer, g, claim, witness):
     # (found by search over all graphs on at most 8 vertices), with the
     # failing component as the witness.
     with pytest.raises(StructureViolation) as exc:
-        colorer(g)
+        colorer(GraphOracles(g))
     assert (exc.value.claim, exc.value.witness) == (claim, witness)
 
 
@@ -299,7 +307,7 @@ def test_thm5b_carrier_claim_fails_on_rook_graphs(q, chi, tmp_path, capsys):
         assert g == parse_graph6("O~`HW}GPHDaNaGPCcPWaN")
     assert is_member(g, get_class("thm5b"))
     with pytest.raises(StructureViolation) as exc:
-        verify_thm5b(g, chi_cap=16)
+        verify_thm5b(GraphOracles(g, chi_cap=16))
     assert exc.value.witness["omega"] == q
     path_ = tmp_path / "rook.g6"
     path_.write_text(write_graph6(g) + "\n")
@@ -338,7 +346,7 @@ def test_thm5b_bound_fails_on_generalized_quadrangles(build, chi,
     got, coloring = chromatic_number(g, cap=64)
     assert got == chi and is_proper(g, coloring)
     with pytest.raises(StructureViolation, match="carry outside blades") as exc:
-        verify_thm5b(g, chi_cap=64)
+        verify_thm5b(GraphOracles(g, chi_cap=64))
     assert exc.value.witness["omega"] == 4
     calls = []
 
@@ -346,23 +354,25 @@ def test_thm5b_bound_fails_on_generalized_quadrangles(build, chi,
         calls.append(within)
         return chromatic_number(h, cap, within, lower)
 
-    monkeypatch.setattr(harness, "chromatic_number", counted)
-    monkeypatch.setattr(color, "chromatic_number", counted)
+    monkeypatch.setattr(oracles, "chromatic_number", counted)
     path_ = tmp_path / "gq.g6"
     path_.write_text(write_graph6(g) + "\n")
     report = verify_run(RunConfig(source={"kind": "graph6", "path": str(path_)},
                                   class_name="thm5b", theorem="THM5B",
                                   chi_cap=64))
-    assert calls == [None]    # the record's chi(G) is the one oracle call
+    # the record's chi(G) is the one oracle call
+    assert calls == [g.full_mask()]
     structural, chi_bound = report["violations"]
     assert structural["kind"] == "structural"
     assert (chi_bound["kind"], chi_bound["chi"], chi_bound["bound_value"]) == (
         "chi-bound", chi, 4)
     monkeypatch.undo()
     # THM5A is not refuted: a positive control at k = 5, out of class at 4.
-    cert = color_checked("THM5A", g, THEOREMS["THM5A"].spec(k=5), chi_cap=64)
+    cert = color_checked("THM5A", GraphOracles(g, chi_cap=64),
+                         THEOREMS["THM5A"].spec(k=5))
     assert (cert.palette_used, cert.bound_value) == (thm5a_palette, 52)
     assert is_proper(g, [cert.coloring[v] for v in range(g.n)])
     with pytest.raises(MembershipError) as exc:
-        color_checked("THM5A", g, THEOREMS["THM5A"].spec(k=4), chi_cap=64)
+        color_checked("THM5A", GraphOracles(g, chi_cap=64),
+                      THEOREMS["THM5A"].spec(k=4))
     assert exc.value.violated == "fan_triangles(l=4)"

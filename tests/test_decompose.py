@@ -1,8 +1,7 @@
 import networkx as nx
 import pytest
 
-from chibound import decompose as decompose_module
-from chibound import kernels
+from chibound import kernels, oracles
 from chibound.color import THEOREMS
 from chibound.decompose import (PROPERTY_IDS, DecompositionError,
                                 check_properties, check_property, decompose,
@@ -10,7 +9,7 @@ from chibound.decompose import (PROPERTY_IDS, DecompositionError,
 from chibound.detect import (diamond_free_fast, every_edge_two_triangles,
                              find_induced, is_member)
 from chibound.graph import bits, from_edges, mask_of
-from chibound.oracles import DEFAULT_CHI_CAP, clique_number
+from chibound.oracles import DEFAULT_CHI_CAP, GraphOracles, clique_number
 from chibound.patterns import (bowtie, complete, diamond, dumbbell, f1, f2,
                                gem, hammer_plus, lollipop_star, path,
                                pineapple)
@@ -135,7 +134,7 @@ def test_p4_distance_violations_match_networkx(t):
         want = sum(any(d >= 2 and not dec.t_set >> u & 1 for u, d in
                        nx.single_source_shortest_path_length(rest, v).items())
                    for v in bits(dec.t_set))
-        rep = check_property(g, dec, "P4")
+        rep = check_property(GraphOracles(g), dec, "P4")
         assert rep.measured["distance_violations"] == want, g
         seen += want > 0
     assert seen > 0
@@ -145,7 +144,7 @@ def test_property_p1_negative_control():
     # diamond contains F^1_2 = diamond, so the hypothesis fails and S != {}
     g = diamond()
     dec = decompose(g, 2)
-    rep = check_property(g, dec, "P1")
+    rep = check_property(GraphOracles(g), dec, "P1")
     assert rep.holds is False
     assert rep.hypothesis_ok is False
     assert rep.witness is not None
@@ -154,7 +153,7 @@ def test_property_p1_negative_control():
 def test_property_p8_pineapple():
     g = pineapple(4, 1)
     dec = decompose(g, 2)
-    rep = check_property(g, dec, "P8")
+    rep = check_property(GraphOracles(g), dec, "P8")
     assert rep.holds is True
     assert rep.measured["chi_t"] == 1
     assert rep.measured["bound"] == 16 * 3
@@ -164,7 +163,7 @@ def test_property_block_over_the_cap_is_undecided():
     g = pineapple(4, 6)
     dec = decompose(g, 2)
     assert dec.t_set.bit_count() == 6
-    rep = check_property(g, dec, "P8", chi_cap=3)
+    rep = check_property(GraphOracles(g, chi_cap=3), dec, "P8")
     assert rep.holds is None and rep.hypothesis_ok is True
     assert rep.notes == ("undecided at desk scale: chi(T): graph has 6 "
                          "vertices, exact-oracle cap is 3")
@@ -174,7 +173,7 @@ def test_property_reports_serialize():
     g = pineapple(4, 1)
     dec = decompose(g, 2)
     for which in ("P1", "P2", "P3", "P4", "P5", "P6", "P7", "P8", "P-property"):
-        d = check_property(g, dec, which).to_dict()
+        d = check_property(GraphOracles(g), dec, which).to_dict()
         assert d["property"] == which
         assert set(d) == {"property", "holds", "hypothesis_ok", "params",
                           "measured", "witness", "notes"}
@@ -184,17 +183,21 @@ def test_p_property_calls_chi_oracle_once(monkeypatch):
     g = pineapple(4, 1)
     dec = decompose(g, 2)
     calls = []
-    real = decompose_module.chi_n
+    real = oracles.chi_n
 
-    def counting(*args, **kwargs):
-        calls.append(kwargs)
-        return real(*args, **kwargs)
+    def counting(*args):
+        calls.append(args[1:])
+        return real(*args)
 
-    monkeypatch.setattr(decompose_module, "chi_n", counting)
-    rep = check_property(g, dec, "P-property", chin_cap=9)
-    assert calls == [{"cap": 9, "chi_cap": DEFAULT_CHI_CAP}]
+    monkeypatch.setattr(oracles, "chi_n", counting)
+    given = GraphOracles(g, chin_cap=9)
+    rep = check_property(given, dec, "P-property")
+    assert calls == [(2, 9, DEFAULT_CHI_CAP)]
     assert rep.holds is True
     assert rep.measured["c"] == rep.measured["chi_up_to_t"] == 2
+    # a second check on the same graph's oracles asks chi_n nothing more
+    assert check_property(given, dec, "P-property") == rep
+    assert len(calls) == 1
 
 
 def test_check_properties_matches_one_check_per_property():
@@ -202,8 +205,9 @@ def test_check_properties_matches_one_check_per_property():
     for g in enumerate_small(6):
         for t in (2, 3):
             dec = decompose(g, t)
-            shared = check_properties(g, dec, ids, {"s": 3})
-            alone = [check_property(g, dec, which, {"s": 3}) for which in ids]
+            shared = check_properties(GraphOracles(g), dec, ids, {"s": 3})
+            alone = [check_property(GraphOracles(g), dec, which, {"s": 3})
+                     for which in ids]
             assert [r.to_dict() for r in shared] == [r.to_dict() for r in alone]
 
 
@@ -234,7 +238,7 @@ def test_property_table_hypotheses_match_the_written_out_ones(s, t, k):
     for g in enumerate_small(6):
         dec = decompose(g, t)
         omega = clique_number(g)
-        reports = check_properties(g, dec, PROPERTY_IDS,
+        reports = check_properties(GraphOracles(g), dec, PROPERTY_IDS,
                                    {"s": s, "t": t, "k": k})
         for which, rep in zip(PROPERTY_IDS, reports):
             assert rep.hypothesis_ok == _hypothesis_by_hand(
@@ -253,9 +257,10 @@ def test_known_class_changes_no_property_report(thm, params):
             continue
         members += 1
         dec = decompose(g, t)
-        hinted = check_properties(g, dec, PROPERTY_IDS, spec.params,
-                                  known=spec)
-        plain = check_properties(g, dec, PROPERTY_IDS, spec.params)
+        hinted = check_properties(GraphOracles(g), dec, PROPERTY_IDS,
+                                  spec.params, known=spec)
+        plain = check_properties(GraphOracles(g), dec, PROPERTY_IDS,
+                                 spec.params)
         assert [r.to_dict() for r in hinted] == [r.to_dict() for r in plain]
     assert members > 0
 
@@ -264,7 +269,7 @@ def test_unknown_property_rejected():
     g = pineapple(4, 1)
     dec = decompose(g, 2)
     with pytest.raises(ValueError):
-        check_property(g, dec, "P99")
+        check_property(GraphOracles(g), dec, "P99")
 
 
 def test_edge_clique_partition_k4():
@@ -326,6 +331,6 @@ def test_property_d1_on_fan():
     edges += [(0, 4), (0, 5), (0, 6), (4, 5), (4, 6), (5, 6)]
     g = from_edges(7, edges)
     dec = decompose(g, 2)
-    rep = check_property(g, dec, "D1")
+    rep = check_property(GraphOracles(g), dec, "D1")
     assert rep.holds is True
     assert rep.measured["cliques"] == 2

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from chibound import color, detect, kernels
+from chibound import color, detect, kernels, oracles
 from chibound import decompose as decompose_module
 from chibound import harness
 from chibound.classes import THEOREM_CLASS
@@ -121,6 +121,12 @@ def test_config_parameters_resolve_once(fields, message):
         verify_run(RunConfig(**data))
 
 
+@pytest.mark.parametrize("data", [None, 5, True, "x", [1]])
+def test_config_that_is_not_an_object_is_a_config_error(data):
+    with pytest.raises(ConfigError, match="^config must be an object$"):
+        RunConfig.from_dict(data)
+
+
 def test_theorem_domains_lie_within_the_property_domain():
     # validate leaves s, t and k to the class and theorem domains they hold
     for case in color.THEOREMS.values():
@@ -200,7 +206,7 @@ def test_pipeline_errors_name_stage_and_type(tmp_path, monkeypatch):
     def fail_omega(g):
         raise KeyError("boom")
 
-    monkeypatch.setattr(harness, "max_clique", fail_omega)
+    monkeypatch.setattr(oracles, "max_clique", fail_omega)
     report = verify_run(cfg)
     assert [(e["stage"], e["type"]) for e in report["errors"]] == [
         ("pipeline", "KeyError")]
@@ -262,13 +268,13 @@ def test_membership_filter_runs_before_chi_oracle(tmp_path, monkeypatch):
     path_.write_text(write_graph6(diamond()) + "\n"
                      + write_graph6(path(3)) + "\n")
     seen = []
-    real = harness.chromatic_number
+    real = oracles.chromatic_number
 
-    def counting(g, cap, lower):
+    def counting(g, cap, within, lower):
         seen.append(write_graph6(g))
-        return real(g, cap=cap, lower=lower)
+        return real(g, cap, within, lower)
 
-    monkeypatch.setattr(harness, "chromatic_number", counting)
+    monkeypatch.setattr(oracles, "chromatic_number", counting)
     cfg = RunConfig(source={"kind": "graph6", "path": str(path_)},
                     class_name="thm1", chi_cap=3)
     report = verify_run(cfg)
@@ -322,13 +328,13 @@ def test_undecided_property_reports_what_it_evaluated(tmp_path):
 def test_properties_of_one_graph_share_one_chi_up_to_t(monkeypatch):
     # P5, P6 and P7 at t = 3 need chi^(t) as well as the P-property itself.
     calls = []
-    real = decompose_module.chi_n
+    real = oracles.chi_n
 
-    def counting(*args, **kwargs):
+    def counting(*args):
         calls.append(args)
-        return real(*args, **kwargs)
+        return real(*args)
 
-    monkeypatch.setattr(decompose_module, "chi_n", counting)
+    monkeypatch.setattr(oracles, "chi_n", counting)
     cfg = RunConfig(source={"kind": "enumerate", "n_max": 5},
                     properties=("P-property", "P5", "P6", "P7"),
                     theorem_params={"t": 3})
@@ -616,40 +622,54 @@ def test_report_fingerprints_are_pinned():
 
 
 def test_verify_graph_asks_the_clique_kernel_nothing_twice(monkeypatch):
-    # One verify_graph call finds K once and hands it down: no (adj,
-    # within) pair reaches the clique kernel twice.  Left out: THM3, whose
-    # colorer colors S' and T' by the exact oracle after P6 and P7 have,
-    # each with its own omega search; P7 and P8, which color the T' and T
-    # of P4 and P5 again; and the P-property, whose chi^(t) colors g
-    # itself when omega <= t.  Sharing those needs a per-mask cache.
+    # One verify_graph call asks each question once: no (adj, within) pair
+    # reaches the clique kernel twice, and no vertex set reaches the exact
+    # chromatic oracle twice.  Left out: the P-property, whose chi^(t)
+    # colors g again when omega <= t, and whose maximal-set search at
+    # t >= 3 repeats its own omega tests.  chi_n is not reached here: P5-P7
+    # take c = 1 at t = 2.
     real_kernel, real_verify = kernels.clique_number_sub, harness.verify_graph
-    asked = set()
-    calls, repeats = [], []
+    real_chromatic = oracles.chromatic_number
+    asked = {"kernel": set(), "chi": set()}
+    calls = {"kernel": [], "chi": []}
+    repeats = []
+
+    def note(kind, key):
+        calls[kind].append(key)
+        if key in asked[kind]:
+            repeats.append((kind, key))
+        asked[kind].add(key)
 
     def kernel(adj, cand, clique=None):
-        key = tuple(adj), cand
-        calls.append(key)
-        if key in asked:
-            repeats.append(key)
-        asked.add(key)
+        note("kernel", (tuple(adj), cand))
         return real_kernel(adj, cand, clique)
 
+    def chromatic_number(g, cap, within, lower):
+        note("chi", (tuple(g.adj), within))
+        return real_chromatic(g, cap, within, lower)
+
     def verify_graph(*args):
-        asked.clear()
+        for seen in asked.values():
+            seen.clear()
         return real_verify(*args)
 
     monkeypatch.setattr(kernels, "clique_number_sub", kernel)
+    monkeypatch.setattr(oracles, "chromatic_number", chromatic_number)
     monkeypatch.setattr(harness, "verify_graph", verify_graph)
-    runs = {thm: _sweep(thm, 6) for thm in ("THM1", "THM2", "THM4", "THM5A",
-                                            "THM5B")}
+    runs = {thm: _sweep(thm, 6) for thm in SWEEP_PROPERTIES}
     runs["no class"] = _no_class(2, 2, 2, ("P1", "P2", "P3", "P4", "P5", "P6",
-                                           "D1"))
+                                           "P7", "P8", "D1"))
     counts = {}
     for name, cfg in runs.items():
-        calls.clear()
+        for seen in calls.values():
+            seen.clear()
         verify_run(cfg)
-        counts[name] = len(calls)
+        counts[name] = len(calls["kernel"]), len(calls["chi"])
         assert repeats == [], name
-    # Before K was handed down: 918, 550, 1,195, 262, 244 and 786 calls.
-    assert counts == {"THM1": 347, "THM2": 219, "THM4": 398, "THM5A": 211,
-                      "THM5B": 208, "no class": 370}
+    # (clique-kernel calls, chromatic_number calls) per run.  Before one
+    # GraphOracles served the whole call: (347, 324), (219, 155),
+    # (635, 656), (398, 419), (211, 15), (208, 12) and (491, 491).
+    assert counts == {"THM1": (347, 293), "THM2": (219, 90),
+                      "THM3": (561, 560), "THM4": (398, 397),
+                      "THM5A": (211, 15), "THM5B": (208, 12),
+                      "no class": (370, 370)}

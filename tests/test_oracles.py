@@ -476,6 +476,29 @@ def test_chi_n_asks_dsatur_only_above_best(monkeypatch):
                 assert value > best
 
 
+def test_chi_n_colors_a_first_set_other_than_v_from_t_up(monkeypatch):
+    # A maximal omega <= 2 set other than V(g) misses a vertex that closes
+    # a triangle with it, so it holds an edge: chi_n starts it at t = 2
+    # with no clique search.  On a graph with omega <= 2, V is the one
+    # maximal set and costs one search.
+    graphs = [g for g in _half_batch() if clique_number(g) >= 3]
+    petersen = nx.petersen_graph()
+    petersen = from_edges(len(petersen), list(petersen.edges()))
+    calls = []
+    real = kernels.clique_number_sub
+
+    def counting(adj, cand, clique=None):
+        calls.append(cand)
+        return real(adj, cand, clique)
+
+    monkeypatch.setattr(kernels, "clique_number_sub", counting)
+    assert len(graphs) == 60
+    values = [chi_n(g, 2) for g in graphs]
+    assert calls == [] and min(values) >= 2
+    assert chi_n(petersen, 2) == 3
+    assert calls == [petersen.full_mask()]
+
+
 def test_ramsey_upper():
     assert ramsey_upper(3, 3) == 6
     for s in range(2, 13):
