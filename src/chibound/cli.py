@@ -107,7 +107,7 @@ def build_parser():
 def _cmd_patterns(args):
     if args.patterns_cmd == "list":
         for name in sorted(PATTERNS):
-            _, params, _ = PATTERNS[name]
+            _, params = PATTERNS[name]
             suffix = f"  (params: {', '.join(params)})" if params else ""
             print(f"{name}{suffix}")
         return 0
@@ -141,13 +141,14 @@ def _cmd_member(args):
 
 def _cmd_decompose(args):
     for i, g in enumerate(_load_graphs(args.infile)):
-        clique = None
-        if args.clique != "auto":  # decompose trusts its clique: check it
+        if args.clique == "auto":
+            dec = GraphOracles(g).decomposition(args.t)
+        else:  # decompose trusts its clique: check it
             clique = mask_of(int(x) for x in args.clique.split(","))
             if (clique & ~g.full_mask() or not is_clique(g, clique)
                     or clique.bit_count() != clique_number(g)):
                 raise ValueError(f"--clique is not a maximum clique of graph {i}")
-        dec = decompose(g, args.t, clique=clique)
+            dec = decompose(g, args.t, g.full_mask(), clique)
         out = {"graph": i, "graph6": write_graph6(g), "t": args.t,
                "K": list(bits(dec.k)), "S": list(bits(dec.s_set)),
                "T": list(bits(dec.t_set)), "S_prime": list(bits(dec.s_prime)),
@@ -192,8 +193,12 @@ def _cmd_color(args):
             if not cert.within_bound:
                 worst = 2
         except Exception as exc:
-            rec["error"] = f"{type(exc).__name__}: {exc}"
-            worst = max(worst, 2 if classify_exception(exc) == "violation" else 1)
+            outcome = classify_exception(exc)
+            if outcome == "undecided":  # an exact oracle hit its cap
+                rec["undecided"] = str(exc)
+            else:
+                rec["error"] = f"{type(exc).__name__}: {exc}"
+                worst = max(worst, 2 if outcome == "violation" else 1)
         print(json.dumps(rec))
     return worst
 

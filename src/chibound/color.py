@@ -15,22 +15,22 @@ from math import comb
 
 from .certificate import (ColoringCertificate, LiftError, MembershipError,
                           StructureViolation)
-from .decompose import decompose, edge_clique_partition, fan_structure
+from .decompose import edge_clique_partition, fan_structure
 from .detect import ClassSpec, Conditions, check_params, is_member, make_class
 from .graph import bits, connected_components
-from .oracles import GraphOracles, is_proper, max_clique, ramsey_upper
+from .oracles import GraphOracles, is_proper, ramsey_upper
 from .patterns import make_pattern
 
 
 class _Canvas:
     """A coloring of oracles.g under construction, painted block by block
-    around oracles.clique, of size omega.  max_used, the largest palette the
+    around oracles.clique(), of size omega.  max_used, the largest palette the
     exact oracle used on a block, realizes the class constant C at desk
     scale: the bound checks stay consistent."""
 
     def __init__(self, oracles: GraphOracles):
         self.oracles, self.g = oracles, oracles.g
-        self.omega = oracles.clique.bit_count()
+        self.omega = oracles.clique().bit_count()
         self.coloring: dict[int, int] = {}
         self.trace: list = []
         self.notes: list = []
@@ -42,22 +42,22 @@ class _Canvas:
         self.coloring[v] = color
         self.trace.append((v, label, depth))
 
-    def exact(self, mask, lower=None):
-        """oracles.chi(mask, lower): (chi, colors)."""
-        chi, cols = self.oracles.chi(mask, lower)
+    def exact(self, mask):
+        """oracles.chi(mask): (chi, colors)."""
+        chi, cols = self.oracles.chi(mask)
         self.max_used = max(self.max_used, chi)
         return chi, cols
 
-    def block(self, rule, mask, base, label, depth, omega=0, lower=None):
+    def block(self, rule, mask, base, label, depth, omega=0):
         """Color mask with fresh colors above base by rule and return the
-        number of colors used.  rule is _ORACLE, exact (from lower), or
-        (claim, most): each component of mask has at most most vertices (0,
-        1 or _OMEGA, omega) and takes one color per vertex.  A larger
-        component raises StructureViolation(claim) with its vertices."""
+        number of colors used.  rule is _ORACLE, exact, or (claim, most):
+        each component of mask has at most most vertices (0, 1 or _OMEGA,
+        omega) and takes one color per vertex.  A larger component raises
+        StructureViolation(claim) with its vertices."""
         if rule is _ORACLE:
             if not mask:
                 return 0
-            chi, cols = self.exact(mask, lower)
+            chi, cols = self.exact(mask)
             for v in bits(mask):
                 self.paint(v, base + cols[v], label, depth)
             return chi
@@ -96,21 +96,20 @@ _RESIDUAL = ("every vertex of a component lies in K, S, T, S' or T'", 0)
 def _k_layers(oracles, base, t, a_m, t_group, s_prime, t_prime):
     """The colorer of THM1, THM3 and THM4, run on the plan in its arguments.
 
-    A component's K is oracles.clique if it holds it, else max_clique.
-    With |K| <= base it goes to the exact oracle from |K| colors up; else it
-    is decomposed at t around K, colored 1..|K|, then each A_M, T group, S'
-    and T' takes fresh colors by its rule (see _Canvas.block), and the
-    residual must be empty.  Returns the canvas.
+    A component's K is oracles.clique(comp).  With |K| <= base it goes to
+    the exact oracle; else it is oracles.decomposition(t, comp) around K,
+    colored 1..|K|, then each A_M, T group, S' and T' takes fresh colors
+    by its rule (see _Canvas.block), and the residual must be empty.
+    Returns the canvas.
     """
     canvas = _Canvas(oracles)
     g = canvas.g
     for comp in connected_components(g, g.full_mask()):
-        k = oracles.clique if oracles.clique & comp else max_clique(g, comp)
-        w = k.bit_count()
+        w = oracles.clique(comp).bit_count()
         if w <= base:
-            canvas.block(_ORACLE, comp, 0, "base", 0, lower=w)
+            canvas.block(_ORACLE, comp, 0, "base", 0)
             continue
-        dec = decompose(g, t, comp, k)
+        dec = oracles.decomposition(t, comp)
         for i, v in enumerate(bits(dec.k)):
             canvas.paint(v, i + 1, "K", 0)
         parts = [(a_m, dec.a_m[m], f"S[A_{list(bits(m))}]")
@@ -128,24 +127,23 @@ def _k_layers(oracles, base, t, a_m, t_group, s_prime, t_prime):
 def _lift_layers(canvas, base, layer, outside):
     """The colorer of THM2 and THM5A: alpha-block lifting, on the canvas.
 
-    A mask's K is its max_clique, oracles.clique for g itself.  With |K|
-    <= base it goes to the exact oracle from |K| colors up.  Otherwise
-    layer(canvas, mask, K) peels K and returns (rest, plan); rest is colored
-    first, then plan() gives (blocks, alpha, size) and each peeled v takes
-    the first color of its block blocks[v] >= 1 of `size` colors that no
-    neighbour in rest uses.  A degree |N(v) & rest| >= alpha, against the
-    proof's claim, is noted.
+    A mask's K is oracles.clique(mask).  With |K| <= base it goes to the
+    exact oracle.  Otherwise layer(canvas, mask, K) peels K and returns
+    (rest, plan); rest is colored first, then plan() gives (blocks, alpha,
+    size) and each peeled v takes the first color of its block blocks[v]
+    >= 1 of `size` colors that no neighbour in rest uses.  A degree
+    |N(v) & rest| >= alpha, against the proof's claim, is noted.
     """
     g = canvas.g
 
-    def rec(mask, k_mask, depth):
-        w = k_mask.bit_count()
-        if w <= base:
-            canvas.block(_ORACLE, mask, 0, "base", depth, lower=w)
+    def rec(mask, depth):
+        k_mask = canvas.oracles.clique(mask)
+        if k_mask.bit_count() <= base:
+            canvas.block(_ORACLE, mask, 0, "base", depth)
             return
         rest, plan = layer(canvas, mask, k_mask)
         if rest:
-            rec(rest, max_clique(g, rest), depth + 1)
+            rec(rest, depth + 1)
         blocks, alpha, size = plan()
         for v in sorted(blocks):
             near = g.adj[v] & rest
@@ -163,7 +161,7 @@ def _lift_layers(canvas, base, layer, outside):
             else:
                 raise LiftError(v, deg, size)
 
-    rec(g.full_mask(), canvas.oracles.clique, 0)
+    rec(g.full_mask(), 0)
 
 
 def color_thm1(oracles: GraphOracles, t: int) -> ColoringCertificate:
@@ -214,7 +212,7 @@ def color_thm2(oracles: GraphOracles, s: int, t: int, k: int,
                y: str) -> ColoringCertificate:
     """{Y, (s,t)-bowtie, (k,t)-lollipop}-free graphs via alpha-block lifting."""
     def layer(canvas, mask, k_mask):
-        dec = decompose(canvas.g, t, mask, k_mask)
+        dec = canvas.oracles.decomposition(t, mask)
 
         def plan():
             # provisional coloring of K ∪ T; each color is a lift block

@@ -12,8 +12,7 @@ from .detect import (ClassSpec, diamond_free_fast, every_edge_two_triangles,
                      is_free)
 from .graph import (Graph, GraphError, bits, connected_components, is_clique,
                     mask_of, neighborhood)
-from .oracles import (GraphOracles, OracleCapExceeded, max_clique,
-                      ramsey_upper)
+from .oracles import GraphOracles, OracleCapExceeded, ramsey_upper
 from .patterns import make_pattern
 
 
@@ -46,17 +45,12 @@ class CliqueDecomposition:
     t_groups: dict
 
 
-def decompose(g: Graph, t: int, within: int | None = None,
-              clique: int | None = None) -> CliqueDecomposition:
-    """Decompose G[within] (default G) at threshold t around clique, by
-    default its lexicographically smallest maximum clique.  A given clique
-    must be a maximum clique of G[within]; it is not checked."""
+def decompose(g: Graph, t: int, within: int,
+              clique: int) -> CliqueDecomposition:
+    """Decompose G[within] at threshold t around clique, a maximum clique of
+    G[within] taken on trust (GraphOracles.decomposition finds it)."""
     if t < 2:
         raise DecompositionError("threshold t must be >= 2")
-    if within is None:
-        within = g.full_mask()
-    if clique is None:
-        clique = max_clique(g, within)
 
     k_verts = list(bits(clique))
     nk = neighborhood(g, clique) & within
@@ -131,12 +125,18 @@ def _jsonable(obj):
 
 
 class _Check:
-    """The inputs of one property check."""
+    """The inputs of one property check.  dec, g's decomposition at t, is
+    asked of oracles only when a measure reads it: D1 and the P-property
+    never do."""
 
-    def __init__(self, oracles, dec, s, t, k):
+    def __init__(self, oracles, s, t, k):
         self.oracles, self.g = oracles, oracles.g
-        self.dec, self.s, self.t, self.k = dec, s, t, k
-        self.omega = dec.k.bit_count()
+        self.s, self.t, self.k = s, t, k
+        self.omega = oracles.clique().bit_count()
+
+    @property
+    def dec(self) -> CliqueDecomposition:
+        return self.oracles.decomposition(self.t)
 
     def chi(self, block):
         """chi(G[block]) for block "T", "T'" or "S'"."""
@@ -283,31 +283,25 @@ PROPERTY_IDS = tuple(PROPERTIES)
 PARAM_LEAST = {"s": 1, "t": 2, "k": 1}
 
 
-def check_properties(oracles: GraphOracles, dec: CliqueDecomposition,
-                     which_ids, params: dict | None = None,
-                     known: ClassSpec | None = None) -> list:
-    """check_property for each id in which_ids, in order."""
-    return [check_property(oracles, dec, which, params, known)
-            for which in which_ids]
-
-
-def check_property(oracles: GraphOracles, dec: CliqueDecomposition,
-                   which: str, params: dict | None = None,
+def check_property(oracles: GraphOracles, which: str,
+                   params: dict | None = None,
                    known: ClassSpec | None = None) -> PropertyReport:
-    """Evaluate one of the decomposition properties against oracles.g.
+    """Evaluate one of the decomposition properties against oracles.g at
+    params' t (default 2), around oracles' decomposition of g at t.
 
     The hypothesis is verified and reported, never assumed, so the checker
     serves as a negative control on out-of-class graphs; known, a class g
     is known to belong to, spares the searches for what it forbids
-    (detect.known_to_forbid).  Each chi of a block and the P-property
-    constant chi^(t) of g come from oracles, so the checks of one graph
-    share them.  An exact oracle over its cap leaves the check undecided
-    (holds None); hypothesis and params are still reported.
+    (detect.known_to_forbid).  The decomposition, each chi of a block and
+    the P-property constant chi^(t) of g come from oracles, so the checks
+    of one graph share them.  An exact oracle over its cap leaves the check
+    undecided (holds None); hypothesis and params are still reported.
     """
     if which not in PROPERTIES:
         raise ValueError(f"unknown property {which!r}")
-    prop, params, t = PROPERTIES[which], params or {}, dec.t
-    x = _Check(oracles, dec, params.get("s", t), t, params.get("k", 2))
+    prop, params = PROPERTIES[which], params or {}
+    t = params.get("t", 2)
+    x = _Check(oracles, params.get("s", t), t, params.get("k", 2))
     hyp = prop.patterns is None or (x.omega > t and all(
         is_free(x.g, pat, known) for pat in prop.patterns(x.s, t, x.k)))
     try:

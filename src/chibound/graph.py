@@ -64,22 +64,6 @@ class Graph:
     def num_edges(self) -> int:
         return sum(self.degree(v) for v in range(self.n)) // 2
 
-    def validate(self):
-        if self.n < 0 or self.n > MAX_VERTICES:
-            raise GraphError(f"vertex count {self.n} out of range 0..{MAX_VERTICES}")
-        if len(self.adj) != self.n:
-            raise GraphError("adjacency row count differs from n")
-        full = self.full_mask()
-        for v, row in enumerate(self.adj):
-            if row >> v & 1:
-                raise GraphError(f"self-loop at vertex {v}")
-            if row & ~full:
-                raise GraphError(f"adjacency row {v} has bits beyond vertex range")
-            for u in bits(row):
-                if not (self.adj[u] >> v & 1):
-                    raise GraphError(f"asymmetric edge {v}-{u}")
-        return self
-
 
 def from_edges(n: int, edges) -> Graph:
     """Build a graph from an explicit edge list."""

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field, fields
 from .classes import get_class
 from .color import (LiftError, MembershipError, StructureViolation, THEOREMS,
                     color_checked)
-from .decompose import PARAM_LEAST, PROPERTY_IDS, check_properties, decompose
+from .decompose import PARAM_LEAST, PROPERTY_IDS, check_property
 from .detect import check_params, is_member
 from .graph6 import read_graph6_file, write_graph6
 from .oracles import (DEFAULT_CHI_CAP, DEFAULT_CHIN_CAP, GraphOracles,
@@ -175,7 +175,7 @@ def verify_graph(g, cfg: RunConfig, spec, theorem_spec, params):
     known = None
 
     oracles = GraphOracles(g, cfg.chi_cap, cfg.chin_cap)
-    record["omega"] = omega = oracles.clique.bit_count()
+    record["omega"] = omega = oracles.clique().bit_count()
     if spec is not None and not cfg.skip_membership:
         rep = is_member(g, spec)
         record["membership"] = rep.to_dict()
@@ -190,23 +190,16 @@ def verify_graph(g, cfg: RunConfig, spec, theorem_spec, params):
                                 "note": "membership filter skipped"}
 
     try:
-        chi, _ = oracles.chi(lower=omega)
+        chi, _ = oracles.chi()
         record["chi"] = chi
     except OracleCapExceeded:
         chi = None
         record["chi"] = "capped"
 
     if cfg.properties:
-        try:
-            dec = decompose(g, params.get("t", 2), clique=oracles.clique)
-        except Exception as exc:
-            errors.append({"graph6": record["graph6"], "stage": "decompose",
-                           "type": type(exc).__name__, "error": str(exc)})
-            record["decompose_error"] = str(exc)
-            return record, violations, errors
         props = []
-        reports = check_properties(oracles, dec, cfg.properties, params, known)
-        for which, rep in zip(cfg.properties, reports):
+        for which in cfg.properties:
+            rep = check_property(oracles, which, params, known)
             props.append(rep.to_dict())
             # holds=False on a graph outside the property's own hypothesis
             # class is a negative control, not a violation -- unless the

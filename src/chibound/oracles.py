@@ -7,7 +7,7 @@ against a raw all-assignments reference (tests/reference.py).
 from __future__ import annotations
 
 import os
-from functools import cache, cached_property
+from functools import cache
 from math import comb
 
 from . import kernels
@@ -266,26 +266,40 @@ def chi_n(g: Graph, n: int, cap: int = DEFAULT_CHIN_CAP,
 
 
 class GraphOracles:
-    """One graph g's exact oracles, each question asked once: clique, g's
-    max_clique; chi(within, lower), chromatic_number under chi_cap once per
-    vertex set (lower does not change it; callers share its coloring);
-    chi_n(t) under chin_cap and chi_cap once per t.  A cap hit is not kept."""
+    """One graph g's exact oracles, each asked once per vertex set within (None
+    is V(g)).  clique(within) is g's max_clique, found on creation, when within
+    holds it, else max_clique(g, within): the same lex-first clique.
+    chi(within) is chromatic_number under chi_cap from |clique(within)| colors
+    up; decomposition(t, within) decomposes around clique(within); chi_n(t) is
+    under chin_cap and chi_cap.  A cap hit is not kept."""
 
     def __init__(self, g: Graph, chi_cap: int = DEFAULT_CHI_CAP,
                  chin_cap: int = DEFAULT_CHIN_CAP):
-        self.g, self.chi_cap, self._chi = g, chi_cap, {}
+        self.g, self.chi_cap, self._whole = g, chi_cap, max_clique(g)
+        self._cliques, self._chis, self._decompositions = {}, {}, {}
         self.chi_n = cache(lambda t: chi_n(g, t, chin_cap, chi_cap))
 
-    @cached_property
-    def clique(self) -> int:
-        return max_clique(self.g)
+    def clique(self, within: int | None = None) -> int:
+        if within is None or self._whole & within == self._whole:
+            return self._whole
+        if within not in self._cliques:
+            self._cliques[within] = max_clique(self.g, within)
+        return self._cliques[within]
 
-    def chi(self, within: int | None = None, lower: int | None = None):
+    def chi(self, within: int | None = None):
         within = self.g.full_mask() if within is None else within
-        if within not in self._chi:
-            self._chi[within] = chromatic_number(self.g, self.chi_cap,
-                                                 within, lower)
-        return self._chi[within]
+        if within not in self._chis:
+            self._chis[within] = chromatic_number(
+                self.g, self.chi_cap, within, self.clique(within).bit_count())
+        return self._chis[within]
+
+    def decomposition(self, t: int, within: int | None = None):
+        within = self.g.full_mask() if within is None else within
+        if (t, within) not in self._decompositions:
+            from .decompose import decompose  # decompose imports this module
+            self._decompositions[t, within] = decompose(
+                self.g, t, within, self.clique(within))
+        return self._decompositions[t, within]
 
 
 def ramsey_upper(s: int, t: int) -> int:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb
 
 from .graph import Graph, GraphError, from_edges
 
@@ -156,24 +155,24 @@ def f2(t: int) -> Graph:
     return from_edges(t + 3, edges)
 
 
-# name -> (constructor, parameter names, expected (vertices, edges) formula or None)
+# name -> (constructor, parameter names)
 PATTERNS = {
-    "diamond": (diamond, (), lambda: (4, 5)),
-    "gem": (gem, (), lambda: (5, 7)),
-    "kite": (kite, (), lambda: (5, 6)),
-    "flag": (flag, (), lambda: (5, 7)),
-    "complete": (complete, ("t",), lambda t: (t, comb(t, 2))),
-    "path": (path, ("l",), lambda l: (l, l - 1)),
-    "cycle": (cycle, ("l",), lambda l: (l, l)),
-    "pineapple": (pineapple, ("t", "k"), lambda t, k: (t + k, comb(t, 2) + k)),
-    "bowtie": (bowtie, ("s", "t"), lambda s, t: (s + t + 1, comb(s, 2) + comb(t, 2) + s + t)),
-    "lollipop_path": (lollipop_path, ("t",), lambda t: (t + 2, comb(t, 2) + 2)),
-    "dumbbell": (dumbbell, ("s", "t"), lambda s, t: (s + t, comb(s, 2) + comb(t, 2) + 1)),
-    "lollipop_star": (lollipop_star, ("k", "t"), lambda k, t: (t + k, comb(t, 2) + (k - 1) + t)),
-    "fan_triangles": (fan_triangles, ("l",), lambda l: (3 * l + 1, 6 * l)),
-    "hammer_plus": (hammer_plus, ("t",), lambda t: (t + 4, 3 + comb(t, 2) + t)),
-    "f1": (f1, ("t",), lambda t: (t + 2, comb(t, 2) + 2 * t)),
-    "f2": (f2, ("t",), lambda t: (t + 3, comb(t, 2) + 3 * t)),
+    "diamond": (diamond, ()),
+    "gem": (gem, ()),
+    "kite": (kite, ()),
+    "flag": (flag, ()),
+    "complete": (complete, ("t",)),
+    "path": (path, ("l",)),
+    "cycle": (cycle, ("l",)),
+    "pineapple": (pineapple, ("t", "k")),
+    "bowtie": (bowtie, ("s", "t")),
+    "lollipop_path": (lollipop_path, ("t",)),
+    "dumbbell": (dumbbell, ("s", "t")),
+    "lollipop_star": (lollipop_star, ("k", "t")),
+    "fan_triangles": (fan_triangles, ("l",)),
+    "hammer_plus": (hammer_plus, ("t",)),
+    "f1": (f1, ("t",)),
+    "f2": (f2, ("t",)),
 }
 
 
@@ -183,7 +182,7 @@ def make_pattern(name: str, **params) -> PatternInstance:
     property checks ask for the same few patterns on every graph."""
     if name not in PATTERNS:
         raise GraphError(f"unknown pattern {name!r}; known: {', '.join(sorted(PATTERNS))}")
-    ctor, param_names, _ = PATTERNS[name]
+    ctor, param_names = PATTERNS[name]
     missing = [p for p in param_names if p not in params]
     if missing:
         raise GraphError(f"pattern {name} needs parameters: {', '.join(missing)}")

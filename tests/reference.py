@@ -1,13 +1,55 @@
-"""Slow, independent references the tests compare the package against, and
-explicit constructions of the graphs that test THM5B."""
+"""Slow, independent references the tests compare the package against,
+explicit constructions of the graphs that test THM5B, and the graph
+invariants and pattern counts that only the tests check."""
 
 from itertools import product
+from math import comb
 
 import networkx as nx
 
 from chibound import kernels
-from chibound.graph import Graph, GraphError, bits, from_edges
+from chibound.graph import MAX_VERTICES, Graph, GraphError, bits, from_edges
 from chibound.oracles import OracleCapExceeded
+
+
+def validate_graph(g: Graph) -> Graph:
+    """Check g's invariants: vertex count in range, one row per vertex, no
+    self-loop, no bit beyond the vertex range, symmetric rows.  Returns g."""
+    if g.n < 0 or g.n > MAX_VERTICES:
+        raise GraphError(f"vertex count {g.n} out of range 0..{MAX_VERTICES}")
+    if len(g.adj) != g.n:
+        raise GraphError("adjacency row count differs from n")
+    full = g.full_mask()
+    for v, row in enumerate(g.adj):
+        if row >> v & 1:
+            raise GraphError(f"self-loop at vertex {v}")
+        if row & ~full:
+            raise GraphError(f"adjacency row {v} has bits beyond vertex range")
+        for u in bits(row):
+            if not (g.adj[u] >> v & 1):
+                raise GraphError(f"asymmetric edge {v}-{u}")
+    return g
+
+
+# pattern name -> its (vertices, edges) count as a function of its parameters
+PATTERN_COUNTS = {
+    "diamond": lambda: (4, 5),
+    "gem": lambda: (5, 7),
+    "kite": lambda: (5, 6),
+    "flag": lambda: (5, 7),
+    "complete": lambda t: (t, comb(t, 2)),
+    "path": lambda l: (l, l - 1),
+    "cycle": lambda l: (l, l),
+    "pineapple": lambda t, k: (t + k, comb(t, 2) + k),
+    "bowtie": lambda s, t: (s + t + 1, comb(s, 2) + comb(t, 2) + s + t),
+    "lollipop_path": lambda t: (t + 2, comb(t, 2) + 2),
+    "dumbbell": lambda s, t: (s + t, comb(s, 2) + comb(t, 2) + 1),
+    "lollipop_star": lambda k, t: (t + k, comb(t, 2) + (k - 1) + t),
+    "fan_triangles": lambda l: (3 * l + 1, 6 * l),
+    "hammer_plus": lambda t: (t + 4, 3 + comb(t, 2) + t),
+    "f1": lambda t: (t + 2, comb(t, 2) + 2 * t),
+    "f2": lambda t: (t + 3, comb(t, 2) + 3 * t),
+}
 
 
 def canon_code_py(adj, n: int) -> int:

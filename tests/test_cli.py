@@ -13,7 +13,8 @@ from chibound import cli, oracles
 from chibound.cli import main
 from chibound.color import THEOREMS, LiftError
 from chibound.graph6 import write_graph6
-from chibound.patterns import bowtie, complete, diamond, gem, pineapple
+from chibound.patterns import (bowtie, complete, diamond, gem, pineapple,
+                               path as path_graph)
 
 
 def run(capsys, *argv):
@@ -65,6 +66,16 @@ def test_decompose_chi_omega_chin(capsys, tmp_path):
     assert json.loads(out)["omega"] == 4
     code, out = run(capsys, "chin", "--n", "2", "--in", str(path))
     assert json.loads(out)["chin"] == 2
+    # dumbbell(3,3): auto takes the lex-first maximum clique, and a given
+    # maximum clique other than it is the one decomposed around
+    path.write_text("ExCW\n")
+    code, out = run(capsys, "decompose", "--t", "2", "--in", str(path))
+    rec = json.loads(out)
+    assert code == 0 and (rec["K"], rec["T"]) == ([0, 1, 2], [3])
+    code, out = run(capsys, "decompose", "--t", "2", "--in", str(path),
+                    "--clique", "3,4,5")
+    rec = json.loads(out)
+    assert code == 0 and (rec["K"], rec["T"]) == ([3, 4, 5], [2])
 
 
 @pytest.mark.parametrize("clique", ["1,4", "0,4", "0,1,2", "0,9"])
@@ -98,6 +109,26 @@ def test_color_subcommand(capsys, tmp_path):
     assert code == 0
     assert rec["within_bound"] is True
     assert len(rec["coloring"]) == 5
+
+
+def test_color_over_the_oracle_cap_is_undecided(capsys, tmp_path):
+    # K9,9 is a THM4 member with 18 vertices, over the exact oracle's cap:
+    # color reports it undecided and exits 0, as chi, chin and verify do.
+    # P5, a non-member, still exits 1.
+    k99 = "Q??????~~~^{~w~w^{F~?~wB~_?"
+    path = tmp_path / "k99.g6"
+    path.write_text(k99 + "\n")
+    code, out = run(capsys, "color", "--theorem", "THM4", "--in", str(path))
+    assert code == 0
+    assert json.loads(out) == {
+        "graph": 0, "graph6": k99, "theorem": "THM4",
+        "undecided": "chromatic_number: graph has 18 vertices, "
+                     f"exact-oracle cap is {oracles.DEFAULT_CHI_CAP}"}
+    path.write_text(k99 + "\n" + write_graph6(path_graph(5)) + "\n")
+    code, out = run(capsys, "color", "--theorem", "THM4", "--in", str(path))
+    undecided, rejected = map(json.loads, out.splitlines())
+    assert code == 1 and "undecided" in undecided
+    assert rejected["error"].startswith("MembershipError")
 
 
 def test_color_lift_error_is_a_violation(capsys, tmp_path, monkeypatch):

@@ -13,7 +13,7 @@ from chibound.detect import is_member
 from chibound.graph import from_edges
 from chibound.graph6 import parse_graph6, write_graph6
 from chibound.harness import RunConfig, verify_run
-from chibound.decompose import check_properties, decompose
+from chibound.decompose import check_property
 from chibound.oracles import (GraphOracles, chromatic_number, clique_number,
                               is_proper)
 from chibound.patterns import complete, diamond, gem, path, pineapple
@@ -210,9 +210,9 @@ def small_7():
     ("THM1", 396, 396), ("THM2", 203, 203), ("THM3", 737, 737),
     ("THM4", 737, 737), ("THM5A", 17, 10), ("THM5B", 18, 18)])
 def test_given_clique_changes_no_certificate(thm, members, certified, small_7):
-    # verify_graph hands the colorer a GraphOracles whose clique, chi(G)
-    # from omega up and block colorings from the property checks are found
-    # already; a colorer run on a fresh one finds them itself.  Both give
+    # verify_graph hands the colorer a GraphOracles whose clique, chi(G),
+    # decomposition at t = 2 and block colorings from the property checks
+    # are found already; a colorer run on a fresh one finds them itself.  Both give
     # the same certificate (coloring, trace, notes, details) on every
     # member with n <= 7, and a third run on the used object too.
     def outcome(oracles):
@@ -228,9 +228,9 @@ def test_given_clique_changes_no_certificate(thm, members, certified, small_7):
             seen += 1
             cert = outcome(GraphOracles(g))
             given = GraphOracles(g)
-            given.chi(lower=given.clique.bit_count())
-            check_properties(given, decompose(g, 2, clique=given.clique),
-                             ("P4", "P5", "P6", "P7", "P8"))
+            given.chi()
+            for which in ("P4", "P5", "P6", "P7", "P8"):
+                check_property(given, which)
             assert cert == outcome(given) == outcome(given), write_graph6(g)
             certs += not isinstance(cert, str)
     assert (seen, certs) == (members, certified)

@@ -4,7 +4,7 @@ import pytest
 from chibound import kernels, oracles
 from chibound.color import THEOREMS
 from chibound.decompose import (PROPERTY_IDS, DecompositionError,
-                                check_properties, check_property, decompose,
+                                check_property, decompose,
                                 edge_clique_partition, fan_structure)
 from chibound.detect import (diamond_free_fast, every_edge_two_triangles,
                              find_induced, is_member)
@@ -19,7 +19,7 @@ from reference import rook, to_nx
 
 def test_pineapple_example():
     g = pineapple(4, 1)
-    dec = decompose(g, 2, clique=mask_of([0, 1, 2, 3]))
+    dec = decompose(g, 2, g.full_mask(), mask_of([0, 1, 2, 3]))
     assert dec.k == mask_of([0, 1, 2, 3])
     assert dec.t_set == 1 << 4          # pendant has 3 >= 2 non-neighbors
     assert dec.s_set == dec.s_prime == dec.t_prime == dec.residual == 0
@@ -28,7 +28,7 @@ def test_pineapple_example():
 def test_gem_example():
     g = gem()
     # K = {apex=4, path vertices 0 and 1}
-    dec = decompose(g, 2, clique=mask_of([0, 1, 4]))
+    dec = decompose(g, 2, g.full_mask(), mask_of([0, 1, 4]))
     assert dec.s_set == 1 << 2          # vertex 2: one non-neighbor (0)
     assert dec.t_set == 1 << 3          # vertex 3: two non-neighbors (0, 1)
     assert dec.a_m == {1 << 0: 1 << 2}
@@ -38,7 +38,7 @@ def test_gem_example():
 
 def test_k5_all_empty():
     g = complete(5)
-    dec = decompose(g, 2, clique=g.full_mask())
+    dec = decompose(g, 2, g.full_mask(), g.full_mask())
     assert dec.k == g.full_mask()
     assert dec.s_set == dec.t_set == dec.s_prime == dec.t_prime == 0
     assert dec.residual == 0
@@ -50,7 +50,7 @@ def test_decompose_rejects_bad_clique():
     # (tests/test_cli.py::test_decompose_cli_rejects_bad_clique).
     g = pineapple(4, 1)
     with pytest.raises(DecompositionError):
-        decompose(g, 1, clique=mask_of([0, 1, 2, 3]))  # t < 2
+        decompose(g, 1, g.full_mask(), mask_of([0, 1, 2, 3]))  # t < 2
 
 
 def test_partition_and_definition_fidelity():
@@ -58,7 +58,7 @@ def test_partition_and_definition_fidelity():
         if clique_number(g) < 3:
             continue
         for t in (2, 3):
-            dec = decompose(g, t)
+            dec = GraphOracles(g).decomposition(t)
             parts = (dec.k, dec.s_set, dec.t_set, dec.s_prime, dec.t_prime,
                      dec.residual)
             assert sum(p.bit_count() for p in parts) == g.n
@@ -99,7 +99,7 @@ def test_partition_and_definition_fidelity():
 def test_within_mask_restriction():
     # two far-apart triangles; decomposing within one ignores the other
     g = from_edges(7, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (5, 6)])
-    dec = decompose(g, 2, within=mask_of([3, 4, 5, 6]))
+    dec = GraphOracles(g).decomposition(2, mask_of([3, 4, 5, 6]))
     assert dec.k == mask_of([3, 4, 5])
     assert dec.t_set == 1 << 6
     assert dec.residual == 0
@@ -116,7 +116,7 @@ def test_default_decompose_is_one_clique_search(monkeypatch):
     monkeypatch.setattr(kernels, "clique_number_sub", counting)
     for g in (rook(4), pineapple(4, 2), gem()):
         calls.clear()
-        decompose(g, 2)
+        GraphOracles(g).decomposition(2)
         assert len(calls) == 1
 
 
@@ -128,13 +128,14 @@ def test_p4_distance_violations_match_networkx(t):
     for g in enumerate_small(7):
         if g.n == 0:
             continue
-        dec = decompose(g, t)
+        given = GraphOracles(g)
+        dec = given.decomposition(t)
         rest = to_nx(g)
         rest.remove_nodes_from(bits(dec.k))
         want = sum(any(d >= 2 and not dec.t_set >> u & 1 for u, d in
                        nx.single_source_shortest_path_length(rest, v).items())
                    for v in bits(dec.t_set))
-        rep = check_property(GraphOracles(g), dec, "P4")
+        rep = check_property(given, "P4", {"t": t})
         assert rep.measured["distance_violations"] == want, g
         seen += want > 0
     assert seen > 0
@@ -143,8 +144,7 @@ def test_p4_distance_violations_match_networkx(t):
 def test_property_p1_negative_control():
     # diamond contains F^1_2 = diamond, so the hypothesis fails and S != {}
     g = diamond()
-    dec = decompose(g, 2)
-    rep = check_property(GraphOracles(g), dec, "P1")
+    rep = check_property(GraphOracles(g), "P1")
     assert rep.holds is False
     assert rep.hypothesis_ok is False
     assert rep.witness is not None
@@ -152,8 +152,7 @@ def test_property_p1_negative_control():
 
 def test_property_p8_pineapple():
     g = pineapple(4, 1)
-    dec = decompose(g, 2)
-    rep = check_property(GraphOracles(g), dec, "P8")
+    rep = check_property(GraphOracles(g), "P8")
     assert rep.holds is True
     assert rep.measured["chi_t"] == 1
     assert rep.measured["bound"] == 16 * 3
@@ -161,9 +160,9 @@ def test_property_p8_pineapple():
 
 def test_property_block_over_the_cap_is_undecided():
     g = pineapple(4, 6)
-    dec = decompose(g, 2)
-    assert dec.t_set.bit_count() == 6
-    rep = check_property(GraphOracles(g, chi_cap=3), dec, "P8")
+    given = GraphOracles(g, chi_cap=3)
+    assert given.decomposition(2).t_set.bit_count() == 6
+    rep = check_property(given, "P8")
     assert rep.holds is None and rep.hypothesis_ok is True
     assert rep.notes == ("undecided at desk scale: chi(T): graph has 6 "
                          "vertices, exact-oracle cap is 3")
@@ -171,9 +170,8 @@ def test_property_block_over_the_cap_is_undecided():
 
 def test_property_reports_serialize():
     g = pineapple(4, 1)
-    dec = decompose(g, 2)
     for which in ("P1", "P2", "P3", "P4", "P5", "P6", "P7", "P8", "P-property"):
-        d = check_property(GraphOracles(g), dec, which).to_dict()
+        d = check_property(GraphOracles(g), which).to_dict()
         assert d["property"] == which
         assert set(d) == {"property", "holds", "hypothesis_ok", "params",
                           "measured", "witness", "notes"}
@@ -181,7 +179,6 @@ def test_property_reports_serialize():
 
 def test_p_property_calls_chi_oracle_once(monkeypatch):
     g = pineapple(4, 1)
-    dec = decompose(g, 2)
     calls = []
     real = oracles.chi_n
 
@@ -191,22 +188,23 @@ def test_p_property_calls_chi_oracle_once(monkeypatch):
 
     monkeypatch.setattr(oracles, "chi_n", counting)
     given = GraphOracles(g, chin_cap=9)
-    rep = check_property(given, dec, "P-property")
+    rep = check_property(given, "P-property")
     assert calls == [(2, 9, DEFAULT_CHI_CAP)]
     assert rep.holds is True
     assert rep.measured["c"] == rep.measured["chi_up_to_t"] == 2
     # a second check on the same graph's oracles asks chi_n nothing more
-    assert check_property(given, dec, "P-property") == rep
+    assert check_property(given, "P-property") == rep
     assert len(calls) == 1
 
 
-def test_check_properties_matches_one_check_per_property():
+def test_shared_oracles_match_one_check_per_property():
     ids = ("P-property", "P5", "P6", "P7", "P8")
     for g in enumerate_small(6):
         for t in (2, 3):
-            dec = decompose(g, t)
-            shared = check_properties(GraphOracles(g), dec, ids, {"s": 3})
-            alone = [check_property(GraphOracles(g), dec, which, {"s": 3})
+            given = GraphOracles(g)
+            shared = [check_property(given, which, {"s": 3, "t": t})
+                      for which in ids]
+            alone = [check_property(GraphOracles(g), which, {"s": 3, "t": t})
                      for which in ids]
             assert [r.to_dict() for r in shared] == [r.to_dict() for r in alone]
 
@@ -236,10 +234,10 @@ def test_property_table_hypotheses_match_the_written_out_ones(s, t, k):
     assert PROPERTY_IDS == ("P1", "P2", "P3", "P4", "P5", "P6", "P7", "P8",
                             "D1", "P-property")
     for g in enumerate_small(6):
-        dec = decompose(g, t)
         omega = clique_number(g)
-        reports = check_properties(GraphOracles(g), dec, PROPERTY_IDS,
-                                   {"s": s, "t": t, "k": k})
+        given = GraphOracles(g)
+        reports = [check_property(given, which, {"s": s, "t": t, "k": k})
+                   for which in PROPERTY_IDS]
         for which, rep in zip(PROPERTY_IDS, reports):
             assert rep.hypothesis_ok == _hypothesis_by_hand(
                 g, which, omega, s, t, k), (which, g.adj)
@@ -256,20 +254,19 @@ def test_known_class_changes_no_property_report(thm, params):
         if not is_member(g, spec):
             continue
         members += 1
-        dec = decompose(g, t)
-        hinted = check_properties(GraphOracles(g), dec, PROPERTY_IDS,
-                                  spec.params, known=spec)
-        plain = check_properties(GraphOracles(g), dec, PROPERTY_IDS,
-                                 spec.params)
+        given, fresh = GraphOracles(g), GraphOracles(g)
+        hinted = [check_property(given, which, spec.params, known=spec)
+                  for which in PROPERTY_IDS]
+        plain = [check_property(fresh, which, spec.params)
+                 for which in PROPERTY_IDS]
         assert [r.to_dict() for r in hinted] == [r.to_dict() for r in plain]
     assert members > 0
 
 
 def test_unknown_property_rejected():
     g = pineapple(4, 1)
-    dec = decompose(g, 2)
     with pytest.raises(ValueError):
-        check_property(GraphOracles(g), dec, "P99")
+        check_property(GraphOracles(g), "P99")
 
 
 def test_edge_clique_partition_k4():
@@ -330,7 +327,6 @@ def test_property_d1_on_fan():
     edges = [(a, b) for a in range(4) for b in range(a + 1, 4)]
     edges += [(0, 4), (0, 5), (0, 6), (4, 5), (4, 6), (5, 6)]
     g = from_edges(7, edges)
-    dec = decompose(g, 2)
-    rep = check_property(GraphOracles(g), dec, "D1")
+    rep = check_property(GraphOracles(g), "D1")
     assert rep.holds is True
     assert rep.measured["cliques"] == 2

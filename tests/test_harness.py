@@ -194,16 +194,18 @@ def test_pipeline_errors_name_stage_and_type(tmp_path, monkeypatch):
     cfg = RunConfig(source={"kind": "graph6", "path": str(path_)},
                     properties=("P1",))
 
-    def fail_decompose(g, t, clique):
+    def fail_decompose(g, t, within, clique):
         raise ValueError("no clique")
 
-    monkeypatch.setattr(harness, "decompose", fail_decompose)
+    # verify_graph has no stage of its own for the decomposition: a failure
+    # there is caught by verify_run with the graph's other failures.
+    monkeypatch.setattr(decompose_module, "decompose", fail_decompose)
     report = verify_run(cfg)
-    assert [(e["stage"], e["type"]) for e in report["errors"]] == [
-        ("decompose", "ValueError")]
-    assert report["records"][0]["decompose_error"] == "no clique"
+    assert [(e["stage"], e["type"], e["error"]) for e in report["errors"]] == [
+        ("pipeline", "ValueError", "ValueError: no clique")]
+    assert report["records"] == []
 
-    def fail_omega(g):
+    def fail_omega(*args):
         raise KeyError("boom")
 
     monkeypatch.setattr(oracles, "max_clique", fail_omega)
@@ -234,8 +236,7 @@ def test_negative_fixture_exit_two(tmp_path):
     # the witness re-verifies: it names a vertex of S on the same graph
     violation = report["violations"][0]
     g = parse_graph6(violation["graph6"])
-    from chibound.decompose import decompose
-    dec = decompose(g, 2)
+    dec = oracles.GraphOracles(g).decomposition(2)
     assert dec.s_set >> violation["witness"] & 1
 
 
@@ -408,7 +409,7 @@ def _patterns_searched_in_property_checks(monkeypatch):
             for attr, value in list(vars(mod).items()):
                 if value is real:
                     monkeypatch.setattr(mod, attr, counting)
-    real_check = decompose_module.check_property
+    real_check = harness.check_property
 
     def check(*args, **kwargs):
         depth.append(True)
@@ -417,7 +418,7 @@ def _patterns_searched_in_property_checks(monkeypatch):
         finally:
             depth.pop()
 
-    monkeypatch.setattr(decompose_module, "check_property", check)
+    monkeypatch.setattr(harness, "check_property", check)
     return inside
 
 
@@ -623,15 +624,18 @@ def test_report_fingerprints_are_pinned():
 
 def test_verify_graph_asks_the_clique_kernel_nothing_twice(monkeypatch):
     # One verify_graph call asks each question once: no (adj, within) pair
-    # reaches the clique kernel twice, and no vertex set reaches the exact
-    # chromatic oracle twice.  Left out: the P-property, whose chi^(t)
+    # reaches the clique kernel twice, no vertex set reaches the exact
+    # chromatic oracle twice, and no (t, within) is decomposed twice.  A run
+    # whose checks and colorer read no decomposition (THM5A, THM5B, D1
+    # alone) decomposes nothing.  Left out: the P-property, whose chi^(t)
     # colors g again when omega <= t, and whose maximal-set search at
     # t >= 3 repeats its own omega tests.  chi_n is not reached here: P5-P7
     # take c = 1 at t = 2.
     real_kernel, real_verify = kernels.clique_number_sub, harness.verify_graph
     real_chromatic = oracles.chromatic_number
-    asked = {"kernel": set(), "chi": set()}
-    calls = {"kernel": [], "chi": []}
+    real_decompose = decompose_module.decompose
+    asked = {"kernel": set(), "chi": set(), "decompose": set()}
+    calls = {"kernel": [], "chi": [], "decompose": []}
     repeats = []
 
     def note(kind, key):
@@ -648,6 +652,10 @@ def test_verify_graph_asks_the_clique_kernel_nothing_twice(monkeypatch):
         note("chi", (tuple(g.adj), within))
         return real_chromatic(g, cap, within, lower)
 
+    def decompose(g, t, within, clique):
+        note("decompose", (t, within))
+        return real_decompose(g, t, within, clique)
+
     def verify_graph(*args):
         for seen in asked.values():
             seen.clear()
@@ -655,21 +663,25 @@ def test_verify_graph_asks_the_clique_kernel_nothing_twice(monkeypatch):
 
     monkeypatch.setattr(kernels, "clique_number_sub", kernel)
     monkeypatch.setattr(oracles, "chromatic_number", chromatic_number)
+    monkeypatch.setattr(decompose_module, "decompose", decompose)
     monkeypatch.setattr(harness, "verify_graph", verify_graph)
     runs = {thm: _sweep(thm, 6) for thm in SWEEP_PROPERTIES}
     runs["no class"] = _no_class(2, 2, 2, ("P1", "P2", "P3", "P4", "P5", "P6",
                                            "P7", "P8", "D1"))
+    runs["D1 only"] = _no_class(2, 2, 2, ("D1",))
     counts = {}
     for name, cfg in runs.items():
         for seen in calls.values():
             seen.clear()
         verify_run(cfg)
-        counts[name] = len(calls["kernel"]), len(calls["chi"])
+        counts[name] = tuple(map(len, calls.values()))
         assert repeats == [], name
-    # (clique-kernel calls, chromatic_number calls) per run.  Before one
-    # GraphOracles served the whole call: (347, 324), (219, 155),
-    # (635, 656), (398, 419), (211, 15), (208, 12) and (491, 491).
-    assert counts == {"THM1": (347, 293), "THM2": (219, 90),
-                      "THM3": (561, 560), "THM4": (398, 397),
-                      "THM5A": (211, 15), "THM5B": (208, 12),
-                      "no class": (370, 370)}
+    # (clique-kernel, chromatic_number, decompose calls) per run.  Before one
+    # GraphOracles served the whole call, the first two were (347, 324),
+    # (219, 155), (635, 656), (398, 419), (211, 15), (208, 12) and
+    # (491, 491).  Before it also held the decompositions, the third was
+    # 178, 96, 296, 296, 12, 12 and 208, and 208 for D1 alone.
+    assert counts == {"THM1": (347, 293, 142), "THM2": (219, 90, 81),
+                      "THM3": (561, 560, 206), "THM4": (398, 397, 206),
+                      "THM5A": (211, 15, 0), "THM5B": (208, 12, 0),
+                      "no class": (370, 370, 208), "D1 only": (208, 208, 0)}

@@ -9,8 +9,9 @@ from chibound import kernels, oracles
 from chibound.graph import (Graph, bits, connected_components, from_edges,
                             is_clique, mask_of)
 from chibound.graph6 import write_graph6
-from chibound.oracles import (OracleCapExceeded, chi_n, chromatic_number,
-                              clique_number, is_proper,
+from chibound.decompose import decompose
+from chibound.oracles import (GraphOracles, OracleCapExceeded, chi_n,
+                              chromatic_number, clique_number, is_proper,
                               maximal_low_omega_sets, max_clique,
                               ramsey_upper)
 from chibound.patterns import complete, cycle, path, pineapple
@@ -88,6 +89,29 @@ def test_max_clique_is_one_kernel_search(monkeypatch):
         calls.clear()
         max_clique(g)
         assert len(calls) == 1
+
+
+def test_graph_oracles_answer_as_the_plain_oracles_in_any_order():
+    # clique(within) is max_clique(g, within), chi(within) is
+    # chromatic_number(g, within=within) and decomposition(t, within) is
+    # decompose around that clique, whichever set is asked first: V(g) of
+    # every graph with n <= 6 and every vertex set of each graph with
+    # n <= 5, each asked of a fresh object and of one object in ascending
+    # and in descending mask order.  None and V(g) are one question.
+    for g in enumerate_small(6):
+        masks = [None] if g.n > 5 else [None, *range(1 << g.n)]
+        orders = [[within] for within in masks] + [masks, masks[::-1]]
+        for order in orders:
+            given = GraphOracles(g)
+            for within in order:
+                mask = g.full_mask() if within is None else within
+                k = max_clique(g, mask)
+                assert given.clique(within) == k, (g.adj, within)
+                assert given.chi(within) == chromatic_number(g, within=mask)
+                for t in (2, 3):
+                    assert given.decomposition(t, within) == decompose(
+                        g, t, mask, k)
+        assert given.decomposition(2) is given.decomposition(2, g.full_mask())
 
 
 def test_chromatic_number_known_values():

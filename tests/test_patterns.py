@@ -4,11 +4,11 @@ import pytest
 from chibound.graph import GraphError
 from chibound.patterns import (PATTERNS, bowtie, complete, diamond, f1,
                                lollipop_star, make_pattern, pineapple)
-from reference import to_nx
+from reference import PATTERN_COUNTS, to_nx, validate_graph
 
 
 def _sweep_values(name):
-    _, params, _ = PATTERNS[name]
+    _, params = PATTERNS[name]
     # constructor-specific minimums
     mins = {"complete": {"t": 1}, "path": {"l": 1}, "cycle": {"l": 3},
             "lollipop_star": {"t": 2}}
@@ -29,11 +29,10 @@ def _combos(params, mins):
 
 @pytest.mark.parametrize("name", sorted(PATTERNS))
 def test_count_formulas(name):
-    _, params, formula = PATTERNS[name]
     for combo in _sweep_values(name):
         pat = make_pattern(name, **combo)
-        pat.graph.validate()
-        vn, en = formula(**combo)
+        validate_graph(pat.graph)
+        vn, en = PATTERN_COUNTS[name](**combo)
         assert pat.graph.n == vn, (name, combo)
         assert pat.graph.num_edges() == en, (name, combo)
 

@@ -15,7 +15,7 @@ from chibound.smallgraphs import (ENUM_CAP, EnumerationCapExceeded,
                                   _image, enumerate_codes, enumerate_small,
                                   graph_from_code, sample_in_class)
 from networkx.algorithms.isomorphism import GraphMatcher
-from reference import canon_code_py, to_nx
+from reference import canon_code_py, to_nx, validate_graph
 
 KNOWN_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}  # OEIS A000088
 
@@ -161,7 +161,7 @@ def test_enumeration_at_n8_is_canonical_and_matches_golden():
 def test_enumerate_small_yields_valid_canonical_graphs():
     seen = []
     for g in enumerate_small(5):
-        g.validate()
+        validate_graph(g)
         seen.append((g.n, kernels.canonical_code(g.adj, g.n)))
     assert len(seen) == len(set(seen))  # no isomorphic duplicates
     assert len(seen) == sum(KNOWN_COUNTS[n] for n in range(1, 6))
