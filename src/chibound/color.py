@@ -15,7 +15,7 @@ from math import comb
 
 from .certificate import (ColoringCertificate, LiftError, MembershipError,
                           StructureViolation)
-from .decompose import edge_clique_partition, fan_structure
+from .decompose import edge_clique_partition
 from .detect import ClassSpec, Conditions, check_params, is_member, make_class
 from .graph import bits, connected_components
 from .oracles import GraphOracles, is_proper, ramsey_upper
@@ -264,46 +264,29 @@ def color_thm5a(oracles: GraphOracles, k: int) -> ColoringCertificate:
 def verify_thm5b(oracles: GraphOracles) -> ColoringCertificate:
     """Diamond-free, edges in two triangles, (4,4)-dumbbell-free: chi = omega.
 
-    Claim: in each maximal clique at most one vertex carries blades outside
-    it.  The greedy fan coloring below relies on it, so a failure raises
-    StructureViolation; the claim can fail where chi = omega still holds.
-    A proper coloring with omega colors proves chi = omega, so no oracle
-    runs.
+    Claim: in each maximal clique at most one vertex, its carrier, lies in
+    another clique of the edge-clique partition.  The greedy coloring below
+    relies on it, so a failure raises StructureViolation; the claim can fail
+    where chi = omega still holds.  A proper coloring with omega colors
+    proves chi = omega, so no oracle runs.
     """
     canvas = _Canvas(oracles)
     g, omega = canvas.g, canvas.omega
-    part = edge_clique_partition(g)
-    for idx, clique in enumerate(part.cliques):
-        carriers = []
-        for v in bits(clique):
-            blades, violation = fan_structure(g, part, v)
-            if violation is not None:
-                raise StructureViolation("fan blades must be pairwise "
-                                         "anticomplete away from the hub",
-                                         violation)
-            if len(blades) > 1:
-                carriers.append(v)
-        if len(carriers) > 1:
+    cliques = edge_clique_partition(g)
+    seen = shared = 0           # shared: the carriers, in two or more cliques
+    for clique in cliques:
+        shared |= seen & clique
+        seen |= clique
+    # Greedy clique-by-clique coloring in index order.  Past the claim, a
+    # clique meets the others only at its carrier, so at most one of its
+    # vertices is colored already when its turn comes.
+    coloring = canvas.coloring
+    for ci, clique in enumerate(cliques):
+        if (clique & shared).bit_count() > 1:
             raise StructureViolation(
                 "two vertices of one maximal clique carry outside blades",
-                {"clique": idx, "carriers": carriers, "omega": omega})
-
-    # Greedy clique-by-clique coloring along the fan forest, breadth first.
-    cliques = part.cliques
-    order, seen = [], set()
-    for root in range(len(cliques)):
-        if root not in seen:
-            seen.add(root)
-            queue = [root]
-            for cur in queue:
-                for nxt in range(len(cliques)):
-                    if nxt not in seen and cliques[cur] & cliques[nxt]:
-                        seen.add(nxt)
-                        queue.append(nxt)
-            order += queue
-    coloring = canvas.coloring
-    for ci in order:
-        clique = cliques[ci]
+                {"clique": ci, "carriers": list(bits(clique & shared)),
+                 "omega": omega})
         used = {coloring[v] for v in bits(clique) if v in coloring}
         free = (c for c in range(1, g.n + 2) if c not in used)
         for v in bits(clique):
@@ -319,7 +302,7 @@ def verify_thm5b(oracles: GraphOracles) -> ColoringCertificate:
             f"greedy fan coloring used {palette} colors but omega is {omega}")
     canvas.notes.append(
         f"proper coloring with omega = {omega} colors: chi = omega")
-    return canvas.certificate("THM5B", None, {}, cliques=len(part.cliques))
+    return canvas.certificate("THM5B", None, {}, cliques=len(cliques))
 
 
 # ------------------------------------------------------------------ registry

@@ -160,7 +160,7 @@ def _graphs_from_source(cfg: RunConfig, spec):
 
 
 def verify_graph(g, cfg: RunConfig, spec, theorem_spec, params):
-    """Run the full per-graph pipeline; returns (record, violations, errors).
+    """Run the full per-graph pipeline; returns (record, violations).
 
     spec, theorem_spec and params are cfg resolved by cfg.validate().  The
     colorer runs only on members of theorem_spec, and a decided chi of a
@@ -171,7 +171,6 @@ def verify_graph(g, cfg: RunConfig, spec, theorem_spec, params):
     """
     record = {"graph6": write_graph6(g), "n": g.n}
     violations = []
-    errors = []
     known = None
 
     oracles = GraphOracles(g, cfg.chi_cap, cfg.chin_cap)
@@ -182,7 +181,7 @@ def verify_graph(g, cfg: RunConfig, spec, theorem_spec, params):
         if not rep.member:
             # Filtered before the chi oracle: a skipped record has no "chi".
             record["skipped"] = "not a class member"
-            return record, violations, errors
+            return record, violations
         known = spec
     else:
         record["membership"] = {"member": None, "violated": None,
@@ -200,19 +199,20 @@ def verify_graph(g, cfg: RunConfig, spec, theorem_spec, params):
         props = []
         for which in cfg.properties:
             rep = check_property(oracles, which, params, known)
-            props.append(rep.to_dict())
+            prop = rep.to_dict()
+            props.append(prop)
             # holds=False on a graph outside the property's own hypothesis
             # class is a negative control, not a violation -- unless the
             # membership filter was deliberately skipped.
             if rep.holds is False and (rep.hypothesis_ok or cfg.skip_membership):
                 violations.append({"graph6": record["graph6"],
                                    "kind": "property", "id": which,
-                                   "witness": rep.to_dict()["witness"],
-                                   "measured": rep.to_dict()["measured"]})
+                                   "witness": prop["witness"],
+                                   "measured": prop["measured"]})
         record["properties"] = props
 
     if cfg.theorem is None:
-        return record, violations, errors
+        return record, violations
     try:
         cert = color_checked(cfg.theorem, oracles, theorem_spec, known)
     except Exception as exc:
@@ -222,7 +222,7 @@ def verify_graph(g, cfg: RunConfig, spec, theorem_spec, params):
         record["certificate"] = {
             "error" if outcome == "violation" else outcome: str(exc)}
         if outcome == "rejected":
-            return record, violations, errors
+            return record, violations
         if outcome == "violation":
             violations.append({"graph6": record["graph6"], "kind": "structural",
                                "theorem": cfg.theorem, "error": str(exc)})
@@ -248,7 +248,7 @@ def verify_graph(g, cfg: RunConfig, spec, theorem_spec, params):
         violations.append({"graph6": record["graph6"], "kind": "chi-bound",
                            "theorem": cfg.theorem, "chi": chi,
                            "bound_value": bound})
-    return record, violations, errors
+    return record, violations
 
 
 def verify_run(cfg: RunConfig) -> dict:
@@ -269,7 +269,7 @@ def verify_run(cfg: RunConfig) -> dict:
         for g in graphs:
             scanned += 1
             try:
-                record, v, e = verify_graph(g, cfg, *resolved)
+                record, v = verify_graph(g, cfg, *resolved)
             except Exception as exc:   # defensive: never abort the sweep
                 errors.append({"graph6": write_graph6(g), "stage": "pipeline",
                                "type": type(exc).__name__,
@@ -284,7 +284,6 @@ def verify_run(cfg: RunConfig) -> dict:
                              if p["holds"] is None)
             records.append(record)
             violations.extend(v)
-            errors.extend(e)
     except (OSError, ValueError, RuntimeError) as exc:
         errors.append({"stage": "source", "type": type(exc).__name__,
                        "error": f"{type(exc).__name__}: {exc}"})

@@ -7,7 +7,6 @@ against a raw all-assignments reference (tests/reference.py).
 from __future__ import annotations
 
 import os
-from functools import cache
 from math import comb
 
 from . import kernels
@@ -270,14 +269,15 @@ class GraphOracles:
     is V(g)).  clique(within) is g's max_clique, found on creation, when within
     holds it, else max_clique(g, within): the same lex-first clique.
     chi(within) is chromatic_number under chi_cap from |clique(within)| colors
-    up; decomposition(t, within) decomposes around clique(within); chi_n(t) is
+    up; over the cap it raises before any clique is searched.
+    decomposition(t, within) decomposes around clique(within); chi_n(t) is
     under chin_cap and chi_cap.  A cap hit is not kept."""
 
     def __init__(self, g: Graph, chi_cap: int = DEFAULT_CHI_CAP,
                  chin_cap: int = DEFAULT_CHIN_CAP):
         self.g, self.chi_cap, self._whole = g, chi_cap, max_clique(g)
+        self.chin_cap, self._chi_ns = chin_cap, {}
         self._cliques, self._chis, self._decompositions = {}, {}, {}
-        self.chi_n = cache(lambda t: chi_n(g, t, chin_cap, chi_cap))
 
     def clique(self, within: int | None = None) -> int:
         if within is None or self._whole & within == self._whole:
@@ -289,9 +289,16 @@ class GraphOracles:
     def chi(self, within: int | None = None):
         within = self.g.full_mask() if within is None else within
         if within not in self._chis:
+            over = within.bit_count() > self.chi_cap
             self._chis[within] = chromatic_number(
-                self.g, self.chi_cap, within, self.clique(within).bit_count())
+                self.g, self.chi_cap, within,
+                None if over else self.clique(within).bit_count())
         return self._chis[within]
+
+    def chi_n(self, t: int) -> int:
+        if t not in self._chi_ns:
+            self._chi_ns[t] = chi_n(self.g, t, self.chin_cap, self.chi_cap)
+        return self._chi_ns[t]
 
     def decomposition(self, t: int, within: int | None = None):
         within = self.g.full_mask() if within is None else within

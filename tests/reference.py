@@ -2,7 +2,7 @@
 explicit constructions of the graphs that test THM5B, and the graph
 invariants and pattern counts that only the tests check."""
 
-from itertools import product
+from itertools import combinations, product
 from math import comb
 
 import networkx as nx
@@ -251,6 +251,40 @@ def to_nx(g: Graph):
     out.add_nodes_from(range(g.n))
     out.add_edges_from(g.edges())
     return out
+
+
+def fan_structure(g: Graph, cliques: tuple, v: int):
+    """Blades of the fan at v: the indices of the cliques of an edge-clique
+    partition that contain v.  Returns (indices, violation); violation is
+    (a, b, i, j) when an edge runs between two distinct blades away from v.
+    The slow search that decompose.edge_clique_partition's blade lemma
+    makes unnecessary."""
+    if not 0 <= v < g.n:
+        raise GraphError(f"vertex {v} out of range")
+    indices = [i for i, c in enumerate(cliques) if c >> v & 1]
+    for x, i in enumerate(indices):
+        for j in indices[x + 1:]:
+            a_side = cliques[i] & ~(1 << v)
+            b_side = cliques[j] & ~(1 << v)
+            for a in bits(a_side):
+                cross = g.adj[a] & b_side
+                if cross:
+                    b = (cross & -cross).bit_length() - 1
+                    return indices, (a, b, i, j)
+    return indices, None
+
+
+def random_linear_two_section(rng, n: int, sizes=(4, 5, 6), draws: int = 8):
+    """The 2-section of a random linear hypergraph on n points: of `draws`
+    blocks of random sizes, each is kept when it meets every kept block in
+    at most one point, and each kept block becomes a clique."""
+    blocks = []
+    for _ in range(draws):
+        block = set(rng.sample(range(n), rng.choice(sizes)))
+        if all(len(block & kept) <= 1 for kept in blocks):
+            blocks.append(block)
+    return from_edges(n, [e for block in blocks
+                          for e in combinations(sorted(block), 2)])
 
 
 def rook(q):

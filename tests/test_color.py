@@ -1,3 +1,5 @@
+import hashlib
+import json
 import re
 
 import networkx as nx
@@ -243,13 +245,39 @@ def test_thm2_over_sampled_members():
         _assert_valid(g, cert)
 
 
+def test_thm5b_and_d1_outcomes_are_pinned():
+    # verify_thm5b's certificate, coloring and trace included, or its
+    # StructureViolation, and the D1 report on 43 graphs: the 27 THM5B
+    # members with n <= 8, AC-6's 12 fans, K4 x K4, K5 x K5, W(3) and
+    # Q(4,3).  Report fingerprints leave colorings out, so this digest pins
+    # them; it was taken while both still searched every fan for an edge
+    # between two blades.
+    spec = THEOREMS["THM5B"].spec()
+    graphs = [g for g in enumerate_small(8) if is_member(g, spec)]
+    graphs += [_fan(f, c) for c in (4, 5, 6) for f in (1, 2, 3, 4)]
+    graphs += [rook(4), rook(5), w3(), q43()]
+    outcomes = []
+    for g in graphs:
+        try:
+            cert = verify_thm5b(GraphOracles(g)).to_dict()
+        except StructureViolation as exc:
+            cert = str(exc)
+        outcomes.append([cert, check_property(GraphOracles(g), "D1").to_dict()])
+    digest = hashlib.sha256(json.dumps(outcomes, sort_keys=True).encode())
+    assert len(graphs) == 43
+    assert digest.hexdigest() == ("0827fa4c9e6d082cbf257871c273cc06"
+                                  "ead432c88c3e9cfe428bf4eeef9b9662")
+
+
 def test_thm5b_structural_violation_is_raised_not_swallowed(monkeypatch):
-    # K4 x K4 fails the carrier claim, which raises.  Without the claim the
-    # greedy fan coloring is improper, and the certificate refuses it.
+    # K4 x K4 fails the carrier claim, which raises.  Given only its four
+    # disjoint row cliques, no vertex carries two and the greedy coloring
+    # leaves the column edges improper: the certificate refuses it.
     g = rook(4)
     with pytest.raises(StructureViolation, match="carry outside blades"):
         verify_thm5b(GraphOracles(g))
-    monkeypatch.setattr(color, "fan_structure", lambda g, part, v: ([0], None))
+    rows = tuple(0b1111 << 4 * r for r in range(4))
+    monkeypatch.setattr(color, "edge_clique_partition", lambda g: rows)
     with pytest.raises(RuntimeError, match="certificate coloring is not proper"):
         verify_thm5b(GraphOracles(g))
     # A lift with no free color raises too: THM5A at k = 1 off its class.

@@ -1,3 +1,7 @@
+import random
+from itertools import chain, combinations
+from math import comb
+
 import networkx as nx
 import pytest
 
@@ -5,7 +9,7 @@ from chibound import kernels, oracles
 from chibound.color import THEOREMS
 from chibound.decompose import (PROPERTY_IDS, DecompositionError,
                                 check_property, decompose,
-                                edge_clique_partition, fan_structure)
+                                edge_clique_partition)
 from chibound.detect import (diamond_free_fast, every_edge_two_triangles,
                              find_induced, is_member)
 from chibound.graph import bits, from_edges, mask_of
@@ -14,7 +18,8 @@ from chibound.patterns import (bowtie, complete, diamond, dumbbell, f1, f2,
                                gem, hammer_plus, lollipop_star, path,
                                pineapple)
 from chibound.smallgraphs import enumerate_small
-from reference import rook, to_nx
+from reference import (fan_structure, q43, random_linear_two_section, rook,
+                       to_nx, w3)
 
 
 def test_pineapple_example():
@@ -269,25 +274,54 @@ def test_unknown_property_rejected():
         check_property(GraphOracles(g), "P99")
 
 
+def _edge_map(cliques):
+    """Each edge (u, v), u < v, of a partition's cliques -> its clique index."""
+    return {e: i for i, c in enumerate(cliques)
+            for e in combinations(bits(c), 2)}
+
+
 def test_edge_clique_partition_k4():
-    part = edge_clique_partition(complete(4))
-    assert len(part.cliques) == 1
-    assert part.cliques[0] == 0b1111
-    assert len(part.edge_to_clique) == 6
+    cliques = edge_clique_partition(complete(4))
+    assert cliques == (0b1111,)
+    assert len(_edge_map(cliques)) == 6
 
 
 def test_edge_clique_partition_shared_vertex():
     edges = [(a, b) for a in range(4) for b in range(a + 1, 4)]
     edges += [(0, 4), (0, 5), (0, 6), (4, 5), (4, 6), (5, 6)]
     g = from_edges(7, edges)
-    part = edge_clique_partition(g)
-    assert sorted(c.bit_count() for c in part.cliques) == [4, 4]
-    inter = part.cliques[0] & part.cliques[1]
+    cliques = edge_clique_partition(g)
+    assert sorted(c.bit_count() for c in cliques) == [4, 4]
+    inter = cliques[0] & cliques[1]
     assert inter == 1 << 0
-    blades, violation = fan_structure(g, part, 0)
+    blades, violation = fan_structure(g, cliques, 0)
     assert len(blades) == 2 and violation is None
-    blades1, _ = fan_structure(g, part, 1)
+    blades1, _ = fan_structure(g, cliques, 1)
     assert len(blades1) == 1
+
+
+def test_blade_lemma_holds_wherever_the_partition_exists():
+    # The blade lemma of edge_clique_partition: wherever it returns, the
+    # slow fan search finds no edge between two blades of any hub, and D1
+    # holds.  Checked on every graph with n <= 8, on 300 seeded random
+    # linear-hypergraph 2-sections with n = 8..40, on K4 x K4, K5 x K5, W(3)
+    # and Q(4,3); (partitions, hubs with two or more blades) are pinned.
+    rng = random.Random(1)
+    samples = (random_linear_two_section(rng, rng.randint(8, 40))
+               for _ in range(300))
+    partitions = hubs = 0
+    for g in chain(enumerate_small(8), samples, (rook(4), rook(5), w3(), q43())):
+        try:
+            cliques = edge_clique_partition(g)
+        except DecompositionError:
+            continue
+        partitions += 1
+        for v in range(g.n):
+            blades, violation = fan_structure(g, cliques, v)
+            assert violation is None, (g.adj, v)
+            hubs += len(blades) > 1
+        assert check_property(GraphOracles(g), "D1").holds is True, g.adj
+    assert (partitions, hubs) == (198, 465)
 
 
 def test_edge_clique_partition_preconditions():
@@ -311,15 +345,18 @@ def test_edge_clique_partition_checks_its_preconditions_by_construction():
     for g in enumerate_small(7):
         ok = diamond_free_fast(g)[0] and every_edge_two_triangles(g)[0]
         try:
-            part = edge_clique_partition(g)
+            cliques = edge_clique_partition(g)
         except DecompositionError:
             assert not ok, g.adj
             continue
         assert ok, g.adj
         members += 1
-        assert sorted(part.edge_to_clique) == sorted(g.edges())
-        for (a, b), i in part.edge_to_clique.items():
-            assert part.cliques[i] >> a & part.cliques[i] >> b & 1
+        edge_map = _edge_map(cliques)
+        assert sorted(edge_map) == sorted(g.edges())
+        # no edge lies in two cliques
+        assert sum(comb(c.bit_count(), 2) for c in cliques) == len(edge_map)
+        for (a, b), i in edge_map.items():
+            assert cliques[i] >> a & cliques[i] >> b & 1
     assert members > 0
 
 

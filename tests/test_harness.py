@@ -310,6 +310,28 @@ def test_chin_cap_reaches_property_checks(tmp_path):
     assert report["aggregates"]["undecided"] == 0
 
 
+def test_chi_over_the_cap_asks_no_clique(tmp_path, monkeypatch):
+    # A block over chi_cap is undecided before its clique is searched: the
+    # one clique-kernel call finds the record's omega.
+    calls = []
+    real = kernels.clique_number_sub
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "clique_number_sub", counting)
+    path_ = tmp_path / "pineapple.g6"
+    path_.write_text(write_graph6(pineapple(4, 6)) + "\n")
+    report = verify_run(RunConfig(source={"kind": "graph6", "path": str(path_)},
+                                  properties=("P8",), chi_cap=3))
+    [prop] = report["records"][0]["properties"]
+    assert prop["notes"] == ("undecided at desk scale: chi(T): graph has 6 "
+                             "vertices, exact-oracle cap is 3")
+    assert report["aggregates"]["undecided"] == 2
+    assert len(calls) == 1
+
+
 def test_undecided_property_reports_what_it_evaluated(tmp_path):
     # P5 + K4 at t = 3: chi^(t) is over chin_cap, and the P6 hypothesis
     # (P5-free, bowtie-free) fails on the path.
