@@ -1,15 +1,17 @@
-"""Structural graph-coloring toolkit: clique decompositions, exact
-brute-force oracles, constructive bounded colorings, and a verification
-harness for hereditary classes defined by forbidden induced subgraphs."""
+"""Structural graph-coloring toolkit: clique decompositions, exact oracles
+(DSATUR, branch and bound, pivoted Bron-Kerbosch) behind GraphOracles,
+constructive bounded colorings, and a verification harness for hereditary
+classes defined by forbidden induced subgraphs."""
 
 __version__ = "0.1.0"
 
 from .graph import Graph, from_edges
 from .graph6 import parse_graph6, write_graph6
-from .oracles import chi_n, chromatic_number, clique_number, ramsey_upper
+from .oracles import (GraphOracles, chi_n, chromatic_number, clique_number,
+                      ramsey_upper)
 
 __all__ = [
     "Graph", "from_edges", "parse_graph6", "write_graph6",
     "chromatic_number", "clique_number", "chi_n", "ramsey_upper",
-    "__version__",
+    "GraphOracles", "__version__",
 ]

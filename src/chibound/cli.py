@@ -18,8 +18,7 @@ from .graph import bits, is_clique, mask_of, to_dot
 from .graph6 import read_graph6_file, write_graph6
 from .harness import (RunConfig, classify_exception, exit_code_for,
                       report_json, verify_run, write_report)
-from .oracles import (CAP_ERROR, GraphOracles, OracleCapExceeded, chi_n,
-                      chromatic_number, clique_number, ramsey_upper)
+from .oracles import CAP_ERROR, GraphOracles, OracleCapExceeded, ramsey_upper
 from .patterns import PATTERNS, make_pattern
 
 
@@ -141,12 +140,13 @@ def _cmd_member(args):
 
 def _cmd_decompose(args):
     for i, g in enumerate(_load_graphs(args.infile)):
+        oracles = GraphOracles(g)
         if args.clique == "auto":
-            dec = GraphOracles(g).decomposition(args.t)
+            dec = oracles.decomposition(args.t)
         else:  # decompose trusts its clique: check it
             clique = mask_of(int(x) for x in args.clique.split(","))
             if (clique & ~g.full_mask() or not is_clique(g, clique)
-                    or clique.bit_count() != clique_number(g)):
+                    or clique.bit_count() != oracles.clique().bit_count()):
                 raise ValueError(f"--clique is not a maximum clique of graph {i}")
             dec = decompose(g, args.t, g.full_mask(), clique)
         out = {"graph": i, "graph6": write_graph6(g), "t": args.t,
@@ -164,16 +164,15 @@ def _cmd_decompose(args):
 
 def _cmd_scalar(args):
     for i, g in enumerate(_load_graphs(args.infile)):
+        oracles = GraphOracles(g)
         rec = {"graph": i, "graph6": write_graph6(g)}
         try:
             if args.command == "chi":
-                chi, coloring = chromatic_number(g)
-                rec["chi"] = chi
-                rec["coloring"] = coloring
+                rec["chi"], rec["coloring"] = oracles.chi()
             elif args.command == "omega":
-                rec["omega"] = clique_number(g)
+                rec["omega"] = oracles.clique().bit_count()
             else:
-                rec["chin"] = chi_n(g, args.n)
+                rec["chin"] = oracles.chi_n(args.n)
                 rec["n"] = args.n
         except OracleCapExceeded as exc:
             rec["capped"] = str(exc)

@@ -189,11 +189,9 @@ def verify_graph(g, cfg: RunConfig, spec, theorem_spec, params):
                                 "note": "membership filter skipped"}
 
     try:
-        chi, _ = oracles.chi()
-        record["chi"] = chi
+        record["chi"] = chi = oracles.chi()[0]
     except OracleCapExceeded:
-        chi = None
-        record["chi"] = "capped"
+        record["chi"], chi = "capped", None
 
     if cfg.properties:
         props = []
@@ -280,8 +278,10 @@ def verify_run(cfg: RunConfig) -> dict:
             if record.get("chi") == "capped" or "undecided" in record.get(
                     "certificate", {}):
                 undecided += 1
+            # not applicable outside its hypothesis, as for a violation
             undecided += sum(1 for p in record.get("properties", ())
-                             if p["holds"] is None)
+                             if p["holds"] is None and (
+                                 p["hypothesis_ok"] or cfg.skip_membership))
             records.append(record)
             violations.extend(v)
     except (OSError, ValueError, RuntimeError) as exc:

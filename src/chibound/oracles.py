@@ -31,8 +31,7 @@ def _env_caps(env) -> tuple:
     return caps[0], caps[1], "; ".join(errors)
 
 
-# Vertex caps of the exact oracles.  Every default in the package (CLI,
-# colorers, property checks, RunConfig) is one of these two values.
+# GraphOracles' default vertex caps, which RunConfig and the CLI take too.
 DEFAULT_CHI_CAP, DEFAULT_CHIN_CAP, CAP_ERROR = _env_caps(os.environ)
 
 
@@ -104,21 +103,17 @@ def _k_colorable(g: Graph, k: int, within: int | None = None):
     return colors if rec(within, 0) else None
 
 
-def chromatic_number(g: Graph, cap: int = DEFAULT_CHI_CAP,
-                     within: int | None = None, lower: int | None = None):
+def chromatic_number(g: Graph, within: int | None = None,
+                     lower: int | None = None):
     """Exact chromatic number with an optimal coloring, (chi, colors), of
     G[within] (default G); colors is indexed by g's vertices, 0 outside.
 
     DSATUR is asked for k = lower colors first, then one more each time;
     None starts at omega(G[within]), one clique search.  lower must be a
     lower bound on chi that the caller has proved, such as a clique's size;
-    every k below chi fails, so the answer and coloring do not depend on it."""
+    every k below chi fails, so the answer and coloring do not depend on it.
+    No vertex cap: GraphOracles(g).chi() is the capped entrance."""
     within = g.full_mask() if within is None else within
-    size = within.bit_count()
-    if size == 0:
-        return 0, [0] * g.n
-    if size > cap:
-        raise OracleCapExceeded("chromatic_number", size, cap)
     k = clique_number(g, within) if lower is None else lower
     while True:
         coloring = _k_colorable(g, k, within)
@@ -226,30 +221,26 @@ def _first_fit_within(g: Graph, k: int, within: int) -> bool:
     return True
 
 
-def chi_n(g: Graph, n: int, cap: int = DEFAULT_CHIN_CAP,
-          chi_cap: int = DEFAULT_CHI_CAP) -> int:
-    """chi^(n): max chromatic number over induced subgraphs with omega <= n.
+def chi_n(oracles: "GraphOracles", n: int) -> int:
+    """chi^(n) of oracles.g: max chromatic number over induced subgraphs
+    with omega <= n.
 
     chi is monotone under taking induced subgraphs, so only the
     inclusion-maximal qualifying sets (maximal_low_omega_sets) are colored,
-    in place as masks of g, largest first.  The scan stops at the first set
-    no larger than the best chi so far, and a set that is colorable with
-    that many colors is skipped without the exact oracle.  Most such sets
-    are caught by a first-fit coloring in ascending vertex order before
-    DSATUR is asked: its classes are independent, so a first fit with at
-    most best colors is a proper coloring and proves the set cannot beat
-    best.  A set that beats best is colored from best + 1 colors up, as
-    every smaller count has just failed.  The first set is colored from n
-    up when it is not V(g): a vertex it cannot take closes an (n+1)-clique
-    with it.  V(g), the one set when omega(g) <= n, starts at omega.  Raises
-    OracleCapExceeded when g has more than cap vertices, or when the largest
-    maximal set, the first one colored, has more than chi_cap vertices (the
-    exact chromatic oracle's cap).
+    by oracles.chi, largest first.  The scan stops at the first set no
+    larger than the best chi so far, and a set that is colorable with that
+    many colors is skipped without the exact oracle; a first fit in
+    ascending vertex order, a proper coloring, catches most such sets before
+    DSATUR is asked.  A set that beats best is colored from best + 1 colors
+    up, as every smaller count has just failed.  The first set is colored
+    from n up when it is not V(g): a vertex it cannot take closes an
+    (n+1)-clique with it.  V(g), the one set when omega(g) <= n, starts at
+    omega.  No cap is checked here: oracles' chi_cap meets the largest set
+    first.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if g.n > cap:
-        raise OracleCapExceeded("chi_n", g.n, cap)
+    g = oracles.g
     if g.n == 0 or n == 0:
         return 0
     best = 0
@@ -260,44 +251,52 @@ def chi_n(g: Graph, n: int, cap: int = DEFAULT_CHIN_CAP,
                      or _k_colorable(g, best, mask) is not None):
             continue
         first = None if mask == g.full_mask() else n
-        best, _ = chromatic_number(g, chi_cap, mask, best + 1 if best else first)
+        best, _ = oracles.chi(mask, best + 1 if best else first)
     return best
 
 
 class GraphOracles:
     """One graph g's exact oracles, each asked once per vertex set within (None
-    is V(g)).  clique(within) is g's max_clique, found on creation, when within
-    holds it, else max_clique(g, within): the same lex-first clique.
-    chi(within) is chromatic_number under chi_cap from |clique(within)| colors
-    up; over the cap it raises before any clique is searched.
-    decomposition(t, within) decomposes around clique(within); chi_n(t) is
-    under chin_cap and chi_cap.  A cap hit is not kept."""
+    is V(g)), and the one place that checks their vertex caps.
+    clique(within) is g's max_clique, found on first ask, when within holds
+    it, else max_clique(g, within): the same lex-first clique.  chi(within,
+    lower) is chromatic_number from lower colors up, default |clique(within)|;
+    any lower proved <= chi gives the same answer, so it is kept.  Over
+    chi_cap, chi raises before any search.  chi_n(t) is chi_n(self, t), over
+    chin_cap raising after chi_n's t >= 0 check.  decomposition(t, within)
+    decomposes around clique(within).  A cap hit is not kept."""
 
     def __init__(self, g: Graph, chi_cap: int = DEFAULT_CHI_CAP,
                  chin_cap: int = DEFAULT_CHIN_CAP):
-        self.g, self.chi_cap, self._whole = g, chi_cap, max_clique(g)
-        self.chin_cap, self._chi_ns = chin_cap, {}
-        self._cliques, self._chis, self._decompositions = {}, {}, {}
+        self.g, self.chi_cap, self.chin_cap = g, chi_cap, chin_cap
+        self._cliques, self._chis, self._chi_ns = {}, {}, {}
+        self._decompositions, self._whole = {}, None
 
     def clique(self, within: int | None = None) -> int:
+        if self._whole is None:
+            self._whole = max_clique(self.g)
         if within is None or self._whole & within == self._whole:
             return self._whole
         if within not in self._cliques:
             self._cliques[within] = max_clique(self.g, within)
         return self._cliques[within]
 
-    def chi(self, within: int | None = None):
+    def chi(self, within: int | None = None, lower: int | None = None):
         within = self.g.full_mask() if within is None else within
         if within not in self._chis:
-            over = within.bit_count() > self.chi_cap
-            self._chis[within] = chromatic_number(
-                self.g, self.chi_cap, within,
-                None if over else self.clique(within).bit_count())
+            if within.bit_count() > self.chi_cap:
+                raise OracleCapExceeded("chromatic_number",
+                                        within.bit_count(), self.chi_cap)
+            if lower is None:
+                lower = self.clique(within).bit_count()
+            self._chis[within] = chromatic_number(self.g, within, lower)
         return self._chis[within]
 
     def chi_n(self, t: int) -> int:
         if t not in self._chi_ns:
-            self._chi_ns[t] = chi_n(self.g, t, self.chin_cap, self.chi_cap)
+            if t >= 0 and self.g.n > self.chin_cap:
+                raise OracleCapExceeded("chi_n", self.g.n, self.chin_cap)
+            self._chi_ns[t] = chi_n(self, t)
         return self._chi_ns[t]
 
     def decomposition(self, t: int, within: int | None = None):

@@ -190,7 +190,7 @@ def test_ac6_fan_family():
             # fans exceed the default oracle cap at c=6, f=4 (21 vertices)
             # but are easy instances; raise the cap explicitly
             cert_b = verify_thm5b(GraphOracles(g, chi_cap=g.n))
-            chi, _ = chromatic_number(g, cap=g.n)
+            chi, _ = chromatic_number(g)
             if not (cert_b.palette_used == chi == c):
                 problems.append((c, f, "chi != omega"))
             cert_a = color_thm5a(GraphOracles(g), k=f + 1)

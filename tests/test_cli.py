@@ -9,12 +9,16 @@ from pathlib import Path
 import pytest
 
 import chibound
-from chibound import cli, oracles
+from chibound import cli, kernels, oracles
 from chibound.cli import main
 from chibound.color import THEOREMS, LiftError
+from chibound.decompose import decompose
+from chibound.graph import bits
 from chibound.graph6 import write_graph6
+from chibound.oracles import chromatic_number, clique_number, max_clique
 from chibound.patterns import (bowtie, complete, diamond, gem, pineapple,
                                path as path_graph)
+from chibound.smallgraphs import enumerate_small
 
 
 def run(capsys, *argv):
@@ -76,6 +80,100 @@ def test_decompose_chi_omega_chin(capsys, tmp_path):
                     "--clique", "3,4,5")
     rec = json.loads(out)
     assert code == 0 and (rec["K"], rec["T"]) == ([3, 4, 5], [2])
+
+
+def _decompose_record(i, g, t, dec):
+    """The record chibound decompose prints for dec."""
+    return {"graph": i, "graph6": write_graph6(g), "t": t,
+            "K": list(bits(dec.k)), "S": list(bits(dec.s_set)),
+            "T": list(bits(dec.t_set)), "S_prime": list(bits(dec.s_prime)),
+            "T_prime": list(bits(dec.t_prime)),
+            "residual": list(bits(dec.residual)),
+            "a_m": {str(list(bits(m))): list(bits(a))
+                    for m, a in sorted(dec.a_m.items())},
+            "a_nv": {f"{list(bits(n))},{v}": list(bits(a))
+                     for (n, v), a in sorted(dec.a_nv.items())}}
+
+
+def test_scalar_and_decompose_records_equal_the_plain_oracles(capsys,
+                                                              tmp_path):
+    # chi, omega, chin and decompose ask each graph's GraphOracles; on every
+    # graph with n <= 6 their records are the plain searches' answers: chi
+    # and its coloring from chromatic_number, omega from clique_number,
+    # chi^(n) as the largest chromatic_number over the vertex sets with
+    # omega <= n, and the decomposition around the lex-first maximum clique
+    # (auto) or around that clique given by --clique.
+    graphs = list(enumerate_small(6))
+    path = tmp_path / "all6.g6"
+    path.write_text("".join(write_graph6(g) + "\n" for g in graphs))
+
+    def records(*argv):
+        code, out = run(capsys, *argv, "--in", str(path))
+        assert code == 0, argv
+        return [json.loads(line) for line in out.splitlines()]
+
+    heads = [{"graph": i, "graph6": write_graph6(g)}
+             for i, g in enumerate(graphs)]
+    chis = [chromatic_number(g) for g in graphs]
+    assert records("chi") == [{**head, "chi": chi, "coloring": coloring}
+                              for head, (chi, coloring) in zip(heads, chis)]
+    assert records("omega") == [{**head, "omega": clique_number(g)}
+                                for head, g in zip(heads, graphs)]
+    for n in (2, 3):
+        want = [{**head, "chin": max(
+            (chromatic_number(g, within=mask)[0]
+             for mask in range(1 << g.n) if clique_number(g, mask) <= n)),
+            "n": n} for head, g in zip(heads, graphs)]
+        assert records("chin", "--n", str(n)) == want, n
+    decs = {t: [decompose(g, t, g.full_mask(), max_clique(g)) for g in graphs]
+            for t in (2, 3)}
+    for t, dec in decs.items():
+        assert records("decompose", "--t", str(t)) == [
+            _decompose_record(i, g, t, d)
+            for i, (g, d) in enumerate(zip(graphs, dec))], t
+    for g, dec in zip(graphs, decs[2]):
+        path.write_text(write_graph6(g) + "\n")
+        clique = ",".join(map(str, bits(max_clique(g))))
+        assert records("decompose", "--t", "2", "--clique", clique) == [
+            _decompose_record(0, g, 2, dec)]
+
+
+def test_chi_over_the_cap_searches_nothing(capsys, tmp_path, monkeypatch):
+    # K9,9 has more vertices than the chi cap: chibound chi reports it
+    # capped, exits 0 and never asks the clique kernel.
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    real = kernels.clique_number_sub
+    monkeypatch.setattr(kernels, "clique_number_sub", counting)
+    k99 = "Q??????~~~^{~w~w^{F~?~wB~_?"
+    path = tmp_path / "k99.g6"
+    path.write_text(k99 + "\n")
+    code, out = run(capsys, "chi", "--in", str(path))
+    assert code == 0 and calls == []
+    assert json.loads(out) == {
+        "graph": 0, "graph6": k99,
+        "capped": "chromatic_number: graph has 18 vertices, "
+                  f"exact-oracle cap is {oracles.DEFAULT_CHI_CAP}"}
+
+
+def test_chin_rejects_a_negative_n_before_its_cap(capsys, tmp_path):
+    # chin --n -1 is an argument error, exit 1 with one error line, for a
+    # graph under chin_cap and for one over it alike.
+    path = tmp_path / "g.g6"
+    for n in (5, oracles.DEFAULT_CHIN_CAP + 1):
+        path.write_text(write_graph6(path_graph(n)) + "\n")
+        assert main(["chin", "--n", "-1", "--in", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n must be nonnegative\n"
+    code, out = run(capsys, "chin", "--n", "2", "--in", str(path))
+    assert code == 0 and json.loads(out)["capped"] == (
+        f"chi_n: graph has {oracles.DEFAULT_CHIN_CAP + 1} vertices, "
+        f"exact-oracle cap is {oracles.DEFAULT_CHIN_CAP}")
 
 
 @pytest.mark.parametrize("clique", ["1,4", "0,4", "0,1,2", "0,9"])

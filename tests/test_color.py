@@ -371,16 +371,16 @@ def test_thm5b_bound_fails_on_generalized_quadrangles(build, chi,
     assert all(len(list(nx.common_neighbors(h, u, v))) == 2
                for u, v in h.edges())
     assert clique_number(g) == 4
-    got, coloring = chromatic_number(g, cap=64)
+    got, coloring = chromatic_number(g)
     assert got == chi and is_proper(g, coloring)
     with pytest.raises(StructureViolation, match="carry outside blades") as exc:
         verify_thm5b(GraphOracles(g, chi_cap=64))
     assert exc.value.witness["omega"] == 4
     calls = []
 
-    def counted(h, cap, within=None, lower=None):
+    def counted(h, within=None, lower=None):
         calls.append(within)
-        return chromatic_number(h, cap, within, lower)
+        return chromatic_number(h, within, lower)
 
     monkeypatch.setattr(oracles, "chromatic_number", counted)
     path_ = tmp_path / "gq.g6"

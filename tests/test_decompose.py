@@ -13,7 +13,7 @@ from chibound.decompose import (PROPERTY_IDS, DecompositionError,
 from chibound.detect import (diamond_free_fast, every_edge_two_triangles,
                              find_induced, is_member)
 from chibound.graph import bits, from_edges, mask_of
-from chibound.oracles import DEFAULT_CHI_CAP, GraphOracles, clique_number
+from chibound.oracles import GraphOracles, clique_number
 from chibound.patterns import (bowtie, complete, diamond, dumbbell, f1, f2,
                                gem, hammer_plus, lollipop_star, path,
                                pineapple)
@@ -188,13 +188,13 @@ def test_p_property_calls_chi_oracle_once(monkeypatch):
     real = oracles.chi_n
 
     def counting(*args):
-        calls.append(args[1:])
+        calls.append(args)
         return real(*args)
 
     monkeypatch.setattr(oracles, "chi_n", counting)
     given = GraphOracles(g, chin_cap=9)
     rep = check_property(given, "P-property")
-    assert calls == [(2, 9, DEFAULT_CHI_CAP)]
+    assert calls == [(given, 2)]
     assert rep.holds is True
     assert rep.measured["c"] == rep.measured["chi_up_to_t"] == 2
     # a second check on the same graph's oracles asks chi_n nothing more

@@ -263,19 +263,20 @@ def test_membership_filter_runs_before_chi_oracle(tmp_path, monkeypatch):
     A non-member is skipped before chi is computed, so its record has no
     "chi" and, when it has more vertices than chi_cap, it is no longer
     counted as undecided (its chi used to be recorded as "capped").  With
-    skip_membership every graph still gets chi.
+    skip_membership every graph still gets chi, and a graph over chi_cap is
+    "capped" without reaching DSATUR.
     """
     path_ = tmp_path / "mix.g6"
     path_.write_text(write_graph6(diamond()) + "\n"
                      + write_graph6(path(3)) + "\n")
     seen = []
-    real = oracles.chromatic_number
+    real = oracles._k_colorable
 
-    def counting(g, cap, within, lower):
+    def counting(g, k, within=None):
         seen.append(write_graph6(g))
-        return real(g, cap, within, lower)
+        return real(g, k, within)
 
-    monkeypatch.setattr(oracles, "chromatic_number", counting)
+    monkeypatch.setattr(oracles, "_k_colorable", counting)
     cfg = RunConfig(source={"kind": "graph6", "path": str(path_)},
                     class_name="thm1", chi_cap=3)
     report = verify_run(cfg)
@@ -287,7 +288,7 @@ def test_membership_filter_runs_before_chi_oracle(tmp_path, monkeypatch):
     seen.clear()
     cfg.skip_membership = True
     report = verify_run(cfg)
-    assert seen == [write_graph6(diamond()), write_graph6(path(3))]
+    assert seen == [write_graph6(path(3))]
     assert [r["chi"] for r in report["records"]] == ["capped", 2]
     assert report["aggregates"]["undecided"] == 1
 
@@ -640,8 +641,24 @@ def test_report_fingerprints_are_pinned():
         "THM1": "b59dd52a19ec2f58", "THM2": "03f8b780a6438065",
         "THM3": "5cc91c537f0a6cb9", "THM4": "5b3e36999986d2c7",
         "THM5A": "007522844568b688", "THM5B": "6578521a4c7e7bbd",
-        (2, 2, 2): "bcd8e2e84c2ed8e0", (3, 3, 3): "1ece5ef4448cfdae",
-        (3, 2, 2): "5d65000ce932f590"}
+        (2, 2, 2): "eacb8ff52deefb5e", (3, 3, 3): "5faa942b415b7a04",
+        (3, 2, 2): "5397ceaa5dcdc4e4"}
+
+
+def test_d1_outside_its_hypothesis_is_not_undecided():
+    # 196 graphs with n <= 6 have a diamond or an edge in fewer than two
+    # triangles, so D1 reports holds None with hypothesis_ok False.  As a
+    # holds False there would be no violation, that is no undecided result
+    # either; with skip_membership both count.
+    cfg = _no_class(2, 2, 2, ("D1",))
+    report = verify_run(cfg)
+    d1s = [r["properties"][0] for r in report["records"]]
+    assert sum(d["holds"] is None and d["hypothesis_ok"] is False
+               for d in d1s) == 196
+    assert all(d["holds"] is True for d in d1s if d["hypothesis_ok"])
+    assert report["aggregates"]["undecided"] == 0
+    cfg.skip_membership = True
+    assert verify_run(cfg)["aggregates"]["undecided"] == 196
 
 
 def test_verify_graph_asks_the_clique_kernel_nothing_twice(monkeypatch):
@@ -670,9 +687,9 @@ def test_verify_graph_asks_the_clique_kernel_nothing_twice(monkeypatch):
         note("kernel", (tuple(adj), cand))
         return real_kernel(adj, cand, clique)
 
-    def chromatic_number(g, cap, within, lower):
+    def chromatic_number(g, within, lower):
         note("chi", (tuple(g.adj), within))
-        return real_chromatic(g, cap, within, lower)
+        return real_chromatic(g, within, lower)
 
     def decompose(g, t, within, clique):
         note("decompose", (t, within))

@@ -132,24 +132,34 @@ def test_chromatic_number_vs_bruteforce_exhaustive():
 
 
 def test_oracle_caps():
+    # The caps live in GraphOracles; the library searches take none.
     big = Graph(20, [0] * 20)
-    with pytest.raises(OracleCapExceeded):
-        chromatic_number(big, cap=16)
+    with pytest.raises(OracleCapExceeded) as info:
+        GraphOracles(big, chi_cap=16).chi()
+    assert (info.value.what, info.value.n, info.value.cap) == (
+        "chromatic_number", 20, 16)
+    assert chromatic_number(big) == (1, [1] * 20)
     with pytest.raises(OracleCapExceeded):
         chromatic_number_bruteforce(Graph(8, [0] * 8))
-    with pytest.raises(OracleCapExceeded):
-        chi_n(Graph(13, [0] * 13), 2)
+    with pytest.raises(OracleCapExceeded) as info:
+        GraphOracles(Graph(13, [0] * 13), chin_cap=12).chi_n(2)
+    assert (info.value.what, info.value.n, info.value.cap) == ("chi_n", 13, 12)
+    assert chi_n(GraphOracles(Graph(13, [0] * 13)), 2) == 1
 
 
 def test_chi_n_examples():
     # K5: only subsets of size <= 2 have omega <= 2, so chi^(2) = 2
-    assert chi_n(complete(5), 2) == 2
+    assert chi_n(GraphOracles(complete(5)), 2) == 2
     # C5 is triangle-free, so the whole graph qualifies at n = 2
-    assert chi_n(cycle(5), 2) == 3
-    assert chi_n(complete(4), 4) == 4
-    assert chi_n(path(4), 0) == 0
+    assert chi_n(GraphOracles(cycle(5)), 2) == 3
+    assert chi_n(GraphOracles(complete(4)), 4) == 4
+    assert chi_n(GraphOracles(path(4)), 0) == 0
     with pytest.raises(ValueError):
-        chi_n(path(3), -1)
+        chi_n(GraphOracles(path(3)), -1)
+    # the argument error comes before the cap check, below it and above it
+    for chin_cap in (2, 3):
+        with pytest.raises(ValueError):
+            GraphOracles(path(3), chin_cap=chin_cap).chi_n(-1)
 
 
 def test_chi_n_brute_reference():
@@ -161,7 +171,7 @@ def test_chi_n_brute_reference():
                 if clique_number(g, mask) <= n:
                     sub, _ = induced_subgraph(g, mask)
                     best = max(best, chromatic_number(sub)[0])
-            assert chi_n(g, n) == best
+            assert chi_n(GraphOracles(g), n) == best
 
 
 @st.composite
@@ -248,11 +258,13 @@ def test_chromatic_number_within_mask_matches_relabelled_subgraph(g, mask):
 
 def test_chromatic_number_cap_counts_the_mask():
     big = Graph(20, [0] * 20)
+    given = GraphOracles(big, chi_cap=16)
     with pytest.raises(OracleCapExceeded) as info:
-        chromatic_number(big, cap=16, within=(1 << 17) - 1)
+        given.chi((1 << 17) - 1)
     assert (info.value.what, info.value.n, info.value.cap) == ("chromatic_number", 17, 16)
-    chi, colors = chromatic_number(big, cap=16, within=(1 << 16) - 1)
+    chi, colors = given.chi((1 << 16) - 1)
     assert chi == 1 and colors == [1] * 16 + [0] * 4
+    assert given.chi(0) == (0, [0] * 20)
     assert chromatic_number(big, within=0) == (0, [0] * 20)
 
 
@@ -360,15 +372,56 @@ def test_chi_n_matches_reference_over_all_induced_subgraphs(g):
             if clique_number(g, mask) <= t:
                 sub, _ = induced_subgraph(g, mask)
                 best = max(best, chromatic_number_bruteforce(sub, cap=8))
-        assert chi_n(g, t) == best, t
+        assert chi_n(GraphOracles(g), t) == best, t
 
 
-def test_chi_n_checks_chi_cap_on_maximal_sets_first():
-    # the only maximal independent set of the edgeless graph is all 10 vertices
-    with pytest.raises(OracleCapExceeded) as info:
-        chi_n(Graph(10, [0] * 10), 1, chi_cap=8)
+def test_chi_n_checks_chi_cap_on_maximal_sets_first(monkeypatch):
+    # the only maximal independent set of the edgeless graph is all 10
+    # vertices: over chi_cap, it raises before DSATUR is asked anything
+    def no_dsatur(*args):
+        raise AssertionError("a capped set reached DSATUR")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(oracles, "_k_colorable", no_dsatur)
+        with pytest.raises(OracleCapExceeded) as info:
+            GraphOracles(Graph(10, [0] * 10), chi_cap=8).chi_n(1)
     assert (info.value.what, info.value.n, info.value.cap) == ("chromatic_number", 10, 8)
-    assert chi_n(Graph(10, [0] * 10), 1, chi_cap=10) == 1
+    assert str(info.value) == ("chromatic_number: graph has 10 vertices, "
+                               "exact-oracle cap is 8")
+    assert GraphOracles(Graph(10, [0] * 10), chi_cap=10).chi_n(1) == 1
+
+
+def test_chi_n_keeps_the_sets_it_colors_in_its_oracles(monkeypatch):
+    # chi_n colors each set through oracles.chi from a start proved <= chi,
+    # so the kept answer is the one chi(within) gives from its own clique:
+    # the same chi and coloring.  Making the oracles searches nothing; the
+    # whole graph's clique is found on the first ask.
+    colored, kernel_calls = [], []
+    real_chromatic = oracles.chromatic_number
+    real_kernel = kernels.clique_number_sub
+
+    def chromatic(g, within, lower):
+        colored.append(within)
+        return real_chromatic(g, within, lower)
+
+    def kernel(*args):
+        kernel_calls.append(args)
+        return real_kernel(*args)
+
+    for g in _half_batch()[::4]:
+        for t in (2, 3):
+            with monkeypatch.context() as patched:
+                patched.setattr(oracles, "chromatic_number", chromatic)
+                patched.setattr(kernels, "clique_number_sub", kernel)
+                colored.clear()
+                kernel_calls.clear()
+                given = GraphOracles(g)
+                assert kernel_calls == []
+                value = given.chi_n(t)
+            assert colored and value == max(given.chi(m)[0] for m in colored)
+            for mask in colored:
+                assert given.chi(mask) == GraphOracles(g).chi(mask) \
+                    == chromatic_number(g, within=mask)
 
 
 def test_chi_n_stops_at_sets_that_cannot_beat_best(monkeypatch):
@@ -382,15 +435,15 @@ def test_chi_n_stops_at_sets_that_cannot_beat_best(monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(oracles, name, counting)
-    assert chi_n(complete(5), 1) == 1
+    assert chi_n(GraphOracles(complete(5)), 1) == 1
     assert calls == {"chromatic_number": 1, "_k_colorable": 1}
 
 
 def test_chi_n_values_do_not_depend_on_the_first_fit_check(monkeypatch):
     graphs = _half_batch()
-    with_check = [[chi_n(g, t) for t in (2, 3)] for g in graphs]
+    with_check = [[chi_n(GraphOracles(g), t) for t in (2, 3)] for g in graphs]
     monkeypatch.setattr(oracles, "_first_fit_within", lambda g, k, within: False)
-    assert [[chi_n(g, t) for t in (2, 3)] for g in graphs] == with_check
+    assert [[chi_n(GraphOracles(g), t) for t in (2, 3)] for g in graphs] == with_check
 
 
 @pytest.mark.parametrize("h, chi2", [
@@ -401,7 +454,7 @@ def test_chi_n_values_do_not_depend_on_the_first_fit_check(monkeypatch):
 ], ids=["C5", "Petersen", "Groetzsch", "Chvatal"])
 def test_chi_n_of_triangle_free_named_graphs(h, chi2):
     h = nx.convert_node_labels_to_integers(h)
-    assert chi_n(from_edges(len(h), list(h.edges())), 2) == chi2
+    assert chi_n(GraphOracles(from_edges(len(h), list(h.edges()))), 2) == chi2
 
 
 def test_first_fit_check_spares_dsatur_calls(monkeypatch):
@@ -415,7 +468,7 @@ def test_first_fit_check_spares_dsatur_calls(monkeypatch):
     def dsatur_calls():
         calls.clear()
         for g in _half_batch():
-            chi_n(g, 2)
+            chi_n(GraphOracles(g), 2)
         return len(calls)
 
     monkeypatch.setattr(oracles, "_k_colorable", counting)
@@ -442,7 +495,7 @@ def test_chromatic_number_matches_inclusion_exclusion_on_seeded_gnp():
     for n in range(10, 19):
         for p in (0.2, 0.5, 0.8):
             g = _gnp(rng, n, p)
-            assert chromatic_number(g, cap=18)[0] == \
+            assert chromatic_number(g)[0] == \
                 chromatic_number_inclusion_exclusion(g), (n, p)
 
 
@@ -455,7 +508,7 @@ def test_chi_n_matches_inclusion_exclusion_over_unpivoted_sets():
                 want = max(chromatic_number_inclusion_exclusion(
                     induced_subgraph(g, mask)[0])
                     for mask in maximal_low_omega_sets_unpivoted(g, t))
-                assert chi_n(g, t) == want, (n, p, t)
+                assert chi_n(GraphOracles(g), t) == want, (n, p, t)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -489,7 +542,7 @@ def test_chi_n_asks_dsatur_only_above_best(monkeypatch):
     monkeypatch.setattr(oracles, "chromatic_number", chromatic)
     for g in _half_batch():
         events.clear()
-        chi_n(g, 2)
+        chi_n(GraphOracles(g), 2)
         best, inside = 0, False
         for what, value in events:
             if what == "start":
@@ -517,9 +570,9 @@ def test_chi_n_colors_a_first_set_other_than_v_from_t_up(monkeypatch):
 
     monkeypatch.setattr(kernels, "clique_number_sub", counting)
     assert len(graphs) == 60
-    values = [chi_n(g, 2) for g in graphs]
+    values = [chi_n(GraphOracles(g), 2) for g in graphs]
     assert calls == [] and min(values) >= 2
-    assert chi_n(petersen, 2) == 3
+    assert chi_n(GraphOracles(petersen), 2) == 3
     assert calls == [petersen.full_mask()]
 
 
