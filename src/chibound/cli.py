@@ -144,8 +144,13 @@ def _cmd_decompose(args):
         if args.clique == "auto":
             dec = oracles.decomposition(args.t)
         else:  # decompose trusts its clique: check it
-            clique = mask_of(int(x) for x in args.clique.split(","))
-            if (clique & ~g.full_mask() or not is_clique(g, clique)
+            entries = args.clique.split(",")
+            for entry in entries:
+                if not (entry.strip().isdecimal() and int(entry) < g.n):
+                    raise ValueError(f"--clique entry {entry!r} is not a "
+                                     f"vertex of graph {i}")
+            clique = mask_of(int(x) for x in entries)
+            if (not is_clique(g, clique)
                     or clique.bit_count() != oracles.clique().bit_count()):
                 raise ValueError(f"--clique is not a maximum clique of graph {i}")
             dec = decompose(g, args.t, g.full_mask(), clique)

@@ -14,7 +14,8 @@ Kernels:
                      order of a least leaf and generators of Aut(G) (the
                      maps between leaves with equal codes and the twin
                      transpositions it prunes by); smallgraphs needs both
-                     for canonical augmentation.
+                     for canonical augmentation, and it starts from a
+                     caller's root_partition when given one.
   clique_number_sub -- clique number of the subgraph induced on a
                      candidate bitmask, by branch and bound.  Pure Python.
                      On request the same search also gives the
@@ -23,7 +24,7 @@ Kernels:
 
 from __future__ import annotations
 
-from .graph import bits
+from .graph import bits, mask_of
 
 # There is no numba path; the flag stays for callers that report it.
 NUMBA_OK = False
@@ -35,35 +36,40 @@ def _refine(adj, cells, splitters):
     """Coarsest equitable refinement of the ordered partition `cells`.
 
     Each round splits every cell by the tuple of neighbour counts of its
-    vertices into the splitter masks, placing the parts in increasing
-    tuple order; the next round's splitters are the parts split off, all
-    but the last of each split.  The caller passes splitters that decide
-    every cell's counts into every cell: all cells, or the vertex just
-    individualized in an equitable partition.  Counts into the other cells
-    are then constant on each cell or follow from the splitters' counts,
-    and a differing one comes after a differing splitter, so keying on
-    every cell would give the same parts in the same order.  The result
-    depends on the graph and the order of the input cells, never on
-    vertex indices.
+    vertices into the splitter masks (the count alone for one splitter),
+    placing the parts in increasing key order; the next round's splitters
+    are the parts split off, all but the last of each split.  The caller
+    passes splitters that decide every cell's counts into every cell: all
+    cells, or the vertex just individualized in an equitable partition.
+    Counts into the other cells are then constant on each cell or follow
+    from the splitters' counts, and a differing one comes after a differing
+    splitter, so keying on every cell would give the same parts in the same
+    order.  The result depends on the graph and the order of the input
+    cells, never on vertex indices.
     """
     while True:
         out = []
         new = []
+        one = splitters[0] if len(splitters) == 1 else 0
         for cell in cells:
             if len(cell) == 1:
                 out.append(cell)
                 continue
             parts = {}
-            for v in cell:
-                row = adj[v]
-                key = tuple((row & m).bit_count() for m in splitters)
-                parts.setdefault(key, []).append(v)
+            if one:
+                for v in cell:
+                    parts.setdefault((adj[v] & one).bit_count(), []).append(v)
+            else:
+                for v in cell:
+                    row = adj[v]
+                    key = tuple((row & m).bit_count() for m in splitters)
+                    parts.setdefault(key, []).append(v)
             if len(parts) == 1:
                 out.append(cell)
             else:
                 split = [parts[key] for key in sorted(parts)]
                 out.extend(split)
-                new.extend(sum(1 << v for v in part) for part in split[:-1])
+                new.extend(map(mask_of, split[:-1]))
         if not new:
             return out
         cells, splitters = out, new
@@ -79,16 +85,28 @@ def _code_of_order(adj, order) -> int:
     return code
 
 
-def canonical_code(adj, n: int, autos=None, order=None) -> int:
+def root_partition(adj, n: int):
+    """Root of canonical_code's search: the cells of equal degree, in
+    increasing degree, refined with every cell as a splitter.  Each degree
+    stays a block of consecutive cells, and isomorphisms keep positions.
+    """
+    by_degree = {}
+    for v in range(n):
+        by_degree.setdefault(adj[v].bit_count(), []).append(v)
+    cells = [by_degree[d] for d in sorted(by_degree)]
+    return _refine(adj, cells, [mask_of(cell) for cell in cells])
+
+
+def canonical_code(adj, n: int, autos=None, order=None, root=None) -> int:
     """Canonical form of a graph as an adjacency code: the least leaf code
     of an individualization-refinement search.
 
-    The search refines the partition by degree to an equitable one, then
-    individualizes each vertex of the first non-singleton cell in turn,
-    refines and recurses; each discrete partition is a leaf.  A vertex that
-    is a twin of one already tried in the same cell is skipped: swapping
-    the two is an automorphism fixing the current path, so both branches
-    reach the same codes.
+    The search starts from `root`, by default root_partition(adj, n) (a
+    caller's root is not changed), then individualizes each vertex of the
+    first non-singleton cell in turn, refines and recurses; each discrete
+    partition is a leaf.  A vertex that is a twin of one already tried in
+    the same cell is skipped: swapping the two is an automorphism fixing the
+    current path, so both branches reach the same codes.
 
     With a list `order`, the same search sets order[:] to the vertex order
     of a least leaf: order[i] becomes vertex i of graph_from_code(code).
@@ -106,9 +124,6 @@ def canonical_code(adj, n: int, autos=None, order=None) -> int:
     first leaf's code, so the map from the first leaf to L, which is a
     followed by the inverse of h, is a generator, and a lies in H.
     """
-    by_degree = {}
-    for v in range(n):
-        by_degree.setdefault(adj[v].bit_count(), []).append(v)
     best = -1
     best_order = None
     first = None                      # (code, order) of the first leaf
@@ -149,8 +164,7 @@ def canonical_code(adj, n: int, autos=None, order=None) -> int:
                 search(_refine(adj, cells[:t] + [[v], rest] + cells[t + 1:],
                                [1 << v]))
 
-    cells = [by_degree[d] for d in sorted(by_degree)]
-    search(_refine(adj, cells, [sum(1 << v for v in cell) for cell in cells]))
+    search(root_partition(adj, n) if root is None else root)
     if order is not None:
         order[:] = best_order
     return best

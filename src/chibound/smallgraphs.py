@@ -4,9 +4,9 @@ Enumeration is McKay's canonical augmentation: it grows each class by one
 vertex, one neighbour set per orbit of the parent's automorphism group,
 and keeps a child only when its new vertex is in the child's canonical
 orbit, so every class comes out once and no set of codes is kept.  For
-n <= 7 that takes 1,847 canonical forms (208 parents, 603 children with a
-unique vertex of maximum degree, 1,036 ties), where a global set of codes
-took 5,758 and canonicalizing every extension 11,290.
+n <= 7 that takes 1,461 canonical forms (208 parents, 603 children with a
+unique vertex of maximum degree, 650 of 1,036 ties), where searching every
+tie took 1,847, a global set of codes 5,758 and no pruning 11,290.
 """
 
 from __future__ import annotations
@@ -53,14 +53,15 @@ def _image(mask: int, perm) -> int:
     return out
 
 
-def _canonical_orbit(adj, n: int):
+def _canonical_orbit(adj, n: int, root=None):
     """(canonical code, bitmask of the canonical orbit) of a graph.
 
     The canonical orbit is the Aut(G)-orbit of the first vertex of maximum
-    degree in the order of a least leaf of kernels.canonical_code's search.
+    degree in the order of a least leaf of kernels.canonical_code's search
+    (from `root` when it is given).
     """
     autos, order = [], []
-    code = kernels.canonical_code(adj, n, autos, order)
+    code = kernels.canonical_code(adj, n, autos, order, root=root)
     top = max(row.bit_count() for row in adj)
     canon = next(v for v in order if adj[v].bit_count() == top)
     orbit, grown = 0, 1 << canon
@@ -101,8 +102,13 @@ def enumerate_codes(n: int):
 
     Most children need little work: v's degree below the child's maximum
     rejects it with no search, and v as the only vertex of maximum degree
-    accepts it with one canonical_code call.  Only ties run a search that
-    also returns a least leaf and the child's automorphism generators.
+    accepts it with one canonical_code call.  A tie is refined once, to
+    kernels.root_partition, whose vertices of maximum degree are its last
+    cells.  Leaves keep the cells' positions, so the canonical vertex lies
+    in the first of those cells, and so does its orbit, as the cell is
+    Aut-invariant.  v outside that cell rejects the child, v alone in it
+    accepts it with a code-only search from the root, and only the other
+    ties search, from the same root, for a least leaf and generators.
     """
     if n > ENUM_CAP:
         raise EnumerationCapExceeded(n)
@@ -139,9 +145,14 @@ def enumerate_codes(n: int):
             if nbrs.bit_count() > rival:
                 kept.append(kernels.canonical_code(rows, n))
                 continue
-            child, orbit = _canonical_orbit(rows, n)
-            if orbit >> new & 1:
-                kept.append(child)
+            root = kernels.root_partition(rows, n)
+            cell = next(c for c in root if rows[c[0]].bit_count() == rival)
+            if cell == [new]:
+                kept.append(kernels.canonical_code(rows, n, root=root))
+            elif new in cell:
+                child, orbit = _canonical_orbit(rows, n, root)
+                if orbit >> new & 1:
+                    kept.append(child)
     return tuple(sorted(kept))
 
 

@@ -176,12 +176,17 @@ def test_chin_rejects_a_negative_n_before_its_cap(capsys, tmp_path):
         f"exact-oracle cap is {oracles.DEFAULT_CHIN_CAP}")
 
 
-@pytest.mark.parametrize("clique", ["1,4", "0,4", "0,1,2", "0,9"])
+@pytest.mark.parametrize("clique", ["1,4", "0,4", "0,1,2", "0,9", "0,-1", ",",
+                                    "0,x"])
 def test_decompose_cli_rejects_bad_clique(tmp_path, monkeypatch, capsys,
                                           clique):
     # decompose takes its clique on trust: the CLI checks a user's clique
     # before decompose is called, and fails with one error line.  1,4 is no
-    # clique, 0,4 and 0,1,2 are not maximum, 9 is no vertex.
+    # clique, 0,4 and 0,1,2 are not maximum, and the first entry that is
+    # not a vertex of pineapple(4,1) is named.
+    bad = [x for x in clique.split(",") if x not in ("0", "1", "2", "3", "4")]
+    error = (f"--clique entry {bad[0]!r} is not a vertex of graph 0" if bad
+             else "--clique is not a maximum clique of graph 0")
     path = tmp_path / "p.g6"
     path.write_text(write_graph6(pineapple(4, 1)) + "\n")
     argv = ["decompose", "--t", "2", "--in", str(path), "--clique", clique]
@@ -189,7 +194,7 @@ def test_decompose_cli_rejects_bad_clique(tmp_path, monkeypatch, capsys,
                           env=_env_with_src(), capture_output=True, text=True,
                           timeout=60)
     assert (proc.returncode, proc.stdout) == (1, "")
-    assert proc.stderr == "error: --clique is not a maximum clique of graph 0\n"
+    assert proc.stderr == f"error: {error}\n"
 
     def unreachable(*args, **kwargs):
         raise AssertionError("decompose called on an unchecked clique")

@@ -212,7 +212,7 @@ def test_refine_with_splitters_matches_every_cell_keys():
         for v in range(n):
             by_degree.setdefault(adj[v].bit_count(), []).append(v)
         start = [by_degree[d] for d in sorted(by_degree)]
-        cells = kernels._refine(adj, start, [mask_of(c) for c in start])
+        cells = kernels.root_partition(adj, n)
         assert cells == _refine_every_cell(adj, start)
         for t, target in enumerate(cells):
             if len(target) > 1:
@@ -222,6 +222,30 @@ def test_refine_with_splitters_matches_every_cell_keys():
                     assert (kernels._refine(adj, split, [1 << v])
                             == _refine_every_cell(adj, split))
                 break
+
+
+def test_search_from_a_given_root_matches_a_fresh_search():
+    # enumerate_codes refines a tied child once and hands that root to the
+    # search: the code, the least leaf's order and the generators must be
+    # those of a search that refines the degree partition itself, and the
+    # caller's root must come back unchanged.
+    rng = random.Random(22)
+    graphs = [graph_from_code(code, n).adj
+              for n in range(1, 7) for code in enumerate_codes(n)]
+    graphs += list(_symmetric_graphs().values())
+    graphs += [_random_adj(rng, n, rng.random()) for n in range(2, 17)
+               for _ in range(20)]
+    for adj in graphs:
+        n = len(adj)
+        want_autos, want_order = [], []
+        want = kernels.canonical_code(adj, n, want_autos, want_order)
+        root = kernels.root_partition(adj, n)
+        copy = [list(cell) for cell in root]
+        autos, order = [], []
+        assert kernels.canonical_code(adj, n, autos, order, root=root) == want
+        assert (order, autos) == (want_order, want_autos)
+        assert kernels.canonical_code(adj, n, root=root) == want
+        assert root == copy
 
 
 # ------------------------------------------------------- automorphism group

@@ -2,13 +2,14 @@ import random
 from collections import Counter
 from hashlib import sha256
 from itertools import permutations
+from types import SimpleNamespace
 
 import pytest
 
 from chibound.classes import get_class
 from chibound.detect import is_member, make_class
 from chibound.graph import Graph, from_edges, mask_of
-from chibound import kernels
+from chibound import kernels, smallgraphs
 from chibound.patterns import make_pattern
 from chibound.smallgraphs import (ENUM_CAP, EnumerationCapExceeded,
                                   RejectionBudgetExhausted, _canonical_orbit,
@@ -91,21 +92,67 @@ def test_orbit_pruned_enumeration_matches_unpruned():
 
 def test_enumeration_canonicalizes_one_extension_per_orbit(monkeypatch):
     # For n <= 7: 208 parent searches for Aut(P)'s generators, 603 children
-    # whose new vertex alone has maximum degree, and 1,036 ties searched
-    # for the canonical orbit; every other orbit of extensions is rejected
-    # by degree with no search.  Keeping all codes of the 5,758 orbits in
-    # a set took 5,758 calls, and the unpruned loop 11,290.
+    # whose new vertex alone has maximum degree, and 1,036 ties.  Each tie
+    # is refined once: 386 are rejected with no call, 190 are accepted with
+    # a code-only call from that root and 460 run the orbit search from it.
+    # Every other orbit of extensions is rejected by degree with no search.
+    # Keeping all codes of the 5,758 orbits in a set took 5,758 calls, the
+    # unpruned loop 11,290, and searching every tie 1,847.
     calls = Counter()
     canonical_code = kernels.canonical_code
 
-    def counting(adj, n, *out):
-        calls[len(out)] += 1
-        return canonical_code(adj, n, *out)
+    def counting(adj, n, *out, root=None):
+        calls[len(out), root is not None] += 1
+        return canonical_code(adj, n, *out, root=root)
 
     monkeypatch.setattr(kernels, "canonical_code", counting)
+    for _ in range(2):  # a cleared cache gives a fully cold run
+        calls.clear()
+        enumerate_codes.cache_clear()
+        assert len(enumerate_codes(7)) == KNOWN_COUNTS[7]
+        assert calls == {(0, False): 603, (0, True): 190, (1, False): 208,
+                         (2, True): 460}
+        assert sum(calls.values()) == 1461
+
+
+def test_tied_children_are_decided_from_their_root(monkeypatch):
+    # The canonical vertex lies in the first cell of maximum degree of the
+    # root partition, so a tie whose new vertex is outside that cell is
+    # rejected and one whose new vertex is that cell is accepted; only the
+    # rest are searched.  Each verdict is checked against the orbit that a
+    # search from scratch finds.
+    ties = []
+
+    def rooting(adj, n):
+        root = kernels.root_partition(adj, n)
+        ties.append([list(adj), n, root, "reject"])
+        return root
+
+    def searching(adj, n, *out, root=None):
+        if root is not None:
+            assert root is ties[-1][2] and ties[-1][3] == "reject"
+            ties[-1][3] = "search" if out else "accept"
+        return kernels.canonical_code(adj, n, *out, root=root)
+
+    monkeypatch.setattr(smallgraphs, "kernels", SimpleNamespace(
+        root_partition=rooting, canonical_code=searching))
     enumerate_codes.cache_clear()
     assert len(enumerate_codes(7)) == KNOWN_COUNTS[7]
-    assert calls == {0: 603, 1: 208, 2: 1036}
+    monkeypatch.undo()
+    assert Counter(verdict for *_, verdict in ties) == {
+        "reject": 386, "accept": 190, "search": 460}
+    for adj, n, root, verdict in ties:
+        new, top = n - 1, adj[n - 1].bit_count()
+        assert top == max(row.bit_count() for row in adj)
+        cell = mask_of(next(c for c in root if adj[c[0]].bit_count() == top))
+        _, orbit = _canonical_orbit(adj, n)
+        assert orbit & ~cell == 0
+        if not cell >> new & 1:
+            assert verdict == "reject" and not orbit >> new & 1
+        elif cell == 1 << new:
+            assert verdict == "accept" and orbit == 1 << new
+        else:
+            assert verdict == "search"
 
 
 def _networkx_orbits(g):
