@@ -4,9 +4,9 @@ Enumeration is McKay's canonical augmentation: it grows each class by one
 vertex, one neighbour set per orbit of the parent's automorphism group,
 and keeps a child only when its new vertex is in the child's canonical
 orbit, so every class comes out once and no set of codes is kept.  For
-n <= 7 that takes 1,461 canonical forms (208 parents, 603 children with a
-unique vertex of maximum degree, 650 of 1,036 ties), where searching every
-tie took 1,847, a global set of codes 5,758 and no pruning 11,290.
+n <= 7 that takes 1,461 canonical forms (208 parents, 793 children
+accepted code-only and 460 orbit searches), where searching every tie took
+1,847, a global set of codes 5,758 and no pruning 11,290.
 """
 
 from __future__ import annotations
@@ -101,14 +101,14 @@ def enumerate_codes(n: int):
         neighbour set onto the other, so both children come from one orbit.
 
     Most children need little work: v's degree below the child's maximum
-    rejects it with no search, and v as the only vertex of maximum degree
-    accepts it with one canonical_code call.  A tie is refined once, to
-    kernels.root_partition, whose vertices of maximum degree are its last
-    cells.  Leaves keep the cells' positions, so the canonical vertex lies
-    in the first of those cells, and so does its orbit, as the cell is
-    Aut-invariant.  v outside that cell rejects the child, v alone in it
-    accepts it with a code-only search from the root, and only the other
-    ties search, from the same root, for a least leaf and generators.
+    rejects it with no search.  Every other child is refined once, to
+    kernels.root_partition, whose vertices of maximum degree (v's degree)
+    are its last cells.  Leaves keep the cells' positions, so the canonical
+    vertex lies in the first of those cells, and so does its orbit, as the
+    cell is Aut-invariant.  v outside that cell rejects the child.  v alone
+    in it, as when v alone has maximum degree, accepts the child with a
+    code-only search from the root.  Only the other ties search, from the
+    same root, for a least leaf and generators.
     """
     if n > ENUM_CAP:
         raise EnumerationCapExceeded(n)
@@ -142,11 +142,9 @@ def enumerate_codes(n: int):
             for v in range(new):
                 if nbrs >> v & 1:
                     rows[v] |= 1 << new
-            if nbrs.bit_count() > rival:
-                kept.append(kernels.canonical_code(rows, n))
-                continue
             root = kernels.root_partition(rows, n)
-            cell = next(c for c in root if rows[c[0]].bit_count() == rival)
+            degree = nbrs.bit_count()  # the child's maximum degree
+            cell = next(c for c in root if rows[c[0]].bit_count() == degree)
             if cell == [new]:
                 kept.append(kernels.canonical_code(rows, n, root=root))
             elif new in cell:

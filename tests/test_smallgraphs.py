@@ -91,11 +91,12 @@ def test_orbit_pruned_enumeration_matches_unpruned():
 
 
 def test_enumeration_canonicalizes_one_extension_per_orbit(monkeypatch):
-    # For n <= 7: 208 parent searches for Aut(P)'s generators, 603 children
-    # whose new vertex alone has maximum degree, and 1,036 ties.  Each tie
-    # is refined once: 386 are rejected with no call, 190 are accepted with
-    # a code-only call from that root and 460 run the orbit search from it.
-    # Every other orbit of extensions is rejected by degree with no search.
+    # For n <= 7: 208 parent searches for Aut(P)'s generators, and 1,639
+    # children whose new vertex has maximum degree (603 alone, 1,036 ties).
+    # Each is refined once: 386 ties are rejected with no call, 793
+    # children (the 603 and 190 ties) are accepted with a code-only call
+    # from that root and 460 run the orbit search from it.  Every other
+    # orbit of extensions is rejected by degree with no search.
     # Keeping all codes of the 5,758 orbits in a set took 5,758 calls, the
     # unpruned loop 11,290, and searching every tie 1,847.
     calls = Counter()
@@ -110,28 +111,27 @@ def test_enumeration_canonicalizes_one_extension_per_orbit(monkeypatch):
         calls.clear()
         enumerate_codes.cache_clear()
         assert len(enumerate_codes(7)) == KNOWN_COUNTS[7]
-        assert calls == {(0, False): 603, (0, True): 190, (1, False): 208,
-                         (2, True): 460}
+        assert calls == {(0, True): 793, (1, False): 208, (2, True): 460}
         assert sum(calls.values()) == 1461
 
 
 def test_tied_children_are_decided_from_their_root(monkeypatch):
     # The canonical vertex lies in the first cell of maximum degree of the
-    # root partition, so a tie whose new vertex is outside that cell is
+    # root partition, so a child whose new vertex is outside that cell is
     # rejected and one whose new vertex is that cell is accepted; only the
     # rest are searched.  Each verdict is checked against the orbit that a
     # search from scratch finds.
-    ties = []
+    children = []
 
     def rooting(adj, n):
         root = kernels.root_partition(adj, n)
-        ties.append([list(adj), n, root, "reject"])
+        children.append([list(adj), n, root, "reject"])
         return root
 
     def searching(adj, n, *out, root=None):
         if root is not None:
-            assert root is ties[-1][2] and ties[-1][3] == "reject"
-            ties[-1][3] = "search" if out else "accept"
+            assert root is children[-1][2] and children[-1][3] == "reject"
+            children[-1][3] = "search" if out else "accept"
         return kernels.canonical_code(adj, n, *out, root=root)
 
     monkeypatch.setattr(smallgraphs, "kernels", SimpleNamespace(
@@ -139,9 +139,9 @@ def test_tied_children_are_decided_from_their_root(monkeypatch):
     enumerate_codes.cache_clear()
     assert len(enumerate_codes(7)) == KNOWN_COUNTS[7]
     monkeypatch.undo()
-    assert Counter(verdict for *_, verdict in ties) == {
-        "reject": 386, "accept": 190, "search": 460}
-    for adj, n, root, verdict in ties:
+    assert Counter(verdict for *_, verdict in children) == {
+        "reject": 386, "accept": 793, "search": 460}
+    for adj, n, root, verdict in children:
         new, top = n - 1, adj[n - 1].bit_count()
         assert top == max(row.bit_count() for row in adj)
         cell = mask_of(next(c for c in root if adj[c[0]].bit_count() == top))
