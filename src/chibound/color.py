@@ -132,7 +132,8 @@ def _lift_layers(canvas, base, layer, outside):
     (rest, plan); rest is colored first, then plan() gives (blocks, alpha,
     size) and each peeled v takes the first color of its block blocks[v]
     >= 1 of `size` colors that no neighbour in rest uses.  A degree
-    |N(v) & rest| >= alpha, against the proof's claim, is noted.
+    |N(v) & rest| >= alpha fails the proof's claim and raises
+    StructureViolation with v, its degree and alpha.
     """
     g = canvas.g
 
@@ -149,8 +150,9 @@ def _lift_layers(canvas, base, layer, outside):
             near = g.adj[v] & rest
             deg = near.bit_count()
             if deg >= alpha > 0:
-                canvas.notes.append(f"degree claim |N(v)\\{outside}| < alpha "
-                                    f"failed at vertex {v}: {deg} >= {alpha}")
+                raise StructureViolation(
+                    f"degree claim |N(v)\\{outside}| < alpha",
+                    {"vertex": v, "degree": deg, "alpha": alpha})
             taken = {canvas.coloring[u] for u in bits(near)}
             start = size * (blocks[v] - 1)
             for c in range(start + 1, start + size + 1):

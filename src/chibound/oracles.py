@@ -7,7 +7,7 @@ against a raw all-assignments reference (tests/reference.py).
 from __future__ import annotations
 
 import os
-from math import comb
+from math import comb, inf
 
 from . import kernels
 from .graph import Graph, mask_of
@@ -122,7 +122,32 @@ def chromatic_number(g: Graph, within: int | None = None,
         k += 1
 
 
-def maximal_low_omega_sets(g: Graph, t: int) -> list:
+def least_order(t: int, k: int):
+    """A proved lower bound on the order of every graph with omega <= t and
+    chi >= k; inf when no such graph exists (t <= 1 < k).
+
+    - k <= t: k, which K_k attains.
+    - k > t: k + 2, which C5 joined to K_(k-3) attains at k = t + 1.  A
+      graph on n <= k + 1 vertices with chi >= k has n = k + 1, as K_k is
+      the only one on k.  If the complement has two disjoint edges, one
+      color per pair and one per other vertex give k - 1 colors.  Else the
+      non-edges form a star, which leaves a k-clique outside its centre,
+      or a triangle, whose three vertices take one color and the rest k - 2.
+    - t = 2: 11 for k = 4, the Groetzsch graph's order (Chvatal, "The
+      minimality of the Mycielski graph", LNM 406, 1974), and 22 for
+      k >= 5 (Jensen & Royle, J. Graph Theory 19, 1995), the least orders
+      of triangle-free graphs with chi = 4 and 5.
+    """
+    if k <= t:
+        return k
+    if t <= 1:
+        return inf
+    if t == 2 and k >= 4:
+        return max(k + 2, 11 if k == 4 else 22)
+    return k + 2
+
+
+def maximal_low_omega_sets(g: Graph, t: int, visit=None) -> list:
     """The inclusion-maximal vertex sets S with omega(G[S]) <= t, as masks.
 
     A depth-first search over (S, P, X) after Bron & Kerbosch (CACM 16(9),
@@ -144,9 +169,17 @@ def maximal_low_omega_sets(g: Graph, t: int) -> list:
     every set below.  A node with P empty reports S only when X is empty,
     and then S is maximal.  Each maximal set is reported once.  Needs
     t >= 1.
+
+    With visit, each maximal set is passed to visit(mask) as it is found,
+    in place of the returned list, and visit returns the least size of set
+    still worth finding.  The search then drops every node with
+    |S | P| below that size: every set below the node lies in S | P.
+    Dropping a node leaves the X of its siblings as it is, so each set
+    still reported is maximal.
     """
     adj = g.adj
     found = []
+    need = 0
 
     def closing(s, v, cand):
         """The vertices of cand that close a (t+1)-clique with S + v."""
@@ -175,9 +208,15 @@ def maximal_low_omega_sets(g: Graph, t: int) -> list:
         return out
 
     def search(s, p, x):
+        nonlocal need
+        if (s | p).bit_count() < need:
+            return
         if not p:
             if not x:
-                found.append(s)
+                if visit is None:
+                    found.append(s)
+                else:
+                    need = visit(s)
             return
         pivot, fewest = -1, p.bit_count() + 1
         m = p | x
@@ -226,17 +265,18 @@ def chi_n(oracles: "GraphOracles", n: int) -> int:
     with omega <= n.
 
     chi is monotone under taking induced subgraphs, so only the
-    inclusion-maximal qualifying sets (maximal_low_omega_sets) are colored,
-    by oracles.chi, largest first.  The scan stops at the first set no
-    larger than the best chi so far, and a set that is colorable with that
-    many colors is skipped without the exact oracle; a first fit in
-    ascending vertex order, a proper coloring, catches most such sets before
-    DSATUR is asked.  A set that beats best is colored from best + 1 colors
-    up, as every smaller count has just failed.  The first set is colored
-    from n up when it is not V(g): a vertex it cannot take closes an
-    (n+1)-clique with it.  V(g), the one set when omega(g) <= n, starts at
-    omega.  No cap is checked here: oracles' chi_cap meets the largest set
-    first.
+    inclusion-maximal qualifying sets are colored, each as
+    maximal_low_omega_sets finds it.  After each set the search is told
+    least_order(n, best + 1), and it drops every branch too small to hold
+    a set with chi above the best so far.  A set that could beat best is
+    skipped when it is colorable with best colors: a first fit in
+    ascending vertex order, a proper coloring, catches most such sets
+    before DSATUR is asked.  A set that beats best is colored by
+    oracles.chi from best + 1 colors up, as every smaller count has just
+    failed.  The first set is colored from n up when it is not V(g): a
+    vertex it cannot take closes an (n+1)-clique with it.  V(g), the one
+    set when omega(g) <= n, starts at omega.  No cap is checked here:
+    oracles' chi_cap meets a set only when it must be colored exactly.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -244,14 +284,17 @@ def chi_n(oracles: "GraphOracles", n: int) -> int:
     if g.n == 0 or n == 0:
         return 0
     best = 0
-    for mask in sorted(maximal_low_omega_sets(g, n), key=lambda m: (-m.bit_count(), m)):
-        if mask.bit_count() <= best:
-            break
-        if best and (_first_fit_within(g, best, mask)
-                     or _k_colorable(g, best, mask) is not None):
-            continue
-        first = None if mask == g.full_mask() else n
-        best, _ = oracles.chi(mask, best + 1 if best else first)
+
+    def visit(mask):
+        nonlocal best
+        if not best:
+            best, _ = oracles.chi(mask, None if mask == g.full_mask() else n)
+        elif not (_first_fit_within(g, best, mask)
+                  or _k_colorable(g, best, mask) is not None):
+            best, _ = oracles.chi(mask, best + 1)
+        return least_order(n, best + 1)
+
+    maximal_low_omega_sets(g, n, visit)
     return best
 
 
@@ -263,7 +306,9 @@ class GraphOracles:
     lower) is chromatic_number from lower colors up, default |clique(within)|;
     any lower proved <= chi gives the same answer, so it is kept.  Over
     chi_cap, chi raises before any search.  chi_n(t) is chi_n(self, t), over
-    chin_cap raising after chi_n's t >= 0 check.  decomposition(t, within)
+    chin_cap raising after chi_n's t >= 0 check; a set of chi_n over chi_cap
+    raises only when it must be colored exactly, which no set does at the
+    defaults (chin_cap 12 < chi_cap 16).  decomposition(t, within)
     decomposes around clique(within).  A cap hit is not kept."""
 
     def __init__(self, g: Graph, chi_cap: int = DEFAULT_CHI_CAP,

@@ -533,6 +533,27 @@ def test_structural_violation_is_recorded(tmp_path):
     assert exit_code_for(report) == 2
 
 
+def test_failed_lift_degree_claim_is_a_structural_violation(tmp_path,
+                                                            monkeypatch):
+    # With alpha(omega) forced down to 1, the diamond, a THM2 member at
+    # y = f2, fails the degree claim |N(v) \ (K ∪ T)| < alpha: a vertex of
+    # its triangle K is peeled while its neighbour outside K is colored in
+    # the rest.  The lift raises rather than noting it and coloring on.
+    monkeypatch.setattr(color, "_thm2_alpha", lambda omega, t, k: 1)
+    report, record = _one_graph_run(tmp_path, write_graph6(diamond()),
+                                    class_name="thm2", theorem="THM2",
+                                    class_params={"y": "f2"},
+                                    theorem_params={"y": "f2"})
+    [violation] = report["violations"]
+    assert (violation["kind"], violation["theorem"]) == ("structural", "THM2")
+    assert violation["error"].startswith(
+        "structural claim failed: degree claim |N(v)\\(K∪T)| < alpha "
+        "(witness {'vertex': ")
+    assert re.search(r"'degree': [1-9]\d*, 'alpha': 1\}\)$", violation["error"])
+    assert record["certificate"] == {"error": violation["error"]}
+    assert exit_code_for(report) == 2
+
+
 @pytest.mark.parametrize("build,kinds,chi", [
     (w3, ["structural", "chi-bound"], 6), (q43, ["structural", "chi-bound"], 5),
     (lambda: rook(4), ["structural"], 4)], ids=["W(3)", "Q(4,3)", "K4xK4"])

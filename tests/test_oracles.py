@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from chibound import kernels, oracles
 from chibound.graph import (Graph, bits, connected_components, from_edges,
                             is_clique, mask_of)
-from chibound.graph6 import write_graph6
+from chibound.graph6 import parse_graph6, write_graph6
 from chibound.decompose import decompose
 from chibound.oracles import (GraphOracles, OracleCapExceeded, chi_n,
                               chromatic_number, clique_number, is_proper,
-                              maximal_low_omega_sets, max_clique,
-                              ramsey_upper)
+                              least_order, maximal_low_omega_sets,
+                              max_clique, ramsey_upper)
 from chibound.patterns import complete, cycle, path, pineapple
 from chibound.smallgraphs import enumerate_small
 from reference import (chromatic_number_bruteforce,
@@ -457,6 +457,82 @@ def test_chi_n_of_triangle_free_named_graphs(h, chi2):
     assert chi_n(GraphOracles(from_edges(len(h), list(h.edges()))), 2) == chi2
 
 
+def test_chi_n_finds_the_groetzsch_graph_behind_a_3_chromatic_set(monkeypatch):
+    # The Groetzsch graph on vertices 1..11 with vertex 0 closing a triangle
+    # on its edge 1-2.  The search finds a set through 0 first, with chi 3;
+    # the Groetzsch graph's own 11 vertices, chi 4, must survive the cut at
+    # least_order(2, 4) = 11.
+    h = nx.convert_node_labels_to_integers(nx.mycielski_graph(4))
+    g = from_edges(12, [(u + 1, v + 1) for u, v in h.edges()] + [(0, 1), (0, 2)])
+    assert write_graph6(g) == "KxOXQ_cP?o?^"
+    colored = []
+    real = oracles.chromatic_number
+
+    def chromatic(g, within, lower):
+        colored.append(within)
+        return real(g, within, lower)
+
+    monkeypatch.setattr(oracles, "chromatic_number", chromatic)
+    assert chi_n(GraphOracles(g), 2) == 4
+    assert colored[0] & 1 and colored[-1] == g.full_mask() & ~1
+
+
+def test_least_order_bounds_every_graph_to_8():
+    # No graph with omega <= t and chi >= k has fewer than least_order(t, k)
+    # vertices; chi >= k for every k <= chi, so each k up to chi is checked.
+    graphs = list(enumerate_small(8))
+    assert len(graphs) == 13598
+    for g in graphs:
+        omega = clique_number(g)
+        chi = chromatic_number(g, lower=omega)[0]
+        for t in range(max(omega, 1), 5):
+            for k in range(1, chi + 1):
+                assert g.n >= least_order(t, k), (write_graph6(g), t, k)
+
+
+@pytest.mark.parametrize("t, g6", [
+    (2, "Dhc"), (3, "Ehfw"), (4, "Fhf~w"), (5, "Ghf~~{")])
+def test_least_order_above_t_is_attained_by_c5_join_a_clique(t, g6):
+    # C5 joined to K_(t-2): t + 3 vertices, omega = t, chi = chi^(t) = t + 1.
+    g = parse_graph6(g6)
+    join = nx.complement(nx.disjoint_union(
+        nx.complement(nx.cycle_graph(5)),
+        nx.complement(nx.complete_graph(t - 2))))
+    assert nx.is_isomorphic(to_nx(g), join)
+    assert (g.n, clique_number(g), chromatic_number(g)[0]) == (t + 3, t, t + 1)
+    assert chi_n(GraphOracles(g), t) == t + 1
+    assert least_order(t, t + 1) == g.n
+
+
+def test_least_order_table_entries():
+    groetzsch = nx.mycielski_graph(4)
+    assert len(groetzsch) == 11 and not any(nx.triangles(groetzsch).values())
+    assert least_order(2, 4) == len(groetzsch)
+    assert [least_order(2, k) for k in range(1, 7)] == [1, 2, 5, 11, 22, 22]
+    assert [least_order(3, k) for k in range(1, 6)] == [1, 2, 3, 6, 7]
+    assert least_order(1, 1) == 1
+    assert least_order(1, 2) == least_order(0, 1) == float("inf")
+
+
+def test_size_cut_reports_exactly_the_maximal_sets_that_large():
+    # A visit that always asks for `need` vertices sees the first maximal
+    # set found, before it has asked, then every maximal set with at least
+    # need vertices and no other, each once.
+    rng = random.Random(23)
+    for n in (8, 10, 12):
+        for p in (0.3, 0.5, 0.7):
+            g = _gnp(rng, n, p)
+            for t in (1, 2, 3):
+                every = maximal_low_omega_sets_unpivoted(g, t)
+                for need in range(n + 2):
+                    seen = []
+                    maximal_low_omega_sets(
+                        g, t, lambda s, need=need: seen.append(s) or need)
+                    want = {m for m in every if m.bit_count() >= need}
+                    assert len(seen) == len(set(seen)) and seen[0] in every
+                    assert set(seen) == want | {seen[0]}, (n, p, t, need)
+
+
 def test_first_fit_check_spares_dsatur_calls(monkeypatch):
     calls = []
     real = oracles._k_colorable
@@ -474,7 +550,7 @@ def test_first_fit_check_spares_dsatur_calls(monkeypatch):
     monkeypatch.setattr(oracles, "_k_colorable", counting)
     with_check = dsatur_calls()
     monkeypatch.setattr(oracles, "_first_fit_within", lambda g, k, within: False)
-    assert (with_check, dsatur_calls()) == (198, 1400)
+    assert (with_check, dsatur_calls()) == (230, 390)
 
 
 def test_inclusion_exclusion_reference_matches_bruteforce():
@@ -500,11 +576,12 @@ def test_chromatic_number_matches_inclusion_exclusion_on_seeded_gnp():
 
 
 def test_chi_n_matches_inclusion_exclusion_over_unpivoted_sets():
+    # The reference search has no size cut: it lists every maximal set.
     rng = random.Random(17)
-    for n in (9, 10, 11, 12):
+    for n in (9, 10, 11, 12, 13, 14):
         for p in (0.3, 0.5, 0.7):
             g = _gnp(rng, n, p)
-            for t in (2, 3):
+            for t in (1, 2, 3, 4):
                 want = max(chromatic_number_inclusion_exclusion(
                     induced_subgraph(g, mask)[0])
                     for mask in maximal_low_omega_sets_unpivoted(g, t))
