@@ -238,6 +238,23 @@ def test_given_clique_changes_no_certificate(thm, members, certified, small_7):
     assert (seen, certs) == (members, certified)
 
 
+def test_thm2_t_lift_at_t3_is_pinned(small_7):
+    # At the defaults no THM2 member with n <= 8 reaches the lift of its T
+    # groups; at (s, t, k) = (2, 3, 3) sixteen members with n <= 7 do.  The
+    # digest pins their certificates, colorings and traces included.
+    spec = THEOREMS["THM2"].spec(s=2, t=3, k=3)
+    certs = [color_checked("THM2", GraphOracles(g), spec)
+             for g in small_7 if is_member(g, spec)]
+    assert all(cert.within_bound for cert in certs)
+    reached = {lbl: sum(any(l == lbl for _, l, _ in cert.trace)
+                        for cert in certs) for lbl in ("K-lift", "T-lift")}
+    assert (len(certs), reached) == (1038, {"K-lift": 23, "T-lift": 16})
+    digest = hashlib.sha256(json.dumps([cert.to_dict() for cert in certs],
+                                       sort_keys=True).encode())
+    assert digest.hexdigest() == ("72ca82d5a1ce0137b6ca2db2e41fad55"
+                                  "0fc4a6a8e74609df7c25b9ace5ec7c9f")
+
+
 def test_thm2_over_sampled_members():
     spec = get_class("thm2", s=2, t=2, k=2, y="f2")
     for g in sample_in_class(spec, 8, 0.35, seed=5, count=25):
