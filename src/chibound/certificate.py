@@ -18,18 +18,6 @@ class MembershipError(ValueError):
         self.witness = witness
 
 
-class LiftError(RuntimeError):
-    """No free color in a lift block: the proof's degree bound failed."""
-
-    def __init__(self, vertex: int, outside_degree: int, block: int):
-        super().__init__(
-            f"lift failed at vertex {vertex}: {outside_degree} outside "
-            f"neighbors exceed the block size {block}")
-        self.vertex = vertex
-        self.outside_degree = outside_degree
-        self.block = block
-
-
 class StructureViolation(RuntimeError):
     """A structural claim from a proof failed on this input."""
 

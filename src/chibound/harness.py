@@ -12,10 +12,10 @@ import time
 from dataclasses import asdict, dataclass, field, fields
 
 from .classes import get_class
-from .color import (LiftError, MembershipError, StructureViolation, THEOREMS,
-                    color_checked)
+from .color import MembershipError, StructureViolation, THEOREMS, color_checked
 from .decompose import PARAM_LEAST, PROPERTY_IDS, check_property
 from .detect import check_params, is_member
+from .graph import MAX_VERTICES
 from .graph6 import read_graph6_file, write_graph6
 from .oracles import (DEFAULT_CHI_CAP, DEFAULT_CHIN_CAP, GraphOracles,
                       OracleCapExceeded)
@@ -30,7 +30,8 @@ SOURCE_FIELDS = {
                             f"an int {{}} in 1..{ENUM_CAP}")},
     "graph6": {"path": (None, lambda v: isinstance(v, str), "a string {}")},
     "sample": {
-        "n": (8, lambda v: type(v) is int and v >= 0, "an int {} >= 0"),
+        "n": (8, lambda v: type(v) is int and 0 <= v <= MAX_VERTICES,
+              f"an int {{}} in 0..{MAX_VERTICES}"),
         "edge_prob": (0.3, lambda v: type(v) in (int, float) and 0 <= v <= 1,
                       "a number {} in [0, 1]"),
         "count": (10, lambda v: type(v) is int and v >= 1, "an int {} >= 1"),
@@ -313,7 +314,7 @@ def classify_exception(exc: BaseException) -> str:
     "undecided": an exact oracle hit its vertex cap;
     "error": anything else, an operational error (exit 1).
     """
-    if isinstance(exc, (LiftError, StructureViolation)):
+    if isinstance(exc, StructureViolation):
         return "violation"
     if isinstance(exc, MembershipError):
         return "rejected"

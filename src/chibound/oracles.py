@@ -147,8 +147,9 @@ def least_order(t: int, k: int):
     return k + 2
 
 
-def maximal_low_omega_sets(g: Graph, t: int, visit=None) -> list:
-    """The inclusion-maximal vertex sets S with omega(G[S]) <= t, as masks.
+def maximal_low_omega_sets(g: Graph, t: int, visit) -> None:
+    """Pass each inclusion-maximal vertex set S with omega(G[S]) <= t, as a
+    mask, to visit(mask) as it is found.
 
     A depth-first search over (S, P, X) after Bron & Kerbosch (CACM 16(9),
     1973), run over the hereditary property "omega <= t" instead of "is a
@@ -170,15 +171,12 @@ def maximal_low_omega_sets(g: Graph, t: int, visit=None) -> list:
     and then S is maximal.  Each maximal set is reported once.  Needs
     t >= 1.
 
-    With visit, each maximal set is passed to visit(mask) as it is found,
-    in place of the returned list, and visit returns the least size of set
-    still worth finding.  The search then drops every node with
-    |S | P| below that size: every set below the node lies in S | P.
-    Dropping a node leaves the X of its siblings as it is, so each set
-    still reported is maximal.
+    visit returns the least size of set still worth finding (0 to find
+    them all).  The search then drops every node with |S | P| below that
+    size: every set below the node lies in S | P.  Dropping a node leaves
+    the X of its siblings as it is, so each set still reported is maximal.
     """
     adj = g.adj
-    found = []
     need = 0
 
     def closing(s, v, cand):
@@ -213,10 +211,7 @@ def maximal_low_omega_sets(g: Graph, t: int, visit=None) -> list:
             return
         if not p:
             if not x:
-                if visit is None:
-                    found.append(s)
-                else:
-                    need = visit(s)
+                need = visit(s)
             return
         pivot, fewest = -1, p.bit_count() + 1
         m = p | x
@@ -237,7 +232,6 @@ def maximal_low_omega_sets(g: Graph, t: int, visit=None) -> list:
             x |= low
 
     search(0, g.full_mask(), 0)
-    return found
 
 
 def _first_fit_within(g: Graph, k: int, within: int) -> bool:

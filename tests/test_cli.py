@@ -11,7 +11,7 @@ import pytest
 import chibound
 from chibound import cli, kernels, oracles
 from chibound.cli import main
-from chibound.color import THEOREMS, LiftError
+from chibound.color import THEOREMS
 from chibound.decompose import decompose
 from chibound.graph import bits
 from chibound.graph6 import write_graph6
@@ -232,20 +232,6 @@ def test_color_over_the_oracle_cap_is_undecided(capsys, tmp_path):
     undecided, rejected = map(json.loads, out.splitlines())
     assert code == 1 and "undecided" in undecided
     assert rejected["error"].startswith("MembershipError")
-
-
-def test_color_lift_error_is_a_violation(capsys, tmp_path, monkeypatch):
-    path = tmp_path / "p.g6"
-    path.write_text(write_graph6(pineapple(4, 1)) + "\n")
-
-    def lift_fails(g, **params):
-        raise LiftError(0, 3, 2)
-
-    monkeypatch.setitem(THEOREMS, "THM1",
-                        dataclasses.replace(THEOREMS["THM1"], colorer=lift_fails))
-    code, out = run(capsys, "color", "--theorem", "THM1", "--in", str(path))
-    assert code == 2
-    assert json.loads(out)["error"].startswith("LiftError")
 
 
 def test_color_bound_miss_exits_two(capsys, tmp_path, monkeypatch):

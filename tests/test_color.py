@@ -8,9 +8,9 @@ import pytest
 from chibound import color, oracles
 from chibound.classes import THEOREM_CLASS, get_class
 from chibound.cli import main
-from chibound.color import (LiftError, MembershipError, StructureViolation,
-                            THEOREMS, color_checked, color_thm1, color_thm2,
-                            color_thm3, color_thm4, color_thm5a, verify_thm5b)
+from chibound.color import (MembershipError, StructureViolation, THEOREMS,
+                            color_checked, color_thm1, color_thm2, color_thm3,
+                            color_thm4, color_thm5a, verify_thm5b)
 from chibound.detect import is_member
 from chibound.graph import from_edges
 from chibound.graph6 import parse_graph6, write_graph6
@@ -297,9 +297,10 @@ def test_thm5b_structural_violation_is_raised_not_swallowed(monkeypatch):
     monkeypatch.setattr(color, "edge_clique_partition", lambda g: rows)
     with pytest.raises(RuntimeError, match="certificate coloring is not proper"):
         verify_thm5b(GraphOracles(g))
-    # A lift with no free color raises too: THM5A at k = 1 off its class.
-    with pytest.raises(LiftError, match="lift failed at vertex 2"):
+    # THM5A at k = 1, off its class, has alpha = 0: the degree claim fails.
+    with pytest.raises(StructureViolation, match="degree claim") as exc:
         color_thm5a(GraphOracles(parse_graph6("EJ]w")), k=1)
+    assert exc.value.witness["alpha"] == 0
 
 
 _PENDANT_PATH = from_edges(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5)])

@@ -100,7 +100,7 @@ def test_config_validation():
     ({"source": {"kind": "enumerate", "n_max": 0}},
      "source 'enumerate' takes an int n_max in 1..8, not n_max=0"),
     ({"source": {"kind": "sample", "n": 6.0}, "class_name": "diamond-free"},
-     "source 'sample' takes an int n >= 0, not n=6.0"),
+     "source 'sample' takes an int n in 0..512, not n=6.0"),
     ({"source": {"kind": "sample", "count": 0}, "class_name": "diamond-free"},
      "source 'sample' takes an int count >= 1, not count=0"),
     ({"source": {"kind": "sample", "budget": True},
@@ -112,6 +112,8 @@ def test_config_validation():
     ({"source": {"kind": "sample", "edge_prob": "0.3"},
       "class_name": "diamond-free"},
      "source 'sample' takes a number edge_prob in [0, 1], not edge_prob='0.3'"),
+    ({"source": {"kind": "sample", "n": 100000}, "class_name": "diamond-free"},
+     "source 'sample' takes an int n in 0..512, not n=100000"),
 ])
 def test_config_parameters_resolve_once(fields, message):
     data = {"source": {"kind": "enumerate", "n_max": 4}, **fields}

@@ -281,11 +281,18 @@ def _maximal_sets_by_table(g, t):
             and all(omega[mask | 1 << u] > t for u in bits(full & ~mask))}
 
 
+def _all_maximal(g, t):
+    """Every maximal omega <= t set, by a visit that cuts nothing."""
+    found = []
+    maximal_low_omega_sets(g, t, lambda s: found.append(s) or 0)
+    return found
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(_graphs(8))
 def test_maximal_low_omega_sets_match_table_enumeration(g):
     for t in range(1, 5):
-        found = maximal_low_omega_sets(g, t)
+        found = _all_maximal(g, t)
         assert len(found) == len(set(found)), t
         assert set(found) == _maximal_sets_by_table(g, t), t
 
@@ -321,7 +328,7 @@ def test_maximal_low_omega_sets_match_unpivoted_search_and_table():
             for _ in range(2):
                 g = _gnp(rng, n, p)
                 for t in range(1, 5):
-                    found = maximal_low_omega_sets(g, t)
+                    found = _all_maximal(g, t)
                     assert len(found) == len(set(found)), (n, p, t)
                     want = set(maximal_low_omega_sets_unpivoted(g, t))
                     assert set(found) == want, (n, p, t)
@@ -333,7 +340,7 @@ def test_maximal_low_omega_sets_at_t1_are_networkx_maximal_independent_sets():
     graphs = [rook(4)] + [_gnp(rng, rng.randint(5, 16), p)
                           for p in (0.2, 0.5, 0.8) for _ in range(15)]
     for g in graphs:
-        found = maximal_low_omega_sets(g, 1)
+        found = _all_maximal(g, 1)
         assert len(found) == len(set(found))
         complement = nx.complement(to_nx(g))
         assert set(found) == {mask_of(c) for c in nx.find_cliques(complement)}
@@ -351,7 +358,7 @@ def test_pivot_spares_closing_tests(monkeypatch):
 
     monkeypatch.setattr(kernels, "clique_number_sub", counting)
     for g in _half_batch():
-        maximal_low_omega_sets(g, 3)
+        _all_maximal(g, 3)
     pivoted = len(calls)
     calls.clear()
     for g in _half_batch():
