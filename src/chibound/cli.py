@@ -12,7 +12,7 @@ import sys
 
 from .classes import THEOREM_CLASS, class_names, get_class
 from .color import THEOREMS, color_checked
-from .decompose import PROPERTY_IDS, decompose
+from .decompose import PROPERTY_IDS, a_nv, decompose
 from .detect import find_induced, is_member
 from .graph import bits, is_clique, mask_of, to_dot
 from .graph6 import read_graph6_file, write_graph6
@@ -162,7 +162,7 @@ def _cmd_decompose(args):
                "a_m": {str(list(bits(m))): list(bits(a))
                        for m, a in sorted(dec.a_m.items())},
                "a_nv": {f"{list(bits(n))},{v}": list(bits(a))
-                        for (n, v), a in sorted(dec.a_nv.items())}}
+                        for (n, v), a in sorted(a_nv(g, dec).items())}}
         print(json.dumps(out))
     return 0
 

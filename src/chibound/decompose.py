@@ -25,18 +25,15 @@ class CliqueDecomposition:
     """The sets K, S, T, S', T' around a maximum clique K at threshold t.
 
     a_m maps a non-neighbor mask M (subset of K, 1 <= |M| < t) to the
-    vertices complete to K\\M and anticomplete to M.  a_nv maps (N, v)
-    pairs (N subset of K with |N| = t, v in K\\N) to the vertices of N(v)\\K
-    anticomplete to N; a vertex can appear under several pairs.  t_groups
-    partitions T by each vertex's canonical pair, its first t non-neighbors
-    in K and its first neighbor in K, in key order.  S'/T' overlap is broken
-    toward T'.
+    vertices complete to K\\M and anticomplete to M; a_nv(g, dec) gives the
+    A'(N, v) families of T.  t_groups partitions T by each vertex's
+    canonical pair, its first t non-neighbors in K and its first neighbor
+    in K, in key order.  S'/T' overlap is broken toward T'.
     """
 
     k: int
     t: int
     a_m: dict
-    a_nv: dict
     s_set: int
     t_set: int
     s_prime: int
@@ -52,29 +49,24 @@ def decompose(g: Graph, t: int, within: int,
     if t < 2:
         raise DecompositionError("threshold t must be >= 2")
 
-    k_verts = list(bits(clique))
     nk = neighborhood(g, clique) & within
     a_m: dict[int, int] = {}
-    a_nv: dict[tuple[int, int], int] = {}
     t_groups: dict[tuple[int, int], int] = {}
     s_set = 0
     t_set = 0
     for u in bits(nk):
         non = clique & ~g.adj[u]
-        cnt = non.bit_count()
-        if cnt < t:
+        if non.bit_count() < t:
             s_set |= 1 << u
             a_m[non] = a_m.get(non, 0) | 1 << u
         else:
             t_set |= 1 << u
-            nons = [v for v in k_verts if non >> v & 1]
-            nbrs = [v for v in k_verts if g.adj[u] >> v & 1]
-            for ncomb in combinations(nons, t):
-                n_mask = mask_of(ncomb)
-                for v in nbrs:
-                    key = (n_mask, v)
-                    a_nv[key] = a_nv.get(key, 0) | 1 << u
-            key = (mask_of(nons[:t]), nbrs[0])
+            first = 0  # the first t non-neighbors in K
+            for _ in range(t):
+                first |= non & -non
+                non &= non - 1
+            nbrs = clique & g.adj[u]
+            key = (first, (nbrs & -nbrs).bit_length() - 1)
             t_groups[key] = t_groups.get(key, 0) | 1 << u
 
     outside = within & ~(clique | s_set | t_set)
@@ -89,9 +81,26 @@ def decompose(g: Graph, t: int, within: int,
         else:
             residual |= 1 << v
 
-    return CliqueDecomposition(clique, t, a_m, a_nv, s_set, t_set,
+    return CliqueDecomposition(clique, t, a_m, s_set, t_set,
                                s_prime, t_prime, residual,
                                dict(sorted(t_groups.items())))
+
+
+def a_nv(g: Graph, dec: CliqueDecomposition) -> dict:
+    """A'(N, v) of dec, built on demand: each pair (N, v), N a subset of K
+    with |N| = t and v in K\\N, maps to the vertices of N(v)\\K
+    anticomplete to N, which lie in T.  A vertex can appear under several
+    pairs; pairs with no vertex are left out."""
+    k_verts = list(bits(dec.k))
+    out: dict[tuple[int, int], int] = {}
+    for u in bits(dec.t_set):
+        nons = [v for v in k_verts if not g.adj[u] >> v & 1]
+        nbrs = [v for v in k_verts if g.adj[u] >> v & 1]
+        for ncomb in combinations(nons, dec.t):
+            n_mask = mask_of(ncomb)
+            for v in nbrs:
+                out[n_mask, v] = out.get((n_mask, v), 0) | 1 << u
+    return out
 
 
 @dataclass

@@ -7,7 +7,7 @@ from functools import lru_cache
 
 from .graph import Graph, bits, connected_components
 from .oracles import clique_number
-from .patterns import PatternInstance
+from .patterns import PatternInstance, make_pattern
 
 
 @dataclass(frozen=True)
@@ -193,10 +193,16 @@ def known_to_forbid(known: ClassSpec | None, pat: PatternInstance) -> bool:
     return known is not None and pat in known.forbidden
 
 
+# The diamond's graph, which f1 at t = 2 shares: is_member and _embedding
+# test a pattern's graph against it, not its name.
+_DIAMOND = make_pattern("diamond").graph
+
+
 def _embedding(host: Graph, pat: PatternInstance):
-    """find_induced(host, pat.graph), the diamond's by the edge scan of
-    diamond_free_fast, whose witness is the same lex-first embedding."""
-    if pat.name == "diamond":
+    """find_induced(host, pat.graph); a diamond, whatever its pattern's
+    name, by the edge scan of diamond_free_fast, whose witness is the same
+    lex-first embedding."""
+    if pat.graph == _DIAMOND:
         return diamond_free_fast(host)[1]
     return find_induced(host, pat.graph)
 
@@ -227,7 +233,7 @@ def is_member(host: Graph, spec: ClassSpec,
             emb = _embedding(host, pat)
             if emb is not None:
                 return MembershipReport(False, pat.label(), emb)
-        diamond_free = diamond_free or pat.name == "diamond"
+        diamond_free = diamond_free or pat.graph == _DIAMOND
     cond = spec.conditions
     have = known.conditions if known is not None else Conditions()
     if cond.every_edge_in_two_triangles and not have.every_edge_in_two_triangles:

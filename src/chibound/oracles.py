@@ -147,7 +147,7 @@ def least_order(t: int, k: int):
     return k + 2
 
 
-def maximal_low_omega_sets(g: Graph, t: int, visit) -> None:
+def maximal_low_omega_sets(g: Graph, t: int, visit, need: int = 0) -> None:
     """Pass each inclusion-maximal vertex set S with omega(G[S]) <= t, as a
     mask, to visit(mask) as it is found.
 
@@ -171,13 +171,13 @@ def maximal_low_omega_sets(g: Graph, t: int, visit) -> None:
     and then S is maximal.  Each maximal set is reported once.  Needs
     t >= 1.
 
-    visit returns the least size of set still worth finding (0 to find
-    them all).  The search then drops every node with |S | P| below that
-    size: every set below the node lies in S | P.  Dropping a node leaves
-    the X of its siblings as it is, so each set still reported is maximal.
+    need is the least size of set worth finding from the root on (0 to
+    find them all), and visit returns the new least size after each set.
+    The search drops every node with |S | P| below it: every set below the
+    node lies in S | P.  Dropping a node leaves the X of its siblings as it
+    is, so each set still reported is maximal.
     """
     adj = g.adj
-    need = 0
 
     def closing(s, v, cand):
         """The vertices of cand that close a (t+1)-clique with S + v."""
@@ -258,19 +258,22 @@ def chi_n(oracles: "GraphOracles", n: int) -> int:
     """chi^(n) of oracles.g: max chromatic number over induced subgraphs
     with omega <= n.
 
+    From n >= 2 on, an induced C5 (omega 2, chi 3) proves chi^(n) >= 3, and
+    best starts there; one matcher call finds it or shows there is none.
     chi is monotone under taking induced subgraphs, so only the
     inclusion-maximal qualifying sets are colored, each as
-    maximal_low_omega_sets finds it.  After each set the search is told
-    least_order(n, best + 1), and it drops every branch too small to hold
-    a set with chi above the best so far.  A set that could beat best is
-    skipped when it is colorable with best colors: a first fit in
-    ascending vertex order, a proper coloring, catches most such sets
-    before DSATUR is asked.  A set that beats best is colored by
-    oracles.chi from best + 1 colors up, as every smaller count has just
-    failed.  The first set is colored from n up when it is not V(g): a
-    vertex it cannot take closes an (n+1)-clique with it.  V(g), the one
-    set when omega(g) <= n, starts at omega.  No cap is checked here:
-    oracles' chi_cap meets a set only when it must be colored exactly.
+    maximal_low_omega_sets finds it.  The search is told
+    least_order(n, best + 1) from the root on and again after each set,
+    and it drops every branch too small to hold a set with chi above the
+    best so far.  A set that could beat best is skipped when it is
+    colorable with best colors: a first fit in ascending vertex order, a
+    proper coloring, catches most such sets before DSATUR is asked.  A set
+    that beats best is colored by oracles.chi from best + 1 colors up, as
+    every smaller count has just failed.  With no C5, the first set is
+    colored from n up when it is not V(g): a vertex it cannot take closes
+    an (n+1)-clique with it.  V(g), the one set when omega(g) <= n, starts
+    at omega.  No cap is checked here: oracles' chi_cap meets a set only
+    when it must be colored exactly.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -278,6 +281,11 @@ def chi_n(oracles: "GraphOracles", n: int) -> int:
     if g.n == 0 or n == 0:
         return 0
     best = 0
+    if n >= 2:
+        from .detect import find_induced  # detect imports this module
+        from .patterns import make_pattern
+        if find_induced(g, make_pattern("cycle", l=5).graph) is not None:
+            best = 3
 
     def visit(mask):
         nonlocal best
@@ -288,7 +296,7 @@ def chi_n(oracles: "GraphOracles", n: int) -> int:
             best, _ = oracles.chi(mask, best + 1)
         return least_order(n, best + 1)
 
-    maximal_low_omega_sets(g, n, visit)
+    maximal_low_omega_sets(g, n, visit, least_order(n, best + 1))
     return best
 
 

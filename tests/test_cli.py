@@ -12,7 +12,7 @@ import chibound
 from chibound import cli, kernels, oracles
 from chibound.cli import main
 from chibound.color import THEOREMS
-from chibound.decompose import decompose
+from chibound.decompose import a_nv, decompose
 from chibound.graph import bits
 from chibound.graph6 import write_graph6
 from chibound.oracles import chromatic_number, clique_number, max_clique
@@ -92,7 +92,7 @@ def _decompose_record(i, g, t, dec):
             "a_m": {str(list(bits(m))): list(bits(a))
                     for m, a in sorted(dec.a_m.items())},
             "a_nv": {f"{list(bits(n))},{v}": list(bits(a))
-                     for (n, v), a in sorted(dec.a_nv.items())}}
+                     for (n, v), a in sorted(a_nv(g, dec).items())}}
 
 
 def test_scalar_and_decompose_records_equal_the_plain_oracles(capsys,

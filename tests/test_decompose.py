@@ -7,7 +7,7 @@ import pytest
 
 from chibound import kernels, oracles
 from chibound.color import THEOREMS
-from chibound.decompose import (PROPERTY_IDS, DecompositionError,
+from chibound.decompose import (PROPERTY_IDS, DecompositionError, a_nv,
                                 check_property, decompose,
                                 edge_clique_partition)
 from chibound.detect import (diamond_free_fast, every_edge_two_triangles,
@@ -37,7 +37,7 @@ def test_gem_example():
     assert dec.s_set == 1 << 2          # vertex 2: one non-neighbor (0)
     assert dec.t_set == 1 << 3          # vertex 3: two non-neighbors (0, 1)
     assert dec.a_m == {1 << 0: 1 << 2}
-    assert (mask_of([0, 1]), 4) in dec.a_nv
+    assert (mask_of([0, 1]), 4) in a_nv(g, dec)
     assert dec.t_groups == {(mask_of([0, 1]), 4): 1 << 3}
 
 
@@ -47,7 +47,7 @@ def test_k5_all_empty():
     assert dec.k == g.full_mask()
     assert dec.s_set == dec.t_set == dec.s_prime == dec.t_prime == 0
     assert dec.residual == 0
-    assert dec.a_m == {} and dec.a_nv == {}
+    assert dec.a_m == {} and a_nv(g, dec) == {}
 
 
 def test_decompose_rejects_bad_clique():
@@ -86,7 +86,7 @@ def test_partition_and_definition_fidelity():
             for m, a in dec.a_m.items():
                 for u in bits(a):
                     assert g.adj[u] & dec.k == dec.k & ~m
-            for (nmask, v), a in dec.a_nv.items():
+            for (nmask, v), a in a_nv(g, dec).items():
                 for u in bits(a):
                     assert g.has_edge(u, v)
                     assert not g.adj[u] & nmask
@@ -95,7 +95,7 @@ def test_partition_and_definition_fidelity():
             for a in dec.a_m.values():
                 s_union |= a
             t_union = 0
-            for a in dec.a_nv.values():
+            for a in a_nv(g, dec).values():
                 t_union |= a
             assert s_union == dec.s_set
             assert t_union == dec.t_set

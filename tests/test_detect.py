@@ -191,6 +191,36 @@ def test_diamond_free_fast_witness_is_the_lex_first_embedding():
     assert found > 2000
 
 
+def test_f1_at_t2_takes_the_diamond_scan(monkeypatch):
+    # f1(2) is the diamond's graph under another name: its embedding comes
+    # from the edge scan, with no matcher call, and is the matcher's own.
+    f1 = make_pattern("f1", t=2)
+    assert f1.graph == diamond()
+    hosts = list(enumerate_small(7))
+    want = [find_induced(h, f1.graph) for h in hosts]
+
+    def no_matcher(host, pattern):
+        raise AssertionError("the matcher ran")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(detect, "find_induced", no_matcher)
+        assert [detect._embedding(h, f1) for h in hosts] == want
+    assert sum(w is None for w in want) == 421
+    # is_member takes f1(2) as the diamond for the fan shortcut too: on a
+    # diamond-free host the matcher runs only to report a fan it has found.
+    fan = make_pattern("fan_triangles", l=2)
+    ref = [is_member(h, make_class([make_pattern("diamond"), fan]))
+           for h in hosts]
+    calls = []
+    monkeypatch.setattr(detect, "find_induced",
+                        lambda host, pattern: calls.append(pattern)
+                        or find_induced(host, pattern))
+    got = [is_member(h, make_class([f1, fan])) for h in hosts]
+    assert [(r.member, r.witness) for r in got] == \
+        [(r.member, r.witness) for r in ref]
+    assert calls == [fan.graph] * sum(r.violated == fan.label() for r in ref)
+
+
 def test_every_edge_two_triangles():
     assert every_edge_two_triangles(complete(4)) == (True, None)
     ok, edge = every_edge_two_triangles(complete(3))

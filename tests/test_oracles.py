@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chibound import kernels, oracles
+from chibound import detect, kernels, oracles
 from chibound.graph import (Graph, bits, connected_components, from_edges,
                             is_clique, mask_of)
 from chibound.graph6 import parse_graph6, write_graph6
@@ -308,6 +308,13 @@ def _half_batch():
     return [_gnp(rng, n, 0.5) for n in (10, 11, 12) for _ in range(20)]
 
 
+def _unseeded_chi_n(monkeypatch, g, t):
+    """chi_n(g, t) with the C5 search made to find none: best starts at 0."""
+    with monkeypatch.context() as patched:
+        patched.setattr(detect, "find_induced", lambda host, pattern: None)
+        return chi_n(GraphOracles(g), t)
+
+
 def test_max_clique_is_the_max_clique_of_its_component():
     # The colorers take g's maximum clique as that of the component that
     # holds it, and search every other component for its own.
@@ -402,8 +409,9 @@ def test_chi_n_keeps_the_sets_it_colors_in_its_oracles(monkeypatch):
     # chi_n colors each set through oracles.chi from a start proved <= chi,
     # so the kept answer is the one chi(within) gives from its own clique:
     # the same chi and coloring.  Making the oracles searches nothing; the
-    # whole graph's clique is found on the first ask.
-    colored, kernel_calls = [], []
+    # whole graph's clique is found on the first ask.  A graph whose C5
+    # seed of 3 no set beats colors nothing and has chi^(t) 3.
+    colored, kernel_calls, colored_any = [], [], []
     real_chromatic = oracles.chromatic_number
     real_kernel = kernels.clique_number_sub
 
@@ -425,10 +433,13 @@ def test_chi_n_keeps_the_sets_it_colors_in_its_oracles(monkeypatch):
                 given = GraphOracles(g)
                 assert kernel_calls == []
                 value = given.chi_n(t)
-            assert colored and value == max(given.chi(m)[0] for m in colored)
+            assert value == max((given.chi(m)[0] for m in colored), default=3)
+            colored_any.append((t, bool(colored)))
             for mask in colored:
                 assert given.chi(mask) == GraphOracles(g).chi(mask) \
                     == chromatic_number(g, within=mask)
+    assert (colored_any.count((2, True)), colored_any.count((3, True))) \
+        == (1, 13)
 
 
 def test_chi_n_stops_at_sets_that_cannot_beat_best(monkeypatch):
@@ -466,9 +477,10 @@ def test_chi_n_of_triangle_free_named_graphs(h, chi2):
 
 def test_chi_n_finds_the_groetzsch_graph_behind_a_3_chromatic_set(monkeypatch):
     # The Groetzsch graph on vertices 1..11 with vertex 0 closing a triangle
-    # on its edge 1-2.  The search finds a set through 0 first, with chi 3;
-    # the Groetzsch graph's own 11 vertices, chi 4, must survive the cut at
-    # least_order(2, 4) = 11.
+    # on its edge 1-2.  Its C5 seeds best at 3, and the sets through 0 have
+    # chi 3; the seed must not end the search, and the Groetzsch graph's own
+    # 11 vertices, chi 4, must survive the cut at least_order(2, 4) = 11 from
+    # the root on: it is the one set colored.
     h = nx.convert_node_labels_to_integers(nx.mycielski_graph(4))
     g = from_edges(12, [(u + 1, v + 1) for u, v in h.edges()] + [(0, 1), (0, 2)])
     assert write_graph6(g) == "KxOXQ_cP?o?^"
@@ -481,7 +493,7 @@ def test_chi_n_finds_the_groetzsch_graph_behind_a_3_chromatic_set(monkeypatch):
 
     monkeypatch.setattr(oracles, "chromatic_number", chromatic)
     assert chi_n(GraphOracles(g), 2) == 4
-    assert colored[0] & 1 and colored[-1] == g.full_mask() & ~1
+    assert colored == [g.full_mask() & ~1]
 
 
 def test_least_order_bounds_every_graph_to_8():
@@ -540,6 +552,26 @@ def test_size_cut_reports_exactly_the_maximal_sets_that_large():
                     assert set(seen) == want | {seen[0]}, (n, p, t, need)
 
 
+def test_size_cut_from_the_root_reports_exactly_the_maximal_sets_that_large():
+    # A starting need cuts from the root on: with a visit that keeps asking
+    # for it, only the maximal sets with at least need vertices are seen,
+    # each once, the first one too.
+    rng = random.Random(24)
+    for n in (8, 10, 12):
+        for p in (0.3, 0.5, 0.7):
+            g = _gnp(rng, n, p)
+            for t in (1, 2, 3):
+                every = maximal_low_omega_sets_unpivoted(g, t)
+                for need in range(n + 2):
+                    seen = []
+                    maximal_low_omega_sets(
+                        g, t, lambda s, need=need: seen.append(s) or need,
+                        need)
+                    assert len(seen) == len(set(seen)), (n, p, t, need)
+                    assert set(seen) == {
+                        m for m in every if m.bit_count() >= need}
+
+
 def test_first_fit_check_spares_dsatur_calls(monkeypatch):
     calls = []
     real = oracles._k_colorable
@@ -549,15 +581,20 @@ def test_first_fit_check_spares_dsatur_calls(monkeypatch):
         return real(*args)
 
     def dsatur_calls():
+        """(seeded at 3 from a C5, with the C5 search made to find none)"""
         calls.clear()
         for g in _half_batch():
             chi_n(GraphOracles(g), 2)
-        return len(calls)
+        seeded = len(calls)
+        calls.clear()
+        for g in _half_batch():
+            _unseeded_chi_n(monkeypatch, g, 2)
+        return seeded, len(calls)
 
     monkeypatch.setattr(oracles, "_k_colorable", counting)
     with_check = dsatur_calls()
     monkeypatch.setattr(oracles, "_first_fit_within", lambda g, k, within: False)
-    assert (with_check, dsatur_calls()) == (230, 390)
+    assert list(zip(with_check, dsatur_calls())) == [(27, 93), (230, 390)]
 
 
 def test_inclusion_exclusion_reference_matches_bruteforce():
@@ -638,10 +675,12 @@ def test_chi_n_asks_dsatur_only_above_best(monkeypatch):
 
 
 def test_chi_n_colors_a_first_set_other_than_v_from_t_up(monkeypatch):
-    # A maximal omega <= 2 set other than V(g) misses a vertex that closes
+    # With no C5 to seed best, chi_n colors the first set it finds.  A
+    # maximal omega <= 2 set other than V(g) misses a vertex that closes
     # a triangle with it, so it holds an edge: chi_n starts it at t = 2
     # with no clique search.  On a graph with omega <= 2, V is the one
-    # maximal set and costs one search.
+    # maximal set and costs one search: C7 has no C5.  Petersen's C5 seeds
+    # 3, and it colors nothing.
     graphs = [g for g in _half_batch() if clique_number(g) >= 3]
     petersen = nx.petersen_graph()
     petersen = from_edges(len(petersen), list(petersen.edges()))
@@ -654,10 +693,40 @@ def test_chi_n_colors_a_first_set_other_than_v_from_t_up(monkeypatch):
 
     monkeypatch.setattr(kernels, "clique_number_sub", counting)
     assert len(graphs) == 60
-    values = [chi_n(GraphOracles(g), 2) for g in graphs]
+    values = [_unseeded_chi_n(monkeypatch, g, 2) for g in graphs]
     assert calls == [] and min(values) >= 2
-    assert chi_n(GraphOracles(petersen), 2) == 3
-    assert calls == [petersen.full_mask()]
+    assert chi_n(GraphOracles(petersen), 2) == 3 and calls == []
+    assert chi_n(GraphOracles(cycle(7)), 2) == 3
+    assert calls == [cycle(7).full_mask()]
+
+
+def test_chi_n_seeded_from_a_c5_equals_the_unseeded_search(monkeypatch):
+    graphs = list(enumerate_small(8)) + _half_batch()
+    assert len(graphs) == 13598 + 60
+    for g in graphs:
+        for t in (2, 3):
+            assert chi_n(GraphOracles(g), t) == \
+                _unseeded_chi_n(monkeypatch, g, t), (write_graph6(g), t)
+
+
+def test_chi_n_colors_no_set_of_a_graph_to_10_vertices_with_a_c5(
+        monkeypatch):
+    # At t = 2 the seed asks least_order(2, 4) = 11 vertices of every set
+    # from the root on, so a graph on at most 10 vertices with an induced
+    # C5 has chi^(2) = 3 with no set colored or checked.
+    c5 = cycle(5)
+    graphs = [g for g in list(enumerate_small(7)) + _half_batch()[:20]
+              if g.n <= 10 and detect.find_induced(g, c5) is not None]
+    petersen = nx.petersen_graph()
+    graphs.append(from_edges(len(petersen), list(petersen.edges())))
+    assert len(graphs) == 145 + 16 + 1
+
+    def no_call(*args, **kwargs):
+        raise AssertionError("a set was colored or checked")
+
+    for name in ("chromatic_number", "_k_colorable", "_first_fit_within"):
+        monkeypatch.setattr(oracles, name, no_call)
+    assert [chi_n(GraphOracles(g), 2) for g in graphs] == [3] * len(graphs)
 
 
 def test_ramsey_upper():
