@@ -1,4 +1,5 @@
-"""Exact ground-truth oracles: clique number, chromatic number, chi^(n).
+"""Exact ground-truth oracles: clique number, chromatic number, odd holes,
+chi^(n).
 
 The chromatic oracle is DSATUR-ordered backtracking; the tests check it
 against a raw all-assignments reference (tests/reference.py).
@@ -254,26 +255,102 @@ def _first_fit_within(g: Graph, k: int, within: int) -> bool:
     return True
 
 
+def odd_hole(g: Graph):
+    """An odd hole of g, an induced cycle of odd length >= 5, as a tuple of
+    its vertices in cycle order; None when g has none.
+
+    A depth-first search from each vertex s in ascending order grows
+    induced paths s, p1, ..., pk over the vertices above s: p1 is a
+    neighbour of s, and each later vertex is a neighbour of the path's end
+    that sees neither s nor any earlier path vertex.  A neighbour u > p1 of
+    s and of pk that none of p1, ..., p(k-1) sees closes the hole
+    s, p1, ..., pk, u, taken when its length k + 2 is odd and at least 5.
+    Every odd hole is found from its least vertex s and the lesser p1 of
+    s's two neighbours on it: walked from p1, each of its vertices before
+    the last sees neither s nor any earlier one but its predecessor.
+    """
+    adj = g.adj
+    path = []
+
+    def grow(last, seen, far, ends):
+        """Extend path, which ends at last.  seen is the closed
+        neighbourhoods of the path's vertices after s and before last, far
+        the vertices that may go on it, ends those that may close it."""
+        if len(path) % 2 == 0 and len(path) >= 4:
+            close = adj[last] & ends & ~seen
+            if close:
+                return (*path, (close & -close).bit_length() - 1)
+        nxt = adj[last] & far & ~seen
+        seen |= adj[last] | 1 << last
+        while nxt:
+            low = nxt & -nxt
+            nxt ^= low
+            path.append(low.bit_length() - 1)
+            hole = grow(path[-1], seen, far, ends)
+            if hole:
+                return hole
+            path.pop()
+        return None
+
+    for s in range(g.n):
+        above = g.full_mask() & ~((2 << s) - 1)
+        far, firsts = above & ~adj[s], above & adj[s]
+        while firsts:
+            low = firsts & -firsts
+            firsts ^= low
+            if not firsts:
+                break  # no neighbour of s above p1 can close a hole
+            p1 = low.bit_length() - 1
+            path[:] = [s, p1]
+            hole = grow(p1, 0, far, firsts)
+            if hole:
+                return hole
+    return None
+
+
+def _clique_cover_bound(g: Graph, t: int) -> int:
+    """A bound on the size of every vertex set with omega <= t: the sum of
+    min(|C|, t) over a partition of V(g) into cliques C, each grown from
+    the least vertex left by adding the least vertex that sees all of it.
+    A set with omega <= t meets each clique in at most t vertices."""
+    bound, left = 0, g.full_mask()
+    while left:
+        clique, cand = 0, left
+        while cand:
+            low = cand & -cand
+            clique |= low
+            cand &= g.adj[low.bit_length() - 1]
+        left ^= clique
+        bound += min(clique.bit_count(), t)
+    return bound
+
+
 def chi_n(oracles: "GraphOracles", n: int) -> int:
     """chi^(n) of oracles.g: max chromatic number over induced subgraphs
     with omega <= n.
 
-    From n >= 2 on, an induced C5 (omega 2, chi 3) proves chi^(n) >= 3, and
-    best starts there; one matcher call finds it or shows there is none.
+    At n = 2 an odd hole (omega 2, chi 3) proves chi^(2) >= 3, and with
+    none chi^(2) is 2, or 1 when g has no edge: a triangle-free induced
+    subgraph that is not bipartite has a shortest odd cycle, which is
+    induced and has length >= 5.  So a graph with no odd hole is decided
+    with no set searched, and one with a hole starts best at 3.
     chi is monotone under taking induced subgraphs, so only the
     inclusion-maximal qualifying sets are colored, each as
-    maximal_low_omega_sets finds it.  The search is told
-    least_order(n, best + 1) from the root on and again after each set,
-    and it drops every branch too small to hold a set with chi above the
-    best so far.  A set that could beat best is skipped when it is
-    colorable with best colors: a first fit in ascending vertex order, a
-    proper coloring, catches most such sets before DSATUR is asked.  A set
-    that beats best is colored by oracles.chi from best + 1 colors up, as
-    every smaller count has just failed.  With no C5, the first set is
-    colored from n up when it is not V(g): a vertex it cannot take closes
-    an (n+1)-clique with it.  V(g), the one set when omega(g) <= n, starts
-    at omega.  No cap is checked here: oracles' chi_cap meets a set only
-    when it must be colored exactly.
+    maximal_low_omega_sets finds it.  When best > 0 and no set with
+    omega <= n is as large as least_order(n, best + 1), by the bound of a
+    greedy partition of V(g) into cliques, best is the answer and no set is
+    searched.  Else the search is told least_order(n, best + 1) from the
+    root on and again after each set, and it drops every branch too small
+    to hold a set with chi above the best so far.  A set that could beat
+    best is skipped when it is colorable with best colors: a first fit in
+    ascending vertex order, a proper coloring, catches most such sets
+    before DSATUR is asked.  A set that beats best is colored by
+    oracles.chi from best + 1 colors up, as every smaller count has just
+    failed.  At n = 1 and n >= 3 the first set is colored from n up when
+    it is not V(g): a vertex it cannot take closes an (n+1)-clique with
+    it.  V(g), the one set when omega(g) <= n, starts at omega.  No cap is
+    checked here: oracles' chi_cap meets a set only when it must be
+    colored exactly.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -281,11 +358,13 @@ def chi_n(oracles: "GraphOracles", n: int) -> int:
     if g.n == 0 or n == 0:
         return 0
     best = 0
-    if n >= 2:
-        from .detect import find_induced  # detect imports this module
-        from .patterns import make_pattern
-        if find_induced(g, make_pattern("cycle", l=5).graph) is not None:
-            best = 3
+    if n == 2:
+        if odd_hole(g) is None:
+            return 2 if any(g.adj) else 1
+        best = 3
+    need = least_order(n, best + 1)
+    if best and _clique_cover_bound(g, n) < need:
+        return best
 
     def visit(mask):
         nonlocal best
@@ -296,7 +375,7 @@ def chi_n(oracles: "GraphOracles", n: int) -> int:
             best, _ = oracles.chi(mask, best + 1)
         return least_order(n, best + 1)
 
-    maximal_low_omega_sets(g, n, visit, least_order(n, best + 1))
+    maximal_low_omega_sets(g, n, visit, need)
     return best
 
 

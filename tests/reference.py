@@ -9,7 +9,7 @@ import networkx as nx
 
 from chibound import kernels
 from chibound.graph import MAX_VERTICES, Graph, GraphError, bits, from_edges
-from chibound.oracles import OracleCapExceeded
+from chibound.oracles import OracleCapExceeded, chromatic_number
 
 
 def validate_graph(g: Graph) -> Graph:
@@ -224,6 +224,14 @@ def maximal_low_omega_sets_unpivoted(g: Graph, t: int) -> list:
 
     search(0, g.full_mask(), 0)
     return found
+
+
+def chi_n_unpivoted(g: Graph, t: int) -> int:
+    """chi^(t) of g, the slow path for oracles.chi_n: the max chromatic
+    number over every maximal omega <= t set of the unpivoted search, with
+    no odd-hole test, no starting best and no cut.  Needs t >= 1."""
+    return max(chromatic_number(g, mask)[0]
+               for mask in maximal_low_omega_sets_unpivoted(g, t))
 
 
 def induced_subgraph(g: Graph, vs: int):

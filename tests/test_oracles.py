@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chibound import detect, kernels, oracles
+from chibound import kernels, oracles
 from chibound.graph import (Graph, bits, connected_components, from_edges,
                             is_clique, mask_of)
 from chibound.graph6 import parse_graph6, write_graph6
@@ -13,10 +13,10 @@ from chibound.decompose import decompose
 from chibound.oracles import (GraphOracles, OracleCapExceeded, chi_n,
                               chromatic_number, clique_number, is_proper,
                               least_order, maximal_low_omega_sets,
-                              max_clique, ramsey_upper)
+                              max_clique, odd_hole, ramsey_upper)
 from chibound.patterns import complete, cycle, path, pineapple
 from chibound.smallgraphs import enumerate_small
-from reference import (chromatic_number_bruteforce,
+from reference import (chi_n_unpivoted, chromatic_number_bruteforce,
                        chromatic_number_inclusion_exclusion, induced_subgraph,
                        maximal_low_omega_sets_unpivoted, q43, rook, to_nx,
                        w3)
@@ -268,15 +268,19 @@ def test_chromatic_number_cap_counts_the_mask():
     assert chromatic_number(big, within=0) == (0, [0] * 20)
 
 
+def _omega_table(g):
+    """omega(G[mask]) for every mask, indexed by mask: the masks with top
+    vertex v are those below 1 << v with v added."""
+    omega = [0]
+    for v in range(g.n):
+        omega += [max(w, 1 + omega[m & g.adj[v]]) for m, w in enumerate(omega)]
+    return omega
+
+
 def _maximal_sets_by_table(g, t):
     """The 2^n omega-table enumeration chi_n used before the search."""
     full = g.full_mask()
-    omega = [0] * (full + 1)
-    for mask in range(1, full + 1):
-        low = mask & -mask
-        v = low.bit_length() - 1
-        rest = mask ^ low
-        omega[mask] = max(omega[rest], 1 + omega[rest & g.adj[v]])
+    omega = _omega_table(g)
     return {mask for mask in range(full + 1) if omega[mask] <= t
             and all(omega[mask | 1 << u] > t for u in bits(full & ~mask))}
 
@@ -306,13 +310,6 @@ def _half_batch():
     """60 seeded G(n, 1/2), 20 each at n = 10, 11 and 12."""
     rng = random.Random(15)
     return [_gnp(rng, n, 0.5) for n in (10, 11, 12) for _ in range(20)]
-
-
-def _unseeded_chi_n(monkeypatch, g, t):
-    """chi_n(g, t) with the C5 search made to find none: best starts at 0."""
-    with monkeypatch.context() as patched:
-        patched.setattr(detect, "find_induced", lambda host, pattern: None)
-        return chi_n(GraphOracles(g), t)
 
 
 def test_max_clique_is_the_max_clique_of_its_component():
@@ -409,8 +406,9 @@ def test_chi_n_keeps_the_sets_it_colors_in_its_oracles(monkeypatch):
     # chi_n colors each set through oracles.chi from a start proved <= chi,
     # so the kept answer is the one chi(within) gives from its own clique:
     # the same chi and coloring.  Making the oracles searches nothing; the
-    # whole graph's clique is found on the first ask.  A graph whose C5
-    # seed of 3 no set beats colors nothing and has chi^(t) 3.
+    # whole graph's clique is found on the first ask.  At t = 2 a graph
+    # that colors nothing has chi^(2) 3 from its odd hole, or 2 with none;
+    # at t = 3 the first set found is always colored.
     colored, kernel_calls, colored_any = [], [], []
     real_chromatic = oracles.chromatic_number
     real_kernel = kernels.clique_number_sub
@@ -433,13 +431,15 @@ def test_chi_n_keeps_the_sets_it_colors_in_its_oracles(monkeypatch):
                 given = GraphOracles(g)
                 assert kernel_calls == []
                 value = given.chi_n(t)
-            assert value == max((given.chi(m)[0] for m in colored), default=3)
+            start = (3 if odd_hole(g) else 2) if t == 2 else None
+            assert value == max((given.chi(m)[0] for m in colored),
+                                default=start)
             colored_any.append((t, bool(colored)))
             for mask in colored:
                 assert given.chi(mask) == GraphOracles(g).chi(mask) \
                     == chromatic_number(g, within=mask)
     assert (colored_any.count((2, True)), colored_any.count((3, True))) \
-        == (1, 13)
+        == (0, 15)
 
 
 def test_chi_n_stops_at_sets_that_cannot_beat_best(monkeypatch):
@@ -477,10 +477,11 @@ def test_chi_n_of_triangle_free_named_graphs(h, chi2):
 
 def test_chi_n_finds_the_groetzsch_graph_behind_a_3_chromatic_set(monkeypatch):
     # The Groetzsch graph on vertices 1..11 with vertex 0 closing a triangle
-    # on its edge 1-2.  Its C5 seeds best at 3, and the sets through 0 have
-    # chi 3; the seed must not end the search, and the Groetzsch graph's own
-    # 11 vertices, chi 4, must survive the cut at least_order(2, 4) = 11 from
-    # the root on: it is the one set colored.
+    # on its edge 1-2.  Its odd hole starts best at 3, and the sets through
+    # 0 have chi 3; its clique cover bounds every triangle-free set by 11,
+    # not below least_order(2, 4) = 11, so the start must not end the
+    # search, and the Groetzsch graph's own 11 vertices, chi 4, must survive
+    # the cut at 11 from the root on: it is the one set colored.
     h = nx.convert_node_labels_to_integers(nx.mycielski_graph(4))
     g = from_edges(12, [(u + 1, v + 1) for u, v in h.edges()] + [(0, 1), (0, 2)])
     assert write_graph6(g) == "KxOXQ_cP?o?^"
@@ -581,20 +582,19 @@ def test_first_fit_check_spares_dsatur_calls(monkeypatch):
         return real(*args)
 
     def dsatur_calls():
-        """(seeded at 3 from a C5, with the C5 search made to find none)"""
-        calls.clear()
-        for g in _half_batch():
-            chi_n(GraphOracles(g), 2)
-        seeded = len(calls)
-        calls.clear()
-        for g in _half_batch():
-            _unseeded_chi_n(monkeypatch, g, 2)
-        return seeded, len(calls)
+        """(at t = 3, at t = 4), each from best = 0"""
+        counts = []
+        for t in (3, 4):
+            calls.clear()
+            for g in _half_batch():
+                chi_n(GraphOracles(g), t)
+            counts.append(len(calls))
+        return counts
 
     monkeypatch.setattr(oracles, "_k_colorable", counting)
     with_check = dsatur_calls()
     monkeypatch.setattr(oracles, "_first_fit_within", lambda g, k, within: False)
-    assert list(zip(with_check, dsatur_calls())) == [(27, 93), (230, 390)]
+    assert list(zip(with_check, dsatur_calls())) == [(238, 612), (133, 194)]
 
 
 def test_inclusion_exclusion_reference_matches_bruteforce():
@@ -675,51 +675,129 @@ def test_chi_n_asks_dsatur_only_above_best(monkeypatch):
 
 
 def test_chi_n_colors_a_first_set_other_than_v_from_t_up(monkeypatch):
-    # With no C5 to seed best, chi_n colors the first set it finds.  A
-    # maximal omega <= 2 set other than V(g) misses a vertex that closes
-    # a triangle with it, so it holds an edge: chi_n starts it at t = 2
-    # with no clique search.  On a graph with omega <= 2, V is the one
-    # maximal set and costs one search: C7 has no C5.  Petersen's C5 seeds
-    # 3, and it colors nothing.
-    graphs = [g for g in _half_batch() if clique_number(g) >= 3]
+    # From t = 3 on best starts at 0, and chi_n colors the first set it
+    # finds.  A maximal omega <= 3 set other than V(g) misses a vertex that
+    # closes a K4 with it, so it holds a triangle: chi_n starts it at t = 3
+    # with no clique search.  On a graph with omega <= 3, V is the one
+    # maximal set and costs one search: C5 joined to K1.  At t = 2
+    # Petersen's odd hole starts best at 3, and it colors nothing.
+    graphs = [g for g in _half_batch() if clique_number(g) >= 4]
+    want = [chi_n_unpivoted(g, 3) for g in graphs]
     petersen = nx.petersen_graph()
     petersen = from_edges(len(petersen), list(petersen.edges()))
+    wheel = parse_graph6("Ehfw")
     calls = []
-    real = kernels.clique_number_sub
+    real = GraphOracles.clique
 
-    def counting(adj, cand, clique=None):
-        calls.append(cand)
-        return real(adj, cand, clique)
+    def counting(self, within=None):
+        calls.append(within)
+        return real(self, within)
 
-    monkeypatch.setattr(kernels, "clique_number_sub", counting)
-    assert len(graphs) == 60
-    values = [_unseeded_chi_n(monkeypatch, g, 2) for g in graphs]
-    assert calls == [] and min(values) >= 2
+    monkeypatch.setattr(GraphOracles, "clique", counting)
+    assert len(graphs) == 47
+    assert [chi_n(GraphOracles(g), 3) for g in graphs] == want
+    assert calls == [] and min(want) >= 3
     assert chi_n(GraphOracles(petersen), 2) == 3 and calls == []
-    assert chi_n(GraphOracles(cycle(7)), 2) == 3
-    assert calls == [cycle(7).full_mask()]
+    assert chi_n(GraphOracles(wheel), 3) == 4
+    assert calls == [wheel.full_mask()]
 
 
-def test_chi_n_seeded_from_a_c5_equals_the_unseeded_search(monkeypatch):
-    graphs = list(enumerate_small(8)) + _half_batch()
-    assert len(graphs) == 13598 + 60
+def _is_odd_hole(g, hole):
+    """True when hole lists, in cycle order, an induced cycle of g of odd
+    length >= 5."""
+    k = len(hole)
+    return (k >= 5 and k % 2 == 1 and len(set(hole)) == k
+            and all(bool(g.adj[hole[i]] >> hole[j] & 1)
+                    == (j - i in (1, k - 1))
+                    for i in range(k) for j in range(i + 1, k)))
+
+
+def test_odd_hole_is_one_exactly_when_networkx_finds_one():
+    # networkx lists every chordless cycle; an odd one of length >= 5 is an
+    # odd hole.  A hole returned is checked as a witness, which networkx
+    # would list; a graph with none must have no such cycle in networkx.
+    graphs = list(enumerate_small(8)) + _half_batch() + [
+        cycle(9), pineapple(4, 2), rook(5)]
+    assert len(graphs) == 13598 + 60 + 3
+    found = []
     for g in graphs:
-        for t in (2, 3):
-            assert chi_n(GraphOracles(g), t) == \
-                _unseeded_chi_n(monkeypatch, g, t), (write_graph6(g), t)
+        hole = odd_hole(g)
+        if hole is not None:
+            assert _is_odd_hole(g, hole), (write_graph6(g), hole)
+            found.append(len(hole))
+        else:
+            assert not any(len(c) % 2 and len(c) >= 5
+                           for c in nx.chordless_cycles(to_nx(g))), \
+                write_graph6(g)
+    assert len(found) == 3593 + 53 + 1
+    assert odd_hole(cycle(9)) == tuple(range(9))
 
 
-def test_chi_n_colors_no_set_of_a_graph_to_10_vertices_with_a_c5(
+def test_odd_hole_is_one_exactly_when_chi_2_is_3_or_more():
+    # chi^(2) >= 3 exactly when g has an odd hole; chi_n then starts at 3,
+    # and with none it is 2, or 1 with no edge, with no set searched.
+    graphs = list(enumerate_small(7)) + _half_batch()
+    for g in graphs:
+        want = chi_n_unpivoted(g, 2)
+        assert (odd_hole(g) is not None) == (want >= 3), write_graph6(g)
+        assert chi_n(GraphOracles(g), 2) == want, write_graph6(g)
+
+
+def test_clique_cover_bound_holds_every_set_with_low_omega():
+    # n <= 8: every set, by the omega table; n = 9..14: every maximal set of
+    # the unpivoted search.  Each is at most the greedy cover's bound.
+    for g in enumerate_small(8):
+        largest = [0] * (g.n + 1)
+        for mask, omega in enumerate(_omega_table(g)):
+            if mask.bit_count() > largest[omega]:
+                largest[omega] = mask.bit_count()
+        for t in range(1, 5):
+            assert oracles._clique_cover_bound(g, t) >= max(
+                largest[:t + 1]), (write_graph6(g), t)
+    rng = random.Random(25)
+    for n in range(9, 15):
+        for p in (0.3, 0.5, 0.7):
+            g = _gnp(rng, n, p)
+            for t in range(1, 5):
+                assert oracles._clique_cover_bound(g, t) >= max(
+                    m.bit_count()
+                    for m in maximal_low_omega_sets_unpivoted(g, t)), (n, p, t)
+
+
+def test_clique_cover_cut_decides_most_graphs_with_an_odd_hole(monkeypatch):
+    # At t = 2 a graph with an odd hole whose cover bound is below
+    # least_order(2, 4) = 11 is decided with no set search: every such graph
+    # of the batch.  The Groetzsch graph plus a vertex closing a triangle,
+    # and the Chvatal graph, both on 12 vertices, bound 11 and 12 and are
+    # searched.
+    searched = []
+    real = oracles.maximal_low_omega_sets
+
+    def counting(g, t, visit, need=0):
+        searched.append(g.n)
+        return real(g, t, visit, need)
+
+    monkeypatch.setattr(oracles, "maximal_low_omega_sets", counting)
+    graphs = [g for g in _half_batch() if odd_hole(g) is not None]
+    chvatal = nx.convert_node_labels_to_integers(nx.chvatal_graph())
+    graphs += [parse_graph6("KxOXQ_cP?o?^"),
+               from_edges(12, list(chvatal.edges()))]
+    assert [oracles._clique_cover_bound(g, 2) for g in graphs[-2:]] == [11, 12]
+    assert [chi_n(GraphOracles(g), 2) for g in graphs] == [3] * 53 + [4, 4]
+    assert searched == [12, 12]
+
+
+def test_chi_n_colors_no_set_of_a_graph_to_10_vertices_with_an_odd_hole(
         monkeypatch):
-    # At t = 2 the seed asks least_order(2, 4) = 11 vertices of every set
-    # from the root on, so a graph on at most 10 vertices with an induced
-    # C5 has chi^(2) = 3 with no set colored or checked.
-    c5 = cycle(5)
+    # At t = 2 an odd hole starts best at 3 and asks least_order(2, 4) = 11
+    # vertices of every set from the root on, so a graph on at most 10
+    # vertices with an odd hole has chi^(2) = 3 with no set colored or
+    # checked.
     graphs = [g for g in list(enumerate_small(7)) + _half_batch()[:20]
-              if g.n <= 10 and detect.find_induced(g, c5) is not None]
+              if g.n <= 10 and odd_hole(g) is not None]
     petersen = nx.petersen_graph()
     graphs.append(from_edges(len(petersen), list(petersen.edges())))
-    assert len(graphs) == 145 + 16 + 1
+    assert len(graphs) == 146 + 16 + 1
 
     def no_call(*args, **kwargs):
         raise AssertionError("a set was colored or checked")
