@@ -82,7 +82,8 @@ class RunConfig:
         """
         if not isinstance(self.source, dict) or "kind" not in self.source:
             raise ConfigError("source must be an object with a 'kind'")
-        if self.source["kind"] not in SOURCE_FIELDS:
+        if (not isinstance(self.source["kind"], str)
+                or self.source["kind"] not in SOURCE_FIELDS):
             raise ConfigError(f"unknown source kind {self.source['kind']!r}")
         _source_fields(self.source)
         for name in ("class_params", "theorem_params"):
@@ -98,7 +99,8 @@ class RunConfig:
             raise ConfigError("seed must be an int")
         if type(self.skip_membership) is not bool:
             raise ConfigError("skip_membership must be true or false")
-        if self.theorem is not None and self.theorem not in THEOREMS:
+        if self.theorem is not None and (not isinstance(self.theorem, str)
+                                         or self.theorem not in THEOREMS):
             raise ConfigError(f"unknown theorem {self.theorem!r}")
         for p in self.properties:
             if p not in PROPERTY_IDS:

@@ -329,49 +329,40 @@ def chi_n(oracles: "GraphOracles", n: int) -> int:
     """chi^(n) of oracles.g: max chromatic number over induced subgraphs
     with omega <= n.
 
-    At n = 2 an odd hole (omega 2, chi 3) proves chi^(2) >= 3, and with
-    none chi^(2) is 2, or 1 when g has no edge: a triangle-free induced
-    subgraph that is not bipartite has a shortest odd cycle, which is
-    induced and has length >= 5.  So a graph with no odd hole is decided
-    with no set searched, and one with a hole starts best at 3.
-    chi is monotone under taking induced subgraphs, so only the
-    inclusion-maximal qualifying sets are colored, each as
-    maximal_low_omega_sets finds it.  When best > 0 and no set with
-    omega <= n is as large as least_order(n, best + 1), by the bound of a
-    greedy partition of V(g) into cliques, best is the answer and no set is
-    searched.  Else the search is told least_order(n, best + 1) from the
-    root on and again after each set, and it drops every branch too small
-    to hold a set with chi above the best so far.  A set that could beat
-    best is skipped when it is colorable with best colors: a first fit in
-    ascending vertex order, a proper coloring, catches most such sets
-    before DSATUR is asked.  A set that beats best is colored by
-    oracles.chi from best + 1 colors up, as every smaller count has just
-    failed.  At n = 1 and n >= 3 the first set is colored from n up when
-    it is not V(g): a vertex it cannot take closes an (n+1)-clique with
-    it.  V(g), the one set when omega(g) <= n, starts at omega.  No cap is
-    checked here: oracles' chi_cap meets a set only when it must be
-    colored exactly.
+    best starts at a proved lower bound: 3 when n = 2 and g has an odd hole
+    (omega 2, chi 3), else min(omega(g), n), the chi of a clique of that
+    size, oracles.clique()'s.  At n <= 1, and at n = 2 with no odd hole,
+    that start is chi^(n): a triangle-free induced subgraph that is not
+    bipartite has a shortest odd cycle, which is induced and has length
+    >= 5.  Else, when _clique_cover_bound(g, n) bounds every set with
+    omega <= n below least_order(n, best + 1), no set beats best and best
+    is the answer with no set searched.  Else chi is monotone under taking
+    induced subgraphs, so only the inclusion-maximal qualifying sets are
+    colored, each as maximal_low_omega_sets finds it; the search is told
+    least_order(n, best + 1) from the root on and again after each set,
+    and it drops every branch too small to hold a set with chi above best.
+    A set that first fit in ascending vertex order or DSATUR colors with
+    best colors is skipped; any other is colored by oracles.chi from
+    best + 1 colors up.  No cap is checked here: oracles' chi_cap meets a
+    set only when it must be colored exactly.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     g = oracles.g
-    if g.n == 0 or n == 0:
-        return 0
-    best = 0
-    if n == 2:
-        if odd_hole(g) is None:
-            return 2 if any(g.adj) else 1
+    if n == 2 and odd_hole(g) is not None:
         best = 3
+    else:
+        best = min(oracles.clique().bit_count(), n)
+        if n <= 2:
+            return best
     need = least_order(n, best + 1)
-    if best and _clique_cover_bound(g, n) < need:
+    if _clique_cover_bound(g, n) < need:
         return best
 
     def visit(mask):
         nonlocal best
-        if not best:
-            best, _ = oracles.chi(mask, None if mask == g.full_mask() else n)
-        elif not (_first_fit_within(g, best, mask)
-                  or _k_colorable(g, best, mask) is not None):
+        if not (_first_fit_within(g, best, mask)
+                or _k_colorable(g, best, mask) is not None):
             best, _ = oracles.chi(mask, best + 1)
         return least_order(n, best + 1)
 

@@ -114,6 +114,11 @@ def test_config_validation():
      "source 'sample' takes a number edge_prob in [0, 1], not edge_prob='0.3'"),
     ({"source": {"kind": "sample", "n": 100000}, "class_name": "diamond-free"},
      "source 'sample' takes an int n in 0..512, not n=100000"),
+    ({"source": {"kind": []}}, "unknown source kind []"),
+    ({"source": {"kind": {"enumerate": 1}}},
+     "unknown source kind {'enumerate': 1}"),
+    ({"theorem": ["THM1"]}, "unknown theorem ['THM1']"),
+    ({"theorem": {"THM1": 1}}, "unknown theorem {'THM1': 1}"),
 ])
 def test_config_parameters_resolve_once(fields, message):
     data = {"source": {"kind": "enumerate", "n_max": 4}, **fields}

@@ -174,6 +174,18 @@ def test_chi_n_brute_reference():
             assert chi_n(GraphOracles(g), n) == best
 
 
+def test_chi_n_matches_unpivoted_reference_on_every_class_to_7():
+    # The start, both cuts and the visit rule against the reference's
+    # uncut search.
+    graphs = list(enumerate_small(7))
+    assert len(graphs) == 1252
+    for g in graphs:
+        assert chi_n(GraphOracles(g), 0) == 0
+        for t in range(1, 5):
+            assert chi_n(GraphOracles(g), t) == chi_n_unpivoted(g, t), \
+                (write_graph6(g), t)
+
+
 @st.composite
 def _graphs(draw, max_n):
     n = draw(st.integers(0, max_n))
@@ -387,28 +399,33 @@ def test_chi_n_matches_reference_over_all_induced_subgraphs(g):
 
 
 def test_chi_n_checks_chi_cap_on_maximal_sets_first(monkeypatch):
-    # the only maximal independent set of the edgeless graph is all 10
-    # vertices: over chi_cap, it raises before DSATUR is asked anything
-    def no_dsatur(*args):
-        raise AssertionError("a capped set reached DSATUR")
+    # C5 plus five isolated vertices at t = 3: its clique starts best at 2,
+    # and its one maximal set, all 10 vertices, fails first fit and DSATUR
+    # at 2 colors, so it must be colored exactly: over chi_cap it raises
+    # before chromatic_number is asked anything.  The edgeless graph on 10
+    # vertices is decided at t = 1 from its clique, with no set colored.
+    def no_chromatic(*args):
+        raise AssertionError("a capped set reached chromatic_number")
 
+    g = from_edges(10, [(i, (i + 1) % 5) for i in range(5)])
     with monkeypatch.context() as patched:
-        patched.setattr(oracles, "_k_colorable", no_dsatur)
+        patched.setattr(oracles, "chromatic_number", no_chromatic)
         with pytest.raises(OracleCapExceeded) as info:
-            GraphOracles(Graph(10, [0] * 10), chi_cap=8).chi_n(1)
+            GraphOracles(g, chi_cap=8).chi_n(3)
+        assert GraphOracles(Graph(10, [0] * 10), chi_cap=8).chi_n(1) == 1
     assert (info.value.what, info.value.n, info.value.cap) == ("chromatic_number", 10, 8)
     assert str(info.value) == ("chromatic_number: graph has 10 vertices, "
                                "exact-oracle cap is 8")
-    assert GraphOracles(Graph(10, [0] * 10), chi_cap=10).chi_n(1) == 1
+    assert GraphOracles(g, chi_cap=10).chi_n(3) == 3
 
 
 def test_chi_n_keeps_the_sets_it_colors_in_its_oracles(monkeypatch):
     # chi_n colors each set through oracles.chi from a start proved <= chi,
     # so the kept answer is the one chi(within) gives from its own clique:
     # the same chi and coloring.  Making the oracles searches nothing; the
-    # whole graph's clique is found on the first ask.  At t = 2 a graph
-    # that colors nothing has chi^(2) 3 from its odd hole, or 2 with none;
-    # at t = 3 the first set found is always colored.
+    # whole graph's clique is found on the first ask.  A graph that colors
+    # nothing has chi^(t) at its start: 3 at t = 2 from its odd hole, else
+    # min(omega, t) from its clique.
     colored, kernel_calls, colored_any = [], [], []
     real_chromatic = oracles.chromatic_number
     real_kernel = kernels.clique_number_sub
@@ -431,7 +448,7 @@ def test_chi_n_keeps_the_sets_it_colors_in_its_oracles(monkeypatch):
                 given = GraphOracles(g)
                 assert kernel_calls == []
                 value = given.chi_n(t)
-            start = (3 if odd_hole(g) else 2) if t == 2 else None
+            start = 3 if t == 2 and odd_hole(g) else min(clique_number(g), t)
             assert value == max((given.chi(m)[0] for m in colored),
                                 default=start)
             colored_any.append((t, bool(colored)))
@@ -439,11 +456,12 @@ def test_chi_n_keeps_the_sets_it_colors_in_its_oracles(monkeypatch):
                 assert given.chi(mask) == GraphOracles(g).chi(mask) \
                     == chromatic_number(g, within=mask)
     assert (colored_any.count((2, True)), colored_any.count((3, True))) \
-        == (0, 15)
+        == (0, 12)
 
 
 def test_chi_n_stops_at_sets_that_cannot_beat_best(monkeypatch):
-    # K5 at t = 1: five singletons; the first gives chi 1 and ends the scan.
+    # K5 at t = 1: its clique starts best at min(5, 1) = 1, which is
+    # chi^(1), so no set is searched, colored or checked.
     calls = {"chromatic_number": 0, "_k_colorable": 0}
     for name in calls:
         real = getattr(oracles, name)
@@ -454,7 +472,7 @@ def test_chi_n_stops_at_sets_that_cannot_beat_best(monkeypatch):
 
         monkeypatch.setattr(oracles, name, counting)
     assert chi_n(GraphOracles(complete(5)), 1) == 1
-    assert calls == {"chromatic_number": 1, "_k_colorable": 1}
+    assert calls == {"chromatic_number": 0, "_k_colorable": 0}
 
 
 def test_chi_n_values_do_not_depend_on_the_first_fit_check(monkeypatch):
@@ -582,7 +600,7 @@ def test_first_fit_check_spares_dsatur_calls(monkeypatch):
         return real(*args)
 
     def dsatur_calls():
-        """(at t = 3, at t = 4), each from best = 0"""
+        """(at t = 3, at t = 4), each from best = min(omega, t)"""
         counts = []
         for t in (3, 4):
             calls.clear()
@@ -594,7 +612,7 @@ def test_first_fit_check_spares_dsatur_calls(monkeypatch):
     monkeypatch.setattr(oracles, "_k_colorable", counting)
     with_check = dsatur_calls()
     monkeypatch.setattr(oracles, "_first_fit_within", lambda g, k, within: False)
-    assert list(zip(with_check, dsatur_calls())) == [(238, 612), (133, 194)]
+    assert list(zip(with_check, dsatur_calls())) == [(219, 612), (106, 194)]
 
 
 def test_inclusion_exclusion_reference_matches_bruteforce():
@@ -672,34 +690,6 @@ def test_chi_n_asks_dsatur_only_above_best(monkeypatch):
                 inside, best = False, value
             elif inside:
                 assert value > best
-
-
-def test_chi_n_colors_a_first_set_other_than_v_from_t_up(monkeypatch):
-    # From t = 3 on best starts at 0, and chi_n colors the first set it
-    # finds.  A maximal omega <= 3 set other than V(g) misses a vertex that
-    # closes a K4 with it, so it holds a triangle: chi_n starts it at t = 3
-    # with no clique search.  On a graph with omega <= 3, V is the one
-    # maximal set and costs one search: C5 joined to K1.  At t = 2
-    # Petersen's odd hole starts best at 3, and it colors nothing.
-    graphs = [g for g in _half_batch() if clique_number(g) >= 4]
-    want = [chi_n_unpivoted(g, 3) for g in graphs]
-    petersen = nx.petersen_graph()
-    petersen = from_edges(len(petersen), list(petersen.edges()))
-    wheel = parse_graph6("Ehfw")
-    calls = []
-    real = GraphOracles.clique
-
-    def counting(self, within=None):
-        calls.append(within)
-        return real(self, within)
-
-    monkeypatch.setattr(GraphOracles, "clique", counting)
-    assert len(graphs) == 47
-    assert [chi_n(GraphOracles(g), 3) for g in graphs] == want
-    assert calls == [] and min(want) >= 3
-    assert chi_n(GraphOracles(petersen), 2) == 3 and calls == []
-    assert chi_n(GraphOracles(wheel), 3) == 4
-    assert calls == [wheel.full_mask()]
 
 
 def _is_odd_hole(g, hole):
