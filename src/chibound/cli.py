@@ -11,13 +11,13 @@ import json
 import sys
 
 from .classes import THEOREM_CLASS, class_names, get_class
-from .color import THEOREMS, color_checked
+from .color import THEOREMS, StructureViolation, color_checked
 from .decompose import PROPERTY_IDS, a_nv, decompose
 from .detect import find_induced, is_member
 from .graph import bits, is_clique, mask_of, to_dot
 from .graph6 import read_graph6_file, write_graph6
-from .harness import (RunConfig, classify_exception, exit_code_for,
-                      report_json, verify_run, write_report)
+from .harness import (RunConfig, exit_code_for, report_json, verify_run,
+                      write_report)
 from .oracles import CAP_ERROR, GraphOracles, OracleCapExceeded, ramsey_upper
 from .patterns import PATTERNS, make_pattern
 
@@ -196,13 +196,11 @@ def _cmd_color(args):
             rec.update(cert.to_dict())
             if not cert.within_bound:
                 worst = 2
+        except OracleCapExceeded as exc:  # an exact oracle hit its cap
+            rec["undecided"] = str(exc)
         except Exception as exc:
-            outcome = classify_exception(exc)
-            if outcome == "undecided":  # an exact oracle hit its cap
-                rec["undecided"] = str(exc)
-            else:
-                rec["error"] = f"{type(exc).__name__}: {exc}"
-                worst = max(worst, 2 if outcome == "violation" else 1)
+            rec["error"] = f"{type(exc).__name__}: {exc}"
+            worst = max(worst, 2 if isinstance(exc, StructureViolation) else 1)
         print(json.dumps(rec))
     return worst
 

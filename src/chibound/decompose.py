@@ -164,14 +164,13 @@ def _p1(x: _Check):
 
 
 def _p2(x: _Check):
+    # A clique A_M is complete to K - M, so A_M | K - M is a clique and
+    # |A_M| <= |M| < omega: only the clique test can fail.
     witness = None
     for m_mask, a in x.dec.a_m.items():
         if not is_clique(x.g, a):
             witness = (list(bits(m_mask)), *next(
                 e for e in combinations(bits(a), 2) if not x.g.has_edge(*e)))
-            break
-        if a.bit_count() > x.omega:
-            witness = (list(bits(m_mask)), "size", a.bit_count())
             break
     max_am = max((a.bit_count() for a in x.dec.a_m.values()), default=0)
     return dict(holds=witness is None, witness=witness,

@@ -164,6 +164,10 @@ def find_fan_triangles_diamond_free(g: Graph, l: int):
     distinct neighborhood cliques of the hub, so the fan exists exactly
     when some vertex has at least l neighborhood cliques of size >= 3.
     Much faster than the generic matcher for large l.
+
+    Its embedding is find_induced's lex-first one: hubs go in ascending
+    order, the cliques of N(hub) in order of least vertex, and each triangle
+    takes the three least vertices of the next clique with at least three.
     """
     if l < 1:
         raise ValueError("need l >= 1")
@@ -220,17 +224,16 @@ def is_member(host: Graph, spec: ClassSpec,
 
     known, a class host is already known to belong to, passes the patterns
     and conditions it shares with spec without a search (known_to_forbid).
-    Once the diamond is ruled out, a triangle fan is first decided by
+    Once the diamond is ruled out, a triangle fan is decided and reported by
     find_fan_triangles_diamond_free, which is exact on diamond-free hosts
-    and fast where the matcher's search is exponential; the matcher runs
-    only when there is a fan, to report its lex-first embedding.
+    and fast where the matcher's search is exponential.
     """
     diamond_free = False
     for pat in spec.forbidden:
-        if not (known_to_forbid(known, pat)
-                or diamond_free and pat.name == "fan_triangles"
-                and find_fan_triangles_diamond_free(host, pat.params["l"]) is None):
-            emb = _embedding(host, pat)
+        if not known_to_forbid(known, pat):
+            emb = (find_fan_triangles_diamond_free(host, pat.params["l"])
+                   if diamond_free and pat.name == "fan_triangles"
+                   else _embedding(host, pat))
             if emb is not None:
                 return MembershipReport(False, pat.label(), emb)
         diamond_free = diamond_free or pat.graph == _DIAMOND

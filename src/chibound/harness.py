@@ -1,8 +1,8 @@
 """Batch verification runs: ingest graphs, filter by class, check properties,
 run colorers, cross-check against exact oracles, and emit a JSON report.
 
-Exit-code contract (see exit_code_for and classify_exception): 0 clean,
-2 mathematical violation found, 1 operational error.
+Exit-code contract (see exit_code_for): 0 clean, 2 mathematical violation
+found, 1 operational error.  verify_graph decides each graph's outcome.
 """
 
 from __future__ import annotations
@@ -163,7 +163,8 @@ def _graphs_from_source(cfg: RunConfig, spec):
 
 
 def verify_graph(g, cfg: RunConfig, spec, theorem_spec, params):
-    """Run the full per-graph pipeline; returns (record, violations).
+    """Run the full per-graph pipeline; returns (record, violations,
+    undecided), undecided the number of g's results left undecided.
 
     spec, theorem_spec and params are cfg resolved by cfg.validate().  The
     colorer runs only on members of theorem_spec, and a decided chi of a
@@ -184,7 +185,7 @@ def verify_graph(g, cfg: RunConfig, spec, theorem_spec, params):
         if not rep.member:
             # Filtered before the chi oracle: a skipped record has no "chi".
             record["skipped"] = "not a class member"
-            return record, violations
+            return record, violations, 0
         known = spec
     else:
         record["membership"] = {"member": None, "violated": None,
@@ -195,6 +196,7 @@ def verify_graph(g, cfg: RunConfig, spec, theorem_spec, params):
         record["chi"] = chi = oracles.chi()[0]
     except OracleCapExceeded:
         record["chi"], chi = "capped", None
+    undecided = int(chi is None)
 
     if cfg.properties:
         props = []
@@ -202,31 +204,33 @@ def verify_graph(g, cfg: RunConfig, spec, theorem_spec, params):
             rep = check_property(oracles, which, params, known)
             prop = rep.to_dict()
             props.append(prop)
-            # holds=False on a graph outside the property's own hypothesis
-            # class is a negative control, not a violation -- unless the
-            # membership filter was deliberately skipped.
-            if rep.holds is False and (rep.hypothesis_ok or cfg.skip_membership):
-                violations.append({"graph6": record["graph6"],
-                                   "kind": "property", "id": which,
-                                   "witness": prop["witness"],
-                                   "measured": prop["measured"]})
+            # Outside the property's own hypothesis class a result is a
+            # negative control, neither violation nor undecided -- unless
+            # the membership filter was deliberately skipped.
+            if rep.hypothesis_ok or cfg.skip_membership:
+                if rep.holds is False:
+                    violations.append({"graph6": record["graph6"],
+                                       "kind": "property", "id": which,
+                                       "witness": prop["witness"],
+                                       "measured": prop["measured"]})
+                undecided += rep.holds is None
         record["properties"] = props
 
     if cfg.theorem is None:
-        return record, violations
+        return record, violations, undecided
     try:
         cert = color_checked(cfg.theorem, oracles, theorem_spec, known)
-    except Exception as exc:
-        outcome = classify_exception(exc)
-        if outcome == "error":
-            raise
-        record["certificate"] = {
-            "error" if outcome == "violation" else outcome: str(exc)}
-        if outcome == "rejected":
-            return record, violations
-        if outcome == "violation":
-            violations.append({"graph6": record["graph6"], "kind": "structural",
-                               "theorem": cfg.theorem, "error": str(exc)})
+    except MembershipError as exc:
+        record["certificate"] = {"rejected": str(exc)}
+        return record, violations, undecided
+    except OracleCapExceeded as exc:
+        # its set lies in V(g), so chi is capped too, and counted above
+        record["certificate"] = {"undecided": str(exc)}
+        return record, violations, undecided
+    except StructureViolation as exc:
+        record["certificate"] = {"error": str(exc)}
+        violations.append({"graph6": record["graph6"], "kind": "structural",
+                           "theorem": cfg.theorem, "error": str(exc)})
         # Each block the exact oracle colors is an induced subgraph, so the
         # class constant is at most chi: the largest value the bound takes.
         bound = None if chi is None else THEOREMS[cfg.theorem].bound(
@@ -249,7 +253,7 @@ def verify_graph(g, cfg: RunConfig, spec, theorem_spec, params):
         violations.append({"graph6": record["graph6"], "kind": "chi-bound",
                            "theorem": cfg.theorem, "chi": chi,
                            "bound_value": bound})
-    return record, violations
+    return record, violations, undecided
 
 
 def verify_run(cfg: RunConfig) -> dict:
@@ -270,7 +274,7 @@ def verify_run(cfg: RunConfig) -> dict:
         for g in graphs:
             scanned += 1
             try:
-                record, v = verify_graph(g, cfg, *resolved)
+                record, v, u = verify_graph(g, cfg, *resolved)
             except Exception as exc:   # defensive: never abort the sweep
                 errors.append({"graph6": write_graph6(g), "stage": "pipeline",
                                "type": type(exc).__name__,
@@ -278,13 +282,7 @@ def verify_run(cfg: RunConfig) -> dict:
                 continue
             if "skipped" not in record:
                 members += 1
-            if record.get("chi") == "capped" or "undecided" in record.get(
-                    "certificate", {}):
-                undecided += 1
-            # not applicable outside its hypothesis, as for a violation
-            undecided += sum(1 for p in record.get("properties", ())
-                             if p["holds"] is None and (
-                                 p["hypothesis_ok"] or cfg.skip_membership))
+            undecided += u
             records.append(record)
             violations.extend(v)
     except (OSError, ValueError, RuntimeError) as exc:
@@ -306,23 +304,6 @@ def verify_run(cfg: RunConfig) -> dict:
         },
         "wall_time_seconds": round(time.monotonic() - start, 6),
     }
-
-
-def classify_exception(exc: BaseException) -> str:
-    """What a colorer's exception means for the exit-code contract.
-
-    "violation": a structural claim of a proof failed (exit 2);
-    "rejected": the graph is outside the theorem's hypothesis class;
-    "undecided": an exact oracle hit its vertex cap;
-    "error": anything else, an operational error (exit 1).
-    """
-    if isinstance(exc, StructureViolation):
-        return "violation"
-    if isinstance(exc, MembershipError):
-        return "rejected"
-    if isinstance(exc, OracleCapExceeded):
-        return "undecided"
-    return "error"
 
 
 def exit_code_for(report: dict) -> int:

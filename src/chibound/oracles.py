@@ -183,8 +183,6 @@ def maximal_low_omega_sets(g: Graph, t: int, visit, need: int = 0) -> None:
     def closing(s, v, cand):
         """The vertices of cand that close a (t+1)-clique with S + v."""
         near = cand & adj[v]
-        if t == 1:
-            return near
         common = s & adj[v]
         if t == 2:
             # u closes a triangle with S + v iff it meets S & N(v).

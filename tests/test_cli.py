@@ -317,6 +317,15 @@ def test_invalid_env_cap_fails_every_command_before_input(tmp_path, var,
             f"error: {var} must be a positive int, not {value!r}\n"), argv
 
 
+def test_cap_error_fails_main_before_its_command(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "CAP_ERROR", "CHIBOUND_CHI_CAP must be a "
+                        "positive int, not 'abc'")
+    assert main(["ramsey", "3", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: CHIBOUND_CHI_CAP must be a positive int, not 'abc'\n"
+
+
 def test_env_caps_read_both_variables_without_raising():
     assert oracles._env_caps({}) == (16, 12, "")
     assert oracles._env_caps({"CHIBOUND_CHI_CAP": "9",

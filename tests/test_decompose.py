@@ -12,7 +12,7 @@ from chibound.decompose import (PROPERTY_IDS, DecompositionError, a_nv,
                                 edge_clique_partition)
 from chibound.detect import (diamond_free_fast, every_edge_two_triangles,
                              find_induced, is_member)
-from chibound.graph import bits, from_edges, mask_of
+from chibound.graph import bits, from_edges, is_clique, mask_of
 from chibound.oracles import GraphOracles, clique_number
 from chibound.patterns import (bowtie, complete, diamond, dumbbell, f1, f2,
                                gem, hammer_plus, lollipop_star, path,
@@ -144,6 +144,20 @@ def test_p4_distance_violations_match_networkx(t):
         assert rep.measured["distance_violations"] == want, g
         seen += want > 0
     assert seen > 0
+
+
+def test_clique_a_m_is_no_larger_than_m():
+    # A clique A_M is complete to K - M, so A_M | K - M is a clique and
+    # |A_M| <= |M|: P2's check is the clique test alone.
+    cliques = 0
+    for g in enumerate_small(8):
+        given = GraphOracles(g)
+        for t in (2, 3, 4):
+            for m_mask, a in given.decomposition(t).a_m.items():
+                if is_clique(g, a):
+                    cliques += 1
+                    assert a.bit_count() <= m_mask.bit_count(), (g, t, m_mask)
+    assert cliques == 62037
 
 
 def test_property_p1_negative_control():

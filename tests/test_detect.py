@@ -13,10 +13,12 @@ from chibound.detect import (Conditions, diamond_free_fast,
                              every_edge_two_triangles, find_induced,
                              is_member, make_class)
 from chibound.graph import Graph, from_edges
-from chibound.patterns import (bowtie, complete, diamond, make_pattern, path)
+from chibound.patterns import (bowtie, complete, diamond, fan_triangles,
+                               make_pattern, path)
 from chibound.smallgraphs import enumerate_small
 import reference
-from reference import find_induced_plain, to_nx
+from reference import (find_induced_plain, q43, random_linear_two_section,
+                       rook, to_nx, w3)
 
 # The forbidden patterns of the theorems and of the property hypotheses,
 # at the parameters a sweep uses and their neighbours.
@@ -207,7 +209,8 @@ def test_f1_at_t2_takes_the_diamond_scan(monkeypatch):
         assert [detect._embedding(h, f1) for h in hosts] == want
     assert sum(w is None for w in want) == 421
     # is_member takes f1(2) as the diamond for the fan shortcut too: on a
-    # diamond-free host the matcher runs only to report a fan it has found.
+    # diamond-free host the fan finder decides and reports a fan, and the
+    # matcher does not run.
     fan = make_pattern("fan_triangles", l=2)
     ref = [is_member(h, make_class([make_pattern("diamond"), fan]))
            for h in hosts]
@@ -218,7 +221,37 @@ def test_f1_at_t2_takes_the_diamond_scan(monkeypatch):
     got = [is_member(h, make_class([f1, fan])) for h in hosts]
     assert [(r.member, r.witness) for r in got] == \
         [(r.member, r.witness) for r in ref]
-    assert calls == [fan.graph] * sum(r.violated == fan.label() for r in ref)
+    assert sum(r.violated == fan.label() for r in ref) > 0
+    assert calls == []
+
+
+def test_diamond_free_fan_finder_is_the_lex_first_embedding():
+    # is_member reports the fan finder's embedding: on a diamond-free host
+    # it is find_induced's lex-first one.
+    rng = random.Random(28)
+    hosts = [g for g in enumerate_small(8) if diamond_free_fast(g)[0]]
+    assert len(hosts) == 1954
+    while len(hosts) < 2354:
+        g = random_linear_two_section(rng, rng.randrange(10, 14), (3, 4, 5),
+                                      rng.randrange(3, 9))
+        if diamond_free_fast(g)[0]:
+            hosts.append(g)
+    hosts += [w3(), q43(), rook(4), rook(5)]
+    found = [0] * 4
+    for host in hosts:
+        for l in (1, 2, 3, 4):
+            emb = detect.find_fan_triangles_diamond_free(host, l)
+            assert emb == find_induced(host, fan_triangles(l))
+            found[l - 1] += emb is not None
+    assert found == [660, 138, 3, 2]
+
+
+def test_is_member_reports_a_fan_with_no_matcher_run(monkeypatch):
+    monkeypatch.setattr(detect, "find_induced",
+                        lambda *args: pytest.fail("the matcher ran"))
+    rep = is_member(fan_triangles(2), get_class("thm5a"))
+    assert (rep.violated, rep.witness) == ("fan_triangles(l=2)",
+                                           (0, 1, 2, 3, 4, 5, 6))
 
 
 def test_every_edge_two_triangles():

@@ -72,6 +72,19 @@ def test_parse_errors_carry_offsets():
         parse_graph6("A~")
 
 
+def test_eight_byte_header():
+    # "~~" and six bytes of 6 bits each: n = 0 and 1 parse, a cut header
+    # fails at its end, and n = 4096 exceeds the vertex limit.
+    assert parse_graph6("~~??????") == Graph(0, [])
+    assert parse_graph6("~~?????@") == Graph(1, [0])
+    with pytest.raises(Graph6Error) as exc:
+        parse_graph6("~~????")
+    assert exc.value.offset == 6
+    assert "truncated 8-byte length header" in str(exc.value)
+    with pytest.raises(Graph6Error, match="vertex count 4096 exceeds"):
+        parse_graph6("~~???@??")
+
+
 def test_non_ascii_character_is_rejected_at_its_offset():
     # "?" is six zero bits: a replaced character used to parse as padding.
     with pytest.raises(Graph6Error) as exc:
