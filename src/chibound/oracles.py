@@ -1,8 +1,16 @@
 """Exact ground-truth oracles: clique number, chromatic number, odd holes,
 chi^(n).
 
-The chromatic oracle is DSATUR-ordered backtracking; the tests check it
-against a raw all-assignments reference (tests/reference.py).
+The chromatic oracle is DSATUR backtracking (_k_colorable) in one loop over
+an explicit stack.  It keeps per color class the mask of the vertices that
+see it and per free vertex its DSATUR key, updated as a vertex takes a color
+and undone on backtracking.  The vertex rule (most classes seen, then
+highest degree, then lowest index) and the color order (0 up to one past
+the colors used) alone fix the search tree, so this bookkeeping changes no
+node and no coloring from a search that rescans every class.  The tests
+compare its colorings with a plain DSATUR over the relabelled subgraph
+(_k_colorable_reference in tests/test_oracles.py), and its chi with the
+all-assignments and inclusion-exclusion references of tests/reference.py.
 """
 
 from __future__ import annotations
@@ -61,47 +69,62 @@ def _k_colorable(g: Graph, k: int, within: int | None = None):
     """DSATUR backtracking (Brelaz, CACM 22(4), 1979) on G[within], default G.
 
     Returns a 1-based coloring indexed by g's vertices, 0 outside `within`,
-    or None.  Next is the vertex whose row meets the most color classes (one
-    mask each), then the highest degree in `within`, then the lowest index.
+    or None.  Next is the free vertex whose row meets the most color
+    classes, then the highest degree in `within`, then the lowest index; it
+    tries colors 0 .. min(k, used + 1) - 1 in order.
+
+    One loop over an explicit stack.  seen[c] is the mask of the vertices
+    with a neighbour in class c, so v may take c when it is not in seen[c].
+    keys[v] is (sat * |within| + degree) * n + n - 1 - v for a free v and
+    -1 otherwise, so max(keys) names the next vertex.  When v takes c, each
+    free neighbour of v outside seen[c] gains one saturation; backtracking
+    undoes exactly that, from the frame's gain mask and old seen[c].
     """
     within = g.full_mask() if within is None else within
+    n = g.n
     rows = [row & within for row in g.adj]
-    weight = within.bit_count()  # exceeds every degree: keys order (sat, deg)
-    classes = [0] * k
-    colors = [0] * g.n
-
-    def rec(free, used):
-        if not free:
-            return True
-        live = classes[:used]
-        best_v, best_key = -1, -1
-        m = free
-        while m:
-            low = m & -m
-            m ^= low
-            v = low.bit_length() - 1
+    step = within.bit_count() * n  # one saturation outranks degree and index
+    keys = [row.bit_count() * n + n - 1 - v if within >> v & 1 else -1
+            for v, row in enumerate(rows)]
+    seen = [0] * k
+    colors = [0] * n
+    frames = []
+    free, used, v, c = within, 0, -1, 0
+    while free:
+        if v < 0:
+            v, c = n - 1 - max(keys) % n, 0
+        bit = 1 << v
+        limit = min(k, used + 1)
+        while c < limit and seen[c] & bit:
+            c += 1
+        if c < limit:
+            old = seen[c]
             row = rows[v]
-            sat = 0
-            for members in live:
-                if row & members:
-                    sat += 1
-            key = sat * weight + row.bit_count()
-            if key > best_key:
-                best_v, best_key = v, key
-        row = rows[best_v]
-        low = 1 << best_v
-        for c in range(min(k, used + 1)):
-            members = classes[c]
-            if row & members:
-                continue
-            classes[c] = members | low
-            if rec(free ^ low, used + (c == used)):
-                colors[best_v] = c + 1
-                return True
-            classes[c] = members
-        return False
-
-    return colors if rec(within, 0) else None
+            gain = m = row & free & ~old
+            while m:
+                low = m & -m
+                m ^= low
+                keys[low.bit_length() - 1] += step
+            seen[c] = old | row
+            frames.append((v, c, gain, old, used, keys[v]))
+            keys[v] = -1
+            free ^= bit
+            colors[v] = c + 1
+            if c == used:
+                used += 1
+            v = -1
+            continue
+        if not frames:
+            return None
+        v, c, gain, old, used, keys[v] = frames.pop()
+        seen[c] = old
+        while gain:
+            low = gain & -gain
+            gain ^= low
+            keys[low.bit_length() - 1] -= step
+        free |= 1 << v
+        c += 1
+    return colors
 
 
 def chromatic_number(g: Graph, within: int | None = None,
@@ -375,8 +398,10 @@ class GraphOracles:
     it, else max_clique(g, within): the same lex-first clique.  chi(within,
     lower) is chromatic_number from lower colors up, default |clique(within)|;
     any lower proved <= chi gives the same answer, so it is kept.  Over
-    chi_cap, chi raises before any search.  chi_n(t) is chi_n(self, t), over
-    chin_cap raising after chi_n's t >= 0 check; a set of chi_n over chi_cap
+    chi_cap, chi raises before any search.  chi_n(t) is chi_n(self, t); at
+    t >= 2 a graph over chin_cap raises before chi_n runs, while at t <= 1
+    chi_n answers min(omega, t) from clique() with no set search, and a
+    negative t is chi_n's ValueError.  A set of chi_n over chi_cap
     raises only when it must be colored exactly, which no set does at the
     defaults (chin_cap 12 < chi_cap 16).  decomposition(t, within)
     decomposes around clique(within).  A cap hit is not kept."""
@@ -409,7 +434,7 @@ class GraphOracles:
 
     def chi_n(self, t: int) -> int:
         if t not in self._chi_ns:
-            if t >= 0 and self.g.n > self.chin_cap:
+            if t >= 2 and self.g.n > self.chin_cap:
                 raise OracleCapExceeded("chi_n", self.g.n, self.chin_cap)
             self._chi_ns[t] = chi_n(self, t)
         return self._chi_ns[t]

@@ -145,6 +145,12 @@ def test_oracle_caps():
         GraphOracles(Graph(13, [0] * 13), chin_cap=12).chi_n(2)
     assert (info.value.what, info.value.n, info.value.cap) == ("chi_n", 13, 12)
     assert chi_n(GraphOracles(Graph(13, [0] * 13)), 2) == 1
+    # chi_n's cap guards the set search and the odd-hole search, which run
+    # at t >= 2 only; at t <= 1 chi^(t) is min(omega, t), from one clique.
+    over = GraphOracles(path(13), chin_cap=12)
+    assert (over.chi_n(0), over.chi_n(1)) == (0, 1)
+    with pytest.raises(OracleCapExceeded):
+        over.chi_n(2)
 
 
 def test_chi_n_examples():
@@ -259,13 +265,37 @@ def test_chromatic_number_within_mask_matches_relabelled_subgraph(g, mask):
     for i, v in enumerate(index_map):
         colors[v] = sub_colors[i]
     assert chromatic_number(g, within=mask) == (chi, colors)
-    for k in range(1, mask.bit_count() + 1):
+    _assert_dsatur_matches_reference(g, range(1, mask.bit_count() + 1), mask)
+
+
+def _assert_dsatur_matches_reference(g, ks, mask=None):
+    """_k_colorable(g, k, mask) against the reference on G[mask] relabelled:
+    the same coloring, read through the relabelling, or both None."""
+    mask = g.full_mask() if mask is None else mask
+    sub, index_map = induced_subgraph(g, mask)
+    for k in ks:
         found = oracles._k_colorable(g, k, mask)
         expected = _k_colorable_reference(sub, k)
         assert (found is None) == (expected is None), k
         if found is not None:
             assert [found[v] for v in index_map] == expected, k
             assert all(found[v] == 0 for v in bits(g.full_mask() & ~mask))
+
+
+def test_dsatur_core_matches_reference_where_it_backtracks():
+    # At n = 10-12 DSATUR backtracks at k = chi - 1 and below.
+    for g in _half_batch():
+        for within in (None, g.full_mask() & ~mask_of([2, 5, 8])):
+            chi, _ = chromatic_number(g, within)
+            omega = clique_number(g, within)
+            _assert_dsatur_matches_reference(g, range(omega - 1, chi + 1), within)
+
+
+def test_dsatur_core_matches_reference_on_the_algebraic_fixtures():
+    # W(3) at k = 5 is the exhaustive case: every 5-coloring fails.
+    for g, chi in ((rook(5), 5), (q43(), 5), (w3(), 6)):
+        _assert_dsatur_matches_reference(g, (chi - 1, chi))
+        assert oracles._k_colorable(g, chi - 1) is None
 
 
 def test_chromatic_number_cap_counts_the_mask():
