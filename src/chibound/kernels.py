@@ -4,10 +4,11 @@ Kernels:
   canonical_code  -- canonical adjacency code by individualization-refinement
                      (McKay & Piperno, "Practical graph isomorphism, II",
                      J. Symb. Comput. 60, 2014): the minimum, over the leaves
-                     of the search tree, of the column-major upper-triangle
-                     bit-string (the graph6 bit order) as an integer.  Pure
-                     Python.  Isomorphic graphs get equal codes, but the code
-                     is not the lexicographic minimum over all permutations;
+                     of the search tree, of the adjacency code
+                     (graph.Graph.code: the column-major upper triangle,
+                     graph6's bit order).  Pure Python.  Isomorphic graphs
+                     get equal codes, but the code is not the
+                     lexicographic minimum over all permutations;
                      the tests compute that one (canon_code_py in
                      tests/reference.py) as their oracle.
                      On request the same search also gives the vertex
@@ -109,7 +110,7 @@ def canonical_code(adj, n: int, autos=None, order=None, root=None) -> int:
     current path, so both branches reach the same codes.
 
     With a list `order`, the same search sets order[:] to the vertex order
-    of a least leaf: order[i] becomes vertex i of graph_from_code(code).
+    of a least leaf: order[i] becomes vertex i of graph.from_code(code, n).
     Two least leaves differ by an automorphism.
 
     With a list `autos`, the same search appends generators of Aut(G) to

@@ -7,6 +7,10 @@ orbit, so every class comes out once and no set of codes is kept.  For
 n <= 7 that takes 1,461 canonical forms (208 parents, 793 children
 accepted code-only and 460 orbit searches), where searching every tie took
 1,847, a global set of codes 5,758 and no pruning 11,290.
+
+A class is kept as its canonical adjacency code (graph.Graph.code, the bit
+order of graph6's body); graph_from_code, which is graph.from_code, turns
+one back into a Graph that keeps its code.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from functools import lru_cache
 
 from . import kernels
 from .detect import ClassSpec, is_member
-from .graph import Graph
+from .graph import Graph, from_code
 
 ENUM_CAP = 8
 
@@ -29,18 +33,8 @@ class EnumerationCapExceeded(ValueError):
         )
 
 
-def graph_from_code(code: int, n: int) -> Graph:
-    """Inverse of the adjacency code (column-major upper triangle)."""
-    adj = [0] * n
-    total = n * (n - 1) // 2
-    bit = total - 1
-    for j in range(1, n):
-        for i in range(j):
-            if code >> bit & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            bit -= 1
-    return Graph(n, adj)
+# The graph of an adjacency code (Graph.code), the form classes are kept in.
+graph_from_code = from_code
 
 
 def _image(mask: int, perm) -> int:

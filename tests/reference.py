@@ -9,6 +9,7 @@ import networkx as nx
 
 from chibound import kernels
 from chibound.graph import MAX_VERTICES, Graph, GraphError, bits, from_edges
+from chibound.graph6 import Graph6Error, _read_n
 from chibound.oracles import OracleCapExceeded, chromatic_number
 
 
@@ -52,6 +53,96 @@ PATTERN_COUNTS = {
 }
 
 
+# The adjacency code pair by pair, (0,1), (0,2), (1,2), (0,3), ...: the
+# references for Graph.code, graph.from_code, parse_graph6 and write_graph6.
+
+def code_walk(adj, n: int) -> int:
+    """The adjacency code of the rows adj, one bit per pair."""
+    code = 0
+    for j in range(1, n):
+        for i in range(j):
+            code = (code << 1) | (adj[i] >> j & 1)
+    return code
+
+
+def graph_from_code_walk(code: int, n: int) -> Graph:
+    """The graph of an adjacency code, one bit per pair."""
+    adj = [0] * n
+    bit = n * (n - 1) // 2 - 1
+    for j in range(1, n):
+        for i in range(j):
+            if code >> bit & 1:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+            bit -= 1
+    return Graph(n, adj)
+
+
+def write_graph6_walk(g: Graph) -> str:
+    """graph6 line of g, six pairs per byte."""
+    n = g.n
+    if n <= 62:
+        out = bytearray([n + 63])
+    else:
+        out = bytearray([126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63,
+                         (n & 63) + 63])
+    chunk = width = 0
+    for j in range(1, n):
+        for i in range(j):
+            chunk = (chunk << 1) | (g.adj[i] >> j & 1)
+            width += 1
+            if width == 6:
+                out.append(chunk + 63)
+                chunk = width = 0
+    if width:
+        out.append((chunk << (6 - width)) + 63)
+    return out.decode("ascii")
+
+
+def parse_graph6_walk(line: str) -> Graph:
+    """graph6.parse_graph6 one bit at a time: the same checks in the same
+    order, raising the same Graph6Error messages at the same offsets."""
+    if line.startswith(">>graph6<<"):
+        line = line[10:]
+    text = line.rstrip("\r\n")
+    for i, ch in enumerate(text):
+        if not ch.isascii():
+            what = (f"byte {ord(ch) - 0xDC00:#x}" if "\udc80" <= ch <= "\udcff"
+                    else f"character {ch!r}")
+            raise Graph6Error(f"non-ASCII {what}", i)
+    data = text.encode("ascii")
+    for i, b in enumerate(data):
+        if b < 63 or b > 126:
+            raise Graph6Error(f"non-printable or out-of-range byte {b}", i)
+    n, start = _read_n(data)
+    if n > MAX_VERTICES:
+        raise Graph6Error(f"graph6 vertex count {n} exceeds supported maximum {MAX_VERTICES}")
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    if len(data) - start != nbytes:
+        raise Graph6Error(
+            f"bad length: expected {nbytes} adjacency bytes for n={n}, got {len(data) - start}",
+            start)
+    adj = [0] * n
+    bit = 0
+    i, j = 0, 1
+    for k in range(start, len(data)):
+        chunk = data[k] - 63
+        for shift in range(5, -1, -1):
+            if bit >= nbits:
+                if (chunk >> shift) & 1:
+                    raise Graph6Error("trailing padding bits set", k)
+                continue
+            if (chunk >> shift) & 1:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+            bit += 1
+            i += 1
+            if i == j:
+                i, j = 0, j + 1
+    return Graph(n, adj)
+
+
 def canon_code_py(adj, n: int) -> int:
     """Lexicographically minimal adjacency code over all vertex permutations.
 
@@ -60,10 +151,7 @@ def canon_code_py(adj, n: int) -> int:
     if n <= 1:
         return 0
     total = n * (n - 1) // 2
-    best = 0
-    for j in range(1, n):
-        for i in range(j):
-            best = (best << 1) | (adj[i] >> j & 1)
+    best = code_walk(adj, n)
     perm = [0] * n
 
     def rec(pos, used, cur, bits_done):

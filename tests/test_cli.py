@@ -419,3 +419,25 @@ def test_bad_usage(capsys):
     assert main(["frobnicate"]) == 1
     assert main(["patterns", "emit", "bowtie"]) == 1   # missing params
     assert main(["verify", "--config", "/nonexistent.json"]) == 1
+
+
+def test_a_byte_that_is_not_utf8_is_named_with_its_line(capsys, tmp_path):
+    # line 1 is K5 and line 2 holds the byte 0xff: omega fails with the
+    # line, and verify scans line 1 and records line 2 as a source error
+    gfile = tmp_path / "mixed.g6"
+    gfile.write_bytes(b"D~{\nA\xff\n")
+    message = "line 2: non-ASCII byte 0xff (byte offset 1)"
+    assert main(["omega", "--in", str(gfile)]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {message}\n")
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"source": {"kind": "graph6",
+                                              "path": str(gfile)}}))
+    report_file = tmp_path / "report.json"
+    assert main(["verify", "--config", str(cfgfile),
+                 "--out", str(report_file)]) == 1
+    report = json.loads(report_file.read_text())
+    assert report["aggregates"]["graphs_scanned"] == 1
+    assert [rec["graph6"] for rec in report["records"]] == ["D~{"]
+    assert report["errors"] == [{"stage": "source", "type": "Graph6Error",
+                                 "error": f"Graph6Error: {message}"}]

@@ -195,6 +195,15 @@ def test_missing_file_is_operational_error():
     assert exit_code_for(report) == 1
 
 
+def test_records_carry_the_canonical_graph6(tmp_path):
+    # K5 with the ">>graph6<<" prefix, a 4-byte and an 8-byte header
+    path_ = tmp_path / "k5.g6"
+    path_.write_text(">>graph6<<D~{\n~??D~{\n~~?????D~{\n")
+    report = verify_run(RunConfig(source={"kind": "graph6",
+                                          "path": str(path_)}))
+    assert [rec["graph6"] for rec in report["records"]] == ["D~{"] * 3
+
+
 def test_pipeline_errors_name_stage_and_type(tmp_path, monkeypatch):
     path_ = tmp_path / "d.g6"
     path_.write_text(write_graph6(diamond()) + "\n")
