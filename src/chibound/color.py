@@ -15,7 +15,7 @@ from math import comb
 
 from .certificate import (ColoringCertificate, MembershipError,
                           StructureViolation)
-from .decompose import edge_clique_partition
+from .decompose import LEMMAS, edge_clique_partition
 from .detect import ClassSpec, Conditions, check_params, is_member, make_class
 from .graph import bits, connected_components
 from .oracles import GraphOracles, is_proper, ramsey_upper
@@ -48,29 +48,21 @@ class _Canvas:
         self.max_used = max(self.max_used, chi)
         return chi, cols
 
-    def block(self, rule, mask, base, label, depth, omega=0):
-        """Color mask with fresh colors above base by rule and return the
-        number of colors used.  rule is _ORACLE, exact, or (claim, most):
-        each component of mask has at most most vertices (0, 1 or _OMEGA,
-        omega) and takes one color per vertex.  A larger component raises
-        StructureViolation(claim) with its vertices."""
-        if rule is _ORACLE:
+    def block(self, lemma, mask, base, label, depth, omega=0):
+        """Color mask with fresh colors above base, return how many: the exact
+        oracle's if lemma is None, else one per vertex of each component."""
+        if lemma is None:
             if not mask:
                 return 0
             chi, cols = self.exact(mask)
             for v in bits(mask):
                 self.paint(v, base + cols[v], label, depth)
             return chi
-        claim, most = rule
-        used = 0
-        for comp in connected_components(self.g, mask):
-            size = comp.bit_count()
-            if size > (omega if most is _OMEGA else most):
-                raise StructureViolation(claim, list(bits(comp)))
+        comps = lemma.components(self.g, mask, omega)
+        for comp in comps:
             for i, v in enumerate(bits(comp)):
                 self.paint(v, base + i + 1, label, depth)
-            used = max(used, size)
-        return used
+        return max(map(int.bit_count, comps), default=0)
 
     def certificate(self, thm, c, params, **details):
         """Verify the finished coloring and certify it against the bound."""
@@ -86,39 +78,28 @@ class _Canvas:
             self.trace, self.notes, {**params, **details})
 
 
-_ORACLE = "exact"
-_OMEGA = "omega"
-_RESIDUAL = ("every vertex of a component lies in K, S, T, S' or T'", 0)
-
-
-def _k_layers(oracles, base, t, a_m, t_group, s_prime, t_prime):
-    """The colorer of THM1, THM3 and THM4, run on the plan in its arguments.
+def _k_layers(oracles, thm, base, t):
+    """The colorer of THM1, THM3 and THM4, run on thm's LEMMAS.
 
     A component's K is oracles.clique(comp).  With |K| <= base it goes to
     the exact oracle; else it is oracles.decomposition(t, comp) around K,
-    colored 1..|K|, then each A_M, T group, S' and T' takes fresh colors
-    by its rule (see _Canvas.block), and the residual must be empty.
-    Returns the canvas.
+    colored 1..|K|, then each of its blocks takes fresh colors by its
+    kind's lemma (see _Canvas.block).  Returns the canvas.
     """
+    lemmas = LEMMAS[thm]
     canvas = _Canvas(oracles)
     g = canvas.g
     for comp in connected_components(g, g.full_mask()):
         w = oracles.clique(comp).bit_count()
         if w <= base:
-            canvas.block(_ORACLE, comp, 0, "base", 0)
+            canvas.block(None, comp, 0, "base", 0)
             continue
         dec = oracles.decomposition(t, comp)
         for i, v in enumerate(bits(dec.k)):
             canvas.paint(v, i + 1, "K", 0)
-        parts = [(a_m, dec.a_m[m], f"S[A_{list(bits(m))}]")
-                 for m in sorted(dec.a_m)]
-        parts += [(t_group, group, f"T[{list(bits(key[0]))},{key[1]}]")
-                  for key, group in dec.t_groups.items()]
-        parts += [(s_prime, dec.s_prime, "S'"), (t_prime, dec.t_prime, "T'"),
-                  (_RESIDUAL, dec.residual, "residual")]
         offset = w
-        for rule, mask, label in parts:
-            offset += canvas.block(rule, mask, offset, label, 0, w)
+        for kind, mask, label in dec.blocks():
+            offset += canvas.block(lemmas.get(kind), mask, offset, label, 0, w)
     return canvas
 
 
@@ -138,7 +119,7 @@ def _lift_layers(canvas, base, layer, outside):
     def rec(mask, depth):
         k_mask = canvas.oracles.clique(mask)
         if k_mask.bit_count() <= base:
-            canvas.block(_ORACLE, mask, 0, "base", depth)
+            canvas.block(None, mask, 0, "base", depth)
             return
         rest, plan = layer(canvas, mask, k_mask)
         if rest:
@@ -163,30 +144,19 @@ def _lift_layers(canvas, base, layer, outside):
 
 def color_thm1(oracles: GraphOracles, t: int) -> ColoringCertificate:
     """{diamond, hammer(t)+}-free graphs: K + T + T' blocks, base case <= t."""
-    canvas = _k_layers(
-        oracles, base=t, t=t,
-        a_m=("S must be empty in diamond-free graphs", 0),
-        t_group=("components of A'(N,v) have at most omega vertices", _OMEGA),
-        s_prime=("S' is empty in diamond-free graphs", 0),
-        t_prime=("components of T' have at most omega vertices", _OMEGA))
+    canvas = _k_layers(oracles, "THM1", base=t, t=t)
     return canvas.certificate("THM1", canvas.max_used, {"t": t})
 
 
 def color_thm3(oracles: GraphOracles, s: int, t: int) -> ColoringCertificate:
     """{(s,t)-bowtie, P5, (s+1,t+1)-dumbbell}-free graphs."""
-    canvas = _k_layers(oracles, base=2 * t - 2, t=t, a_m=_ORACLE,
-                       t_group=_ORACLE, s_prime=_ORACLE, t_prime=_ORACLE)
+    canvas = _k_layers(oracles, "THM3", base=2 * t - 2, t=t)
     return canvas.certificate("THM3", canvas.max_used, {"s": s, "t": t})
 
 
 def color_thm4(oracles: GraphOracles) -> ColoringCertificate:
     """{(2,2)-bowtie, P5, (3,3)-dumbbell}-free graphs, the C-free t=2 case."""
-    canvas = _k_layers(
-        oracles, base=2, t=2,
-        a_m=("A_M is edgeless at t=2 by maximality of K", 1),
-        t_group=("A'(N,v) is edgeless for (2,2)-bowtie-free graphs", 1),
-        s_prime=("S' is edgeless for {P5, (2,2)-bowtie}-free graphs", 1),
-        t_prime=("T' is edgeless for {P5, (3,3)-dumbbell}-free graphs", 1))
+    canvas = _k_layers(oracles, "THM4", base=2, t=2)
     if canvas.omega < 3:
         canvas.notes.append(
             "hypothesis omega >= 3 not met; colored by the exact oracle")

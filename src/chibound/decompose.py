@@ -8,6 +8,7 @@ from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
+from .certificate import StructureViolation
 from .detect import (ClassSpec, diamond_free_fast, every_edge_two_triangles,
                      is_free)
 from .graph import (Graph, bits, connected_components, is_clique, mask_of,
@@ -40,6 +41,16 @@ class CliqueDecomposition:
     t_prime: int
     residual: int
     t_groups: dict
+
+    def blocks(self) -> list:
+        """The blocks colored after K, in order, as (kind, mask, label):
+        each A_M by M (kind "S"), each T group ("T"), S', T', residual."""
+        return ([("S", self.a_m[m], f"S[A_{list(bits(m))}]")
+                 for m in sorted(self.a_m)]
+                + [("T", group, f"T[{list(bits(key[0]))},{key[1]}]")
+                   for key, group in self.t_groups.items()]
+                + [("S'", self.s_prime, "S'"), ("T'", self.t_prime, "T'"),
+                   ("residual", self.residual, "residual")])
 
 
 def decompose(g: Graph, t: int, within: int,
@@ -103,6 +114,44 @@ def a_nv(g: Graph, dec: CliqueDecomposition) -> dict:
     return out
 
 
+class Lemma(NamedTuple):
+    """A block lemma: each component of the block has at most most vertices."""
+
+    claim: str
+    most: int | str
+
+    def components(self, g: Graph, mask: int, omega: int) -> list:
+        """G[mask]'s components; the first with more than most vertices (omega
+        for "omega") raises StructureViolation(claim, its vertices)."""
+        comps = connected_components(g, mask)
+        for comp in comps:
+            if comp.bit_count() > (omega if self.most == "omega" else self.most):
+                raise StructureViolation(self.claim, list(bits(comp)))
+        return comps
+
+
+_RESIDUAL = Lemma("every vertex of a component lies in K, S, T, S' or T'", 0)
+
+# The K-layer colorers' lemmas by block kind (most: 0, 1 or "omega", the
+# clique number); a kind with none goes to the exact oracle.
+LEMMAS = {
+    "THM1": {
+        "S": Lemma("S must be empty in diamond-free graphs", 0),
+        "T": Lemma("components of A'(N,v) have at most omega vertices",
+                   "omega"),
+        "S'": Lemma("S' is empty in diamond-free graphs", 0),
+        "T'": Lemma("components of T' have at most omega vertices", "omega"),
+        "residual": _RESIDUAL},
+    "THM3": {"residual": _RESIDUAL},
+    "THM4": {
+        "S": Lemma("A_M is edgeless at t=2 by maximality of K", 1),
+        "T": Lemma("A'(N,v) is edgeless for (2,2)-bowtie-free graphs", 1),
+        "S'": Lemma("S' is edgeless for {P5, (2,2)-bowtie}-free graphs", 1),
+        "T'": Lemma("T' is edgeless for {P5, (3,3)-dumbbell}-free graphs", 1),
+        "residual": _RESIDUAL},
+}
+
+
 @dataclass
 class PropertyReport:
     property_id: str
@@ -114,23 +163,10 @@ class PropertyReport:
     notes: str = ""
 
     def to_dict(self):
-        return {
-            "property": self.property_id,
-            "holds": self.holds,
-            "hypothesis_ok": self.hypothesis_ok,
-            "params": dict(self.params),
-            "measured": dict(self.measured),
-            "witness": _jsonable(self.witness),
-            "notes": self.notes,
-        }
-
-
-def _jsonable(obj):
-    if isinstance(obj, (tuple, list)):
-        return [_jsonable(x) for x in obj]
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    return obj
+        return {"property": self.property_id, "holds": self.holds,
+                "hypothesis_ok": self.hypothesis_ok,
+                "params": dict(self.params), "measured": dict(self.measured),
+                "witness": self.witness, "notes": self.notes}
 
 
 class _Check:
@@ -157,10 +193,18 @@ class _Check:
             raise OracleCapExceeded(f"chi({block})", exc.n, exc.cap) from None
 
 
-def _p1(x: _Check):
-    s_set = x.dec.s_set
-    return dict(holds=s_set == 0, measured={"s_size": s_set.bit_count()},
-                witness=(s_set & -s_set).bit_length() - 1 if s_set else None)
+def _lemma(kind):
+    """P1 and P4: THM1's lemma on its blocks of kind, as its colorer checks it."""
+    def measure(x: _Check):
+        try:
+            for k, mask, _ in x.dec.blocks():
+                if k == kind:
+                    LEMMAS["THM1"][kind].components(x.g, mask, x.omega)
+        except StructureViolation as exc:
+            return dict(holds=False, measured={"omega": x.omega},
+                        witness=exc.witness, notes=exc.claim)
+        return dict(holds=True, measured={"omega": x.omega})
+    return measure
 
 
 def _p2(x: _Check):
@@ -188,28 +232,6 @@ def _p3(x: _Check):
             break
     return dict(holds=witness is None, witness=witness,
                 measured={"max_t_prime_degree": worst, "bound": bound})
-
-
-def _p4(x: _Check):
-    chi_tp = x.chi("T'")
-    comps = connected_components(x.g, x.dec.t_prime)
-    comp_bad = [c for c in comps if c.bit_count() > x.omega]
-    # The distance claim (no T vertex reaches a vertex outside K and T in
-    # >= 2 steps of G - K) is an intermediate step of the argument that fails
-    # on small in-class graphs, where K is too tight to complete the pattern;
-    # it is a diagnostic.  The property is the chi(T') inequality.  v in T
-    # reaches u in >= 2 steps of G - K iff u is in v's component, not N[v].
-    rest = connected_components(x.g, x.g.full_mask() & ~x.dec.k)
-    dist_bad = sum(bool(c & ~x.dec.t_set & ~x.g.adj[v])
-                   for c in rest for v in bits(c & x.dec.t_set))
-    return dict(
-        holds=chi_tp <= x.omega and not comp_bad,
-        measured={"chi_t_prime": chi_tp, "omega": x.omega,
-                  "max_component": max(map(int.bit_count, comps), default=0),
-                  "distance_violations": dist_bad},
-        witness=list(bits(comp_bad[0])) if comp_bad else None,
-        notes=f"distance-claim diagnostic: {dist_bad} source(s) reach a "
-              "vertex outside K and T in two or more steps" if dist_bad else "")
 
 
 def _chi_within(block, key, bound, small=None):
@@ -259,12 +281,13 @@ class Property(NamedTuple):
 
 
 PROPERTIES = {
-    "P1": Property(lambda s, t, k: [make_pattern("f1", t=t)], _p1),
+    "P1": Property(lambda s, t, k: [make_pattern("f1", t=t)], _lemma("S")),
     "P2": Property(lambda s, t, k: [make_pattern("f2", t=t)], _p2),
     "P3": Property(lambda s, t, k: [make_pattern("lollipop_star", k=k, t=t)],
                    _p3, ("t", "k")),
     "P4": Property(lambda s, t, k: [make_pattern("diamond"),
-                                    make_pattern("hammer_plus", t=t)], _p4),
+                                    make_pattern("hammer_plus", t=t)],
+                   _lemma("T'")),
     "P5": Property(lambda s, t, k: [make_pattern("bowtie", s=s, t=t)],
                    _chi_within("T", "chi_t",
                                lambda c, w, t: c * w * comb(max(w - 1, 0), t),

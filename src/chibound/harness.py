@@ -76,10 +76,10 @@ class RunConfig:
 
     def validate(self):
         """Check the config and resolve it: returns (spec, theorem_spec,
-        params), the run's class and its theorem's (None without one) at
-        params = {**class_params, **theorem_params}, the property checks'.
-        A name not taken, set twice differently or out of domain is an error.
-        """
+        params), the run's class and theorem (None without) at {**class_params,
+        **theorem_params}, and the property checks' params: those over the
+        class's and under the theorem's, defaults included.  A name not
+        taken, set twice differently or out of domain is an error."""
         if not isinstance(self.source, dict) or "kind" not in self.source:
             raise ConfigError("source must be an object with a 'kind'")
         if (not isinstance(self.source["kind"], str)
@@ -127,7 +127,8 @@ class RunConfig:
                              self.theorem_params, PARAM_LEAST)
         except (KeyError, ValueError) as exc:
             raise ConfigError(exc.args[0]) from None
-        return spec, theorem_spec, params
+        return spec, theorem_spec, {**(spec.params if spec else {}), **params,
+                                    **(theorem_spec.params if theorem_spec else {})}
 
     def to_dict(self):
         return {**asdict(self), "properties": list(self.properties)}

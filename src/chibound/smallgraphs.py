@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from . import kernels
 from .detect import ClassSpec, is_member
-from .graph import Graph, from_code
+from .graph import Graph, code_rows, from_code
 
 ENUM_CAP = 8
 
@@ -111,7 +111,7 @@ def enumerate_codes(n: int):
     new = n - 1
     kept = []
     for code in enumerate_codes(new):
-        base = graph_from_code(code, new).adj
+        base = code_rows(code, new)
         gens = []
         kernels.canonical_code(base, new, gens)
         top = max(row.bit_count() for row in base)

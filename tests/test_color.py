@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+from itertools import product
 
 import networkx as nx
 import pytest
@@ -163,14 +164,27 @@ def test_certificate_to_dict():
     assert set(d["coloring"]) == {str(v) for v in range(5)}
 
 
+# Each theorem's parameter grid for the bound checks below.
+_BOUND_GRID = {"THM1": {"t": (2, 3, 4)},
+               "THM2": {"s": (2, 3), "t": (2, 3, 4), "k": (2, 3),
+                        "y": ("f1", "f2")},
+               "THM3": {"s": (2, 3), "t": (2, 3, 4)}, "THM4": {},
+               "THM5A": {"k": (1, 2, 3)}, "THM5B": {}}
+
+
 @pytest.mark.parametrize("thm", sorted(THEOREMS))
 def test_registry_bounds_monotone_in_omega(thm):
-    case = THEOREMS[thm]
-    prev = 0
-    for omega in range(1, 13):
-        val = case.bound(omega, 3, **case.defaults)
-        assert val >= prev
-        prev = val
+    # Every bound is nondecreasing in omega and in c, over omega 1..13 and
+    # c 0..11 at each point of the grid (5,928 cells over the six
+    # theorems): a palette within f(omega, c) is then within f(omega, c')
+    # for every c' >= c.
+    grid = _BOUND_GRID[thm]
+    for values in product(*grid.values()):
+        params = dict(zip(grid, values))
+        table = [[THEOREMS[thm].bound(omega, c, **params) for c in range(12)]
+                 for omega in range(1, 14)]
+        for line in (*table, *zip(*table)):
+            assert list(line) == sorted(line), (params, line)
 
 
 @pytest.mark.parametrize("thm,params", [
@@ -304,42 +318,51 @@ def test_thm5b_structural_violation_is_raised_not_swallowed(monkeypatch):
 
 
 _PENDANT_PATH = from_edges(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5)])
+_S_EDGE = parse_graph6("E~Kw")    # K4 and an edge, both ends seeing 2 and 3
 
 
-@pytest.mark.parametrize("colorer,g,claim,witness", [
+@pytest.mark.parametrize("colorer,g,claim,witness,lemma", [
     (lambda o: color_thm1(o, 2), diamond(),
-     "S must be empty in diamond-free graphs", [3]),
+     "S must be empty in diamond-free graphs", [3], ("P1", 2)),
+    (lambda o: color_thm1(o, 3), _S_EDGE,
+     "S must be empty in diamond-free graphs", [4, 5], ("P1", 3)),
     (lambda o: color_thm1(o, 2),
      from_edges(7, [(0, 1), (0, 6), (1, 6), (2, 4), (2, 5), (2, 6), (3, 4),
                     (3, 5), (3, 6), (4, 6), (5, 6)]),
-     "components of A'(N,v) have at most omega vertices", [2, 3, 4, 5]),
+     "components of A'(N,v) have at most omega vertices", [2, 3, 4, 5], None),
     (lambda o: color_thm1(o, 2),
      from_edges(8, [(0, 1), (0, 6), (1, 6), (2, 4), (2, 5), (2, 7), (3, 4),
                     (3, 5), (3, 7), (4, 7), (5, 7), (6, 7)]),
-     "components of T' have at most omega vertices", [2, 3, 4, 5]),
+     "components of T' have at most omega vertices", [2, 3, 4, 5], ("P4", 2)),
     (lambda o: color_thm1(o, 2), _PENDANT_PATH,
-     "every vertex of a component lies in K, S, T, S' or T'", [5]),
+     "every vertex of a component lies in K, S, T, S' or T'", [5], None),
     (lambda o: color_thm3(o, 2, 2), _PENDANT_PATH,
-     "every vertex of a component lies in K, S, T, S' or T'", [5]),
+     "every vertex of a component lies in K, S, T, S' or T'", [5], None),
     (color_thm4, from_edges(5, [(0, 3), (0, 4), (1, 2), (1, 4), (2, 4), (3, 4)]),
-     "A'(N,v) is edgeless for (2,2)-bowtie-free graphs", [1, 2]),
+     "A'(N,v) is edgeless for (2,2)-bowtie-free graphs", [1, 2], None),
     (color_thm4, from_edges(6, [(0, 3), (0, 4), (1, 2), (1, 5), (2, 5), (3, 4),
                                 (3, 5), (4, 5)]),
-     "S' is edgeless for {P5, (2,2)-bowtie}-free graphs", [1, 2]),
+     "S' is edgeless for {P5, (2,2)-bowtie}-free graphs", [1, 2], None),
     (color_thm4, from_edges(6, [(0, 3), (0, 5), (1, 2), (1, 4), (2, 4), (3, 5),
                                 (4, 5)]),
-     "T' is edgeless for {P5, (3,3)-dumbbell}-free graphs", [1, 2]),
+     "T' is edgeless for {P5, (3,3)-dumbbell}-free graphs", [1, 2], None),
     (color_thm4, _PENDANT_PATH,
-     "every vertex of a component lies in K, S, T, S' or T'", [5]),
-], ids=["THM1-S", "THM1-A'", "THM1-T'", "THM1-residual", "THM3-residual",
-        "THM4-A'", "THM4-S'", "THM4-T'", "THM4-residual"])
-def test_colorer_claims_fail_on_non_members(colorer, g, claim, witness):
+     "every vertex of a component lies in K, S, T, S' or T'", [5], None),
+], ids=["THM1-S", "THM1-S-t3", "THM1-A'", "THM1-T'", "THM1-residual",
+        "THM3-residual", "THM4-A'", "THM4-S'", "THM4-T'", "THM4-residual"])
+def test_colorer_claims_fail_on_non_members(colorer, g, claim, witness, lemma):
     # Each claim of the K-layer colorers raises on a graph outside its class
     # (found by search over all graphs on at most 8 vertices), with the
-    # failing component as the witness.
+    # failing component as the witness.  P1 and P4 are THM1's S and T'
+    # lemmas: on the same graph at the same t they fail with the same claim,
+    # as their note, and the same witness.
     with pytest.raises(StructureViolation) as exc:
         colorer(GraphOracles(g))
     assert (exc.value.claim, exc.value.witness) == (claim, witness)
+    if lemma is not None:
+        which, t = lemma
+        rep = check_property(GraphOracles(g), which, {"t": t})
+        assert (rep.holds, rep.notes, rep.witness) == (False, claim, witness)
 
 
 @pytest.mark.parametrize("q,chi", [(4, 4), (5, "capped")])

@@ -2,7 +2,6 @@ import random
 from itertools import chain, combinations
 from math import comb
 
-import networkx as nx
 import pytest
 
 from chibound import kernels, oracles
@@ -18,8 +17,7 @@ from chibound.patterns import (bowtie, complete, diamond, dumbbell, f1, f2,
                                gem, hammer_plus, lollipop_star, path,
                                pineapple)
 from chibound.smallgraphs import enumerate_small
-from reference import (fan_structure, q43, random_linear_two_section, rook,
-                       to_nx, w3)
+from reference import fan_structure, q43, random_linear_two_section, rook, w3
 
 
 def test_pineapple_example():
@@ -123,27 +121,6 @@ def test_default_decompose_is_one_clique_search(monkeypatch):
         calls.clear()
         GraphOracles(g).decomposition(2)
         assert len(calls) == 1
-
-
-@pytest.mark.parametrize("t", [2, 3])
-def test_p4_distance_violations_match_networkx(t):
-    # a vertex of T counts when some vertex outside T lies at distance >= 2
-    # from it in G - K
-    seen = 0
-    for g in enumerate_small(7):
-        if g.n == 0:
-            continue
-        given = GraphOracles(g)
-        dec = given.decomposition(t)
-        rest = to_nx(g)
-        rest.remove_nodes_from(bits(dec.k))
-        want = sum(any(d >= 2 and not dec.t_set >> u & 1 for u, d in
-                       nx.single_source_shortest_path_length(rest, v).items())
-                   for v in bits(dec.t_set))
-        rep = check_property(given, "P4", {"t": t})
-        assert rep.measured["distance_violations"] == want, g
-        seen += want > 0
-    assert seen > 0
 
 
 def test_clique_a_m_is_no_larger_than_m():

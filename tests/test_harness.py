@@ -10,8 +10,8 @@ from chibound import color, detect, kernels, oracles
 from chibound import decompose as decompose_module
 from chibound import harness
 from chibound.classes import THEOREM_CLASS
-from chibound.decompose import PROPERTY_IDS
-from chibound.graph import from_edges
+from chibound.decompose import PROPERTY_IDS, check_property
+from chibound.graph import connected_components, from_edges, mask_of
 from chibound.graph6 import parse_graph6, write_graph6
 from chibound.harness import (ConfigError, RunConfig, exit_code_for,
                               report_fingerprint, verify_run, write_report)
@@ -154,6 +154,33 @@ def test_config_params_merge_class_and_theorem():
     cfg = RunConfig(source={"kind": "enumerate"}, theorem_params={"t": 3})
     assert cfg.validate() == (None, None, {"t": 3})
     assert RunConfig.from_dict(cfg.to_dict()) == cfg
+    # the properties run at the theorem's parameters, defaults included,
+    # and with a class alone at the class's
+    cfg = RunConfig(source={"kind": "enumerate"}, class_name="thm3",
+                    class_params={"t": 3}, theorem="THM3",
+                    theorem_params={"t": 3})
+    assert cfg.validate()[2] == {"s": 2, "t": 3}
+    cfg = RunConfig(source={"kind": "enumerate"}, class_name="thm2")
+    assert cfg.validate()[2] == {"s": 2, "t": 2, "k": 2, "y": "f1"}
+
+
+def test_properties_run_at_the_theorems_s():
+    # chibound sweep --theorem THM3 --t 3 colors at (s, t) = (2, 3), and
+    # P5-P7 check there too, not at s = t = 3.  Every verdict equals the
+    # one at s = 3 on the members with n <= 6.
+    report = verify_run(RunConfig(
+        source={"kind": "enumerate", "n_max": 6}, class_name="thm3",
+        class_params={"t": 3}, theorem="THM3", theorem_params={"t": 3},
+        properties=("P5", "P6", "P7")))
+    members = [rec for rec in report["records"] if "skipped" not in rec]
+    assert len(members) == 186
+    for rec in members:
+        given = oracles.GraphOracles(parse_graph6(rec["graph6"]))
+        at_s3 = [check_property(given, which, {"s": 3, "t": 3})
+                 for which in ("P5", "P6", "P7")]
+        assert [p["params"] for p in rec["properties"]] == [{"s": 2, "t": 3}] * 3
+        assert ([(p["holds"], p["hypothesis_ok"]) for p in rec["properties"]]
+                == [(r.holds, r.hypothesis_ok) for r in at_s3]), rec["graph6"]
 
 
 def test_theorem_colors_at_the_run_params(monkeypatch):
@@ -249,11 +276,11 @@ def test_negative_fixture_exit_two(tmp_path):
     report = verify_run(cfg)
     assert report["aggregates"]["violations"] == 1
     assert exit_code_for(report) == 2
-    # the witness re-verifies: it names a vertex of S on the same graph
+    # the witness re-verifies: it is a component of S on the same graph
     violation = report["violations"][0]
     g = parse_graph6(violation["graph6"])
     dec = oracles.GraphOracles(g).decomposition(2)
-    assert dec.s_set >> violation["witness"] & 1
+    assert mask_of(violation["witness"]) in connected_components(g, dec.s_set)
 
 
 def test_out_of_class_graphs_are_skipped(tmp_path):
@@ -675,11 +702,11 @@ def test_report_fingerprints_are_pinned():
     got = {name: hashlib.sha256(report_fingerprint(verify_run(cfg)).encode())
            .hexdigest()[:16] for name, cfg in runs.items()}
     assert got == {
-        "THM1": "b59dd52a19ec2f58", "THM2": "03f8b780a6438065",
-        "THM3": "5cc91c537f0a6cb9", "THM4": "5b3e36999986d2c7",
+        "THM1": "277c0d75efb66300", "THM2": "fae2788238698287",
+        "THM3": "5cc91c537f0a6cb9", "THM4": "b240360424e3714a",
         "THM5A": "007522844568b688", "THM5B": "6578521a4c7e7bbd",
-        (2, 2, 2): "eacb8ff52deefb5e", (3, 3, 3): "5faa942b415b7a04",
-        (3, 2, 2): "5397ceaa5dcdc4e4"}
+        (2, 2, 2): "b7a134291e4e7194", (3, 3, 3): "12f055a9f2afc11b",
+        (3, 2, 2): "40105fb4d9589767"}
 
 
 def test_d1_outside_its_hypothesis_is_not_undecided():
@@ -756,8 +783,9 @@ def test_verify_graph_asks_the_clique_kernel_nothing_twice(monkeypatch):
     # GraphOracles served the whole call, the first two were (347, 324),
     # (219, 155), (635, 656), (398, 419), (211, 15), (208, 12) and
     # (491, 491).  Before it also held the decompositions, the third was
-    # 178, 96, 296, 296, 12, 12 and 208, and 208 for D1 alone.
-    assert counts == {"THM1": (347, 293, 142), "THM2": (219, 90, 81),
-                      "THM3": (561, 560, 206), "THM4": (398, 397, 206),
+    # 178, 96, 296, 296, 12, 12 and 208, and 208 for D1 alone.  Before P4
+    # left chi(T') out, THM1 took (347, 293) and THM4 (398, 397).
+    assert counts == {"THM1": (336, 282, 142), "THM2": (219, 90, 81),
+                      "THM3": (561, 560, 206), "THM4": (386, 385, 206),
                       "THM5A": (211, 15, 0), "THM5B": (208, 12, 0),
                       "no class": (370, 370, 208), "D1 only": (208, 208, 0)}
