@@ -11,6 +11,10 @@ Kernels:
                      lexicographic minimum over all permutations;
                      the tests compute that one (canon_code_py in
                      tests/reference.py) as their oracle.
+                     Its ordered partitions are lists of vertex masks:
+                     refinement by one individualized vertex w splits a
+                     cell by N(w) with two mask operations, and by several
+                     splitters on one int key per vertex.
                      On request the same search also gives the vertex
                      order of a least leaf and generators of Aut(G) (the
                      maps between leaves with equal codes and the twin
@@ -25,7 +29,7 @@ Kernels:
 
 from __future__ import annotations
 
-from .graph import bits, mask_of
+from .graph import bits
 
 # There is no numba path; the flag stays for callers that report it.
 NUMBA_OK = False
@@ -36,41 +40,56 @@ NUMBA_OK = False
 def _refine(adj, cells, splitters):
     """Coarsest equitable refinement of the ordered partition `cells`.
 
-    Each round splits every cell by the tuple of neighbour counts of its
-    vertices into the splitter masks (the count alone for one splitter),
-    placing the parts in increasing key order; the next round's splitters
-    are the parts split off, all but the last of each split.  The caller
-    passes splitters that decide every cell's counts into every cell: all
-    cells, or the vertex just individualized in an equitable partition.
-    Counts into the other cells are then constant on each cell or follow
-    from the splitters' counts, and a differing one comes after a differing
+    Cells and splitters are vertex masks.  Each round splits every cell by
+    its vertices' neighbour counts into the splitter masks and places the
+    parts in increasing key order; the next round's splitters are the parts
+    split off, all but the last of each split.  A lone one-vertex splitter
+    w splits a cell into cell & ~N(w), then cell & N(w), by two mask
+    operations; several splitters key each vertex on one int, its counts in
+    base n + 1, which sorts like the tuple of counts.  The caller passes
+    splitters that decide every cell's counts into every cell: all cells,
+    or the vertex just individualized in an equitable partition.  Counts
+    into the other cells are then constant on each cell or follow from the
+    splitters' counts, and a differing one comes after a differing
     splitter, so keying on every cell would give the same parts in the same
     order.  The result depends on the graph and the order of the input
     cells, never on vertex indices.
     """
+    base = len(adj) + 1
     while True:
         out = []
         new = []
-        one = splitters[0] if len(splitters) == 1 else 0
-        for cell in cells:
-            if len(cell) == 1:
-                out.append(cell)
-                continue
-            parts = {}
-            if one:
-                for v in cell:
-                    parts.setdefault((adj[v] & one).bit_count(), []).append(v)
-            else:
-                for v in cell:
-                    row = adj[v]
-                    key = tuple((row & m).bit_count() for m in splitters)
-                    parts.setdefault(key, []).append(v)
-            if len(parts) == 1:
-                out.append(cell)
-            else:
-                split = [parts[key] for key in sorted(parts)]
-                out.extend(split)
-                new.extend(map(mask_of, split[:-1]))
+        if len(splitters) == 1 and not splitters[0] & (splitters[0] - 1):
+            nbrs = adj[splitters[0].bit_length() - 1]
+            for cell in cells:
+                part = cell & ~nbrs
+                if part and part != cell:
+                    out.append(part)
+                    out.append(cell & nbrs)
+                    new.append(part)
+                else:
+                    out.append(cell)
+        else:
+            for cell in cells:
+                if not cell & (cell - 1):
+                    out.append(cell)
+                    continue
+                parts = {}
+                rest = cell
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    row = adj[low.bit_length() - 1]
+                    key = 0
+                    for m in splitters:
+                        key = key * base + (row & m).bit_count()
+                    parts[key] = parts.get(key, 0) | low
+                if len(parts) == 1:
+                    out.append(cell)
+                else:
+                    split = [parts[key] for key in sorted(parts)]
+                    out.extend(split)
+                    new.extend(split[:-1])
         if not new:
             return out
         cells, splitters = out, new
@@ -87,15 +106,17 @@ def _code_of_order(adj, order) -> int:
 
 
 def root_partition(adj, n: int):
-    """Root of canonical_code's search: the cells of equal degree, in
-    increasing degree, refined with every cell as a splitter.  Each degree
-    stays a block of consecutive cells, and isomorphisms keep positions.
+    """Root of canonical_code's search, as vertex masks: the cells of equal
+    degree, in increasing degree, refined with every cell as a splitter.
+    Each degree stays a block of consecutive cells, and isomorphisms keep
+    positions.
     """
     by_degree = {}
     for v in range(n):
-        by_degree.setdefault(adj[v].bit_count(), []).append(v)
+        d = adj[v].bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
     cells = [by_degree[d] for d in sorted(by_degree)]
-    return _refine(adj, cells, [mask_of(cell) for cell in cells])
+    return _refine(adj, cells, cells)
 
 
 def canonical_code(adj, n: int, autos=None, order=None, root=None) -> int:
@@ -103,11 +124,13 @@ def canonical_code(adj, n: int, autos=None, order=None, root=None) -> int:
     of an individualization-refinement search.
 
     The search starts from `root`, by default root_partition(adj, n) (a
-    caller's root is not changed), then individualizes each vertex of the
-    first non-singleton cell in turn, refines and recurses; each discrete
-    partition is a leaf.  A vertex that is a twin of one already tried in
-    the same cell is skipped: swapping the two is an automorphism fixing the
-    current path, so both branches reach the same codes.
+    caller's root, a list of vertex masks, is not changed), then
+    individualizes each vertex of the first non-singleton cell in turn,
+    in increasing order, refines by that one vertex's neighbourhood and
+    recurses; each discrete partition is a leaf.  A vertex that is a twin
+    of one already tried in the same cell is skipped: swapping the two is
+    an automorphism fixing the current path, so both branches reach the
+    same codes.
 
     With a list `order`, the same search sets order[:] to the vertex order
     of a least leaf: order[i] becomes vertex i of graph.from_code(code, n).
@@ -132,10 +155,10 @@ def canonical_code(adj, n: int, autos=None, order=None, root=None) -> int:
     def search(cells):
         nonlocal best, best_order, first
         for t, target in enumerate(cells):
-            if len(target) > 1:
+            if target & (target - 1):
                 break
         else:
-            leaf = [cell[0] for cell in cells]
+            leaf = [cell.bit_length() - 1 for cell in cells]
             code = _code_of_order(adj, leaf)
             if best < 0 or code < best:
                 best = code
@@ -150,10 +173,14 @@ def canonical_code(adj, n: int, autos=None, order=None, root=None) -> int:
                     autos.append(perm)
             return
         tried = []
-        for v in target:
+        rest = target
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
             row = adj[v]
             for u in tried:
-                if adj[u] & ~(1 << v) == row & ~(1 << u):
+                if adj[u] & ~low == row & ~(1 << u):
                     if autos is not None:
                         perm = list(range(n))
                         perm[u], perm[v] = v, u
@@ -161,9 +188,8 @@ def canonical_code(adj, n: int, autos=None, order=None, root=None) -> int:
                     break
             else:
                 tried.append(v)
-                rest = [u for u in target if u != v]
-                search(_refine(adj, cells[:t] + [[v], rest] + cells[t + 1:],
-                               [1 << v]))
+                search(_refine(adj, cells[:t] + [low, target ^ low]
+                               + cells[t + 1:], [low]))
 
     search(root_partition(adj, n) if root is None else root)
     if order is not None:

@@ -3,10 +3,12 @@
 Enumeration is McKay's canonical augmentation: it grows each class by one
 vertex, one neighbour set per orbit of the parent's automorphism group,
 and keeps a child only when its new vertex is in the child's canonical
-orbit, so every class comes out once and no set of codes is kept.  For
-n <= 7 that takes 1,461 canonical forms (208 parents, 793 children
-accepted code-only and 460 orbit searches), where searching every tie took
-1,847, a global set of codes 5,758 and no pruning 11,290.
+orbit, so every class comes out once and no set of codes is kept.  A kept
+child carries the generators its own search found, so no parent is
+searched again.  For n <= 7 that takes 1,253 canonical forms (793
+children accepted and 460 decided by their orbit), where searching each
+parent again took 1,461, searching every tie 1,847, a global set of codes
+5,758 and no pruning 11,290.
 
 A class is kept as its canonical adjacency code (graph.Graph.code, the bit
 order of graph6's body); graph_from_code, which is graph.from_code, turns
@@ -37,33 +39,55 @@ class EnumerationCapExceeded(ValueError):
 graph_from_code = from_code
 
 
-def _image(mask: int, perm) -> int:
-    """Image of a vertex bitmask under the permutation v -> perm[v]."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << perm[low.bit_length() - 1]
-        mask ^= low
-    return out
+class _Level(tuple):
+    """A level of enumerate_codes: the sorted codes, and in `carried` one
+    bytes object per code holding the least-leaf order and the generators
+    of Aut that the class's own search found (see _carry)."""
 
 
-def _canonical_orbit(adj, n: int, root=None):
-    """(canonical code, bitmask of the canonical orbit) of a graph.
+def _carry(order, autos) -> bytes:
+    """A search's least-leaf order, then each generator, one byte per
+    vertex (n <= ENUM_CAP), in the labelling the search ran on."""
+    return bytes(order) + b"".join(map(bytes, autos))
 
-    The canonical orbit is the Aut(G)-orbit of the first vertex of maximum
-    degree in the order of a least leaf of kernels.canonical_code's search
-    (from `root` when it is given).
-    """
-    autos, order = [], []
-    code = kernels.canonical_code(adj, n, autos, order, root=root)
+
+def _generators(carried: bytes, n: int):
+    """The generators of a _carry on graph_from_code(code, n)'s labelling,
+    in which vertex i is order[i]: each perm becomes i -> pos[perm[order[i]]]
+    for pos the inverse of order."""
+    order = carried[:n]
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    return [[pos[carried[start + v]] for v in order]
+            for start in range(n, len(carried), n)]
+
+
+def _image_table(perm):
+    """table[mask] = the image of the vertex mask under v -> perm[v], for
+    every mask of len(perm) bits, built one vertex at a time."""
+    table = [0]
+    for w in perm:
+        bit = 1 << w
+        table += [image | bit for image in table]
+    return table
+
+
+def _canonical_orbit(adj, order, autos) -> int:
+    """Bitmask of a graph's canonical orbit, from its search's least-leaf
+    `order` and generators `autos`: the Aut(G)-orbit of the first vertex of
+    maximum degree in `order`."""
     top = max(row.bit_count() for row in adj)
     canon = next(v for v in order if adj[v].bit_count() == top)
-    orbit, grown = 0, 1 << canon
-    while grown != orbit:
-        orbit = grown
+    orbit, todo = 1 << canon, [canon]
+    while todo:
+        v = todo.pop()
         for perm in autos:
-            grown |= _image(orbit, perm)
-    return code, orbit
+            w = perm[v]
+            if not orbit >> w & 1:
+                orbit |= 1 << w
+                todo.append(w)
+    return orbit
 
 
 @lru_cache(maxsize=None)
@@ -75,12 +99,13 @@ def enumerate_codes(n: int):
     n - 1 vertices with a new vertex v joined to a subset of P's vertices.
     Two subsets in one orbit of Aut(P) give isomorphic graphs (extend the
     automorphism by fixing v), so each orbit yields one child, P + v; the
-    orbit is the closure of its first subset under the generators that
-    kernels.canonical_code reads off P's search.  The child is kept only if
-    v lies in the Aut(child)-orbit of its canonical vertex: the first
-    vertex of maximum degree in the order of a least leaf of the child's
-    search.  Least leaves differ by an automorphism, so the orbit does not
-    depend on the leaf, and an isomorphism maps it onto the other graph's.
+    orbit is the closure of its first subset under P's generators, each
+    applied through a table of its images of all 2^(n-1) subsets.  The
+    child is kept only if v lies in the Aut(child)-orbit of its canonical
+    vertex: the first vertex of maximum degree in the order of a least
+    leaf of the child's search.  Least leaves differ by an automorphism, so
+    the orbit does not depend on the leaf, and an isomorphism maps it onto
+    the other graph's.
 
     Every class is kept exactly once:
       - existence: deleting a canonical vertex c of a class G leaves a
@@ -99,21 +124,27 @@ def enumerate_codes(n: int):
     kernels.root_partition, whose vertices of maximum degree (v's degree)
     are its last cells.  Leaves keep the cells' positions, so the canonical
     vertex lies in the first of those cells, and so does its orbit, as the
-    cell is Aut-invariant.  v outside that cell rejects the child.  v alone
-    in it, as when v alone has maximum degree, accepts the child with a
-    code-only search from the root.  Only the other ties search, from the
-    same root, for a least leaf and generators.
+    cell is Aut-invariant.  v outside that cell rejects the child.  Every
+    other child is searched once from that root, for its code, a least
+    leaf and generators: v alone in the cell accepts it, and otherwise the
+    canonical orbit decides.  A kept child carries its least-leaf order
+    and generators in the returned level's `carried`, so a class is never
+    searched again when it is a parent; its generators are mapped onto
+    graph_from_code(code)'s labelling then.  The carried data lives only in
+    the cached levels, so enumerate_codes.cache_clear() drops it too.
     """
     if n > ENUM_CAP:
         raise EnumerationCapExceeded(n)
     if n < 2:
-        return (0,) * n
+        level = _Level((0,) * n)
+        level.carried = (_carry([0], []),) * n
+        return level
     new = n - 1
+    parents = enumerate_codes(new)
     kept = []
-    for code in enumerate_codes(new):
+    for code, carry in zip(parents, parents.carried):
         base = code_rows(code, new)
-        gens = []
-        kernels.canonical_code(base, new, gens)
+        tables = [_image_table(perm) for perm in _generators(carry, new)]
         top = max(row.bit_count() for row in base)
         tops = sum(1 << v for v in range(new) if base[v].bit_count() == top)
         seen = bytearray(1 << new)
@@ -127,8 +158,8 @@ def enumerate_codes(n: int):
             todo = [nbrs]
             while todo:
                 mask = todo.pop()
-                for perm in gens:
-                    image = _image(mask, perm)
+                for table in tables:
+                    image = table[mask]
                     if not seen[image]:
                         seen[image] = 1
                         todo.append(image)
@@ -138,14 +169,18 @@ def enumerate_codes(n: int):
                     rows[v] |= 1 << new
             root = kernels.root_partition(rows, n)
             degree = nbrs.bit_count()  # the child's maximum degree
-            cell = next(c for c in root if rows[c[0]].bit_count() == degree)
-            if cell == [new]:
-                kept.append(kernels.canonical_code(rows, n, root=root))
-            elif new in cell:
-                child, orbit = _canonical_orbit(rows, n, root)
-                if orbit >> new & 1:
-                    kept.append(child)
-    return tuple(sorted(kept))
+            cell = next(c for c in root
+                        if rows[c.bit_length() - 1].bit_count() == degree)
+            if cell >> new & 1:
+                autos, order = [], []
+                child = kernels.canonical_code(rows, n, autos, order, root=root)
+                if (cell == 1 << new
+                        or _canonical_orbit(rows, order, autos) >> new & 1):
+                    kept.append((child, _carry(order, autos)))
+    kept.sort()
+    level = _Level(code for code, _ in kept)
+    level.carried = tuple(carry for _, carry in kept)
+    return level
 
 
 def enumerate_small(n_max: int):

@@ -8,7 +8,8 @@ from math import comb
 import networkx as nx
 
 from chibound import kernels
-from chibound.graph import MAX_VERTICES, Graph, GraphError, bits, from_edges
+from chibound.graph import (MAX_VERTICES, Graph, GraphError, bits, from_edges,
+                            mask_of)
 from chibound.graph6 import Graph6Error, _read_n
 from chibound.oracles import OracleCapExceeded, chromatic_number
 
@@ -175,6 +176,122 @@ def canon_code_py(adj, n: int) -> int:
 
     rec(0, 0, 0, 0)
     return best
+
+
+# The canonical form's search with each cell an ascending list of vertices:
+# the slow path for kernels._refine, kernels.root_partition and
+# kernels.canonical_code, which keep cells as vertex masks.
+
+def refine_lists(adj, cells, splitters):
+    """kernels._refine on list cells: each vertex keyed on the tuple of its
+    neighbour counts into the splitter masks, the parts in increasing key
+    order, and the next round's splitters all but the last part of each
+    split."""
+    while True:
+        out = []
+        new = []
+        for cell in cells:
+            parts = {}
+            for v in cell:
+                key = tuple((adj[v] & m).bit_count() for m in splitters)
+                parts.setdefault(key, []).append(v)
+            split = [parts[key] for key in sorted(parts)]
+            out.extend(split)
+            new.extend(mask_of(part) for part in split[:-1])
+        if not new:
+            return out
+        cells, splitters = out, new
+
+
+def root_partition_lists(adj, n: int):
+    """kernels.root_partition on list cells."""
+    by_degree = {}
+    for v in range(n):
+        by_degree.setdefault(adj[v].bit_count(), []).append(v)
+    cells = [by_degree[d] for d in sorted(by_degree)]
+    return refine_lists(adj, cells, [mask_of(cell) for cell in cells])
+
+
+def canonical_code_lists(adj, n: int, autos=None, order=None, root=None):
+    """kernels.canonical_code's search on list cells, from the list-cell
+    `root` when it is given: the same leaves in the same order, so the same
+    code, least-leaf order and generators."""
+    best = -1
+    best_order = None
+    first = None
+
+    def search(cells):
+        nonlocal best, best_order, first
+        for t, target in enumerate(cells):
+            if len(target) > 1:
+                break
+        else:
+            leaf = [cell[0] for cell in cells]
+            code = 0
+            for j in range(1, n):
+                for i in range(j):
+                    code = (code << 1) | (adj[leaf[i]] >> leaf[j] & 1)
+            if best < 0 or code < best:
+                best = code
+                best_order = leaf
+            if autos is not None:
+                if first is None:
+                    first = code, leaf
+                elif code == first[0]:
+                    perm = [0] * n
+                    for u, w in zip(first[1], leaf):
+                        perm[u] = w
+                    autos.append(perm)
+            return
+        tried = []
+        for v in target:
+            for u in tried:
+                if adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
+                    if autos is not None:
+                        perm = list(range(n))
+                        perm[u], perm[v] = v, u
+                        autos.append(perm)
+                    break
+            else:
+                tried.append(v)
+                rest = [u for u in target if u != v]
+                search(refine_lists(adj, cells[:t] + [[v], rest]
+                                    + cells[t + 1:], [1 << v]))
+
+    search(root_partition_lists(adj, n) if root is None else root)
+    if order is not None:
+        order[:] = best_order
+    return best
+
+
+def is_automorphism(adj, perm) -> bool:
+    """Whether v -> perm[v] is a permutation of the vertices that keeps
+    every adjacency and non-adjacency."""
+    n = len(adj)
+    return sorted(perm) == list(range(n)) and all(
+        (adj[u] >> v & 1) == (adj[perm[u]] >> perm[v] & 1)
+        for u in range(n) for v in range(n))
+
+
+def group_order(gens, n: int) -> int:
+    """Order of the group the permutations generate, by listing it."""
+    identity = tuple(range(n))
+    group, frontier = {identity}, [identity]
+    while frontier:
+        elem = frontier.pop()
+        for g in gens:
+            prod = tuple(g[v] for v in elem)
+            if prod not in group:
+                group.add(prod)
+                frontier.append(prod)
+    return len(group)
+
+
+def networkx_aut_order(adj) -> int:
+    """|Aut(G)| of the rows adj, counted by networkx's matcher."""
+    h = to_nx(Graph(len(adj), adj))
+    return sum(1 for _ in nx.algorithms.isomorphism.GraphMatcher(
+        h, h).isomorphisms_iter())
 
 
 def chromatic_number_bruteforce(g: Graph, cap: int = 7) -> int:

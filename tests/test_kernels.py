@@ -4,9 +4,11 @@ from itertools import combinations, permutations
 import pytest
 
 from chibound import kernels
-from chibound.graph import Graph, from_edges, is_clique, mask_of
+from chibound.graph import Graph, bits, from_edges, is_clique, mask_of
 from chibound.smallgraphs import enumerate_codes, graph_from_code
-from reference import canon_code_py
+from reference import (canon_code_py, canonical_code_lists, group_order,
+                       is_automorphism, networkx_aut_order, refine_lists,
+                       root_partition_lists)
 
 
 def _random_adj(rng, n, p):
@@ -181,47 +183,77 @@ def test_trivial_codes():
 
 
 def _refine_every_cell(adj, cells):
-    """Equitable refinement keying every round on every cell's counts."""
+    """Equitable refinement of mask cells keying every round on every
+    cell's counts."""
     while True:
-        masks = [mask_of(cell) for cell in cells]
         out = []
         for cell in cells:
             parts = {}
-            for v in cell:
-                key = tuple((adj[v] & m).bit_count() for m in masks)
-                parts.setdefault(key, []).append(v)
+            for v in bits(cell):
+                key = tuple((adj[v] & m).bit_count() for m in cells)
+                parts[key] = parts.get(key, 0) | 1 << v
             out.extend(parts[key] for key in sorted(parts))
         if len(out) == len(cells):
             return out
         cells = out
 
 
+def _classes_and_seeded_graphs(n_max):
+    """Every class with n <= n_max, seeded random graphs with n <= 16 and
+    the symmetric graphs."""
+    rng = random.Random(21)
+    graphs = [graph_from_code(code, n).adj
+              for n in range(1, n_max + 1) for code in enumerate_codes(n)]
+    graphs += [_random_adj(rng, n, rng.random()) for n in range(2, 17)
+               for _ in range(20)]
+    return graphs + list(_symmetric_graphs().values())
+
+
+def _individualized(cells):
+    """(v, the cells with v split off its cell) for each vertex v of the
+    first non-singleton cell, the search's first branches."""
+    for t, target in enumerate(cells):
+        if target & (target - 1):
+            return [(v, cells[:t] + [1 << v, target & ~(1 << v)] + cells[t + 1:])
+                    for v in bits(target)]
+    return []
+
+
 def test_refine_with_splitters_matches_every_cell_keys():
     # The search refines the degree partition with every cell as a
     # splitter, and an individualized vertex v with [v] alone; both must
     # give the same ordered cells as keying on every cell each round.
-    rng = random.Random(21)
-    graphs = [graph_from_code(code, n).adj
-              for n in range(1, 7) for code in enumerate_codes(n)]
-    graphs += [_random_adj(rng, n, rng.random()) for n in range(2, 17)
-               for _ in range(20)]
-    graphs += list(_symmetric_graphs().values())
-    for adj in graphs:
+    for adj in _classes_and_seeded_graphs(6):
         n = len(adj)
         by_degree = {}
         for v in range(n):
-            by_degree.setdefault(adj[v].bit_count(), []).append(v)
+            d = adj[v].bit_count()
+            by_degree[d] = by_degree.get(d, 0) | 1 << v
         start = [by_degree[d] for d in sorted(by_degree)]
         cells = kernels.root_partition(adj, n)
         assert cells == _refine_every_cell(adj, start)
-        for t, target in enumerate(cells):
-            if len(target) > 1:
-                for v in target:
-                    rest = [u for u in target if u != v]
-                    split = cells[:t] + [[v], rest] + cells[t + 1:]
-                    assert (kernels._refine(adj, split, [1 << v])
-                            == _refine_every_cell(adj, split))
-                break
+        for v, split in _individualized(cells):
+            assert (kernels._refine(adj, split, [1 << v])
+                    == _refine_every_cell(adj, split))
+
+
+def test_mask_cells_match_list_cells():
+    # The kernel keeps cells as vertex masks; tests/reference.py keeps the
+    # same search on ascending lists.  Masks visit the same vertices in the
+    # same order, so the ordered cells and every search result must agree.
+    for adj in _classes_and_seeded_graphs(7):
+        n = len(adj)
+        root = kernels.root_partition(adj, n)
+        assert root == [mask_of(c) for c in root_partition_lists(adj, n)]
+        for v, split in _individualized(root):
+            lists = [list(bits(cell)) for cell in split]
+            assert kernels._refine(adj, split, [1 << v]) == [
+                mask_of(c) for c in refine_lists(adj, lists, [1 << v])]
+        want_autos, want_order = [], []
+        want = canonical_code_lists(adj, n, want_autos, want_order)
+        autos, order = [], []
+        assert kernels.canonical_code(adj, n, autos, order) == want
+        assert (order, autos) == (want_order, want_autos)
 
 
 def test_search_from_a_given_root_matches_a_fresh_search():
@@ -240,7 +272,7 @@ def test_search_from_a_given_root_matches_a_fresh_search():
         want_autos, want_order = [], []
         want = kernels.canonical_code(adj, n, want_autos, want_order)
         root = kernels.root_partition(adj, n)
-        copy = [list(cell) for cell in root]
+        copy = list(root)
         autos, order = [], []
         assert kernels.canonical_code(adj, n, autos, order, root=root) == want
         assert (order, autos) == (want_order, want_autos)
@@ -250,45 +282,13 @@ def test_search_from_a_given_root_matches_a_fresh_search():
 
 # ------------------------------------------------------- automorphism group
 
-def _is_automorphism(adj, perm):
-    n = len(adj)
-    return sorted(perm) == list(range(n)) and all(
-        (adj[u] >> v & 1) == (adj[perm[u]] >> perm[v] & 1)
-        for u in range(n) for v in range(n))
-
-
-def _group_order(gens, n):
-    """Order of the group the permutations generate, by listing it."""
-    identity = tuple(range(n))
-    group, frontier = {identity}, [identity]
-    while frontier:
-        elem = frontier.pop()
-        for g in gens:
-            prod = tuple(g[v] for v in elem)
-            if prod not in group:
-                group.add(prod)
-                frontier.append(prod)
-    return len(group)
-
-
-def _networkx_aut_order(adj):
-    nx = pytest.importorskip("networkx")
-    from networkx.algorithms.isomorphism import GraphMatcher
-    n = len(adj)
-    g = nx.Graph()
-    g.add_nodes_from(range(n))
-    g.add_edges_from((u, v) for u in range(n) for v in range(u + 1, n)
-                     if adj[u] >> v & 1)
-    return sum(1 for _ in GraphMatcher(g, g).isomorphisms_iter())
-
-
 def _check_generators(adj):
     n = len(adj)
     gens = []
     kernels.canonical_code(adj, n, gens)
     for perm in gens:
-        assert _is_automorphism(adj, perm), perm
-    assert _group_order(gens, n) == _networkx_aut_order(adj)
+        assert is_automorphism(adj, perm), perm
+    assert group_order(gens, n) == networkx_aut_order(adj)
 
 
 def test_automorphism_generators_on_every_small_graph():

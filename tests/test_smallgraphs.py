@@ -1,3 +1,4 @@
+import gc
 import random
 from collections import Counter
 from hashlib import sha256
@@ -8,15 +9,17 @@ import pytest
 
 from chibound.classes import get_class
 from chibound.detect import is_member, make_class
-from chibound.graph import Graph, from_edges, mask_of
+from chibound.graph import Graph, bits, from_edges, mask_of
 from chibound import kernels, smallgraphs
 from chibound.patterns import make_pattern
 from chibound.smallgraphs import (ENUM_CAP, EnumerationCapExceeded,
                                   RejectionBudgetExhausted, _canonical_orbit,
-                                  _image, enumerate_codes, enumerate_small,
-                                  graph_from_code, sample_in_class)
+                                  _generators, enumerate_codes,
+                                  enumerate_small, graph_from_code,
+                                  sample_in_class)
 from networkx.algorithms.isomorphism import GraphMatcher
-from reference import canon_code_py, to_nx, validate_graph
+from reference import (canon_code_py, group_order, is_automorphism,
+                       networkx_aut_order, to_nx, validate_graph)
 
 KNOWN_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}  # OEIS A000088
 
@@ -62,7 +65,38 @@ def test_enumeration_matches_networkx_atlas():
 
 def test_enumeration_is_deterministic():
     # Recompute level 7 past the cache (lower levels come from the cache).
-    assert enumerate_codes.__wrapped__(7) == enumerate_codes(7)
+    again = enumerate_codes.__wrapped__(7)
+    assert again == enumerate_codes(7)
+    assert again.carried == enumerate_codes(7).carried
+
+
+def test_carried_generators_generate_each_parents_group():
+    # Every class with n <= 6 is a parent of the n <= 7 level, which reads
+    # its generators from the class's own search one level down, mapped
+    # onto graph_from_code's labelling, and never searches it again.
+    for n in range(1, 7):
+        level = enumerate_codes(n)
+        assert len(level.carried) == len(level)
+        for code, carried in zip(level, level.carried):
+            adj = graph_from_code(code, n).adj
+            gens = _generators(carried, n)
+            for perm in gens:
+                assert is_automorphism(adj, perm), (code, perm)
+            assert group_order(gens, n) == networkx_aut_order(adj)
+
+
+def test_cache_clear_drops_the_carried_generators():
+    # The carried data lives only in the cached levels, so after
+    # cache_clear no level (and no carried bytes) survives, and the next
+    # call recomputes every level below it.
+    enumerate_codes(7)
+    enumerate_codes.cache_clear()
+    assert enumerate_codes.cache_info().currsize == 0
+    gc.collect()
+    assert not [obj for obj in gc.get_objects()
+                if isinstance(obj, smallgraphs._Level)]
+    assert len(enumerate_codes(7)) == KNOWN_COUNTS[7]
+    assert enumerate_codes.cache_info().currsize == 7
 
 
 def _unpruned_codes(n_max):
@@ -91,14 +125,16 @@ def test_orbit_pruned_enumeration_matches_unpruned():
 
 
 def test_enumeration_canonicalizes_one_extension_per_orbit(monkeypatch):
-    # For n <= 7: 208 parent searches for Aut(P)'s generators, and 1,639
-    # children whose new vertex has maximum degree (603 alone, 1,036 ties).
-    # Each is refined once: 386 ties are rejected with no call, 793
-    # children (the 603 and 190 ties) are accepted with a code-only call
-    # from that root and 460 run the orbit search from it.  Every other
-    # orbit of extensions is rejected by degree with no search.
-    # Keeping all codes of the 5,758 orbits in a set took 5,758 calls, the
-    # unpruned loop 11,290, and searching every tie 1,847.
+    # For n <= 7: 1,639 children whose new vertex has maximum degree (603
+    # alone, 1,036 ties).  Each is refined once: 386 ties are rejected with
+    # no call, and 1,253 are searched once from that root for their code,
+    # least leaf and generators: 793 (the 603 and 190 ties) accepted and
+    # 460 decided by their orbit.  No parent is searched: each carries its
+    # generators from its own search one level down.  Every other orbit of
+    # extensions is rejected by degree with no search.
+    # Searching each parent again took 1,461 calls, searching every tie
+    # 1,847, keeping all codes of the 5,758 orbits in a set 5,758, and the
+    # unpruned loop 11,290.
     calls = Counter()
     canonical_code = kernels.canonical_code
 
@@ -111,27 +147,33 @@ def test_enumeration_canonicalizes_one_extension_per_orbit(monkeypatch):
         calls.clear()
         enumerate_codes.cache_clear()
         assert len(enumerate_codes(7)) == KNOWN_COUNTS[7]
-        assert calls == {(0, True): 793, (1, False): 208, (2, True): 460}
-        assert sum(calls.values()) == 1461
+        assert calls == {(2, True): 1253}
+
+
+def _search(adj, n):
+    """(code, canonical orbit) of a graph, from a search from scratch."""
+    autos, order = [], []
+    code = kernels.canonical_code(adj, n, autos, order)
+    return code, _canonical_orbit(adj, order, autos)
 
 
 def test_tied_children_are_decided_from_their_root(monkeypatch):
     # The canonical vertex lies in the first cell of maximum degree of the
     # root partition, so a child whose new vertex is outside that cell is
-    # rejected and one whose new vertex is that cell is accepted; only the
-    # rest are searched.  Each verdict is checked against the orbit that a
-    # search from scratch finds.
+    # rejected with no search, one whose new vertex is that cell is
+    # accepted, and the rest are decided by their orbit.  Each verdict is
+    # derived from the root's mask cells and checked against the orbit
+    # that a search from scratch finds.
     children = []
 
     def rooting(adj, n):
         root = kernels.root_partition(adj, n)
-        children.append([list(adj), n, root, "reject"])
+        children.append([list(adj), n, root, False])
         return root
 
     def searching(adj, n, *out, root=None):
-        if root is not None:
-            assert root is children[-1][2] and children[-1][3] == "reject"
-            children[-1][3] = "search" if out else "accept"
+        assert root is children[-1][2] and not children[-1][3]
+        children[-1][3] = True
         return kernels.canonical_code(adj, n, *out, root=root)
 
     monkeypatch.setattr(smallgraphs, "kernels", SimpleNamespace(
@@ -139,20 +181,24 @@ def test_tied_children_are_decided_from_their_root(monkeypatch):
     enumerate_codes.cache_clear()
     assert len(enumerate_codes(7)) == KNOWN_COUNTS[7]
     monkeypatch.undo()
-    assert Counter(verdict for *_, verdict in children) == {
-        "reject": 386, "accept": 793, "search": 460}
-    for adj, n, root, verdict in children:
+    verdicts = Counter()
+    for adj, n, root, searched in children:
         new, top = n - 1, adj[n - 1].bit_count()
         assert top == max(row.bit_count() for row in adj)
-        cell = mask_of(next(c for c in root if adj[c[0]].bit_count() == top))
-        _, orbit = _canonical_orbit(adj, n)
+        cell = next(c for c in root if adj[c.bit_length() - 1].bit_count() == top)
+        _, orbit = _search(adj, n)
         assert orbit & ~cell == 0
         if not cell >> new & 1:
-            assert verdict == "reject" and not orbit >> new & 1
+            verdict = "reject"
+            assert not searched and not orbit >> new & 1
         elif cell == 1 << new:
-            assert verdict == "accept" and orbit == 1 << new
+            verdict = "accept"
+            assert searched and orbit == 1 << new
         else:
-            assert verdict == "search"
+            verdict = "search"
+            assert searched
+        verdicts[verdict] += 1
+    assert verdicts == {"reject": 386, "accept": 793, "search": 460}
 
 
 def _networkx_orbits(g):
@@ -173,7 +219,7 @@ def _accepted(adj, n):
     """
     top = max(row.bit_count() for row in adj)
     tops = mask_of(v for v in range(n) if adj[v].bit_count() == top)
-    code, orbit = _canonical_orbit(adj, n)
+    code, orbit = _search(adj, n)
     return code, tops if tops.bit_count() == 1 else tops & orbit
 
 
@@ -191,7 +237,8 @@ def test_acceptance_rule_accepts_one_automorphism_orbit():
                 perm = list(range(n))
                 rng.shuffle(perm)
                 h = from_edges(n, [(perm[u], perm[v]) for u, v in g.edges()])
-                assert _accepted(h.adj, n) == (code, _image(mask, perm))
+                image = mask_of(perm[v] for v in bits(mask))
+                assert _accepted(h.adj, n) == (code, image)
 
 
 def test_enumeration_at_n8_is_canonical_and_matches_golden():
