@@ -8,7 +8,7 @@ A graph's adjacency code is its upper triangle read column by column,
 significant bit is the pair (0,1).  It is graph6's body before padding
 (McKay, "graph6 and sparse6 graph formats") and the order in which
 kernels.canonical_code compares leaves.  Graph.code packs it and
-code_rows unpacks it; nothing else reads or writes the bits.
+from_code unpacks it; nothing else reads or writes the bits.
 """
 
 from __future__ import annotations
@@ -104,14 +104,7 @@ def from_edges(n: int, edges) -> Graph:
 
 
 def from_code(code: int, n: int) -> Graph:
-    """The graph on n vertices whose adjacency code (Graph.code) is code."""
-    g = Graph(n, code_rows(code, n))
-    g._code = code
-    return g
-
-
-def code_rows(code: int, n: int) -> list:
-    """The adjacency rows of the graph on n vertices whose code is code.
+    """The graph on n vertices whose adjacency code (Graph.code) is code.
 
     Column j of the code is row j below the diagonal, and each of its set
     bits i adds j to row i.  Columns are read sixteen at a time, as one int
@@ -140,7 +133,9 @@ def code_rows(code: int, n: int) -> list:
                 i = col.bit_length() - 1
                 adj[i] |= bit
                 col ^= 1 << i
-    return adj
+    g = Graph(n, adj)
+    g._code = code
+    return g
 
 
 def neighborhood(g: Graph, x: int) -> int:

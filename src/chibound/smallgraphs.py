@@ -4,11 +4,12 @@ Enumeration is McKay's canonical augmentation: it grows each class by one
 vertex, one neighbour set per orbit of the parent's automorphism group,
 and keeps a child only when its new vertex is in the child's canonical
 orbit, so every class comes out once and no set of codes is kept.  A kept
-child carries the generators its own search found, so no parent is
-searched again.  For n <= 7 that takes 1,253 canonical forms (793
-children accepted and 460 decided by their orbit), where searching each
-parent again took 1,461, searching every tie 1,847, a global set of codes
-5,758 and no pruning 11,290.
+child carries the rows its own search ran on and the generators that
+search found, in that labelling, and is extended from them as a parent
+with no search and no relabelling.  For n <= 7 that takes 1,253
+canonical forms (793 children accepted and 460 decided by their orbit),
+where searching each parent again took 1,461, searching every tie 1,847,
+a global set of codes 5,758 and no pruning 11,290.
 
 A class is kept as its canonical adjacency code (graph.Graph.code, the bit
 order of graph6's body); graph_from_code, which is graph.from_code, turns
@@ -22,7 +23,7 @@ from functools import lru_cache
 
 from . import kernels
 from .detect import ClassSpec, is_member
-from .graph import Graph, code_rows, from_code
+from .graph import Graph, from_code
 
 ENUM_CAP = 8
 
@@ -41,26 +42,16 @@ graph_from_code = from_code
 
 class _Level(tuple):
     """A level of enumerate_codes: the sorted codes, and in `carried` one
-    bytes object per code holding the least-leaf order and the generators
-    of Aut that the class's own search found (see _carry)."""
+    bytes object per code holding the rows its class's own search ran on
+    and the generators of Aut that search found, in that labelling (see
+    _carry); empty at n = ENUM_CAP, which no level extends."""
 
 
-def _carry(order, autos) -> bytes:
-    """A search's least-leaf order, then each generator, one byte per
-    vertex (n <= ENUM_CAP), in the labelling the search ran on."""
-    return bytes(order) + b"".join(map(bytes, autos))
-
-
-def _generators(carried: bytes, n: int):
-    """The generators of a _carry on graph_from_code(code, n)'s labelling,
-    in which vertex i is order[i]: each perm becomes i -> pos[perm[order[i]]]
-    for pos the inverse of order."""
-    order = carried[:n]
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
-    return [[pos[carried[start + v]] for v in order]
-            for start in range(n, len(carried), n)]
+def _carry(rows, autos) -> bytes:
+    """A search's rows, then each generator, one byte per row and per
+    generator entry, in the labelling the search ran on.  Only levels below
+    ENUM_CAP = 8 carry, so every row fits; bytes() raises on a wider one."""
+    return bytes(rows) + b"".join(map(bytes, autos))
 
 
 def _image_table(perm):
@@ -73,12 +64,12 @@ def _image_table(perm):
     return table
 
 
-def _canonical_orbit(adj, order, autos) -> int:
+def _canonical_orbit(order, autos, cell) -> int:
     """Bitmask of a graph's canonical orbit, from its search's least-leaf
-    `order` and generators `autos`: the Aut(G)-orbit of the first vertex of
-    maximum degree in `order`."""
-    top = max(row.bit_count() for row in adj)
-    canon = next(v for v in order if adj[v].bit_count() == top)
+    `order` and generators `autos`: the Aut(G)-orbit of the first vertex in
+    `order` of the root's first maximum-degree cell, which is the first
+    vertex of maximum degree in `order`, as leaves keep cells' positions."""
+    canon = next(v for v in order if cell >> v & 1)
     orbit, todo = 1 << canon, [canon]
     while todo:
         v = todo.pop()
@@ -127,11 +118,13 @@ def enumerate_codes(n: int):
     cell is Aut-invariant.  v outside that cell rejects the child.  Every
     other child is searched once from that root, for its code, a least
     leaf and generators: v alone in the cell accepts it, and otherwise the
-    canonical orbit decides.  A kept child carries its least-leaf order
-    and generators in the returned level's `carried`, so a class is never
-    searched again when it is a parent; its generators are mapped onto
-    graph_from_code(code)'s labelling then.  The carried data lives only in
-    the cached levels, so enumerate_codes.cache_clear() drops it too.
+    canonical orbit decides.  A kept child carries its rows and its
+    search's generators, both in the labelling the search ran on, in the
+    returned level's `carried`, and as a parent it is extended in that
+    labelling: augmentation needs only rows and generators that agree, so
+    a class is never searched or relabelled again.  The level at ENUM_CAP
+    carries nothing, as no level extends it.  The carried data lives only
+    in the cached levels, so enumerate_codes.cache_clear() drops it too.
     """
     if n > ENUM_CAP:
         raise EnumerationCapExceeded(n)
@@ -142,9 +135,10 @@ def enumerate_codes(n: int):
     new = n - 1
     parents = enumerate_codes(new)
     kept = []
-    for code, carry in zip(parents, parents.carried):
-        base = code_rows(code, new)
-        tables = [_image_table(perm) for perm in _generators(carry, new)]
+    for carry in parents.carried:
+        base = carry[:new]
+        tables = [_image_table(carry[start:start + new])
+                  for start in range(new, len(carry), new)]
         top = max(row.bit_count() for row in base)
         tops = sum(1 << v for v in range(new) if base[v].bit_count() == top)
         seen = bytearray(1 << new)
@@ -175,11 +169,11 @@ def enumerate_codes(n: int):
                 autos, order = [], []
                 child = kernels.canonical_code(rows, n, autos, order, root=root)
                 if (cell == 1 << new
-                        or _canonical_orbit(rows, order, autos) >> new & 1):
-                    kept.append((child, _carry(order, autos)))
+                        or _canonical_orbit(order, autos, cell) >> new & 1):
+                    kept.append((child, _carry(rows, autos)))
     kept.sort()
     level = _Level(code for code, _ in kept)
-    level.carried = tuple(carry for _, carry in kept)
+    level.carried = () if n == ENUM_CAP else tuple(carry for _, carry in kept)
     return level
 
 

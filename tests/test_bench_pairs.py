@@ -33,3 +33,44 @@ def test_quartiles_follow_the_exclusive_method_and_take_one_run():
     assert summary["parent"] == {"q1": 5.0, "median": 5.0, "q3": 5.0}
     assert summary["parent_iqr"] == 0.0
     assert summary["within_bound"] and summary["change_wins"] == 0
+
+
+# A stand-in perfbench/run.py: it leaves a marker in its checkout and
+# prints one result line with every end-to-end metric.
+_FAKE_RUN = '''import json
+open("ran", "a").write("x")
+print(json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": {
+    name: {"value": 1.0} for name in
+    ("items_per_s", "setup_s", "peak_rss_mb", "decided_frac")}}))
+'''
+
+
+def _checkout(root):
+    (root / "perfbench" / "__pycache__").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(_FAKE_RUN)
+    (root / "BENCHMARK.json").write_bytes((_PATH.parent.parent
+                                           / "BENCHMARK.json").read_bytes())
+    return root
+
+
+def test_checkouts_with_different_benchmarks_are_refused_before_any_run(
+        tmp_path, capsys):
+    parent = _checkout(tmp_path / "parent")
+    change = _checkout(tmp_path / "change")
+    # compiled files differ between checkouts and are not the benchmark
+    (change / "perfbench" / "__pycache__" / "run.cpython.pyc").write_text("x")
+    argv = [str(parent), str(change), "--workload", "w", "--pairs", "1",
+            "--seconds", "0"]
+    assert bench_pairs.first_difference(parent, change) is None
+    assert bench_pairs.main(argv) == 0
+    assert (parent / "ran").read_text() == (change / "ran").read_text() == "x"
+    (change / "perfbench" / "workloads.py").write_text("")
+    capsys.readouterr()
+    assert bench_pairs.main(argv) == 1
+    assert "perfbench/workloads.py" in capsys.readouterr().err
+    (change / "perfbench" / "workloads.py").unlink()
+    (change / "BENCHMARK.json").write_text("{}")
+    assert bench_pairs.first_difference(parent, change) == Path("BENCHMARK.json")
+    assert bench_pairs.main(argv) == 1
+    # neither refused call ran anything
+    assert (parent / "ran").read_text() == (change / "ran").read_text() == "x"

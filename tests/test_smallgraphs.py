@@ -14,9 +14,8 @@ from chibound import kernels, smallgraphs
 from chibound.patterns import make_pattern
 from chibound.smallgraphs import (ENUM_CAP, EnumerationCapExceeded,
                                   RejectionBudgetExhausted, _canonical_orbit,
-                                  _generators, enumerate_codes,
-                                  enumerate_small, graph_from_code,
-                                  sample_in_class)
+                                  enumerate_codes, enumerate_small,
+                                  graph_from_code, sample_in_class)
 from networkx.algorithms.isomorphism import GraphMatcher
 from reference import (canon_code_py, group_order, is_automorphism,
                        networkx_aut_order, to_nx, validate_graph)
@@ -71,18 +70,20 @@ def test_enumeration_is_deterministic():
 
 
 def test_carried_generators_generate_each_parents_group():
-    # Every class with n <= 6 is a parent of the n <= 7 level, which reads
-    # its generators from the class's own search one level down, mapped
-    # onto graph_from_code's labelling, and never searches it again.
+    # Every class with n <= 6 is a parent of the n <= 7 level, which
+    # extends the rows its class's own search ran on one level down, by
+    # that search's generators, and never searches it again.
     for n in range(1, 7):
         level = enumerate_codes(n)
         assert len(level.carried) == len(level)
         for code, carried in zip(level, level.carried):
-            adj = graph_from_code(code, n).adj
-            gens = _generators(carried, n)
+            rows = list(carried[:n])
+            gens = [carried[start:start + n]
+                    for start in range(n, len(carried), n)]
+            assert kernels.canonical_code(rows, n) == code
             for perm in gens:
-                assert is_automorphism(adj, perm), (code, perm)
-            assert group_order(gens, n) == networkx_aut_order(adj)
+                assert is_automorphism(rows, perm), (code, perm)
+            assert group_order(gens, n) == networkx_aut_order(rows)
 
 
 def test_cache_clear_drops_the_carried_generators():
@@ -151,10 +152,13 @@ def test_enumeration_canonicalizes_one_extension_per_orbit(monkeypatch):
 
 
 def _search(adj, n):
-    """(code, canonical orbit) of a graph, from a search from scratch."""
+    """(code, canonical orbit) of a graph, from a search from scratch: the
+    orbit of the first vertex of maximum degree in the least-leaf order."""
     autos, order = [], []
     code = kernels.canonical_code(adj, n, autos, order)
-    return code, _canonical_orbit(adj, order, autos)
+    top = max(row.bit_count() for row in adj)
+    tops = mask_of(v for v in range(n) if adj[v].bit_count() == top)
+    return code, _canonical_orbit(order, autos, tops)
 
 
 def test_tied_children_are_decided_from_their_root(monkeypatch):
@@ -163,7 +167,8 @@ def test_tied_children_are_decided_from_their_root(monkeypatch):
     # rejected with no search, one whose new vertex is that cell is
     # accepted, and the rest are decided by their orbit.  Each verdict is
     # derived from the root's mask cells and checked against the orbit
-    # that a search from scratch finds.
+    # that a search from scratch finds, which equals the orbit of the
+    # cell's first vertex in the least-leaf order of a search from the root.
     children = []
 
     def rooting(adj, n):
@@ -188,6 +193,9 @@ def test_tied_children_are_decided_from_their_root(monkeypatch):
         cell = next(c for c in root if adj[c.bit_length() - 1].bit_count() == top)
         _, orbit = _search(adj, n)
         assert orbit & ~cell == 0
+        autos, order = [], []
+        kernels.canonical_code(adj, n, autos, order, root=root)
+        assert _canonical_orbit(order, autos, cell) == orbit
         if not cell >> new & 1:
             verdict = "reject"
             assert not searched and not orbit >> new & 1
@@ -250,6 +258,8 @@ def test_enumeration_at_n8_is_canonical_and_matches_golden():
     # produced them
     levels = repr([enumerate_codes(n) for n in range(1, 9)]).encode()
     assert sha256(levels).hexdigest()[:16] == "a5a9635c40ba05c9"
+    # no level extends the cap level, so it carries nothing
+    assert codes.carried == ()
 
 
 def test_enumerate_small_yields_valid_canonical_graphs():

@@ -4,7 +4,11 @@
         --pairs 10 --seconds 25 --seed 1301 [--smoke] [--traced-seconds 10] \
         [--out BENCH_x.json] [--name KEY]
 
-PARENT and CHANGE are checkouts of this repository.  Pair i (0-based) runs
+PARENT and CHANGE are checkouts of this repository whose benchmarks agree:
+when their BENCHMARK.json or any file under perfbench/ (__pycache__ aside)
+differs, the script names the first such path and exits 1 before any run,
+as each side would run its own perfbench/ and the pairs would compare two
+benchmarks.  Pair i (0-based) runs
 ``perfbench/run.py --workload W --seed SEED+i --seconds S --trace 0`` in
 each checkout, the parent first when i is even and the change first when i
 is odd, so that a drift in the host's speed does not favour one side.
@@ -58,6 +62,23 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float,
     return row
 
 
+def first_difference(parent: Path, change: Path):
+    """The first path, relative to a checkout, at which the two checkouts'
+    benchmarks differ (BENCHMARK.json, or a file under perfbench/ outside
+    __pycache__), or None when they agree."""
+    def files(root: Path) -> set:
+        return {Path("BENCHMARK.json")} | {
+            path.relative_to(root) for path in (root / "perfbench").rglob("*")
+            if path.is_file()
+            and "__pycache__" not in path.relative_to(root).parts}
+
+    for rel in sorted(files(parent) | files(change)):
+        a, b = parent / rel, change / rel
+        if not (a.is_file() and b.is_file() and a.read_bytes() == b.read_bytes()):
+            return rel
+    return None
+
+
 def quartiles(values) -> dict:
     if len(values) < 2:
         q1 = median = q3 = values[0]
@@ -108,6 +129,11 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    differ = first_difference(sides["parent"], sides["change"])
+    if differ is not None:
+        print(f"bench_pairs: the checkouts' benchmarks differ at {differ}",
+              file=sys.stderr)
+        return 1
     bench = json.loads((sides["change"] / "BENCHMARK.json").read_text())
 
     runs = {"parent": [], "change": []}
