@@ -173,7 +173,7 @@ def _cmd_scalar(args):
         rec = {"graph": i, "graph6": write_graph6(g)}
         try:
             if args.command == "chi":
-                rec["chi"], rec["coloring"] = oracles.chi()
+                rec["chi"], rec["coloring"] = oracles.coloring()
             elif args.command == "omega":
                 rec["omega"] = oracles.clique().bit_count()
             else:

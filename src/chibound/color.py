@@ -43,8 +43,8 @@ class _Canvas:
         self.trace.append((v, label, depth))
 
     def exact(self, mask):
-        """oracles.chi(mask): (chi, colors)."""
-        chi, cols = self.oracles.chi(mask)
+        """oracles.coloring(mask): (chi, colors)."""
+        chi, cols = self.oracles.coloring(mask)
         self.max_used = max(self.max_used, chi)
         return chi, cols
 
@@ -139,7 +139,10 @@ def _lift_layers(canvas, base, layer, outside):
                      if c not in taken)
             canvas.paint(v, c, "K-lift" if k_mask >> v & 1 else "T-lift", depth)
 
-    rec(g.full_mask(), 0)
+    try:
+        rec(g.full_mask(), 0)
+    finally:
+        del rec  # the closure holds itself: free it now, not at a collection
 
 
 def color_thm1(oracles: GraphOracles, t: int) -> ColoringCertificate:

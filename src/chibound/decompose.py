@@ -188,7 +188,7 @@ class _Check:
         mask = getattr(self.dec, {"T": "t_set", "T'": "t_prime",
                                   "S'": "s_prime"}[block])
         try:
-            return self.oracles.chi(mask)[0] if mask else 0
+            return self.oracles.chi(mask) if mask else 0
         except OracleCapExceeded as exc:
             raise OracleCapExceeded(f"chi({block})", exc.n, exc.cap) from None
 

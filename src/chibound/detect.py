@@ -119,9 +119,9 @@ def find_induced(host: Graph, pattern: Graph):
                     return True
         return False
 
-    if rec(0, cands):
-        return tuple(image)
-    return None
+    found = rec(0, cands)
+    del rec  # the closure holds itself: free it now, not at a collection
+    return tuple(image) if found else None
 
 
 def diamond_free_fast(g: Graph):

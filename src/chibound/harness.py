@@ -194,7 +194,7 @@ def verify_graph(g, cfg: RunConfig, spec, theorem_spec, params):
                                 "note": "membership filter skipped"}
 
     try:
-        record["chi"] = chi = oracles.chi()[0]
+        record["chi"] = chi = oracles.chi()
     except OracleCapExceeded:
         record["chi"], chi = "capped", None
     undecided = int(chi is None)

@@ -192,6 +192,7 @@ def canonical_code(adj, n: int, autos=None, order=None, root=None) -> int:
                                + cells[t + 1:], [low]))
 
     search(root_partition(adj, n) if root is None else root)
+    del search  # the closure holds itself: free it now, not at a collection
     if order is not None:
         order[:] = best_order
     return best
@@ -225,6 +226,7 @@ def clique_number_sub(adj, cand: int, clique=None) -> int:
             rec(size + 1, cand & adj[v], cur | low)
 
     rec(0, cand, 0)
+    del rec  # the closure holds itself: free it now, not at a collection
     if clique is not None:
         clique[:] = bits(best_set)
     return best

@@ -11,6 +11,11 @@ node and no coloring from a search that rescans every class.  The tests
 compare its colorings with a plain DSATUR over the relabelled subgraph
 (_k_colorable_reference in tests/test_oracles.py), and its chi with the
 all-assignments and inclusion-exclusion references of tests/reference.py.
+
+GraphOracles.chi holds both ends of chi: a clique below, first fit in
+decreasing-degree order above.  Where they meet (chi = omega on most
+inputs) it answers with no DSATUR search; GraphOracles.coloring still
+gives DSATUR's coloring.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import os
 from math import comb, inf
 
 from . import kernels
-from .graph import Graph, mask_of
+from .graph import Graph, bits, mask_of
 
 
 def _env_caps(env) -> tuple:
@@ -127,6 +132,33 @@ def _k_colorable(g: Graph, k: int, within: int | None = None):
     return colors
 
 
+def _first_fit(g: Graph, k: int, order) -> bool:
+    """True when first fit along order, an iterable of vertices, uses at
+    most k colors: each vertex joins the first color class, one mask each,
+    that holds none of its neighbours.  Such a coloring proves chi <= k of
+    the set order visits."""
+    adj = g.adj
+    classes = []
+    for v in order:
+        row = adj[v]
+        for i, members in enumerate(classes):
+            if not row & members:
+                classes[i] = members | 1 << v
+                break
+        else:
+            if len(classes) == k:
+                return False
+            classes.append(1 << v)
+    return True
+
+
+def _by_degree(g: Graph, within: int) -> list:
+    """The vertices of within by decreasing degree in G[within], ties to
+    the lower index: Welsh & Powell's order (Comput. J. 10(1), 1967)."""
+    adj = g.adj
+    return sorted(bits(within), key=lambda v: -(adj[v] & within).bit_count())
+
+
 def chromatic_number(g: Graph, within: int | None = None,
                      lower: int | None = None):
     """Exact chromatic number with an optimal coloring, (chi, colors), of
@@ -136,7 +168,8 @@ def chromatic_number(g: Graph, within: int | None = None,
     None starts at omega(G[within]), one clique search.  lower must be a
     lower bound on chi that the caller has proved, such as a clique's size;
     every k below chi fails, so the answer and coloring do not depend on it.
-    No vertex cap: GraphOracles(g).chi() is the capped entrance."""
+    No vertex cap: GraphOracles(g).chi() and .coloring() are the capped
+    entrances."""
     within = g.full_mask() if within is None else within
     k = clique_number(g, within) if lower is None else lower
     while True:
@@ -253,27 +286,10 @@ def maximal_low_omega_sets(g: Graph, t: int, visit, need: int = 0) -> None:
             search(s | low, p & ~drop, x & ~drop)
             x |= low
 
-    search(0, g.full_mask(), 0)
-
-
-def _first_fit_within(g: Graph, k: int, within: int) -> bool:
-    """True when the first-fit coloring of G[within] in ascending vertex
-    order, one mask per color class, uses at most k colors."""
-    classes = []
-    m = within
-    while m:
-        low = m & -m
-        m ^= low
-        row = g.adj[low.bit_length() - 1]
-        for i, members in enumerate(classes):
-            if not row & members:
-                classes[i] = members | low
-                break
-        else:
-            if len(classes) == k:
-                return False
-            classes.append(low)
-    return True
+    try:
+        search(0, g.full_mask(), 0)
+    finally:
+        del search  # the closure holds itself: free it now, not at a collection
 
 
 def odd_hole(g: Graph):
@@ -313,20 +329,23 @@ def odd_hole(g: Graph):
             path.pop()
         return None
 
-    for s in range(g.n):
-        above = g.full_mask() & ~((2 << s) - 1)
-        far, firsts = above & ~adj[s], above & adj[s]
-        while firsts:
-            low = firsts & -firsts
-            firsts ^= low
-            if not firsts:
-                break  # no neighbour of s above p1 can close a hole
-            p1 = low.bit_length() - 1
-            path[:] = [s, p1]
-            hole = grow(p1, 0, far, firsts)
-            if hole:
-                return hole
-    return None
+    try:
+        for s in range(g.n):
+            above = g.full_mask() & ~((2 << s) - 1)
+            far, firsts = above & ~adj[s], above & adj[s]
+            while firsts:
+                low = firsts & -firsts
+                firsts ^= low
+                if not firsts:
+                    break  # no neighbour of s above p1 can close a hole
+                p1 = low.bit_length() - 1
+                path[:] = [s, p1]
+                hole = grow(p1, 0, far, firsts)
+                if hole:
+                    return hole
+        return None
+    finally:
+        del grow  # the closure holds itself: free it now, not at a collection
 
 
 def _clique_cover_bound(g: Graph, t: int) -> int:
@@ -363,7 +382,7 @@ def chi_n(oracles: "GraphOracles", n: int) -> int:
     least_order(n, best + 1) from the root on and again after each set,
     and it drops every branch too small to hold a set with chi above best.
     A set that first fit in ascending vertex order or DSATUR colors with
-    best colors is skipped; any other is colored by oracles.chi from
+    best colors is skipped; any other has its chi from oracles.chi, from
     best + 1 colors up.  No cap is checked here: oracles' chi_cap meets a
     set only when it must be colored exactly.
     """
@@ -382,9 +401,9 @@ def chi_n(oracles: "GraphOracles", n: int) -> int:
 
     def visit(mask):
         nonlocal best
-        if not (_first_fit_within(g, best, mask)
+        if not (_first_fit(g, best, bits(mask))
                 or _k_colorable(g, best, mask) is not None):
-            best, _ = oracles.chi(mask, best + 1)
+            best = oracles.chi(mask, best + 1)
         return least_order(n, best + 1)
 
     maximal_low_omega_sets(g, n, visit, need)
@@ -395,22 +414,32 @@ class GraphOracles:
     """One graph g's exact oracles, each asked once per vertex set within (None
     is V(g)), and the one place that checks their vertex caps.
     clique(within) is g's max_clique, found on first ask, when within holds
-    it, else max_clique(g, within): the same lex-first clique.  chi(within,
-    lower) is chromatic_number from lower colors up, default |clique(within)|;
-    any lower proved <= chi gives the same answer, so it is kept.  Over
-    chi_cap, chi raises before any search.  chi_n(t) is chi_n(self, t); at
-    t >= 2 a graph over chin_cap raises before chi_n runs, while at t <= 1
-    chi_n answers min(omega, t) from clique() with no set search, and a
-    negative t is chi_n's ValueError.  A set of chi_n over chi_cap
-    raises only when it must be colored exactly, which no set does at the
-    defaults (chin_cap 12 < chi_cap 16).  decomposition(t, within)
-    decomposes around clique(within).  A cap hit is not kept."""
+    it, else max_clique(g, within): the same lex-first clique.
+
+    chi(within, lower) is chi(G[within]) as an int, from both ends: lower,
+    by default |clique(within)|, is a proved lower bound, and first fit
+    along _by_degree(g, within) is a coloring, an upper bound.  When first
+    fit uses at most lower colors the two meet and chi is lower with no
+    search; else chi is chromatic_number's from lower colors up, whose
+    coloring is kept.  coloring(within) is chromatic_number's (chi,
+    colors) pair, DSATUR's coloring: the kept one, else DSATUR asked for
+    chi colors.  Every k below chi fails, so any proved lower gives the
+    same chi and the same coloring, and the first one asked is kept.  Over
+    chi_cap, chi and coloring raise before any bound or search.
+
+    chi_n(t) is chi_n(self, t); at t >= 2 a graph over chin_cap raises
+    before chi_n runs, while at t <= 1 chi_n answers min(omega, t) from
+    clique() with no set search, and a negative t is chi_n's ValueError.  A
+    set of chi_n over chi_cap raises only when it must be colored exactly,
+    which no set does at the defaults (chin_cap 12 < chi_cap 16).
+    decomposition(t, within) decomposes around clique(within).  A cap hit
+    is not kept."""
 
     def __init__(self, g: Graph, chi_cap: int = DEFAULT_CHI_CAP,
                  chin_cap: int = DEFAULT_CHIN_CAP):
         self.g, self.chi_cap, self.chin_cap = g, chi_cap, chin_cap
-        self._cliques, self._chis, self._chi_ns = {}, {}, {}
-        self._decompositions, self._whole = {}, None
+        self._cliques, self._chis, self._colorings = {}, {}, {}
+        self._chi_ns, self._decompositions, self._whole = {}, {}, None
 
     def clique(self, within: int | None = None) -> int:
         if self._whole is None:
@@ -421,7 +450,7 @@ class GraphOracles:
             self._cliques[within] = max_clique(self.g, within)
         return self._cliques[within]
 
-    def chi(self, within: int | None = None, lower: int | None = None):
+    def chi(self, within: int | None = None, lower: int | None = None) -> int:
         within = self.g.full_mask() if within is None else within
         if within not in self._chis:
             if within.bit_count() > self.chi_cap:
@@ -429,8 +458,20 @@ class GraphOracles:
                                         within.bit_count(), self.chi_cap)
             if lower is None:
                 lower = self.clique(within).bit_count()
-            self._chis[within] = chromatic_number(self.g, within, lower)
+            if _first_fit(self.g, lower, _by_degree(self.g, within)):
+                self._chis[within] = lower
+            else:
+                pair = self._colorings[within] = chromatic_number(
+                    self.g, within, lower)
+                self._chis[within] = pair[0]
         return self._chis[within]
+
+    def coloring(self, within: int | None = None):
+        within = self.g.full_mask() if within is None else within
+        chi = self.chi(within)
+        if within not in self._colorings:
+            self._colorings[within] = chromatic_number(self.g, within, chi)
+        return self._colorings[within]
 
     def chi_n(self, t: int) -> int:
         if t not in self._chi_ns:
@@ -457,7 +498,10 @@ def ramsey_upper(s: int, t: int) -> int:
 
 def is_proper(g: Graph, coloring: list) -> bool:
     """True iff the total coloring, a list indexed by vertex, has no
-    monochromatic edge."""
+    monochromatic edge: no vertex's row meets the mask of its own color."""
     if len(coloring) != g.n or None in coloring:
         raise ValueError("coloring must assign a color to every vertex")
-    return all(coloring[u] != coloring[v] for u, v in g.edges())
+    classes = {}
+    for v, c in enumerate(coloring):
+        classes[c] = classes.get(c, 0) | 1 << v
+    return not any(row & classes[c] for row, c in zip(g.adj, coloring))

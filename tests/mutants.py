@@ -91,6 +91,28 @@ MUTANTS = [
      "block = int(text[end - width:end], 2)",
      "block = int(text[end - width - 1:end - 1], 2)",
      "tests/test_graph6.py"),
+    # graph6's padding offset one too high: every body reads one bit off
+    ("src/chibound/graph6.py",
+     "pad = 6 * nbytes - nbits\n",
+     "pad = 6 * nbytes - nbits + 1\n",
+     "tests/test_graph6.py::test_read_graph6_file"),
+    # the chi oracle taking first fit with lower + 1 colors as chi = lower
+    ("src/chibound/oracles.py",
+     "if _first_fit(self.g, lower, _by_degree(self.g, within)):",
+     "if _first_fit(self.g, lower + 1, _by_degree(self.g, within)):",
+     "tests/test_oracles.py::"
+     "test_chi_from_its_two_ends_matches_dsatur_and_inclusion_exclusion"),
+    # chi_n asking oracles.chi from best, a count DSATUR has just refuted
+    ("src/chibound/oracles.py",
+     "best = oracles.chi(mask, best + 1)",
+     "best = oracles.chi(mask, best)",
+     "tests/test_oracles.py::test_chi_n_asks_dsatur_only_above_best"),
+    # canonical_code leaving its search's closure in a reference cycle
+    ("src/chibound/kernels.py",
+     "    del search  # the closure holds itself: free it now, not at a "
+     "collection\n",
+     "",
+     "tests/test_kernels.py::test_recursive_searches_leave_no_garbage"),
 ]
 
 

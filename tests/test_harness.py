@@ -303,23 +303,28 @@ def test_out_of_class_graphs_are_skipped(tmp_path):
 def test_membership_filter_runs_before_chi_oracle(tmp_path, monkeypatch):
     """The exact chi oracle runs on class members only.
 
-    A non-member is skipped before chi is computed, so its record has no
-    "chi" and, when it has more vertices than chi_cap, it is no longer
-    counted as undecided (its chi used to be recorded as "capped").  With
-    skip_membership every graph still gets chi, and a graph over chi_cap is
-    "capped" without reaching DSATUR.
+    A non-member is skipped before chi is asked of its oracles, so its
+    record has no "chi" and, when it has more vertices than chi_cap, it is
+    no longer counted as undecided (its chi used to be recorded as
+    "capped").  With skip_membership every graph still gets chi, and a
+    graph over chi_cap is "capped" without reaching DSATUR.
     """
     path_ = tmp_path / "mix.g6"
     path_.write_text(write_graph6(diamond()) + "\n"
                      + write_graph6(path(3)) + "\n")
-    seen = []
-    real = oracles._k_colorable
+    seen, searched = [], []
+    real_chi, real_k = oracles.GraphOracles.chi, oracles._k_colorable
 
-    def counting(g, k, within=None):
-        seen.append(write_graph6(g))
-        return real(g, k, within)
+    def chi(self, within=None, lower=None):
+        seen.append(write_graph6(self.g))
+        return real_chi(self, within, lower)
 
-    monkeypatch.setattr(oracles, "_k_colorable", counting)
+    def k_colorable(g, k, within=None):
+        searched.append(write_graph6(g))
+        return real_k(g, k, within)
+
+    monkeypatch.setattr(oracles.GraphOracles, "chi", chi)
+    monkeypatch.setattr(oracles, "_k_colorable", k_colorable)
     cfg = RunConfig(source={"kind": "graph6", "path": str(path_)},
                     class_name="thm1", chi_cap=3)
     report = verify_run(cfg)
@@ -331,7 +336,8 @@ def test_membership_filter_runs_before_chi_oracle(tmp_path, monkeypatch):
     seen.clear()
     cfg.skip_membership = True
     report = verify_run(cfg)
-    assert seen == [write_graph6(path(3))]
+    assert seen == [write_graph6(diamond()), write_graph6(path(3))]
+    assert searched == []
     assert [r["chi"] for r in report["records"]] == ["capped", 2]
     assert report["aggregates"]["undecided"] == 1
 
@@ -779,13 +785,15 @@ def test_verify_graph_asks_the_clique_kernel_nothing_twice(monkeypatch):
         verify_run(cfg)
         counts[name] = tuple(map(len, calls.values()))
         assert repeats == [], name
-    # (clique-kernel, chromatic_number, decompose calls) per run.  Before one
+    # (clique-kernel, chromatic_number, decompose calls) per run.  Before
+    # GraphOracles.chi decided chi = omega from first fit with no search,
+    # the second was 282, 90, 560, 385, 15, 12, 370 and 208.  Before one
     # GraphOracles served the whole call, the first two were (347, 324),
     # (219, 155), (635, 656), (398, 419), (211, 15), (208, 12) and
     # (491, 491).  Before it also held the decompositions, the third was
     # 178, 96, 296, 296, 12, 12 and 208, and 208 for D1 alone.  Before P4
     # left chi(T') out, THM1 took (347, 293) and THM4 (398, 397).
-    assert counts == {"THM1": (336, 282, 142), "THM2": (219, 90, 81),
-                      "THM3": (561, 560, 206), "THM4": (386, 385, 206),
-                      "THM5A": (211, 15, 0), "THM5B": (208, 12, 0),
-                      "no class": (370, 370, 208), "D1 only": (208, 208, 0)}
+    assert counts == {"THM1": (336, 152, 142), "THM2": (219, 75, 81),
+                      "THM3": (561, 362, 206), "THM4": (386, 153, 206),
+                      "THM5A": (211, 3, 0), "THM5B": (208, 0, 0),
+                      "no class": (370, 5, 208), "D1 only": (208, 5, 0)}

@@ -1,9 +1,10 @@
+import gc
 import random
 from itertools import combinations, permutations
 
 import pytest
 
-from chibound import kernels
+from chibound import color, detect, kernels, oracles
 from chibound.graph import Graph, bits, from_edges, is_clique, mask_of
 from chibound.smallgraphs import enumerate_codes, graph_from_code
 from reference import (canon_code_py, canonical_code_lists, group_order,
@@ -310,3 +311,35 @@ def test_automorphism_generators_on_random_graphs():
 def test_automorphism_generators_on_symmetric_graphs(name):
     _check_generators(_symmetric_graphs()[name])
 
+
+
+def test_recursive_searches_leave_no_garbage():
+    # Each of these searches is a nested function that calls itself, so
+    # its closure cell holds it in a reference cycle; each breaks the cycle
+    # once its search ends.  With the collector off, one call of each on a
+    # small graph leaves nothing for gc.collect(): find_induced's rec,
+    # clique_number_sub's rec, canonical_code's search, odd_hole's grow,
+    # maximal_low_omega_sets's search and _lift_layers's rec (THM5A on K5).
+    g = from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (1, 5),
+                       (5, 6)])
+    c5 = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    k5 = from_edges(5, list(combinations(range(5), 2)))
+    calls = {
+        "find_induced": lambda: detect.find_induced(g, c5),
+        "clique_number_sub": lambda: kernels.clique_number_sub(g.adj, g.full_mask()),
+        "canonical_code": lambda: kernels.canonical_code(g.adj, g.n),
+        "odd_hole": lambda: oracles.odd_hole(g),
+        "maximal_low_omega_sets": lambda: oracles.maximal_low_omega_sets(
+            g, 2, lambda s: 0),
+        "_lift_layers": lambda: color.color_thm5a(oracles.GraphOracles(k5), 5),
+    }
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for name, call in calls.items():
+            gc.collect()
+            call()
+            assert gc.collect() == 0, name
+    finally:
+        if enabled:
+            gc.enable()

@@ -93,11 +93,12 @@ def test_max_clique_is_one_kernel_search(monkeypatch):
 
 def test_graph_oracles_answer_as_the_plain_oracles_in_any_order():
     # clique(within) is max_clique(g, within), chi(within) is
-    # chromatic_number(g, within=within) and decomposition(t, within) is
-    # decompose around that clique, whichever set is asked first: V(g) of
-    # every graph with n <= 6 and every vertex set of each graph with
-    # n <= 5, each asked of a fresh object and of one object in ascending
-    # and in descending mask order.  None and V(g) are one question.
+    # chromatic_number(g, within=within)[0], coloring(within) is that pair
+    # and decomposition(t, within) is decompose around that clique,
+    # whichever set is asked first: V(g) of every graph with n <= 6 and
+    # every vertex set of each graph with n <= 5, each asked of a fresh
+    # object and of one object in ascending and in descending mask order.
+    # None and V(g) are one question.
     for g in enumerate_small(6):
         masks = [None] if g.n > 5 else [None, *range(1 << g.n)]
         orders = [[within] for within in masks] + [masks, masks[::-1]]
@@ -107,7 +108,9 @@ def test_graph_oracles_answer_as_the_plain_oracles_in_any_order():
                 mask = g.full_mask() if within is None else within
                 k = max_clique(g, mask)
                 assert given.clique(within) == k, (g.adj, within)
-                assert given.chi(within) == chromatic_number(g, within=mask)
+                want = chromatic_number(g, within=mask)
+                assert given.chi(within) == want[0]
+                assert given.coloring(within) == want
                 for t in (2, 3):
                     assert given.decomposition(t, within) == decompose(
                         g, t, mask, k)
@@ -298,15 +301,67 @@ def test_dsatur_core_matches_reference_on_the_algebraic_fixtures():
         assert oracles._k_colorable(g, chi - 1) is None
 
 
+def test_chi_from_its_two_ends_matches_dsatur_and_inclusion_exclusion():
+    # GraphOracles.chi returns |clique| with no search when first fit by
+    # decreasing degree uses that many colors.  Its value must be DSATUR's
+    # chi and the inclusion-exclusion reference's, and coloring(within)
+    # must be chromatic_number's pair exactly, whether chi was asked first
+    # or not: every graph with n <= 7 at V and at a seeded random mask, and
+    # the 60 + 300 graphs at n = 10-12 at V and at a random mask.
+    rng = random.Random(35)
+    graphs = list(enumerate_small(7)) + _half_batch() + _ingest_batch()
+    assert len(graphs) == 1252 + 60 + 300
+    for g in graphs:
+        for mask in (g.full_mask(), rng.getrandbits(g.n)):
+            want = chromatic_number(g, within=mask)
+            sub, _ = induced_subgraph(g, mask)
+            assert want[0] == chromatic_number_inclusion_exclusion(sub)
+            given = GraphOracles(g)
+            assert given.chi(mask) == want[0], (write_graph6(g), mask)
+            assert given.coloring(mask) == want
+            assert GraphOracles(g).coloring(mask) == want
+
+
+def test_chi_spares_dsatur_where_first_fit_meets_the_clique(monkeypatch):
+    # Of perfbench's 300 ingest graphs, 265 have chi = omega, and on 223 of
+    # them first fit by decreasing degree already uses omega colors: chi
+    # runs no DSATUR there.  coloring() then asks DSATUR for chi colors
+    # only, one search, and gives chromatic_number's pair.
+    searched = []
+    real = oracles.chromatic_number
+
+    def chromatic(g, within, lower):
+        searched.append(lower)
+        return real(g, within, lower)
+
+    monkeypatch.setattr(oracles, "chromatic_number", chromatic)
+    tight = spared = 0
+    for g in _ingest_batch():
+        given = GraphOracles(g)
+        searched.clear()
+        chi = given.chi()
+        tight += chi == clique_number(g)
+        spared += not searched
+        if not searched:
+            assert chi == clique_number(g)
+            assert given.coloring() == real(g)
+            assert searched == [chi]
+    assert (tight, spared) == (265, 223)
+
+
 def test_chromatic_number_cap_counts_the_mask():
     big = Graph(20, [0] * 20)
     given = GraphOracles(big, chi_cap=16)
     with pytest.raises(OracleCapExceeded) as info:
         given.chi((1 << 17) - 1)
     assert (info.value.what, info.value.n, info.value.cap) == ("chromatic_number", 17, 16)
-    chi, colors = given.chi((1 << 16) - 1)
+    with pytest.raises(OracleCapExceeded):
+        given.coloring((1 << 17) - 1)
+    assert given.chi((1 << 16) - 1) == 1
+    chi, colors = given.coloring((1 << 16) - 1)
     assert chi == 1 and colors == [1] * 16 + [0] * 4
-    assert given.chi(0) == (0, [0] * 20)
+    assert given.chi(0) == 0
+    assert given.coloring(0) == (0, [0] * 20)
     assert chromatic_number(big, within=0) == (0, [0] * 20)
 
 
@@ -352,6 +407,23 @@ def _half_batch():
     """60 seeded G(n, 1/2), 20 each at n = 10, 11 and 12."""
     rng = random.Random(15)
     return [_gnp(rng, n, 0.5) for n in (10, 11, 12) for _ in range(20)]
+
+
+def _ingest_batch():
+    """perfbench's ingest graphs at its seed 0: 300 G(n, 1/2), 100 each at
+    n = 10, 11 and 12, each pair u < v drawn in row order."""
+    rng = random.Random(0)
+    graphs = []
+    for n in (10, 11, 12):
+        for _ in range(100):
+            adj = [0] * n
+            for u in range(n):
+                for v in range(u + 1, n):
+                    if rng.random() < 0.5:
+                        adj[u] |= 1 << v
+                        adj[v] |= 1 << u
+            graphs.append(Graph(n, adj))
+    return graphs
 
 
 def test_max_clique_is_the_max_clique_of_its_component():
@@ -432,13 +504,15 @@ def test_chi_n_checks_chi_cap_on_maximal_sets_first(monkeypatch):
     # C5 plus five isolated vertices at t = 3: its clique starts best at 2,
     # and its one maximal set, all 10 vertices, fails first fit and DSATUR
     # at 2 colors, so it must be colored exactly: over chi_cap it raises
-    # before chromatic_number is asked anything.  The edgeless graph on 10
-    # vertices is decided at t = 1 from its clique, with no set colored.
+    # before oracles.chi orders it for its first-fit bound or asks
+    # chromatic_number anything.  The edgeless graph on 10 vertices is
+    # decided at t = 1 from its clique, with no set colored.
     def no_chromatic(*args):
-        raise AssertionError("a capped set reached chromatic_number")
+        raise AssertionError("a capped set reached a bound or chromatic_number")
 
     g = from_edges(10, [(i, (i + 1) % 5) for i in range(5)])
     with monkeypatch.context() as patched:
+        patched.setattr(oracles, "_by_degree", no_chromatic)
         patched.setattr(oracles, "chromatic_number", no_chromatic)
         with pytest.raises(OracleCapExceeded) as info:
             GraphOracles(g, chi_cap=8).chi_n(3)
@@ -450,19 +524,20 @@ def test_chi_n_checks_chi_cap_on_maximal_sets_first(monkeypatch):
 
 
 def test_chi_n_keeps_the_sets_it_colors_in_its_oracles(monkeypatch):
-    # chi_n colors each set through oracles.chi from a start proved <= chi,
-    # so the kept answer is the one chi(within) gives from its own clique:
-    # the same chi and coloring.  Making the oracles searches nothing; the
-    # whole graph's clique is found on the first ask.  A graph that colors
-    # nothing has chi^(t) at its start: 3 at t = 2 from its odd hole, else
-    # min(omega, t) from its clique.
+    # chi_n asks oracles.chi of each set it must color exactly, from a
+    # start proved <= chi, so the kept answer is the one chi(within) gives
+    # from its own clique, and coloring(within) is chromatic_number's pair.
+    # Making the oracles searches nothing; the whole graph's clique is
+    # found on the first ask.  A graph that asks nothing has chi^(t) at its
+    # start: 3 at t = 2 from its odd hole, else min(omega, t) from its
+    # clique.
     colored, kernel_calls, colored_any = [], [], []
-    real_chromatic = oracles.chromatic_number
+    real_chi = GraphOracles.chi
     real_kernel = kernels.clique_number_sub
 
-    def chromatic(g, within, lower):
+    def chi(self, within=None, lower=None):
         colored.append(within)
-        return real_chromatic(g, within, lower)
+        return real_chi(self, within, lower)
 
     def kernel(*args):
         kernel_calls.append(args)
@@ -471,7 +546,7 @@ def test_chi_n_keeps_the_sets_it_colors_in_its_oracles(monkeypatch):
     for g in _half_batch()[::4]:
         for t in (2, 3):
             with monkeypatch.context() as patched:
-                patched.setattr(oracles, "chromatic_number", chromatic)
+                patched.setattr(GraphOracles, "chi", chi)
                 patched.setattr(kernels, "clique_number_sub", kernel)
                 colored.clear()
                 kernel_calls.clear()
@@ -479,12 +554,12 @@ def test_chi_n_keeps_the_sets_it_colors_in_its_oracles(monkeypatch):
                 assert kernel_calls == []
                 value = given.chi_n(t)
             start = 3 if t == 2 and odd_hole(g) else min(clique_number(g), t)
-            assert value == max((given.chi(m)[0] for m in colored),
-                                default=start)
+            assert value == max(map(given.chi, colored), default=start)
             colored_any.append((t, bool(colored)))
             for mask in colored:
-                assert given.chi(mask) == GraphOracles(g).chi(mask) \
-                    == chromatic_number(g, within=mask)
+                want = chromatic_number(g, within=mask)
+                assert given.chi(mask) == GraphOracles(g).chi(mask) == want[0]
+                assert given.coloring(mask) == want
     assert (colored_any.count((2, True)), colored_any.count((3, True))) \
         == (0, 12)
 
@@ -508,7 +583,7 @@ def test_chi_n_stops_at_sets_that_cannot_beat_best(monkeypatch):
 def test_chi_n_values_do_not_depend_on_the_first_fit_check(monkeypatch):
     graphs = _half_batch()
     with_check = [[chi_n(GraphOracles(g), t) for t in (2, 3)] for g in graphs]
-    monkeypatch.setattr(oracles, "_first_fit_within", lambda g, k, within: False)
+    monkeypatch.setattr(oracles, "_first_fit", lambda g, k, order: False)
     assert [[chi_n(GraphOracles(g), t) for t in (2, 3)] for g in graphs] == with_check
 
 
@@ -529,18 +604,19 @@ def test_chi_n_finds_the_groetzsch_graph_behind_a_3_chromatic_set(monkeypatch):
     # 0 have chi 3; its clique cover bounds every triangle-free set by 11,
     # not below least_order(2, 4) = 11, so the start must not end the
     # search, and the Groetzsch graph's own 11 vertices, chi 4, must survive
-    # the cut at 11 from the root on: it is the one set colored.
+    # the cut at 11 from the root on: it is the one set whose chi is asked
+    # of the oracles.
     h = nx.convert_node_labels_to_integers(nx.mycielski_graph(4))
     g = from_edges(12, [(u + 1, v + 1) for u, v in h.edges()] + [(0, 1), (0, 2)])
     assert write_graph6(g) == "KxOXQ_cP?o?^"
     colored = []
-    real = oracles.chromatic_number
+    real = GraphOracles.chi
 
-    def chromatic(g, within, lower):
+    def chi(self, within=None, lower=None):
         colored.append(within)
-        return real(g, within, lower)
+        return real(self, within, lower)
 
-    monkeypatch.setattr(oracles, "chromatic_number", chromatic)
+    monkeypatch.setattr(GraphOracles, "chi", chi)
     assert chi_n(GraphOracles(g), 2) == 4
     assert colored == [g.full_mask() & ~1]
 
@@ -641,8 +717,8 @@ def test_first_fit_check_spares_dsatur_calls(monkeypatch):
 
     monkeypatch.setattr(oracles, "_k_colorable", counting)
     with_check = dsatur_calls()
-    monkeypatch.setattr(oracles, "_first_fit_within", lambda g, k, within: False)
-    assert list(zip(with_check, dsatur_calls())) == [(219, 612), (106, 194)]
+    monkeypatch.setattr(oracles, "_first_fit", lambda g, k, order: False)
+    assert list(zip(with_check, dsatur_calls())) == [(182, 612), (93, 194)]
 
 
 def test_inclusion_exclusion_reference_matches_bruteforce():
@@ -693,33 +769,44 @@ def test_chromatic_number_from_a_proved_lower_bound(g, mask):
 
 def test_chi_n_asks_dsatur_only_above_best(monkeypatch):
     # A set that beats best is colored from best + 1 up: no DSATUR call
-    # inside chromatic_number repeats a count chi_n has shown too small.
-    events = []
-    real_k, real_chi = oracles._k_colorable, oracles.chromatic_number
+    # inside oracles.chi repeats a count chi_n has shown too small, the
+    # count of the failed DSATUR call just before it.  At t = 2 no set of
+    # this batch reaches oracles.chi, so t = 3 is checked too; first fit
+    # decides every set that reaches it there, so the batch runs again with
+    # first fit off, and then DSATUR must run inside oracles.chi.
+    events, inside_calls = [], 0
+    real_k, real_chi = oracles._k_colorable, GraphOracles.chi
 
     def k_colorable(g, k, within=None):
         events.append(("k", k))
         return real_k(g, k, within)
 
-    def chromatic(*args, **kwargs):
+    def chi(*args, **kwargs):
         events.append(("start", None))
-        chi, colors = real_chi(*args, **kwargs)
-        events.append(("chi", chi))
-        return chi, colors
+        value = real_chi(*args, **kwargs)
+        events.append(("chi", value))
+        return value
 
     monkeypatch.setattr(oracles, "_k_colorable", k_colorable)
-    monkeypatch.setattr(oracles, "chromatic_number", chromatic)
-    for g in _half_batch():
-        events.clear()
-        chi_n(GraphOracles(g), 2)
-        best, inside = 0, False
-        for what, value in events:
-            if what == "start":
-                inside = True
-            elif what == "chi":
-                inside, best = False, value
-            elif inside:
-                assert value > best
+    monkeypatch.setattr(GraphOracles, "chi", chi)
+    for first_fit in (oracles._first_fit, lambda g, k, order: False):
+        monkeypatch.setattr(oracles, "_first_fit", first_fit)
+        for g in _half_batch():
+            for t in (2, 3):
+                events.clear()
+                chi_n(GraphOracles(g), t)
+                shown, inside = 0, False
+                for what, value in events:
+                    if what == "start":
+                        inside = True
+                    elif what == "chi":
+                        inside = False
+                    elif inside:
+                        assert value > shown
+                        inside_calls += 1
+                    else:
+                        shown = value
+    assert inside_calls > 0
 
 
 def _is_odd_hole(g, hole):
@@ -822,7 +909,7 @@ def test_chi_n_colors_no_set_of_a_graph_to_10_vertices_with_an_odd_hole(
     def no_call(*args, **kwargs):
         raise AssertionError("a set was colored or checked")
 
-    for name in ("chromatic_number", "_k_colorable", "_first_fit_within"):
+    for name in ("chromatic_number", "_k_colorable", "_first_fit"):
         monkeypatch.setattr(oracles, name, no_call)
     assert [chi_n(GraphOracles(g), 2) for g in graphs] == [3] * len(graphs)
 
@@ -844,3 +931,30 @@ def test_is_proper():
         is_proper(g, [1, 2])
     with pytest.raises(ValueError):
         is_proper(g, [1, None, 2])
+
+
+def test_is_proper_matches_the_edge_definition():
+    # is_proper checks each row against the mask of its own color; the
+    # definition is that no edge has both ends in one color.  Every graph
+    # with n <= 6, under its DSATUR coloring, seeded greedy colorings in
+    # random vertex order (proper) and seeded random colorings with up to
+    # three colors (mostly improper, some proper), some colors not ints.
+    rng = random.Random(36)
+    seen = {True: 0, False: 0}
+    for g in enumerate_small(6):
+        colorings = [chromatic_number(g)[1]]
+        for _ in range(3):
+            order = list(range(g.n))
+            rng.shuffle(order)
+            greedy = [None] * g.n
+            for v in order:
+                taken = {greedy[u] for u in bits(g.adj[v])}
+                greedy[v] = next(c for c in range(g.n) if c not in taken)
+            colorings.append(greedy)
+            colorings.append([rng.randrange(3) for _ in range(g.n)])
+        colorings.append(["ab"[rng.randrange(2)] for _ in range(g.n)])
+        for coloring in colorings:
+            want = all(coloring[u] != coloring[v] for u, v in g.edges())
+            assert is_proper(g, coloring) == want, (g.adj, coloring)
+            seen[want] += 1
+    assert min(seen.values()) > 500
