@@ -15,7 +15,7 @@ from math import comb
 
 from .certificate import (ColoringCertificate, MembershipError,
                           StructureViolation)
-from .decompose import LEMMAS, edge_clique_partition
+from .decompose import LEMMAS, block_label, edge_clique_partition
 from .detect import ClassSpec, Conditions, check_params, is_member, make_class
 from .graph import bits, connected_components
 from .oracles import GraphOracles, is_proper, ramsey_upper
@@ -98,8 +98,9 @@ def _k_layers(oracles, thm, base, t):
         for i, v in enumerate(bits(dec.k)):
             canvas.paint(v, i + 1, "K", 0)
         offset = w
-        for kind, mask, label in dec.blocks():
-            offset += canvas.block(lemmas.get(kind), mask, offset, label, 0, w)
+        for kind, mask, key in dec.blocks():
+            offset += canvas.block(lemmas.get(kind), mask, offset,
+                                   block_label(kind, key), 0, w)
     return canvas
 
 

@@ -21,9 +21,9 @@ class DecompositionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CliqueDecomposition:
-    """The sets K, S, T, S', T' around a maximum clique K at threshold t.
+class CliqueDecomposition(NamedTuple):
+    """The sets K, S, T, S', T' around a maximum clique K at threshold t, as
+    masks; an immutable tuple, built once per (t, set) by GraphOracles.
 
     a_m maps a non-neighbor mask M (subset of K, 1 <= |M| < t) to the
     vertices complete to K\\M and anticomplete to M; a_nv(g, dec) gives the
@@ -43,14 +43,23 @@ class CliqueDecomposition:
     t_groups: dict
 
     def blocks(self) -> list:
-        """The blocks colored after K, in order, as (kind, mask, label):
-        each A_M by M (kind "S"), each T group ("T"), S', T', residual."""
-        return ([("S", self.a_m[m], f"S[A_{list(bits(m))}]")
-                 for m in sorted(self.a_m)]
-                + [("T", group, f"T[{list(bits(key[0]))},{key[1]}]")
-                   for key, group in self.t_groups.items()]
-                + [("S'", self.s_prime, "S'"), ("T'", self.t_prime, "T'"),
-                   ("residual", self.residual, "residual")])
+        """The blocks colored after K, in order, as (kind, mask, key): each
+        A_M by M (kind "S", key M), each T group ("T", its key), then S',
+        T' and the residual (key None).  block_label names one for a trace."""
+        return ([("S", self.a_m[m], m) for m in sorted(self.a_m)]
+                + [("T", group, key) for key, group in self.t_groups.items()]
+                + [("S'", self.s_prime, None), ("T'", self.t_prime, None),
+                   ("residual", self.residual, None)])
+
+
+def block_label(kind: str, key) -> str:
+    """The trace label of a block (kind, mask, key) of
+    CliqueDecomposition.blocks."""
+    if kind == "S":
+        return f"S[A_{list(bits(key))}]"
+    if kind == "T":
+        return f"T[{list(bits(key[0]))},{key[1]}]"
+    return kind
 
 
 def decompose(g: Graph, t: int, within: int,

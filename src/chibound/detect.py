@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 from .graph import Graph, bits, connected_components
 from .oracles import clique_number
@@ -30,8 +31,10 @@ class ClassSpec:
         return self.id or f"{{{names}}}-free"
 
 
-@dataclass(frozen=True)
-class MembershipReport:
+class MembershipReport(NamedTuple):
+    """is_member's answer: member, else the first pattern or condition
+    violated and its witness.  Truthy exactly when member."""
+
     member: bool
     violated: str | None = None       # pattern label or condition name
     witness: tuple | None = None      # embedding or witness edge/vertex tuple
@@ -197,16 +200,16 @@ def known_to_forbid(known: ClassSpec | None, pat: PatternInstance) -> bool:
     return known is not None and pat in known.forbidden
 
 
-# The diamond's graph, which f1 at t = 2 shares: is_member and _embedding
-# test a pattern's graph against it, not its name.
-_DIAMOND = make_pattern("diamond").graph
+# The diamond's adjacency rows, which f1 at t = 2 shares: is_member and
+# _embedding test a pattern graph's rows against them, not its name.
+_DIAMOND = make_pattern("diamond").graph.adj
 
 
 def _embedding(host: Graph, pat: PatternInstance):
     """find_induced(host, pat.graph); a diamond, whatever its pattern's
     name, by the edge scan of diamond_free_fast, whose witness is the same
     lex-first embedding."""
-    if pat.graph == _DIAMOND:
+    if pat.graph.adj == _DIAMOND:
         return diamond_free_fast(host)[1]
     return find_induced(host, pat.graph)
 
@@ -236,7 +239,7 @@ def is_member(host: Graph, spec: ClassSpec,
                    else _embedding(host, pat))
             if emb is not None:
                 return MembershipReport(False, pat.label(), emb)
-        diamond_free = diamond_free or pat.graph == _DIAMOND
+        diamond_free = diamond_free or pat.graph.adj == _DIAMOND
     cond = spec.conditions
     have = known.conditions if known is not None else Conditions()
     if cond.every_edge_in_two_triangles and not have.every_edge_in_two_triangles:

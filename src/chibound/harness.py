@@ -317,8 +317,9 @@ def exit_code_for(report: dict) -> int:
 
 
 def report_json(report: dict) -> str:
-    """The report's one serialization: compact, keys sorted."""
-    return json.dumps(report, sort_keys=True)
+    """The report's one serialization: compact, keys sorted.  A report is
+    a tree that verify_run builds, so the encoder skips its cycle check."""
+    return json.dumps(report, sort_keys=True, check_circular=False)
 
 
 def report_fingerprint(report: dict) -> str:

@@ -23,13 +23,11 @@ Kernels:
                      caller's root_partition when given one.
   clique_number_sub -- clique number of the subgraph induced on a
                      candidate bitmask, by branch and bound.  Pure Python.
-                     On request the same search also gives the
-                     lexicographically first maximum clique.
+                     On request the same search gives, instead, the
+                     lexicographically first maximum clique as a mask.
 """
 
 from __future__ import annotations
-
-from .graph import bits
 
 # There is no numba path; the flag stays for callers that report it.
 NUMBA_OK = False
@@ -200,11 +198,11 @@ def canonical_code(adj, n: int, autos=None, order=None, root=None) -> int:
 
 # ------------------------------------------------------------ clique number
 
-def clique_number_sub(adj, cand: int, clique=None) -> int:
+def clique_number_sub(adj, cand: int, clique: bool = False) -> int:
     """Clique number of the subgraph induced on the bitmask cand.
 
-    With a list `clique`, the same search sets clique[:] to the ascending
-    vertices of the lexicographically first maximum clique: adding vertices
+    With clique=True the same search returns, instead, the mask of the
+    lexicographically first maximum clique, as it holds it: adding vertices
     in ascending order, it reaches cliques in the order of their sorted
     vertex tuples, keeps one only when it beats the best so far and cuts
     only branches that cannot, so it keeps the first maximum one it reaches.
@@ -227,6 +225,4 @@ def clique_number_sub(adj, cand: int, clique=None) -> int:
 
     rec(0, cand, 0)
     del rec  # the closure holds itself: free it now, not at a collection
-    if clique is not None:
-        clique[:] = bits(best_set)
-    return best
+    return best_set if clique else best

@@ -15,7 +15,11 @@ all-assignments and inclusion-exclusion references of tests/reference.py.
 GraphOracles.chi holds both ends of chi: a clique below, first fit in
 decreasing-degree order above.  Where they meet (chi = omega on most
 inputs) it answers with no DSATUR search; GraphOracles.coloring still
-gives DSATUR's coloring.
+gives DSATUR's coloring.  A set of at most two vertices needs neither end:
+its size and one adjacency bit give its clique, its chi and DSATUR's
+coloring (1 on each vertex, 2 on an edge's upper end).  The rule stops at
+two, as a three-vertex path already takes DSATUR's colors [2, 2, 1], and a
+clique-or-edgeless test on larger sets costs more than it saves.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import os
 from math import comb, inf
 
 from . import kernels
-from .graph import Graph, bits, mask_of
+from .graph import Graph, bits
 
 
 def _env_caps(env) -> tuple:
@@ -65,9 +69,17 @@ def max_clique(g: Graph, within: int | None = None) -> int:
     """Lexicographically smallest maximum clique of G[within] (default G),
     as a bitmask."""
     within = g.full_mask() if within is None else within
-    clique = []
-    kernels.clique_number_sub(g.adj, within, clique)
-    return mask_of(clique)
+    return kernels.clique_number_sub(g.adj, within, True)
+
+
+def _pair_clique(g: Graph, within: int) -> int:
+    """max_clique(g, within) of a set of at most two vertices, with no
+    search: the set itself when it is a clique (no vertex, one, or an
+    edge), else its lower vertex."""
+    low = within & -within
+    if within == low or g.adj[low.bit_length() - 1] & within:
+        return within
+    return low
 
 
 def _k_colorable(g: Graph, k: int, within: int | None = None):
@@ -414,11 +426,15 @@ class GraphOracles:
     """One graph g's exact oracles, each asked once per vertex set within (None
     is V(g)), and the one place that checks their vertex caps.
     clique(within) is g's max_clique, found on first ask, when within holds
-    it, else max_clique(g, within): the same lex-first clique.
+    it, else max_clique(g, within): the same lex-first clique, which for a
+    set of at most two vertices is _pair_clique's, with no search.
 
-    chi(within, lower) is chi(G[within]) as an int, from both ends: lower,
-    by default |clique(within)|, is a proved lower bound, and first fit
-    along _by_degree(g, within) is a coloring, an upper bound.  When first
+    chi(within, lower) on a set of at most two vertices is its clique's
+    size, kept with DSATUR's coloring of it (1 on each vertex, 2 on an
+    edge's upper end), and lower is not read.  On any other set it is
+    chi(G[within]) as an int, from both ends: lower, by default
+    |clique(within)|, is a proved lower bound, and first fit along
+    _by_degree(g, within) is a coloring, an upper bound.  When first
     fit uses at most lower colors the two meet and chi is lower with no
     search; else chi is chromatic_number's from lower colors up, whose
     coloring is kept.  coloring(within) is chromatic_number's (chi,
@@ -447,15 +463,27 @@ class GraphOracles:
         if within is None or self._whole & within == self._whole:
             return self._whole
         if within not in self._cliques:
-            self._cliques[within] = max_clique(self.g, within)
+            self._cliques[within] = (
+                _pair_clique(self.g, within) if within.bit_count() <= 2
+                else max_clique(self.g, within))
         return self._cliques[within]
 
     def chi(self, within: int | None = None, lower: int | None = None) -> int:
         within = self.g.full_mask() if within is None else within
         if within not in self._chis:
-            if within.bit_count() > self.chi_cap:
-                raise OracleCapExceeded("chromatic_number",
-                                        within.bit_count(), self.chi_cap)
+            size = within.bit_count()
+            if size > self.chi_cap:
+                raise OracleCapExceeded("chromatic_number", size, self.chi_cap)
+            if size <= 2:
+                chi = _pair_clique(self.g, within).bit_count()
+                colors = [0] * self.g.n
+                for v in bits(within):
+                    colors[v] = 1
+                if chi == 2:  # DSATUR colors an edge 1, 2 in index order
+                    colors[within.bit_length() - 1] = 2
+                self._colorings[within] = chi, colors
+                self._chis[within] = chi
+                return chi
             if lower is None:
                 lower = self.clique(within).bit_count()
             if _first_fit(self.g, lower, _by_degree(self.g, within)):

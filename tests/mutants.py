@@ -113,6 +113,28 @@ MUTANTS = [
      "collection\n",
      "",
      "tests/test_kernels.py::test_recursive_searches_leave_no_garbage"),
+    # the enumerate source refusing n_max = 1
+    ("src/chibound/harness.py",
+     "1 <= v <= ENUM_CAP",
+     "1 < v <= ENUM_CAP",
+     "tests/test_harness.py::test_enumerate_takes_n_max_from_one"),
+    # complete() refusing K_0
+    ("src/chibound/patterns.py",
+     '_require(n >= 0, "complete',
+     '_require(n >= 1, "complete',
+     "tests/test_patterns.py::test_complete_takes_every_size_from_zero"),
+    # a two-vertex edge colored 1, 1 with no search
+    ("src/chibound/oracles.py",
+     "colors[within.bit_length() - 1] = 2",
+     "colors[within.bit_length() - 1] = 1",
+     "tests/test_oracles.py::"
+     "test_graph_oracles_answer_as_the_plain_oracles_in_any_order"),
+    # a non-adjacent pair taken as its own clique
+    ("src/chibound/oracles.py",
+     "        return within\n    return low\n",
+     "        return within\n    return within\n",
+     "tests/test_oracles.py::"
+     "test_graph_oracles_answer_as_the_plain_oracles_in_any_order"),
 ]
 
 

@@ -38,6 +38,16 @@ def test_config_validation():
     assert cfg.chi_cap >= 1
 
 
+def test_enumerate_takes_n_max_from_one():
+    # n_max = 1 is the least enumeration: the one graph on one vertex
+    report = verify_run(RunConfig.from_dict(
+        {"source": {"kind": "enumerate", "n_max": 1}}))
+    assert report["aggregates"]["graphs_scanned"] == 1
+    assert [rec["graph6"] for rec in report["records"]] == ["@"]
+    with pytest.raises(ConfigError, match="not n_max=0"):
+        RunConfig.from_dict({"source": {"kind": "enumerate", "n_max": 0}})
+
+
 @pytest.mark.parametrize("fields,message", [
     ({"class_name": "thm4", "theorem": "THM4", "theorem_params": {"t": 3},
       "properties": ["P5"]}, "theorem THM4 takes [], not ['t']"),
@@ -786,14 +796,17 @@ def test_verify_graph_asks_the_clique_kernel_nothing_twice(monkeypatch):
         counts[name] = tuple(map(len, calls.values()))
         assert repeats == [], name
     # (clique-kernel, chromatic_number, decompose calls) per run.  Before
-    # GraphOracles.chi decided chi = omega from first fit with no search,
-    # the second was 282, 90, 560, 385, 15, 12, 370 and 208.  Before one
-    # GraphOracles served the whole call, the first two were (347, 324),
-    # (219, 155), (635, 656), (398, 419), (211, 15), (208, 12) and
-    # (491, 491).  Before it also held the decompositions, the third was
+    # GraphOracles answered sets of at most two vertices with no search,
+    # THM1 took (336, 152, 142), THM2 (219, 75, 81), THM3 (561, 362, 206),
+    # THM4 (386, 153, 206), THM5A (211, 3, 0) and no class (370, 5, 208).
+    # Before GraphOracles.chi decided chi = omega from first fit with no
+    # search, the second was 282, 90, 560, 385, 15, 12, 370 and 208.
+    # Before one GraphOracles served the whole call, the first two were
+    # (347, 324), (219, 155), (635, 656), (398, 419), (211, 15), (208, 12)
+    # and (491, 491).  Before it also held the decompositions, the third was
     # 178, 96, 296, 296, 12, 12 and 208, and 208 for D1 alone.  Before P4
     # left chi(T') out, THM1 took (347, 293) and THM4 (398, 397).
-    assert counts == {"THM1": (336, 152, 142), "THM2": (219, 75, 81),
-                      "THM3": (561, 362, 206), "THM4": (386, 153, 206),
-                      "THM5A": (211, 3, 0), "THM5B": (208, 0, 0),
-                      "no class": (370, 5, 208), "D1 only": (208, 5, 0)}
+    assert counts == {"THM1": (223, 53, 142), "THM2": (212, 65, 81),
+                      "THM3": (220, 46, 206), "THM4": (219, 44, 206),
+                      "THM5A": (208, 0, 0), "THM5B": (208, 0, 0),
+                      "no class": (220, 5, 208), "D1 only": (208, 5, 0)}

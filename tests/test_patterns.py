@@ -1,7 +1,7 @@
 import networkx as nx
 import pytest
 
-from chibound.graph import GraphError
+from chibound.graph import Graph, GraphError
 from chibound.patterns import (PATTERNS, bowtie, complete, diamond, f1,
                                lollipop_star, make_pattern, pineapple)
 from reference import PATTERN_COUNTS, to_nx, validate_graph
@@ -87,3 +87,11 @@ def test_lollipop_star_conventions():
 def test_complete_is_complete():
     g = complete(6)
     assert all(g.degree(v) == 5 for v in range(6))
+
+
+def test_complete_takes_every_size_from_zero():
+    # K_0 is the graph on no vertices; only a negative size is refused
+    assert complete(0) == Graph(0, [])
+    assert complete(1) == Graph(1, [0])
+    with pytest.raises(GraphError, match="complete: n must be nonnegative"):
+        complete(-1)
