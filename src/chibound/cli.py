@@ -13,7 +13,7 @@ import sys
 from .classes import THEOREM_CLASS, class_names, get_class
 from .color import THEOREMS, StructureViolation, color_checked
 from .decompose import PROPERTY_IDS, a_nv, decompose
-from .detect import find_induced, is_member
+from .detect import embedding, is_member
 from .graph import bits, is_clique, mask_of, to_dot
 from .graph6 import read_graph6_file, write_graph6
 from .harness import (RunConfig, exit_code_for, report_json, verify_run,
@@ -121,7 +121,7 @@ def _cmd_patterns(args):
 def _cmd_detect(args):
     pat = make_pattern(args.pattern, **_collect_params(args))
     for i, g in enumerate(_load_graphs(args.infile)):
-        emb = find_induced(g, pat.graph)
+        emb = embedding(g, pat)
         print(json.dumps({"graph": i, "graph6": write_graph6(g),
                           "pattern": pat.label(),
                           "found": emb is not None,

@@ -340,14 +340,14 @@ THEOREMS = {case.id: case for case in (
 
 
 def color_checked(thm: str, oracles: GraphOracles,
-                  spec: ClassSpec | None = None,
-                  known: ClassSpec | None = None) -> ColoringCertificate:
+                  spec: ClassSpec | None = None) -> ColoringCertificate:
     """Check that oracles.g is in spec, the class of theorem thm (its
     defaults' when None), then run the colorer on oracles at spec's
-    parameters; known is a class g is known to be in (detect.is_member)."""
+    parameters.  A pattern already asked of g is not searched again
+    (detect.embedding)."""
     if spec is None:
         spec = THEOREMS[thm].spec()
-    rep = is_member(oracles.g, spec, known)
+    rep = is_member(oracles.g, spec)
     if not rep.member:
         raise MembershipError(thm, rep.violated, rep.witness)
     return THEOREMS[thm].colorer(oracles, **spec.params)

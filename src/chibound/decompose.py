@@ -9,8 +9,7 @@ from math import comb
 from typing import NamedTuple
 
 from .certificate import StructureViolation
-from .detect import (ClassSpec, diamond_free_fast, every_edge_two_triangles,
-                     is_free)
+from .detect import embedding, every_edge_two_triangles, is_free
 from .graph import (Graph, bits, connected_components, is_clique, mask_of,
                     neighborhood)
 from .oracles import GraphOracles, OracleCapExceeded, ramsey_upper
@@ -267,10 +266,11 @@ def _p_property(x: _Check):
 
 def _d1(x: _Check):
     """Blade anticompleteness over the edge-clique partition: it holds by
-    the blade lemma of edge_clique_partition once the partition exists."""
-    df, dwit = diamond_free_fast(x.g)
+    the blade lemma of edge_clique_partition once the partition exists.
+    Its diamond witness is detect.embedding's, asked once per graph."""
+    dwit = embedding(x.g, make_pattern("diamond"))
     tt, ewit = every_edge_two_triangles(x.g)
-    if not (df and tt):
+    if dwit or not tt:
         return dict(holds=None, hypothesis_ok=False, measured={},
                     witness=dwit or ewit,
                     notes="edge-clique partition preconditions fail")
@@ -321,17 +321,16 @@ PARAM_LEAST = {"s": 1, "t": 2, "k": 1}
 
 
 def check_property(oracles: GraphOracles, which: str,
-                   params: dict | None = None,
-                   known: ClassSpec | None = None) -> PropertyReport:
+                   params: dict | None = None) -> PropertyReport:
     """Evaluate one of the decomposition properties against oracles.g at
     params' t (default 2), around oracles' decomposition of g at t.
 
     The hypothesis is verified and reported, never assumed, so the checker
-    serves as a negative control on out-of-class graphs; known, a class g
-    is known to belong to, spares the searches for what it forbids
-    (detect.known_to_forbid).  The decomposition, each chi of a block and
-    the P-property constant chi^(t) of g come from oracles, so the checks
-    of one graph share them.  An exact oracle over its cap leaves the check
+    serves as a negative control on out-of-class graphs; a pattern that
+    membership or another property asked of g is not searched again
+    (detect.embedding).  The decomposition, each chi of a block and the
+    P-property constant chi^(t) of g come from oracles, so the checks of
+    one graph share them.  An exact oracle over its cap leaves the check
     undecided (holds None); hypothesis and params are still reported.
     """
     if which not in PROPERTIES:
@@ -340,7 +339,7 @@ def check_property(oracles: GraphOracles, which: str,
     t = params.get("t", 2)
     x = _Check(oracles, params.get("s", t), t, params.get("k", 2))
     hyp = prop.patterns is None or (x.omega > t and all(
-        is_free(x.g, pat, known) for pat in prop.patterns(x.s, t, x.k)))
+        is_free(x.g, pat) for pat in prop.patterns(x.s, t, x.k)))
     try:
         fields = prop.measure(x)
     except OracleCapExceeded as exc:

@@ -193,62 +193,52 @@ def every_edge_two_triangles(g: Graph):
     return True, None
 
 
-def known_to_forbid(known: ClassSpec | None, pat: PatternInstance) -> bool:
-    """The known-class rule: a host known to be in the class known has no
-    induced copy of any pattern known forbids, so that pattern needs no
-    search.  is_member applies it to conditions too."""
-    return known is not None and pat in known.forbidden
-
-
-# The diamond's adjacency rows, which f1 at t = 2 shares: is_member and
-# _embedding test a pattern graph's rows against them, not its name.
+# The diamond's adjacency rows, which f1 at t = 2 shares: embedding tests
+# a pattern graph's rows against them, not its name.
 _DIAMOND = make_pattern("diamond").graph.adj
 
 
-def _embedding(host: Graph, pat: PatternInstance):
-    """find_induced(host, pat.graph); a diamond, whatever its pattern's
-    name, by the edge scan of diamond_free_fast, whose witness is the same
-    lex-first embedding."""
-    if pat.graph.adj == _DIAMOND:
-        return diamond_free_fast(host)[1]
-    return find_induced(host, pat.graph)
+def embedding(host: Graph, pat: PatternInstance):
+    """The lex-first induced embedding of pat.graph in host, or None: the
+    one search behind every membership and hypothesis question.
+
+    Each answer is kept in host's memo (Graph._found) under the pattern
+    graph's adjacency rows, so a (host, pattern) question is searched at
+    most once, whoever asks it and by whichever name.  A diamond is found
+    by the edge scan of diamond_free_fast, whose witness is the same
+    embedding; a triangle fan on a host the memo knows to be diamond-free
+    by find_fan_triangles_diamond_free, exact there and fast where the
+    matcher's search is exponential; anything else by find_induced."""
+    found, rows = host._found, pat.graph.adj
+    if rows not in found:
+        if rows == _DIAMOND:
+            found[rows] = diamond_free_fast(host)[1]
+        elif pat.name == "fan_triangles" and found.get(_DIAMOND, ()) is None:
+            found[rows] = find_fan_triangles_diamond_free(host, pat.params["l"])
+        else:
+            found[rows] = find_induced(host, pat.graph)
+    return found[rows]
 
 
-def is_free(host: Graph, pat: PatternInstance,
-            known: ClassSpec | None = None) -> bool:
-    """True iff host has no induced pat; no search when known forbids pat
-    (known_to_forbid)."""
-    return known_to_forbid(known, pat) or _embedding(host, pat) is None
+def is_free(host: Graph, pat: PatternInstance) -> bool:
+    """True iff host has no induced pat (embedding)."""
+    return embedding(host, pat) is None
 
 
-def is_member(host: Graph, spec: ClassSpec,
-              known: ClassSpec | None = None) -> MembershipReport:
-    """Check H-freeness for every forbidden pattern plus the conditions.
-
-    known, a class host is already known to belong to, passes the patterns
-    and conditions it shares with spec without a search (known_to_forbid).
-    Once the diamond is ruled out, a triangle fan is decided and reported by
-    find_fan_triangles_diamond_free, which is exact on diamond-free hosts
-    and fast where the matcher's search is exponential.
-    """
-    diamond_free = False
+def is_member(host: Graph, spec: ClassSpec) -> MembershipReport:
+    """Check H-freeness for every forbidden pattern (embedding, so a pattern
+    already asked of host is not searched again), then the conditions."""
     for pat in spec.forbidden:
-        if not known_to_forbid(known, pat):
-            emb = (find_fan_triangles_diamond_free(host, pat.params["l"])
-                   if diamond_free and pat.name == "fan_triangles"
-                   else _embedding(host, pat))
-            if emb is not None:
-                return MembershipReport(False, pat.label(), emb)
-        diamond_free = diamond_free or pat.graph.adj == _DIAMOND
+        emb = embedding(host, pat)
+        if emb is not None:
+            return MembershipReport(False, pat.label(), emb)
     cond = spec.conditions
-    have = known.conditions if known is not None else Conditions()
-    if cond.every_edge_in_two_triangles and not have.every_edge_in_two_triangles:
+    if cond.every_edge_in_two_triangles:
         ok, edge = every_edge_two_triangles(host)
         if not ok:
             return MembershipReport(False, "every_edge_in_two_triangles", edge)
-    if cond.min_omega is not None and (have.min_omega or 0) < cond.min_omega:
-        if clique_number(host) < cond.min_omega:
-            return MembershipReport(False, f"min_omega>={cond.min_omega}", None)
+    if cond.min_omega is not None and clique_number(host) < cond.min_omega:
+        return MembershipReport(False, f"min_omega>={cond.min_omega}", None)
     return MembershipReport(True)
 
 

@@ -9,6 +9,9 @@ significant bit is the pair (0,1).  It is graph6's body before padding
 (McKay, "graph6 and sparse6 graph formats") and the order in which
 kernels.canonical_code compares leaves.  Graph.code packs it and
 from_code unpacks it; nothing else reads or writes the bits.
+
+A Graph is immutable and keeps what is derived from it: its code, and
+_found, detect.embedding's memo of induced-pattern answers by pattern rows.
 """
 
 from __future__ import annotations
@@ -38,12 +41,13 @@ def mask_of(vertices) -> int:
 class Graph:
     """A simple undirected graph with bitmask adjacency rows."""
 
-    __slots__ = ("n", "adj", "_code")
+    __slots__ = ("n", "adj", "_code", "_found")
 
     def __init__(self, n: int, adj):
         self.n = n
         self.adj = tuple(adj)
         self._code = None
+        self._found = {}
 
     @property
     def code(self) -> int:

@@ -169,14 +169,12 @@ def verify_graph(g, cfg: RunConfig, spec, theorem_spec, params):
 
     spec, theorem_spec and params are cfg resolved by cfg.validate().  The
     colorer runs only on members of theorem_spec, and a decided chi of a
-    member is checked against the bound whatever the colorer did.  Once g
-    has passed spec, spec is the known class of the property hypotheses
-    and of that membership check: what spec forbids is not searched again.
-    The stages share one GraphOracles: each oracle question is asked once.
+    member is checked against the bound whatever the colorer did.  The
+    stages share one GraphOracles and g's pattern memo (detect.embedding):
+    each oracle question is asked, and each induced pattern searched, once.
     """
     record = {"graph6": write_graph6(g), "n": g.n}
     violations = []
-    known = None
 
     oracles = GraphOracles(g, cfg.chi_cap, cfg.chin_cap)
     record["omega"] = omega = oracles.clique().bit_count()
@@ -187,7 +185,6 @@ def verify_graph(g, cfg: RunConfig, spec, theorem_spec, params):
             # Filtered before the chi oracle: a skipped record has no "chi".
             record["skipped"] = "not a class member"
             return record, violations, 0
-        known = spec
     else:
         record["membership"] = {"member": None, "violated": None,
                                 "witness": None,
@@ -202,7 +199,7 @@ def verify_graph(g, cfg: RunConfig, spec, theorem_spec, params):
     if cfg.properties:
         props = []
         for which in cfg.properties:
-            rep = check_property(oracles, which, params, known)
+            rep = check_property(oracles, which, params)
             prop = rep.to_dict()
             props.append(prop)
             # Outside the property's own hypothesis class a result is a
@@ -220,7 +217,7 @@ def verify_graph(g, cfg: RunConfig, spec, theorem_spec, params):
     if cfg.theorem is None:
         return record, violations, undecided
     try:
-        cert = color_checked(cfg.theorem, oracles, theorem_spec, known)
+        cert = color_checked(cfg.theorem, oracles, theorem_spec)
     except MembershipError as exc:
         record["certificate"] = {"rejected": str(exc)}
         return record, violations, undecided

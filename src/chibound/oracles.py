@@ -427,7 +427,8 @@ class GraphOracles:
     is V(g)), and the one place that checks their vertex caps.
     clique(within) is g's max_clique, found on first ask, when within holds
     it, else max_clique(g, within): the same lex-first clique, which for a
-    set of at most two vertices is _pair_clique's, with no search.
+    set of at most two vertices, g's own included, is _pair_clique's, with
+    no search.
 
     chi(within, lower) on a set of at most two vertices is its clique's
     size, kept with DSATUR's coloring of it (1 on each vertex, 2 on an
@@ -459,7 +460,9 @@ class GraphOracles:
 
     def clique(self, within: int | None = None) -> int:
         if self._whole is None:
-            self._whole = max_clique(self.g)
+            g = self.g
+            self._whole = (_pair_clique(g, g.full_mask()) if g.n <= 2
+                           else max_clique(g))
         if within is None or self._whole & within == self._whole:
             return self._whole
         if within not in self._cliques:

@@ -135,6 +135,17 @@ MUTANTS = [
      "        return within\n    return within\n",
      "tests/test_oracles.py::"
      "test_graph_oracles_answer_as_the_plain_oracles_in_any_order"),
+    # the pattern memo keyed by the pattern's name, not its graph's rows
+    ("src/chibound/detect.py",
+     "found, rows = host._found, pat.graph.adj",
+     "found, rows = host._found, pat.name",
+     "tests/test_detect.py::test_memo_answers_as_a_fresh_search_in_any_order"),
+    # the fan finder run without the memo's answer that the host is
+    # diamond-free
+    ("src/chibound/detect.py",
+     'elif pat.name == "fan_triangles" and found.get(_DIAMOND, ()) is None:',
+     'elif pat.name == "fan_triangles":',
+     "tests/test_detect.py::test_memo_answers_as_a_fresh_search_in_any_order"),
 ]
 
 

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from chibound import detect
 from chibound.classes import get_class
+from chibound.color import THEOREMS
+from chibound.decompose import PROPERTIES
 from chibound.detect import (Conditions, diamond_free_fast,
                              every_edge_two_triangles, find_induced,
                              is_member, make_class)
@@ -206,11 +208,11 @@ def test_f1_at_t2_takes_the_diamond_scan(monkeypatch):
 
     with monkeypatch.context() as patched:
         patched.setattr(detect, "find_induced", no_matcher)
-        assert [detect._embedding(h, f1) for h in hosts] == want
+        assert [detect.embedding(h, f1) for h in hosts] == want
     assert sum(w is None for w in want) == 421
-    # is_member takes f1(2) as the diamond for the fan shortcut too: on a
-    # diamond-free host the fan finder decides and reports a fan, and the
-    # matcher does not run.
+    # The memo keeps f1(2)'s answer as the diamond's, so the fan shortcut
+    # takes it too: on a fresh diamond-free host the fan finder decides and
+    # reports a fan, and the matcher does not run.
     fan = make_pattern("fan_triangles", l=2)
     ref = [is_member(h, make_class([make_pattern("diamond"), fan]))
            for h in hosts]
@@ -218,7 +220,7 @@ def test_f1_at_t2_takes_the_diamond_scan(monkeypatch):
     monkeypatch.setattr(detect, "find_induced",
                         lambda host, pattern: calls.append(pattern)
                         or find_induced(host, pattern))
-    got = [is_member(h, make_class([f1, fan])) for h in hosts]
+    got = [is_member(Graph(h.n, h.adj), make_class([f1, fan])) for h in hosts]
     assert [(r.member, r.witness) for r in got] == \
         [(r.member, r.witness) for r in ref]
     assert sum(r.violated == fan.label() for r in ref) > 0
@@ -309,6 +311,9 @@ def test_conditions_in_membership():
 
 
 def test_known_class_passes_what_it_forbids_without_a_search(monkeypatch):
+    # Once a graph has passed a class, its memo answers every pattern the
+    # class forbids: asking again, under any class, gives a fresh copy's
+    # answer, and for the class itself runs no search.
     specs = [get_class(name, **params) for name, params in (
         ("thm1", {}), ("thm1", {"t": 3}), ("thm2", {}), ("thm2", {"y": "f2"}),
         ("thm3", {}), ("thm3", {"s": 3, "t": 3}), ("thm4", {}), ("thm5a", {}),
@@ -319,16 +324,61 @@ def test_known_class_passes_what_it_forbids_without_a_search(monkeypatch):
         for g in graphs:
             if is_member(g, known):
                 for spec in specs:
-                    assert is_member(g, spec, known) == is_member(g, spec)
+                    assert is_member(g, spec) == is_member(Graph(g.n, g.adj),
+                                                           spec)
+    hosts = [complete(5) for _ in specs[:-1]]
+    assert all(is_member(h, spec) for h, spec in zip(hosts, specs))
     calls = []
-    monkeypatch.setattr(detect, "find_induced",
-                        lambda *args: calls.append(args))
-    monkeypatch.setattr(detect, "every_edge_two_triangles",
-                        lambda *args, **kwargs: calls.append(args))
-    for spec in specs[:-1]:
-        assert is_member(complete(5), spec, known=spec)
-        assert detect.is_free(complete(5), spec.forbidden[-1], known=spec)
+    for name in ("find_induced", "diamond_free_fast",
+                 "find_fan_triangles_diamond_free"):
+        monkeypatch.setattr(detect, name, lambda *args: calls.append(args))
+    for host, spec in zip(hosts, specs):
+        assert is_member(host, spec)
+        assert detect.is_free(host, spec.forbidden[-1])
     assert calls == []
+
+
+def _memo_patterns():
+    """The patterns of every theorem's class and every property's
+    hypothesis at several parameters, then fan_triangles(1) and (2), once
+    per label in first-use order: the diamond comes before the fans, and
+    f1(2) shares the diamond's rows under another name."""
+    pats = {}
+    for thm, params in (("THM1", {}), ("THM1", {"t": 3}), ("THM2", {}),
+                        ("THM2", {"y": "f2"}), ("THM2", {"t": 3, "k": 3}),
+                        ("THM3", {}), ("THM3", {"s": 3, "t": 3}),
+                        ("THM4", {}), ("THM5A", {}), ("THM5A", {"k": 3}),
+                        ("THM5B", {})):
+        for pat in THEOREMS[thm].spec(**params).forbidden:
+            pats.setdefault(pat.label(), pat)
+    for s, t, k in ((2, 2, 2), (3, 3, 3), (3, 2, 2), (2, 3, 2), (2, 2, 3)):
+        for prop in PROPERTIES.values():
+            for pat in prop.patterns(s, t, k) if prop.patterns else ():
+                pats.setdefault(pat.label(), pat)
+    for l in (1, 2):
+        pat = make_pattern("fan_triangles", l=l)
+        pats.setdefault(pat.label(), pat)
+    return list(pats.values())
+
+
+def test_memo_answers_as_a_fresh_search_in_any_order():
+    # Every pattern asked in turn of one Graph: each answer, searched or
+    # from the memo, is find_induced's on a fresh copy, whatever was asked
+    # of the graph before it.
+    pats = _memo_patterns()
+    assert len(pats) == 23
+    assert any(p.graph.adj == diamond().adj and p.name != "diamond"
+               for p in pats)
+    mismatches, hits = 0, [0] * len(pats)
+    for g in enumerate_small(7):
+        for i, pat in enumerate(pats):
+            want = find_induced(Graph(g.n, g.adj), pat.graph)
+            mismatches += detect.embedding(g, pat) != want
+            hits[i] += want is not None
+    assert mismatches == 0
+    # graphs with n <= 7 holding each pattern, in the order of pats
+    assert hits == [831, 49, 1, 831, 222, 1007, 202, 178, 25, 25, 380, 22, 1,
+                    0, 1, 0, 17, 25, 1, 268, 1, 350, 401]
 
 
 def test_make_class_rejects_empty():

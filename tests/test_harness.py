@@ -15,7 +15,8 @@ from chibound.graph import connected_components, from_edges, mask_of
 from chibound.graph6 import parse_graph6, write_graph6
 from chibound.harness import (ConfigError, RunConfig, exit_code_for,
                               report_fingerprint, verify_run, write_report)
-from chibound.patterns import complete, diamond, f2, path, pineapple
+from chibound.patterns import (complete, diamond, f2, make_pattern, path,
+                               pineapple)
 from reference import q43, rook, w3
 
 ROOK_K4 = "O~`HW}GPHDaNaGPCcPWaN"   # K4 x K4, a thm5b member with chi = omega
@@ -725,6 +726,34 @@ def test_report_fingerprints_are_pinned():
         (3, 2, 2): "40105fb4d9589767"}
 
 
+@pytest.mark.parametrize("thm,params,members,found,digest", [
+    ("THM1", {"t": 3}, 420, {}, "02b414cc9cab213b"),
+    # P1 and P2 fail on THM2 members at t = 3: findings, pinned as they are
+    ("THM2", {"s": 2, "t": 3, "k": 3}, 1038, {"P1": 135, "P2": 18},
+     "b0187e9e68884e7a"),
+    ("THM3", {"s": 3, "t": 3}, 871, {}, "5cf4f0a3e9e1c462"),
+])
+def test_t3_sweep_fingerprints_are_pinned(thm, params, members, found, digest):
+    # The t = 3 sweeps at n <= 7, class and theorem at the same parameters:
+    # their hypotheses hammer_plus(3), f1(3) and bowtie(3, 3) are what the
+    # pattern memo shares most between the filter and the properties.
+    cfg = RunConfig(source={"kind": "enumerate", "n_max": 7},
+                    class_name=THEOREM_CLASS[thm], class_params=params,
+                    theorem=thm, theorem_params=params,
+                    properties=SWEEP_PROPERTIES[thm], chi_cap=16, chin_cap=12)
+    report = verify_run(cfg)
+    violations = sum(found.values())
+    assert report["aggregates"] == {
+        "graphs_scanned": 1252, "members_found": members,
+        "violations": violations, "undecided": 0, "errors": 0}
+    by_id = {}
+    for v in report["violations"]:
+        by_id[v["id"]] = by_id.get(v["id"], 0) + 1
+    assert by_id == found
+    assert hashlib.sha256(report_fingerprint(report).encode()).hexdigest()[
+        :16] == digest
+
+
 def test_d1_outside_its_hypothesis_is_not_undecided():
     # 196 graphs with n <= 6 have a diamond or an edge in fewer than two
     # triangles, so D1 reports holds None with hypothesis_ok False.  As a
@@ -739,6 +768,49 @@ def test_d1_outside_its_hypothesis_is_not_undecided():
     assert report["aggregates"]["undecided"] == 0
     cfg.skip_membership = True
     assert verify_run(cfg)["aggregates"]["undecided"] == 196
+
+
+def test_verify_run_searches_each_pattern_once_per_graph(monkeypatch):
+    # The membership filter, the property hypotheses and the colorer's
+    # membership check all ask detect.embedding, so in one run no (graph,
+    # pattern rows) pair reaches a search twice: not find_induced, not the
+    # diamond scan (the diamond's rows), not the fan finder.  P4 and P8
+    # share the diamond, P5 and P6 the bowtie, P6 and P7 the path, and D1
+    # takes its diamond witness from the same memo.
+    real = {name: getattr(detect, name) for name in (
+        "find_induced", "diamond_free_fast", "find_fan_triangles_diamond_free")}
+    diamond_rows = diamond().adj
+    searched, repeats = set(), []
+
+    def note(host, rows):
+        key = (host.adj, rows)
+        if key in searched:
+            repeats.append(key)
+        searched.add(key)
+
+    def find_induced(host, pattern):
+        note(host, pattern.adj)
+        return real["find_induced"](host, pattern)
+
+    def diamond_free_fast(host):
+        note(host, diamond_rows)
+        return real["diamond_free_fast"](host)
+
+    def fan_finder(host, l):
+        note(host, make_pattern("fan_triangles", l=l).graph.adj)
+        return real["find_fan_triangles_diamond_free"](host, l)
+
+    monkeypatch.setattr(detect, "find_induced", find_induced)
+    monkeypatch.setattr(detect, "diamond_free_fast", diamond_free_fast)
+    monkeypatch.setattr(detect, "find_fan_triangles_diamond_free", fan_finder)
+    runs = {thm: _sweep(thm, 6) for thm in SWEEP_PROPERTIES}
+    runs.update({stk: _no_class(*stk)
+                 for stk in ((2, 2, 2), (3, 3, 3), (3, 2, 2))})
+    for name, cfg in runs.items():
+        searched.clear()
+        verify_run(cfg)
+        assert searched, name
+        assert repeats == [], name
 
 
 def test_verify_graph_asks_the_clique_kernel_nothing_twice(monkeypatch):
@@ -796,6 +868,9 @@ def test_verify_graph_asks_the_clique_kernel_nothing_twice(monkeypatch):
         counts[name] = tuple(map(len, calls.values()))
         assert repeats == [], name
     # (clique-kernel, chromatic_number, decompose calls) per run.  Before
+    # GraphOracles.clique() decided a whole graph of at most two vertices
+    # with no search, the first was three higher: 223, 212, 220, 219, 208,
+    # 208, 220 and 208 (one per graph with n <= 2).  Before
     # GraphOracles answered sets of at most two vertices with no search,
     # THM1 took (336, 152, 142), THM2 (219, 75, 81), THM3 (561, 362, 206),
     # THM4 (386, 153, 206), THM5A (211, 3, 0) and no class (370, 5, 208).
@@ -806,7 +881,7 @@ def test_verify_graph_asks_the_clique_kernel_nothing_twice(monkeypatch):
     # and (491, 491).  Before it also held the decompositions, the third was
     # 178, 96, 296, 296, 12, 12 and 208, and 208 for D1 alone.  Before P4
     # left chi(T') out, THM1 took (347, 293) and THM4 (398, 397).
-    assert counts == {"THM1": (223, 53, 142), "THM2": (212, 65, 81),
-                      "THM3": (220, 46, 206), "THM4": (219, 44, 206),
-                      "THM5A": (208, 0, 0), "THM5B": (208, 0, 0),
-                      "no class": (220, 5, 208), "D1 only": (208, 5, 0)}
+    assert counts == {"THM1": (220, 53, 142), "THM2": (209, 65, 81),
+                      "THM3": (217, 46, 206), "THM4": (216, 44, 206),
+                      "THM5A": (205, 0, 0), "THM5B": (205, 0, 0),
+                      "no class": (217, 5, 208), "D1 only": (205, 5, 0)}
