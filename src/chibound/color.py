@@ -328,8 +328,7 @@ THEOREMS = {case.id: case for case in (
     TheoremCase(
         "THM5A", {"k": 2}, {"k": 1},
         lambda k: [make_pattern("diamond"), make_pattern("fan_triangles", l=k)],
-        lambda omega, c, k: max(((omega - 1) * (k - 1) + 1) * omega,
-                                omega * (omega - 1) * (k - 1), c),
+        lambda omega, c, k: max(((omega - 1) * (k - 1) + 1) * omega, c),
         color_thm5a, _TWO_TRIANGLES),
     TheoremCase(
         "THM5B", {}, {},

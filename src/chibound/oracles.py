@@ -12,14 +12,16 @@ compare its colorings with a plain DSATUR over the relabelled subgraph
 (_k_colorable_reference in tests/test_oracles.py), and its chi with the
 all-assignments and inclusion-exclusion references of tests/reference.py.
 
-GraphOracles.chi holds both ends of chi: a clique below, first fit in
-decreasing-degree order above.  Where they meet (chi = omega on most
-inputs) it answers with no DSATUR search; GraphOracles.coloring still
-gives DSATUR's coloring.  A set of at most two vertices needs neither end:
-its size and one adjacency bit give its clique, its chi and DSATUR's
-coloring (1 on each vertex, 2 on an edge's upper end).  The rule stops at
-two, as a three-vertex path already takes DSATUR's colors [2, 2, 1], and a
-clique-or-edgeless test on larger sets costs more than it saves.
+Each oracle question has one rule.  max_clique decides a set of at most
+two vertices by its size and one adjacency bit and searches any larger one
+with the kernel.  _first_fit visits a set's vertices by decreasing degree
+in the set, for GraphOracles.chi and chi_n alike.  GraphOracles keeps one
+entry per set, (chi, DSATUR's coloring or None): chi is answered from a
+clique below and first fit above where they meet (chi = omega on most
+inputs), with no DSATUR search, and coloring() fills in the coloring when
+it is asked.  On a set of at most two vertices chi also keeps DSATUR's
+coloring, with no search; that rule stops at two, as a three-vertex path
+already takes DSATUR's colors [2, 2, 1].
 """
 
 from __future__ import annotations
@@ -67,19 +69,17 @@ def clique_number(g: Graph, within: int | None = None) -> int:
 
 def max_clique(g: Graph, within: int | None = None) -> int:
     """Lexicographically smallest maximum clique of G[within] (default G),
-    as a bitmask."""
+    as a bitmask.  A set of at most two vertices is decided by its size
+    and one adjacency bit, with no search: the set itself when it is a
+    clique (no vertex, one, or an edge), else its lower vertex.  Larger
+    sets take one kernel search."""
     within = g.full_mask() if within is None else within
+    if within.bit_count() <= 2:
+        low = within & -within
+        if within == low or g.adj[low.bit_length() - 1] & within:
+            return within
+        return low
     return kernels.clique_number_sub(g.adj, within, True)
-
-
-def _pair_clique(g: Graph, within: int) -> int:
-    """max_clique(g, within) of a set of at most two vertices, with no
-    search: the set itself when it is a clique (no vertex, one, or an
-    edge), else its lower vertex."""
-    low = within & -within
-    if within == low or g.adj[low.bit_length() - 1] & within:
-        return within
-    return low
 
 
 def _k_colorable(g: Graph, k: int, within: int | None = None):
@@ -144,13 +144,15 @@ def _k_colorable(g: Graph, k: int, within: int | None = None):
     return colors
 
 
-def _first_fit(g: Graph, k: int, order) -> bool:
-    """True when first fit along order, an iterable of vertices, uses at
-    most k colors: each vertex joins the first color class, one mask each,
-    that holds none of its neighbours.  Such a coloring proves chi <= k of
-    the set order visits."""
+def _first_fit(g: Graph, k: int, within: int) -> bool:
+    """True when first fit on G[within] uses at most k colors, which proves
+    chi(G[within]) <= k.  The vertices of within go by decreasing degree in
+    G[within], ties to the lower index (Welsh & Powell, Comput. J. 10(1),
+    1967), each into the first color class, one mask each, that holds none
+    of its neighbours."""
     adj = g.adj
     classes = []
+    order = sorted(bits(within), key=lambda v: -(adj[v] & within).bit_count())
     for v in order:
         row = adj[v]
         for i, members in enumerate(classes):
@@ -162,13 +164,6 @@ def _first_fit(g: Graph, k: int, order) -> bool:
                 return False
             classes.append(1 << v)
     return True
-
-
-def _by_degree(g: Graph, within: int) -> list:
-    """The vertices of within by decreasing degree in G[within], ties to
-    the lower index: Welsh & Powell's order (Comput. J. 10(1), 1967)."""
-    adj = g.adj
-    return sorted(bits(within), key=lambda v: -(adj[v] & within).bit_count())
 
 
 def chromatic_number(g: Graph, within: int | None = None,
@@ -393,10 +388,10 @@ def chi_n(oracles: "GraphOracles", n: int) -> int:
     colored, each as maximal_low_omega_sets finds it; the search is told
     least_order(n, best + 1) from the root on and again after each set,
     and it drops every branch too small to hold a set with chi above best.
-    A set that first fit in ascending vertex order or DSATUR colors with
-    best colors is skipped; any other has its chi from oracles.chi, from
-    best + 1 colors up.  No cap is checked here: oracles' chi_cap meets a
-    set only when it must be colored exactly.
+    A set that _first_fit or DSATUR colors with best colors is skipped;
+    any other has its chi from oracles.chi, from best + 1 colors up.  No
+    cap is checked here: oracles' chi_cap meets a set only when it must be
+    colored exactly.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -413,7 +408,7 @@ def chi_n(oracles: "GraphOracles", n: int) -> int:
 
     def visit(mask):
         nonlocal best
-        if not (_first_fit(g, best, bits(mask))
+        if not (_first_fit(g, best, mask)
                 or _k_colorable(g, best, mask) is not None):
             best = oracles.chi(mask, best + 1)
         return least_order(n, best + 1)
@@ -426,23 +421,21 @@ class GraphOracles:
     """One graph g's exact oracles, each asked once per vertex set within (None
     is V(g)), and the one place that checks their vertex caps.
     clique(within) is g's max_clique, found on first ask, when within holds
-    it, else max_clique(g, within): the same lex-first clique, which for a
-    set of at most two vertices, g's own included, is _pair_clique's, with
-    no search.
+    it, else max_clique(g, within): the same lex-first clique.
 
-    chi(within, lower) on a set of at most two vertices is its clique's
-    size, kept with DSATUR's coloring of it (1 on each vertex, 2 on an
-    edge's upper end), and lower is not read.  On any other set it is
-    chi(G[within]) as an int, from both ends: lower, by default
-    |clique(within)|, is a proved lower bound, and first fit along
-    _by_degree(g, within) is a coloring, an upper bound.  When first
-    fit uses at most lower colors the two meet and chi is lower with no
-    search; else chi is chromatic_number's from lower colors up, whose
-    coloring is kept.  coloring(within) is chromatic_number's (chi,
-    colors) pair, DSATUR's coloring: the kept one, else DSATUR asked for
-    chi colors.  Every k below chi fails, so any proved lower gives the
-    same chi and the same coloring, and the first one asked is kept.  Over
-    chi_cap, chi and coloring raise before any bound or search.
+    chi(within, lower) is chi(G[within]) as an int.  On a set of at most
+    two vertices it is its clique's size, kept with DSATUR's coloring of
+    it (1 on each vertex, 2 on an edge's upper end), and lower is not read.
+    On any other set it comes from both ends: lower, by default
+    |clique(within)|, is a proved lower bound, and _first_fit(g, lower,
+    within) an upper one.  When first fit uses at most lower colors the two
+    meet and chi is lower with no search; else chi is chromatic_number's
+    from lower colors up.  Each set keeps one entry, (chi, coloring or
+    None).  coloring(within) is chromatic_number's (chi, colors) pair,
+    DSATUR's coloring: the kept one, else DSATUR asked for chi colors,
+    which fills in the entry.  Every k below chi fails, so any proved lower
+    gives the same chi and the same coloring, and the first one asked is
+    kept.  Over chi_cap, chi and coloring raise before any bound or search.
 
     chi_n(t) is chi_n(self, t); at t >= 2 a graph over chin_cap raises
     before chi_n runs, while at t <= 1 chi_n answers min(omega, t) from
@@ -455,54 +448,47 @@ class GraphOracles:
     def __init__(self, g: Graph, chi_cap: int = DEFAULT_CHI_CAP,
                  chin_cap: int = DEFAULT_CHIN_CAP):
         self.g, self.chi_cap, self.chin_cap = g, chi_cap, chin_cap
-        self._cliques, self._chis, self._colorings = {}, {}, {}
-        self._chi_ns, self._decompositions, self._whole = {}, {}, None
+        self._cliques, self._chis, self._chi_ns = {}, {}, {}
+        self._decompositions, self._whole = {}, None
 
     def clique(self, within: int | None = None) -> int:
         if self._whole is None:
-            g = self.g
-            self._whole = (_pair_clique(g, g.full_mask()) if g.n <= 2
-                           else max_clique(g))
+            self._whole = max_clique(self.g)
         if within is None or self._whole & within == self._whole:
             return self._whole
         if within not in self._cliques:
-            self._cliques[within] = (
-                _pair_clique(self.g, within) if within.bit_count() <= 2
-                else max_clique(self.g, within))
+            self._cliques[within] = max_clique(self.g, within)
         return self._cliques[within]
 
     def chi(self, within: int | None = None, lower: int | None = None) -> int:
-        within = self.g.full_mask() if within is None else within
+        g = self.g
+        within = g.full_mask() if within is None else within
         if within not in self._chis:
             size = within.bit_count()
             if size > self.chi_cap:
                 raise OracleCapExceeded("chromatic_number", size, self.chi_cap)
             if size <= 2:
-                chi = _pair_clique(self.g, within).bit_count()
-                colors = [0] * self.g.n
+                chi = max_clique(g, within).bit_count()
+                colors = [0] * g.n
                 for v in bits(within):
                     colors[v] = 1
                 if chi == 2:  # DSATUR colors an edge 1, 2 in index order
                     colors[within.bit_length() - 1] = 2
-                self._colorings[within] = chi, colors
-                self._chis[within] = chi
-                return chi
-            if lower is None:
-                lower = self.clique(within).bit_count()
-            if _first_fit(self.g, lower, _by_degree(self.g, within)):
-                self._chis[within] = lower
+                self._chis[within] = chi, colors
             else:
-                pair = self._colorings[within] = chromatic_number(
-                    self.g, within, lower)
-                self._chis[within] = pair[0]
-        return self._chis[within]
+                if lower is None:
+                    lower = self.clique(within).bit_count()
+                self._chis[within] = (
+                    (lower, None) if _first_fit(g, lower, within)
+                    else chromatic_number(g, within, lower))
+        return self._chis[within][0]
 
     def coloring(self, within: int | None = None):
         within = self.g.full_mask() if within is None else within
         chi = self.chi(within)
-        if within not in self._colorings:
-            self._colorings[within] = chromatic_number(self.g, within, chi)
-        return self._colorings[within]
+        if self._chis[within][1] is None:
+            self._chis[within] = chromatic_number(self.g, within, chi)
+        return self._chis[within]
 
     def chi_n(self, t: int) -> int:
         if t not in self._chi_ns:

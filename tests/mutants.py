@@ -98,8 +98,8 @@ MUTANTS = [
      "tests/test_graph6.py::test_read_graph6_file"),
     # the chi oracle taking first fit with lower + 1 colors as chi = lower
     ("src/chibound/oracles.py",
-     "if _first_fit(self.g, lower, _by_degree(self.g, within)):",
-     "if _first_fit(self.g, lower + 1, _by_degree(self.g, within)):",
+     "(lower, None) if _first_fit(g, lower, within)",
+     "(lower, None) if _first_fit(g, lower + 1, within)",
      "tests/test_oracles.py::"
      "test_chi_from_its_two_ends_matches_dsatur_and_inclusion_exclusion"),
     # chi_n asking oracles.chi from best, a count DSATUR has just refuted
@@ -107,6 +107,12 @@ MUTANTS = [
      "best = oracles.chi(mask, best + 1)",
      "best = oracles.chi(mask, best)",
      "tests/test_oracles.py::test_chi_n_asks_dsatur_only_above_best"),
+    # chi_n taking first fit with best + 1 colors as proof of chi <= best
+    ("src/chibound/oracles.py",
+     "if not (_first_fit(g, best, mask)",
+     "if not (_first_fit(g, best + 1, mask)",
+     "tests/test_oracles.py::"
+     "test_chi_n_matches_inclusion_exclusion_over_unpivoted_sets"),
     # canonical_code leaving its search's closure in a reference cycle
     ("src/chibound/kernels.py",
      "    del search  # the closure holds itself: free it now, not at a "
@@ -129,10 +135,10 @@ MUTANTS = [
      "colors[within.bit_length() - 1] = 1",
      "tests/test_oracles.py::"
      "test_graph_oracles_answer_as_the_plain_oracles_in_any_order"),
-    # a non-adjacent pair taken as its own clique
+    # max_clique taking a non-adjacent pair as its own clique
     ("src/chibound/oracles.py",
-     "        return within\n    return low\n",
-     "        return within\n    return within\n",
+     "            return within\n        return low\n",
+     "            return within\n        return within\n",
      "tests/test_oracles.py::"
      "test_graph_oracles_answer_as_the_plain_oracles_in_any_order"),
     # the pattern memo keyed by the pattern's name, not its graph's rows

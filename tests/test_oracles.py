@@ -83,12 +83,18 @@ def test_max_clique_is_one_kernel_search(monkeypatch):
         calls.append(args)
         return search(*args)
 
+    # One kernel search on a graph of three or more vertices, none on one
+    # of at most two, which max_clique decides by its size and one
+    # adjacency bit.  Graph(0, []) took one search before that rule moved
+    # into max_clique.
     search = kernels.clique_number_sub
     monkeypatch.setattr(kernels, "clique_number_sub", counting)
-    for g in (w3(), rook(4), pineapple(4, 2), Graph(0, [])):
+    for g, searches in ((w3(), 1), (rook(4), 1), (pineapple(4, 2), 1),
+                        (Graph(0, []), 0), (Graph(1, [0]), 0),
+                        (from_edges(2, [(0, 1)]), 0)):
         calls.clear()
         max_clique(g)
-        assert len(calls) == 1
+        assert len(calls) == searches, g.adj
 
 
 def test_graph_oracles_answer_as_the_plain_oracles_in_any_order():
@@ -504,15 +510,22 @@ def test_chi_n_checks_chi_cap_on_maximal_sets_first(monkeypatch):
     # C5 plus five isolated vertices at t = 3: its clique starts best at 2,
     # and its one maximal set, all 10 vertices, fails first fit and DSATUR
     # at 2 colors, so it must be colored exactly: over chi_cap it raises
-    # before oracles.chi orders it for its first-fit bound or asks
-    # chromatic_number anything.  The edgeless graph on 10 vertices is
-    # decided at t = 1 from its clique, with no set colored.
+    # before oracles.chi runs its first-fit bound, at best + 1 = 3 colors,
+    # or asks chromatic_number anything.  (chi_n's own first fit, at 2
+    # colors, still runs.)  The edgeless graph on 10 vertices is decided at
+    # t = 1 from its clique, with no set colored.
     def no_chromatic(*args):
         raise AssertionError("a capped set reached a bound or chromatic_number")
 
+    def first_fit(g, k, within):
+        if k == 3:
+            no_chromatic()
+        return real_first_fit(g, k, within)
+
+    real_first_fit = oracles._first_fit
     g = from_edges(10, [(i, (i + 1) % 5) for i in range(5)])
     with monkeypatch.context() as patched:
-        patched.setattr(oracles, "_by_degree", no_chromatic)
+        patched.setattr(oracles, "_first_fit", first_fit)
         patched.setattr(oracles, "chromatic_number", no_chromatic)
         with pytest.raises(OracleCapExceeded) as info:
             GraphOracles(g, chi_cap=8).chi_n(3)
@@ -583,7 +596,7 @@ def test_chi_n_stops_at_sets_that_cannot_beat_best(monkeypatch):
 def test_chi_n_values_do_not_depend_on_the_first_fit_check(monkeypatch):
     graphs = _half_batch()
     with_check = [[chi_n(GraphOracles(g), t) for t in (2, 3)] for g in graphs]
-    monkeypatch.setattr(oracles, "_first_fit", lambda g, k, order: False)
+    monkeypatch.setattr(oracles, "_first_fit", lambda g, k, within: False)
     assert [[chi_n(GraphOracles(g), t) for t in (2, 3)] for g in graphs] == with_check
 
 
@@ -717,8 +730,11 @@ def test_first_fit_check_spares_dsatur_calls(monkeypatch):
 
     monkeypatch.setattr(oracles, "_k_colorable", counting)
     with_check = dsatur_calls()
-    monkeypatch.setattr(oracles, "_first_fit", lambda g, k, order: False)
-    assert list(zip(with_check, dsatur_calls())) == [(182, 612), (93, 194)]
+    # First fit runs by decreasing degree in the set.  Before chi_n shared
+    # that order with GraphOracles.chi it ran in ascending vertex order, and
+    # the pins were (182, 612), (93, 194).
+    monkeypatch.setattr(oracles, "_first_fit", lambda g, k, within: False)
+    assert list(zip(with_check, dsatur_calls())) == [(59, 612), (28, 194)]
 
 
 def test_inclusion_exclusion_reference_matches_bruteforce():
@@ -789,7 +805,7 @@ def test_chi_n_asks_dsatur_only_above_best(monkeypatch):
 
     monkeypatch.setattr(oracles, "_k_colorable", k_colorable)
     monkeypatch.setattr(GraphOracles, "chi", chi)
-    for first_fit in (oracles._first_fit, lambda g, k, order: False):
+    for first_fit in (oracles._first_fit, lambda g, k, within: False):
         monkeypatch.setattr(oracles, "_first_fit", first_fit)
         for g in _half_batch():
             for t in (2, 3):
