@@ -65,11 +65,10 @@ class _Canvas:
         return max(map(int.bit_count, comps), default=0)
 
     def certificate(self, thm, c, params, **details):
-        """Verify the finished coloring and certify it against the bound."""
+        """Verify the finished coloring and certify it against the bound;
+        is_proper raises ValueError if a vertex is uncolored."""
         g = self.g
         colors = [self.coloring.get(v) for v in range(g.n)]
-        if None in colors:
-            raise RuntimeError("certificate does not color every vertex")
         if not is_proper(g, colors):
             raise RuntimeError("certificate coloring is not proper")
         return ColoringCertificate(
@@ -107,25 +106,34 @@ def _k_layers(oracles, thm, base, t):
 def _lift_layers(canvas, base, layer, outside):
     """The colorer of THM2 and THM5A: alpha-block lifting, on the canvas.
 
-    A mask's K is oracles.clique(mask).  With |K| <= base it goes to the
-    exact oracle.  Otherwise layer(canvas, mask, K) peels K and returns
-    (rest, plan); rest is colored first, then plan() gives (blocks, alpha,
-    size) and each peeled v takes the first color of its block blocks[v]
-    >= 1 of `size` colors that no neighbour in rest uses.  A degree
-    |N(v) & rest| >= alpha fails the proof's claim and raises
+    Layers are peeled from V(G) down.  A mask's K is oracles.clique(mask);
+    while |K| > base, layer(mask, K) gives (rest, groups, alpha, size) and
+    rest is the next mask.  The last mask, with |K| <= base, goes to the
+    exact oracle.  The layers are then lifted deepest first.  K's vertices
+    are blocks 1..|K| in index order and each group, colored exactly, takes
+    the next chi blocks; each of these vertices v takes the first color of
+    its block b, size*(b-1)+1..size*b, that no neighbour in rest uses.  A
+    degree |N(v) & rest| >= alpha fails the proof's claim and raises
     StructureViolation with v, its degree and alpha.
     """
-    g = canvas.g
-
-    def rec(mask, depth):
+    g, mask, layers = canvas.g, canvas.g.full_mask(), []
+    while mask:
         k_mask = canvas.oracles.clique(mask)
         if k_mask.bit_count() <= base:
-            canvas.block(None, mask, 0, "base", depth)
-            return
-        rest, plan = layer(canvas, mask, k_mask)
-        if rest:
-            rec(rest, depth + 1)
-        blocks, alpha, size = plan()
+            canvas.block(None, mask, 0, "base", len(layers))
+            break
+        rest, groups, alpha, size = layer(mask, k_mask)
+        layers.append((k_mask, rest, groups, alpha, size))
+        mask = rest
+    for depth in reversed(range(len(layers))):
+        k_mask, rest, groups, alpha, size = layers[depth]
+        blocks = {v: i + 1 for i, v in enumerate(bits(k_mask))}
+        top = len(blocks)
+        for group in groups:
+            chi, cols = canvas.exact(group)
+            for v in bits(group):
+                blocks[v] = top + cols[v]
+            top += chi
         for v in sorted(blocks):
             near = g.adj[v] & rest
             deg = near.bit_count()
@@ -139,11 +147,6 @@ def _lift_layers(canvas, base, layer, outside):
             c = next(c for c in range(start + 1, start + size + 1)
                      if c not in taken)
             canvas.paint(v, c, "K-lift" if k_mask >> v & 1 else "T-lift", depth)
-
-    try:
-        rec(g.full_mask(), 0)
-    finally:
-        del rec  # the closure holds itself: free it now, not at a collection
 
 
 def color_thm1(oracles: GraphOracles, t: int) -> ColoringCertificate:
@@ -182,21 +185,10 @@ def _thm2_bound(omega, c, s, t, k, y):
 def color_thm2(oracles: GraphOracles, s: int, t: int, k: int,
                y: str) -> ColoringCertificate:
     """{Y, (s,t)-bowtie, (k,t)-lollipop}-free graphs via alpha-block lifting."""
-    def layer(canvas, mask, k_mask):
-        dec = canvas.oracles.decomposition(t, mask)
-
-        def plan():
-            # provisional coloring of K ∪ T; each color is a lift block
-            blocks = {v: i + 1 for i, v in enumerate(bits(dec.k))}
-            top = len(blocks)
-            for group in dec.t_groups.values():
-                chi, cols = canvas.exact(group)
-                for v in bits(group):
-                    blocks[v] = top + cols[v]
-                top += chi
-            alpha = _thm2_alpha(dec.k.bit_count(), t, k)
-            return blocks, alpha, alpha
-        return mask & ~(dec.k | dec.t_set), plan
+    def layer(mask, k_mask):
+        dec = oracles.decomposition(t, mask)
+        alpha = _thm2_alpha(k_mask.bit_count(), t, k)
+        return mask & ~(k_mask | dec.t_set), dec.t_groups.values(), alpha, alpha
 
     canvas = _Canvas(oracles)
     _lift_layers(canvas, 2 * t - 2, layer, "(K∪T)")
@@ -217,10 +209,9 @@ def color_thm5a(oracles: GraphOracles, k: int) -> ColoringCertificate:
     if (omega := canvas.omega) < 4:
         raise MembershipError("THM5A", f"omega >= 4 (found {omega})")
 
-    def layer(canvas, mask, k_mask):
+    def layer(mask, k_mask):
         alpha = (k_mask.bit_count() - 1) * (k - 1)
-        blocks = {v: i + 1 for i, v in enumerate(bits(k_mask))}
-        return mask & ~k_mask, lambda: (blocks, alpha, alpha + 1)
+        return mask & ~k_mask, (), alpha, alpha + 1
 
     _lift_layers(canvas, 3, layer, "K")
     nominal = omega * (omega - 1) * (k - 1)

@@ -9,7 +9,7 @@ from math import comb
 from typing import NamedTuple
 
 from .certificate import StructureViolation
-from .detect import embedding, every_edge_two_triangles, is_free
+from .detect import embedding, every_edge_two_triangles
 from .graph import (Graph, bits, connected_components, is_clique, mask_of,
                     neighborhood)
 from .oracles import GraphOracles, OracleCapExceeded, ramsey_upper
@@ -339,7 +339,7 @@ def check_property(oracles: GraphOracles, which: str,
     t = params.get("t", 2)
     x = _Check(oracles, params.get("s", t), t, params.get("k", 2))
     hyp = prop.patterns is None or (x.omega > t and all(
-        is_free(x.g, pat) for pat in prop.patterns(x.s, t, x.k)))
+        embedding(x.g, pat) is None for pat in prop.patterns(x.s, t, x.k)))
     try:
         fields = prop.measure(x)
     except OracleCapExceeded as exc:

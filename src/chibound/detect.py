@@ -193,9 +193,9 @@ def every_edge_two_triangles(g: Graph):
     return True, None
 
 
-# The diamond's adjacency rows, which f1 at t = 2 shares: embedding tests
-# a pattern graph's rows against them, not its name.
-_DIAMOND = make_pattern("diamond").graph.adj
+# The diamond, whose adjacency rows f1 at t = 2 shares: embedding tests a
+# pattern graph's rows against its rows, not its name.
+_DIAMOND = make_pattern("diamond")
 
 
 def embedding(host: Graph, pat: PatternInstance):
@@ -206,23 +206,19 @@ def embedding(host: Graph, pat: PatternInstance):
     graph's adjacency rows, so a (host, pattern) question is searched at
     most once, whoever asks it and by whichever name.  A diamond is found
     by the edge scan of diamond_free_fast, whose witness is the same
-    embedding; a triangle fan on a host the memo knows to be diamond-free
-    by find_fan_triangles_diamond_free, exact there and fast where the
-    matcher's search is exponential; anything else by find_induced."""
+    embedding; a triangle fan on a diamond-free host (asked of the host
+    through this memo) by find_fan_triangles_diamond_free, exact there and
+    fast where the matcher's search is exponential; anything else by
+    find_induced."""
     found, rows = host._found, pat.graph.adj
     if rows not in found:
-        if rows == _DIAMOND:
+        if rows == _DIAMOND.graph.adj:
             found[rows] = diamond_free_fast(host)[1]
-        elif pat.name == "fan_triangles" and found.get(_DIAMOND, ()) is None:
+        elif pat.name == "fan_triangles" and embedding(host, _DIAMOND) is None:
             found[rows] = find_fan_triangles_diamond_free(host, pat.params["l"])
         else:
             found[rows] = find_induced(host, pat.graph)
     return found[rows]
-
-
-def is_free(host: Graph, pat: PatternInstance) -> bool:
-    """True iff host has no induced pat (embedding)."""
-    return embedding(host, pat) is None
 
 
 def is_member(host: Graph, spec: ClassSpec) -> MembershipReport:

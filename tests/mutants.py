@@ -146,12 +146,21 @@ MUTANTS = [
      "found, rows = host._found, pat.graph.adj",
      "found, rows = host._found, pat.name",
      "tests/test_detect.py::test_memo_answers_as_a_fresh_search_in_any_order"),
-    # the fan finder run without the memo's answer that the host is
-    # diamond-free
+    # the fan finder run without asking whether the host is diamond-free
     ("src/chibound/detect.py",
-     'elif pat.name == "fan_triangles" and found.get(_DIAMOND, ()) is None:',
+     'elif pat.name == "fan_triangles" and embedding(host, _DIAMOND) is None:',
      'elif pat.name == "fan_triangles":',
      "tests/test_detect.py::test_memo_answers_as_a_fresh_search_in_any_order"),
+    # the lift taking its layers top-down, before the rest below is colored
+    ("src/chibound/color.py",
+     "for depth in reversed(range(len(layers))):",
+     "for depth in range(len(layers)):",
+     "tests/test_color.py::test_thm5a_fan"),
+    # THM5A's lift blocks of alpha colors, not alpha + 1
+    ("src/chibound/color.py",
+     "return mask & ~k_mask, (), alpha, alpha + 1",
+     "return mask & ~k_mask, (), alpha, alpha",
+     "tests/test_harness.py::test_report_fingerprints_are_pinned"),
 ]
 
 

@@ -10,7 +10,7 @@ import networkx as nx
 from chibound import kernels
 from chibound.graph import (MAX_VERTICES, Graph, GraphError, bits, from_edges,
                             mask_of)
-from chibound.graph6 import Graph6Error, _read_n
+from chibound.graph6 import Graph6Error, _read_n, parse_graph6
 from chibound.oracles import OracleCapExceeded, chromatic_number
 
 
@@ -539,3 +539,20 @@ def q43():
     return _orthogonality_graph(
         points, lambda x, y: (2 * x[0] * y[0] + x[1] * y[2] + x[2] * y[1]
                               + x[3] * y[4] + x[4] * y[3]))
+
+
+def g37():
+    """G37, the 2-section of 27 of W(3)'s 40 lines (its 37 points on at
+    least one of them): a thm5b member with omega = 4 and chi = 5, the
+    least that a seeded line-deletion descent from W(3) reached (ROADMAP
+    item 10)."""
+    return parse_graph6(
+        "dF?Ca_oc``IGg??w?BcHC@_?dQCQS`SKGB?B?C@?HIQ?pGo@OS??QH?@"
+        "OdO?P`a?w????B_[@o?WEWCGHGHPEGpbGHSIiECQAACqCOG?`AQKPeIG")
+
+
+# A 5-vertex-critical core of G37: deleting vertices in
+# random.Random(36)-shuffled order while the rest stays not 4-colourable
+# leaves these 22, the fewest over seeds 0-199.
+G37_CORE = (0, 1, 2, 3, 5, 6, 7, 8, 11, 12, 15, 16, 17, 18, 19, 22, 26, 28,
+            29, 32, 33, 36)

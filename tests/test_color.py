@@ -13,15 +13,17 @@ from chibound.color import (MembershipError, StructureViolation, THEOREMS,
                             color_checked, color_thm1, color_thm2, color_thm3,
                             color_thm4, color_thm5a, verify_thm5b)
 from chibound.detect import is_member
-from chibound.graph import from_edges
+from chibound.graph import from_edges, mask_of
 from chibound.graph6 import parse_graph6, write_graph6
 from chibound.harness import RunConfig, verify_run
 from chibound.decompose import check_property
 from chibound.oracles import (GraphOracles, chromatic_number, clique_number,
                               is_proper)
-from chibound.patterns import complete, diamond, gem, path, pineapple
+from chibound.patterns import (complete, diamond, dumbbell, gem, path,
+                               pineapple)
 from chibound.smallgraphs import enumerate_small, sample_in_class
-from reference import q43, rook, to_nx, w3
+from reference import (G37_CORE, chromatic_number_inclusion_exclusion, g37,
+                       induced_subgraph, q43, rook, to_nx, w3)
 
 
 def _fan(blades, clique_size):
@@ -147,6 +149,17 @@ def test_thm5a_fan():
 def test_thm5a_rejects_small_omega():
     with pytest.raises(MembershipError):
         color_thm5a(GraphOracles(complete(3)), k=2)
+
+
+def test_canvas_refuses_a_second_paint_and_an_uncolored_vertex():
+    canvas = color._Canvas(GraphOracles(path(3)))
+    canvas.paint(0, 1, "K", 0)
+    with pytest.raises(RuntimeError, match="vertex 0 colored twice"):
+        canvas.paint(0, 2, "K", 0)
+    canvas.paint(1, 2, "K", 0)
+    # vertex 2 is uncolored: is_proper refuses the partial coloring
+    with pytest.raises(ValueError, match="assign a color to every vertex"):
+        canvas.certificate("THM4", None, {})
 
 
 def test_certificates_are_deterministic():
@@ -387,6 +400,32 @@ def test_thm5b_carrier_claim_fails_on_rook_graphs(q, chi, tmp_path, capsys):
     assert [v["kind"] for v in report["violations"]] == ["structural"]
     assert main(["color", "--theorem", "THM5B", "--in", str(path_)]) == 2
     assert capsys.readouterr().out.count("StructureViolation") == 1
+
+
+def test_g37_is_a_thm5b_member_with_chi_5_proved_without_dsatur():
+    # G37 refutes THM5B's chi = omega as W(3) and Q(4,3) do, at n = 37.
+    # networkx confirms its membership independently.  chi <= 5 is
+    # DSATUR's coloring, which is_proper checks; chi >= 5 needs no DSATUR:
+    # G37_CORE induces a subgraph with omega = 4 that inclusion-exclusion
+    # finds 5-chromatic, and that is 4-colorable once any vertex goes.
+    g = g37()
+    assert (g.n, g.num_edges()) == (37, 162)
+    assert is_member(g, get_class("thm5b"))
+    assert clique_number(g) == 4
+    chi, coloring = GraphOracles(g, chi_cap=64).coloring()
+    assert chi == 5 and is_proper(g, coloring)
+    h = to_nx(g)
+    for pattern in (diamond(), dumbbell(4, 4)):
+        assert not nx.algorithms.isomorphism.GraphMatcher(
+            h, to_nx(pattern)).subgraph_is_isomorphic()
+    assert all(len(list(nx.common_neighbors(h, u, v))) >= 2
+               for u, v in h.edges())
+    core, _ = induced_subgraph(g, mask_of(G37_CORE))
+    assert clique_number(core) == 4
+    assert chromatic_number_inclusion_exclusion(core) == 5
+    for v in range(core.n):
+        rest = core.full_mask() & ~(1 << v)
+        assert chromatic_number(core, rest)[0] == 4
 
 
 @pytest.mark.parametrize("build,chi,thm5a_palette",

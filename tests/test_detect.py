@@ -177,7 +177,7 @@ def test_diamond_free_fast_matches_induced_search():
 
 
 def test_diamond_free_fast_witness_is_the_lex_first_embedding():
-    # is_member and is_free take a diamond's embedding from the edge scan.
+    # is_member and embedding take a diamond's embedding from the edge scan.
     hosts = list(enumerate_small(7))
     assert len(hosts) == 1252
     rng = random.Random(8)
@@ -246,6 +246,8 @@ def test_diamond_free_fan_finder_is_the_lex_first_embedding():
             assert emb == find_induced(host, fan_triangles(l))
             found[l - 1] += emb is not None
     assert found == [660, 138, 3, 2]
+    with pytest.raises(ValueError, match="need l >= 1"):
+        detect.find_fan_triangles_diamond_free(hosts[0], 0)
 
 
 def test_is_member_reports_a_fan_with_no_matcher_run(monkeypatch):
@@ -254,6 +256,19 @@ def test_is_member_reports_a_fan_with_no_matcher_run(monkeypatch):
     rep = is_member(fan_triangles(2), get_class("thm5a"))
     assert (rep.violated, rep.witness) == ("fan_triangles(l=2)",
                                            (0, 1, 2, 3, 4, 5, 6))
+
+
+def test_fan_rule_asks_the_host_whether_it_is_diamond_free(monkeypatch):
+    # A fresh host, as chibound detect reads one, has asked nothing of its
+    # memo: embedding asks the diamond itself, and K6 x K6, diamond-free
+    # with two K5s in each neighbourhood, gets the fan finder's "no 3-fan"
+    # with no call of the matcher.
+    calls = []
+    monkeypatch.setattr(detect, "find_induced",
+                        lambda *args: calls.append(args))
+    host = rook(6)
+    assert detect.embedding(host, make_pattern("fan_triangles", l=3)) is None
+    assert calls == []
 
 
 def test_every_edge_two_triangles():
@@ -334,7 +349,7 @@ def test_known_class_passes_what_it_forbids_without_a_search(monkeypatch):
         monkeypatch.setattr(detect, name, lambda *args: calls.append(args))
     for host, spec in zip(hosts, specs):
         assert is_member(host, spec)
-        assert detect.is_free(host, spec.forbidden[-1])
+        assert detect.embedding(host, spec.forbidden[-1]) is None
     assert calls == []
 
 

@@ -46,6 +46,7 @@ def test_equality_and_hash():
     c = from_edges(3, [(1, 2)])
     assert a == b and hash(a) == hash(b)
     assert a != c
+    assert repr(a) == "Graph(n=3, m=1)"
 
 
 def test_neighborhood():

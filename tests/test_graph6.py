@@ -62,6 +62,12 @@ def test_roundtrip_large_n_header():
         assert parse_graph6(s) == g
 
 
+def test_writer_refuses_more_vertices_than_the_4_byte_header_holds():
+    # the writer has no 8-byte header: 258,047 is its largest n
+    with pytest.raises(Graph6Error, match="258048 too large"):
+        write_graph6(Graph(258048, [0] * 258048))
+
+
 def test_parse_errors_carry_offsets():
     with pytest.raises(Graph6Error):
         parse_graph6("")

@@ -314,12 +314,14 @@ def test_automorphism_generators_on_symmetric_graphs(name):
 
 
 def test_recursive_searches_leave_no_garbage():
-    # Each of these searches is a nested function that calls itself, so
-    # its closure cell holds it in a reference cycle; each breaks the cycle
-    # once its search ends.  With the collector off, one call of each on a
-    # small graph leaves nothing for gc.collect(): find_induced's rec,
-    # clique_number_sub's rec, canonical_code's search, odd_hole's grow,
-    # maximal_low_omega_sets's search and _lift_layers's rec (THM5A on K5).
+    # Each of the first five searches is a nested function that calls
+    # itself, so its closure cell holds it in a reference cycle; each
+    # breaks the cycle once its search ends.  _lift_layers (THM5A on K5) is
+    # one loop with no nested function, kept here so that none returns.
+    # With the collector off, one call of each on a small graph leaves
+    # nothing for gc.collect(): find_induced's rec, clique_number_sub's
+    # rec, canonical_code's search, odd_hole's grow, maximal_low_omega_sets's
+    # search and _lift_layers.
     g = from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (1, 5),
                        (5, 6)])
     c5 = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])

@@ -282,6 +282,8 @@ def test_graph_from_code_roundtrip():
 def test_enumeration_cap():
     with pytest.raises(EnumerationCapExceeded):
         list(enumerate_small(ENUM_CAP + 1))
+    with pytest.raises(EnumerationCapExceeded):
+        enumerate_codes(ENUM_CAP + 1)
 
 
 def test_sampling_is_deterministic_and_in_class():
