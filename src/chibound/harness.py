@@ -163,45 +163,120 @@ def _graphs_from_source(cfg: RunConfig, spec):
                            fields["count"], fields["budget"])
 
 
-def verify_graph(g, cfg: RunConfig, spec, theorem_spec, params):
-    """Run the full per-graph pipeline; returns (record, violations,
+# Graphs verify_run steps through their stages together.  Running one
+# stage over a batch before the next (stage-major) is faster than running
+# each graph's stages in turn; 32 was picked by measurement (CHANGES.md).
+BATCH = 32
+
+
+def _answers(g, cfg: RunConfig, spec, theorem_spec, params):
+    """g's pipeline as a generator that pauses at each stage boundary:
+    before chi, before each property check and before the colorer.
+
+    Returns (omega, membership, chi, properties, outcome): membership the
+    MembershipReport (None when the filter is off), chi None when capped,
+    properties the PropertyReports, and outcome the colorer's certificate
+    or the MembershipError, OracleCapExceeded or StructureViolation it
+    raised (None without a theorem).  A non-member of spec stops after the
+    filter, before the chi oracle, with chi and outcome None.  The stages
+    share one GraphOracles and g's pattern memo (detect.embedding): each
+    oracle question is asked, and each induced pattern searched, once.
+    """
+    oracles = GraphOracles(g, cfg.chi_cap, cfg.chin_cap)
+    omega = oracles.clique().bit_count()
+    membership = None
+    if spec is not None and not cfg.skip_membership:
+        membership = is_member(g, spec)
+        if not membership.member:
+            return omega, membership, None, [], None
+    yield
+    try:
+        chi = oracles.chi()
+    except OracleCapExceeded:
+        chi = None
+    props = []
+    for which in cfg.properties:
+        yield
+        props.append(check_property(oracles, which, params))
+    outcome = None
+    if cfg.theorem is not None:
+        yield
+        try:
+            outcome = color_checked(cfg.theorem, oracles, theorem_spec)
+        except (MembershipError, OracleCapExceeded, StructureViolation) as exc:
+            outcome = exc
+    return omega, membership, chi, props, outcome
+
+
+def _lock_step(batch, cfg: RunConfig, resolved):
+    """Each graph's _answers, or the exception its pipeline raised, in batch
+    order.  The pipelines advance in lock step: every graph still running
+    finishes a stage before any starts the next."""
+    results = [None] * len(batch)
+    running = [(i, _answers(g, cfg, *resolved)) for i, g in enumerate(batch)]
+    while running:
+        waiting = []
+        for i, stages in running:
+            try:
+                next(stages)
+            except StopIteration as done:
+                results[i] = done.value
+            except Exception as exc:   # kept for the graph's place in order
+                results[i] = exc
+            else:
+                waiting.append((i, stages))
+        running = waiting
+    return results
+
+
+def _batches(graphs):
+    """graphs in lists of at most BATCH, in order.  An exception from the
+    source is raised after the list of the graphs read before it."""
+    batch = []
+    try:
+        for g in graphs:
+            batch.append(g)
+            if len(batch) == BATCH:
+                yield batch
+                batch = []
+    except Exception:
+        if batch:
+            yield batch
+        raise
+    if batch:
+        yield batch
+
+
+def verify_graph(g, cfg: RunConfig, theorem_spec, answers):
+    """Decide g's outcome from its _answers; returns (record, violations,
     undecided), undecided the number of g's results left undecided.
 
-    spec, theorem_spec and params are cfg resolved by cfg.validate().  The
-    colorer runs only on members of theorem_spec, and a decided chi of a
-    member is checked against the bound whatever the colorer did.  The
-    stages share one GraphOracles and g's pattern memo (detect.embedding):
-    each oracle question is asked, and each induced pattern searched, once.
+    theorem_spec is cfg's theorem resolved by cfg.validate().  The colorer
+    ran only on members of theorem_spec, and a decided chi of a member is
+    checked against the bound whatever the colorer did.
     """
-    record = {"graph6": write_graph6(g), "n": g.n}
+    omega, membership, chi, props, outcome = answers
+    record = {"graph6": write_graph6(g), "n": g.n, "omega": omega}
     violations = []
-
-    oracles = GraphOracles(g, cfg.chi_cap, cfg.chin_cap)
-    record["omega"] = omega = oracles.clique().bit_count()
-    if spec is not None and not cfg.skip_membership:
-        rep = is_member(g, spec)
-        record["membership"] = rep.to_dict()
-        if not rep.member:
-            # Filtered before the chi oracle: a skipped record has no "chi".
-            record["skipped"] = "not a class member"
-            return record, violations, 0
-    else:
+    if membership is None:
         record["membership"] = {"member": None, "violated": None,
                                 "witness": None,
                                 "note": "membership filter skipped"}
+    else:
+        record["membership"] = membership.to_dict()
+        if not membership.member:
+            # Filtered before the chi oracle: a skipped record has no "chi".
+            record["skipped"] = "not a class member"
+            return record, violations, 0
 
-    try:
-        record["chi"] = chi = oracles.chi()
-    except OracleCapExceeded:
-        record["chi"], chi = "capped", None
+    record["chi"] = "capped" if chi is None else chi
     undecided = int(chi is None)
 
     if cfg.properties:
-        props = []
-        for which in cfg.properties:
-            rep = check_property(oracles, which, params)
+        record["properties"] = []
+        for which, rep in zip(cfg.properties, props):
             prop = rep.to_dict()
-            props.append(prop)
+            record["properties"].append(prop)
             # Outside the property's own hypothesis class a result is a
             # negative control, neither violation nor undecided -- unless
             # the membership filter was deliberately skipped.
@@ -212,28 +287,26 @@ def verify_graph(g, cfg: RunConfig, spec, theorem_spec, params):
                                        "witness": prop["witness"],
                                        "measured": prop["measured"]})
                 undecided += rep.holds is None
-        record["properties"] = props
 
     if cfg.theorem is None:
         return record, violations, undecided
-    try:
-        cert = color_checked(cfg.theorem, oracles, theorem_spec)
-    except MembershipError as exc:
-        record["certificate"] = {"rejected": str(exc)}
+    if isinstance(outcome, MembershipError):
+        record["certificate"] = {"rejected": str(outcome)}
         return record, violations, undecided
-    except OracleCapExceeded as exc:
+    if isinstance(outcome, OracleCapExceeded):
         # its set lies in V(g), so chi is capped too, and counted above
-        record["certificate"] = {"undecided": str(exc)}
+        record["certificate"] = {"undecided": str(outcome)}
         return record, violations, undecided
-    except StructureViolation as exc:
-        record["certificate"] = {"error": str(exc)}
+    if isinstance(outcome, StructureViolation):
+        record["certificate"] = {"error": str(outcome)}
         violations.append({"graph6": record["graph6"], "kind": "structural",
-                           "theorem": cfg.theorem, "error": str(exc)})
+                           "theorem": cfg.theorem, "error": str(outcome)})
         # Each block the exact oracle colors is an induced subgraph, so the
         # class constant is at most chi: the largest value the bound takes.
         bound = None if chi is None else THEOREMS[cfg.theorem].bound(
             omega, chi, **theorem_spec.params)
     else:
+        cert = outcome
         record["certificate"] = {"palette_used": cert.palette_used,
                                  "bound_value": cert.bound_value,
                                  "omega": cert.omega,
@@ -257,7 +330,10 @@ def verify_graph(g, cfg: RunConfig, spec, theorem_spec, params):
 def verify_run(cfg: RunConfig) -> dict:
     """Execute the run and build the report dict (JSON-ready).
 
-    Per-graph failures are recorded, never abort the run.
+    Graphs are read in batches of BATCH and each batch is run in lock step
+    (_lock_step); verify_graph then decides each graph in source order.
+    Per-graph failures are recorded in the graph's place and never abort
+    the run; a source failure is recorded after the graphs read before it.
     """
     resolved = cfg.validate()
     start = time.monotonic()
@@ -268,21 +344,24 @@ def verify_run(cfg: RunConfig) -> dict:
     members = 0
     scanned = 0
     try:
-        graphs = _graphs_from_source(cfg, resolved[0])
-        for g in graphs:
-            scanned += 1
-            try:
-                record, v, u = verify_graph(g, cfg, *resolved)
-            except Exception as exc:   # defensive: never abort the sweep
-                errors.append({"graph6": write_graph6(g), "stage": "pipeline",
-                               "type": type(exc).__name__,
-                               "error": f"{type(exc).__name__}: {exc}"})
-                continue
-            if "skipped" not in record:
-                members += 1
-            undecided += u
-            records.append(record)
-            violations.extend(v)
+        for batch in _batches(_graphs_from_source(cfg, resolved[0])):
+            scanned += len(batch)
+            for g, answers in zip(batch, _lock_step(batch, cfg, resolved)):
+                try:
+                    if isinstance(answers, Exception):
+                        raise answers
+                    record, v, u = verify_graph(g, cfg, resolved[1], answers)
+                except Exception as exc:   # defensive: never abort the sweep
+                    errors.append({"graph6": write_graph6(g),
+                                   "stage": "pipeline",
+                                   "type": type(exc).__name__,
+                                   "error": f"{type(exc).__name__}: {exc}"})
+                    continue
+                if "skipped" not in record:
+                    members += 1
+                undecided += u
+                records.append(record)
+                violations.extend(v)
     except (OSError, ValueError, RuntimeError) as exc:
         errors.append({"stage": "source", "type": type(exc).__name__,
                        "error": f"{type(exc).__name__}: {exc}"})

@@ -161,6 +161,47 @@ MUTANTS = [
      "return mask & ~k_mask, (), alpha, alpha + 1",
      "return mask & ~k_mask, (), alpha, alpha",
      "tests/test_harness.py::test_report_fingerprints_are_pinned"),
+    # the driver dropping the last partial batch (1,252 = 39 * 32 + 4)
+    ("src/chibound/harness.py",
+     "        raise\n    if batch:\n        yield batch\n",
+     "        raise\n",
+     "tests/test_harness.py::test_report_fingerprints_are_pinned"),
+    # a batch's pipeline errors put in its failing graphs' places in the
+    # order they were raised, stage by stage, not in source order
+    ("src/chibound/harness.py",
+     "    results = [None] * len(batch)\n"
+     "    running = [(i, _answers(g, cfg, *resolved)) for i, g in enumerate(batch)]\n"
+     "    while running:\n"
+     "        waiting = []\n"
+     "        for i, stages in running:\n"
+     "            try:\n"
+     "                next(stages)\n"
+     "            except StopIteration as done:\n"
+     "                results[i] = done.value\n"
+     "            except Exception as exc:   # kept for the graph's place in order\n"
+     "                results[i] = exc\n"
+     "            else:\n"
+     "                waiting.append((i, stages))\n"
+     "        running = waiting\n"
+     "    return results\n",
+     "    results, failed = [None] * len(batch), []\n"
+     "    running = [(i, _answers(g, cfg, *resolved)) for i, g in enumerate(batch)]\n"
+     "    while running:\n"
+     "        waiting = []\n"
+     "        for i, stages in running:\n"
+     "            try:\n"
+     "                next(stages)\n"
+     "            except StopIteration as done:\n"
+     "                results[i] = done.value\n"
+     "            except Exception as exc:\n"
+     "                failed.append((i, exc))\n"
+     "            else:\n"
+     "                waiting.append((i, stages))\n"
+     "        running = waiting\n"
+     "    for (i, _), (_, exc) in zip(sorted(failed, key=lambda f: f[0]), failed):\n"
+     "        results[i] = exc\n"
+     "    return results\n",
+     "tests/test_harness.py::test_pipeline_errors_mid_batch_keep_source_order"),
 ]
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import random
 import re
 import sys
 
@@ -713,17 +714,115 @@ def test_report_fingerprints_are_pinned():
     # Nine reports that a change to how the pipeline computes must leave
     # byte-identical: the six theorem sweeps at n <= 7 and three runs of
     # all ten properties with no class at n <= 6.
+    assert _pinned_digests() == PINNED_DIGESTS
+
+
+PINNED_DIGESTS = {
+    "THM1": "277c0d75efb66300", "THM2": "fae2788238698287",
+    "THM3": "5cc91c537f0a6cb9", "THM4": "b240360424e3714a",
+    "THM5A": "007522844568b688", "THM5B": "6578521a4c7e7bbd",
+    (2, 2, 2): "b7a134291e4e7194", (3, 3, 3): "12f055a9f2afc11b",
+    (3, 2, 2): "40105fb4d9589767"}
+
+
+def _pinned_digests():
     runs = {thm: _sweep(thm, 7) for thm in SWEEP_PROPERTIES}
     runs.update({stk: _no_class(*stk)
                  for stk in ((2, 2, 2), (3, 3, 3), (3, 2, 2))})
-    got = {name: hashlib.sha256(report_fingerprint(verify_run(cfg)).encode())
-           .hexdigest()[:16] for name, cfg in runs.items()}
-    assert got == {
-        "THM1": "277c0d75efb66300", "THM2": "fae2788238698287",
-        "THM3": "5cc91c537f0a6cb9", "THM4": "b240360424e3714a",
-        "THM5A": "007522844568b688", "THM5B": "6578521a4c7e7bbd",
-        (2, 2, 2): "b7a134291e4e7194", (3, 3, 3): "12f055a9f2afc11b",
-        (3, 2, 2): "40105fb4d9589767"}
+    return {name: _digest(verify_run(cfg)) for name, cfg in runs.items()}
+
+
+def _digest(report):
+    return hashlib.sha256(report_fingerprint(report).encode()).hexdigest()[:16]
+
+
+def test_batches_of_one_give_the_pinned_reports(monkeypatch):
+    # verify_run steps BATCH graphs through their stages together; a batch
+    # of one is the graph-by-graph order, and the reports are the same.
+    # 1,252 graphs with n <= 7 end in a partial batch at the default size.
+    assert 1252 % harness.BATCH
+    monkeypatch.setattr(harness, "BATCH", 1)
+    assert _pinned_digests() == PINNED_DIGESTS
+
+
+def test_source_failure_mid_batch_follows_the_graphs_read(tmp_path,
+                                                          monkeypatch):
+    # 40 graph6 lines, line 21 corrupt: the 20 graphs before it are
+    # verified and recorded, then the source error, whatever the batch size
+    # (a batch of 4 ends exactly at line 20, one of 32 is cut short).  The
+    # same holds for a sampler whose rejection budget runs out.
+    rng = random.Random(40)
+    lines = []
+    for _ in range(40):
+        n = rng.randint(4, 8)
+        lines.append(write_graph6(from_edges(n, [
+            (u, v) for u in range(n) for v in range(u + 1, n)
+            if rng.random() < 0.5])))
+    lines[20] = "D~"
+    path_ = tmp_path / "forty.g6"
+    path_.write_text("\n".join(lines) + "\n")
+    cfg = RunConfig(source={"kind": "graph6", "path": str(path_)},
+                    class_name="thm4", theorem="THM4", properties=("P4", "P5"))
+    digests = set()
+    for batch in (1, 4, harness.BATCH):
+        monkeypatch.setattr(harness, "BATCH", batch)
+        report = verify_run(cfg)
+        assert [r["graph6"] for r in report["records"]] == lines[:20]
+        assert report["aggregates"]["graphs_scanned"] == 20
+        [error] = report["errors"]
+        assert error["stage"] == "source" and "line 21" in error["error"]
+        assert exit_code_for(report) == 1
+        digests.add(_digest(report))
+    assert len(digests) == 1
+    # One try per draw: five diamond-free draws at seed 0, then the sixth
+    # exhausts the rejection budget.
+    cfg = RunConfig(source={"kind": "sample", "n": 7, "edge_prob": 0.4,
+                            "count": 50, "budget": 1},
+                    class_name="diamond-free", theorem="THM5A",
+                    properties=("D1",))
+    digests = set()
+    for batch in (1, 4, harness.BATCH):
+        monkeypatch.setattr(harness, "BATCH", batch)
+        report = verify_run(cfg)
+        assert len(report["records"]) == report["aggregates"][
+            "graphs_scanned"] == 5
+        assert [(e["stage"], e["type"]) for e in report["errors"]] == [
+            ("source", "RejectionBudgetExhausted")]
+        digests.add(_digest(report))
+    assert len(digests) == 1
+
+
+def test_pipeline_errors_mid_batch_keep_source_order(monkeypatch):
+    # Two members of one batch fail in check_property: the earlier one at
+    # its second property, the later one at its first, so the later fails
+    # first in stage order.  Each error takes its graph's place in source
+    # order and every other record is the clean run's.
+    cfg = _sweep("THM4", 6)
+    clean = verify_run(cfg)["records"]
+    members = [i for i, r in enumerate(clean) if "skipped" not in r]
+    first, later = next((i, j) for i, j in zip(members, members[1:])
+                        if i // harness.BATCH == j // harness.BATCH)
+    fail_at = {clean[first]["graph6"]: "P5", clean[later]["graph6"]: "P4"}
+    real = harness.check_property
+
+    def check(oracles_, which, params):
+        if fail_at.get(write_graph6(oracles_.g)) == which:
+            raise RuntimeError(f"{which} fails")
+        return real(oracles_, which, params)
+
+    monkeypatch.setattr(harness, "check_property", check)
+    digests = set()
+    for batch in (1, harness.BATCH):
+        monkeypatch.setattr(harness, "BATCH", batch)
+        report = verify_run(cfg)
+        assert [(e["graph6"], e["stage"], e["error"])
+                for e in report["errors"]] == [
+            (clean[first]["graph6"], "pipeline", "RuntimeError: P5 fails"),
+            (clean[later]["graph6"], "pipeline", "RuntimeError: P4 fails")]
+        assert report["records"] == [r for i, r in enumerate(clean)
+                                     if i not in (first, later)]
+        digests.add(_digest(report))
+    assert len(digests) == 1
 
 
 @pytest.mark.parametrize("thm,params,members,found,digest", [
@@ -814,15 +913,17 @@ def test_verify_run_searches_each_pattern_once_per_graph(monkeypatch):
 
 
 def test_verify_graph_asks_the_clique_kernel_nothing_twice(monkeypatch):
-    # One verify_graph call asks each question once: no (adj, within) pair
-    # reaches the clique kernel twice, no vertex set reaches the exact
-    # chromatic oracle twice, and no (t, within) is decomposed twice.  A run
+    # One run asks each graph's questions once: no (adj, within) pair
+    # reaches the clique kernel twice, no (adj, vertex set) reaches the exact
+    # chromatic oracle twice, and no (adj, t, within) is decomposed twice.
+    # Each question is keyed by its graph's adjacency rows, as a batch asks
+    # its graphs' questions interleaved, before verify_graph is called.  A run
     # whose checks and colorer read no decomposition (THM5A, THM5B, D1
     # alone) decomposes nothing.  Left out: the P-property, whose chi^(t)
     # colors g again when omega <= t, and whose maximal-set search at
     # t >= 3 repeats its own omega tests.  chi_n is not reached here: P5-P7
     # take c = 1 at t = 2.
-    real_kernel, real_verify = kernels.clique_number_sub, harness.verify_graph
+    real_kernel = kernels.clique_number_sub
     real_chromatic = oracles.chromatic_number
     real_decompose = decompose_module.decompose
     asked = {"kernel": set(), "chi": set(), "decompose": set()}
@@ -844,25 +945,19 @@ def test_verify_graph_asks_the_clique_kernel_nothing_twice(monkeypatch):
         return real_chromatic(g, within, lower)
 
     def decompose(g, t, within, clique):
-        note("decompose", (t, within))
+        note("decompose", (tuple(g.adj), t, within))
         return real_decompose(g, t, within, clique)
-
-    def verify_graph(*args):
-        for seen in asked.values():
-            seen.clear()
-        return real_verify(*args)
 
     monkeypatch.setattr(kernels, "clique_number_sub", kernel)
     monkeypatch.setattr(oracles, "chromatic_number", chromatic_number)
     monkeypatch.setattr(decompose_module, "decompose", decompose)
-    monkeypatch.setattr(harness, "verify_graph", verify_graph)
     runs = {thm: _sweep(thm, 6) for thm in SWEEP_PROPERTIES}
     runs["no class"] = _no_class(2, 2, 2, ("P1", "P2", "P3", "P4", "P5", "P6",
                                            "P7", "P8", "D1"))
     runs["D1 only"] = _no_class(2, 2, 2, ("D1",))
     counts = {}
     for name, cfg in runs.items():
-        for seen in calls.values():
+        for seen in (*asked.values(), *calls.values()):
             seen.clear()
         verify_run(cfg)
         counts[name] = tuple(map(len, calls.values()))
